@@ -203,9 +203,9 @@ class Cocycle:
 
     def pair(self, m1, m2):
         """Value on a pair of parameter-free monomials (cached)."""
-        if m1.is_one():
-            return ONE if m2.is_one() else ZERO
-        if m2.is_one():
+        if m1.is_one:
+            return ONE if m2.is_one else ZERO
+        if m2.is_one:
             return ZERO
         key = (m1, m2)
         hit = self._cache.get(key)
@@ -219,12 +219,10 @@ class Cocycle:
         ring = self.pres.ring
         out = ring.zero
         for m1, c1 in f.terms.items():
-            g1, p1 = m1.split_params()
             for m2, c2 in g.terms.items():
-                g2, p2 = m2.split_params()
-                v = self.pair(g1, g2)
+                v = self.pair(m1.gen_part, m2.gen_part)
                 if v:
-                    out = out + p1.mul(p2).as_poly() * (c1 * c2 * v)
+                    out = out + m1.param_part.mul(m2.param_part).as_poly() * (c1 * c2 * v)
         return out
 
     def scalar(self, f, g):
@@ -232,7 +230,7 @@ class Cocycle:
         v = self.eval(f, g)
         if v.is_zero():
             return ZERO
-        if v.degree() > 0 or len(v.terms) != 1 or not next(iter(v.terms)).is_one():
+        if v.degree() > 0 or len(v.terms) != 1 or not next(iter(v.terms)).is_one:
             raise ValueError("cocycle value is parameter-valued: %r" % v)
         return v.counit()
 
@@ -242,9 +240,6 @@ class Cocycle:
 
     def swap(self):
         return SwappedCocycle(self)
-
-    def identity_tag(self):
-        return "%s-%d" % (self.kind, id(self))
 
 
 class CounitPair(Cocycle):
@@ -265,55 +260,71 @@ class ExponentialCocycle(Cocycle):
 
     kind = "exponential"
 
-    def __init__(self, pres, rmatrix, half=True, negate=False, extra_orders=0):
+    def __init__(self, pres, rmatrix, negate=False, extra_orders=0):
         super().__init__(pres)
         self.rmatrix = rmatrix
-        self.half = half
         self.negate = negate
         self.extra_orders = extra_orders
-        self._support = set(rmatrix.support_indices())
-
-    def _word_vector(self, m, k):
-        table = self.pres.word_table(m, k)
-        return {w: c for w, c in table.items() if all(i in self._support for i in w)}
+        # sparse rows of r: row a lists the (b, r[a][b]) with r[a][b] != 0
+        self._rows = [[(b, v) for b, v in enumerate(row) if v] for row in rmatrix.matrix]
 
     def _pair(self, m1, m2):
         # The sum truncates at the coradical degree: length-k words pair as
         # degree-k distributions, which kill the k-th coradical filtration
         # layer.  `extra_orders` exists so tests can confirm that adding
         # terms beyond the bound never changes a value.
-        kmax = min(self.pres.corad_degree_monomial(m1),
-                   self.pres.corad_degree_monomial(m2)) + self.extra_orders
+        pres = self.pres
+        kmax = min(pres.corad_degree_monomial(m1),
+                   pres.corad_degree_monomial(m2)) + self.extra_orders
         total = ZERO
-        mat = self.rmatrix.matrix
-        scale_base = Fraction(1, 2) if self.half else ONE
-        if self.negate:
-            scale_base = -scale_base
+        scale_base = Fraction(-1, 2) if self.negate else Fraction(1, 2)
         fact = ONE
         for k in range(1, kmax + 1):
             fact *= k
-            left = self._word_vector(m1, k)
+            left = pres.word_table(m1, k)
             if not left:
                 continue
-            right = self._word_vector(m2, k)
+            right = pres.word_table(m2, k)
             if not right:
                 continue
-            contrib = ZERO
-            for w, cw in left.items():
-                for w2, cw2 in right.items():
-                    prod = cw * cw2
-                    for a, b in zip(w, w2):
-                        prod *= mat[a][b]
-                        if prod == 0:
-                            break
-                    contrib += prod
+            contrib = self._contract(left, right)
             if contrib:
                 total += contrib * scale_base ** k / fact
         return total
 
+    def _contract(self, left, right):
+        """sum of c(w) c'(w') prod_i r[w_i][w'_i] over left x right words.
+
+        Each left word is pushed through the sparse rows of r one letter at
+        a time, keeping only images that are prefixes of some right word.
+        """
+        rows = self._rows
+        prefixes = {w[:i] for w in right for i in range(1, len(w))}
+        total = ZERO
+        for w, cw in left.items():
+            last = len(w) - 1
+            partial = [((), cw)]
+            for i, a in enumerate(w):
+                row = rows[a]
+                if not row:
+                    break
+                nxt = []
+                for pre, c in partial:
+                    for b, v in row:
+                        img = pre + (b,)
+                        if i == last:
+                            c2 = right.get(img)
+                            if c2:
+                                total += c * v * c2
+                        elif img in prefixes:
+                            nxt.append((img, c * v))
+                partial = nxt
+                if not partial:
+                    break
+        return total
+
     def inverse(self):
-        return ExponentialCocycle(self.pres, self.rmatrix, self.half,
-                                  not self.negate, self.extra_orders)
+        return ExponentialCocycle(self.pres, self.rmatrix, not self.negate, self.extra_orders)
 
 
 class PullbackCocycle(Cocycle):
@@ -372,7 +383,7 @@ class TableCocycle(Cocycle):
         self.bound = bound
 
     def _pair(self, m1, m2):
-        if m1.degree() > self.bound or m2.degree() > self.bound:
+        if m1.degree > self.bound or m2.degree > self.bound:
             raise CocycleBoundError(
                 "pair (%r, %r) exceeds the declared bound %d" % (m1, m2, self.bound))
         return self.table.get((m1, m2), ZERO)
@@ -397,7 +408,7 @@ class CorrectedCocycle(Cocycle):
         self.total_bound = total_bound
 
     def _pair(self, m1, m2):
-        if m1.degree() + m2.degree() > self.total_bound:
+        if m1.degree + m2.degree > self.total_bound:
             raise CocycleBoundError(
                 "pair (%r, %r) exceeds the solved total degree %d"
                 % (m1, m2, self.total_bound))
@@ -418,7 +429,7 @@ def solve_cocycle_corrections(pres, base, total_bound):
     """
     for g, q in pres.q.items():
         for (m1, m2), _ in q.terms.items():
-            if m1.degree() != 1 or m2.degree() != 1:
+            if m1.degree != 1 or m2.degree != 1:
                 raise CocycleInputError(
                     "correction solving needs degree-1 coproduct corrections")
     ring = pres.ring
@@ -427,9 +438,9 @@ def solve_cocycle_corrections(pres, base, total_bound):
     table = {}
 
     def value(m1, m2):
-        if m1.is_one():
-            return ONE if m2.is_one() else ZERO
-        if m2.is_one():
+        if m1.is_one:
+            return ONE if m2.is_one else ZERO
+        if m2.is_one:
             return ZERO
         key = (m1, m2)
         if key in table:
@@ -444,20 +455,20 @@ def solve_cocycle_corrections(pres, base, total_bound):
         for (a1, a2), c1 in pres.coproduct_monomial(a).terms.items():
             for (b1, b2), c2 in pres.coproduct_monomial(b).terms.items():
                 v2 = value(a2, b2)
-                if v2 == 0:
+                if not v2:
                     continue
                 v1 = value(a1.mul(b1), c)
-                if v1 == 0:
+                if not v1:
                     continue
                 lhs += c1 * c2 * v1 * v2
         rhs = ZERO
         for (b1, b2), c2 in pres.coproduct_monomial(b).terms.items():
             for (c1m, c2m), c3 in pres.coproduct_monomial(c).terms.items():
                 v2 = value(b2, c2m)
-                if v2 == 0:
+                if not v2:
                     continue
                 v1 = value(a, b1.mul(c1m))
-                if v1 == 0:
+                if not v1:
                     continue
                 rhs += c2 * c3 * v1 * v2
         return lhs - rhs
@@ -465,10 +476,10 @@ def solve_cocycle_corrections(pres, base, total_bound):
     by_level = {}
     for a in mons:
         for b in mons:
-            if a.degree() + b.degree() > total_bound - 1:
+            if a.degree + b.degree > total_bound - 1:
                 continue
             for c in mons:
-                if a.degree() + b.degree() + c.degree() > total_bound:
+                if a.degree + b.degree + c.degree > total_bound:
                     continue
                 lvl = (pres.corad_degree_monomial(a) + pres.corad_degree_monomial(b)
                        + pres.corad_degree_monomial(c))
@@ -551,36 +562,29 @@ class NeumannInverse(Cocycle):
         # N = eps.eps - J; J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2),
         # where the N factor needs both of a1, b1 nonconstant.
         pres = self.pres
+        inner = self.inner
         total = ZERO
-        d1 = pres.coproduct_monomial(m1)
-        d2 = pres.coproduct_monomial(m2)
-        for (a1, a2), c1 in d1.terms.items():
-            if a1.is_one():
+        d2 = pres.coproduct_monomial(m2).terms.items()
+        for (a1, a2), c1 in pres.coproduct_monomial(m1).terms.items():
+            if a1.is_one:
                 continue
-            for (b1, b2), c2 in d2.terms.items():
-                if b1.is_one():
+            for (b1, b2), c2 in d2:
+                if b1.is_one:
                     continue
-                n = -self.inner.pair(*_genparts(a1, b1))
-                if n == 0:
+                n = inner.pair(a1.gen_part, b1.gen_part)
+                if not n:
                     continue
-                rest = self.pair(*_genparts(a2, b2))
-                if rest == 0:
+                rest = self.pair(a2.gen_part, b2.gen_part)
+                if not rest:
                     continue
-                pa, pb = a1.split_params()[1], b1.split_params()[1]
-                pc, pd = a2.split_params()[1], b2.split_params()[1]
-                if not (pa.is_one() and pb.is_one() and pc.is_one() and pd.is_one()):
+                if not (a1.param_part.is_one and b1.param_part.is_one
+                        and a2.param_part.is_one and b2.param_part.is_one):
                     raise ValueError("parameters inside inverse recursion")
-                total += c1 * c2 * n * rest
+                total -= c1 * c2 * n * rest
         return total
 
     def inverse(self):
         return self.inner
-
-
-def _genparts(m1, m2):
-    g1, _ = m1.split_params()
-    g2, _ = m2.split_params()
-    return g1, g2
 
 
 class FunctionalTable:
@@ -617,27 +621,26 @@ class FunctionalTable:
     def __call__(self, m):
         if isinstance(m, Poly):
             return sum((c * self(mm) for mm, c in m.terms.items()), ZERO)
-        g, p = m.split_params()
-        if not p.is_one():
+        if not m.param_part.is_one:
             raise CocycleInputError("functional applied to a parameter monomial")
-        return self.values.get(g, ZERO)
+        return self.values.get(m.gen_part, ZERO)
 
     def inv(self, m):
         if isinstance(m, Poly):
             return sum((c * self.inv(mm) for mm, c in m.terms.items()), ZERO)
-        if m.is_one():
+        if m.is_one:
             return ONE
         hit = self._inv_cache.get(m)
         if hit is not None:
             return hit
         total = ZERO
         for (a1, a2), c in self.pres.coproduct_monomial(m).terms.items():
-            if a1.is_one():
+            if a1.is_one:
                 continue
             n = -self(a1)
-            if n == 0:
+            if not n:
                 continue
-            total += c * n * (self.inv(a2) if not a2.is_one() else ONE)
+            total += c * n * (self.inv(a2) if not a2.is_one else ONE)
         self._inv_cache[m] = total
         return total
 
@@ -658,13 +661,13 @@ class GaugeCocycle(Cocycle):
         for (a1, a2, a3), c1 in pres.iterated_coproduct_monomial(m1, 2).terms.items():
             for (b1, b2, b3), c2 in pres.iterated_coproduct_monomial(m2, 2).terms.items():
                 head = self.chi(a1.mul(b1).as_poly())
-                if head == 0:
+                if not head:
                     continue
                 mid = self.inner.pair(a2, b2)
-                if mid == 0:
+                if not mid:
                     continue
                 tail = self.chi.inv(a3) * self.chi.inv(b3)
-                if tail == 0:
+                if not tail:
                     continue
                 total += c1 * c2 * head * mid * tail
         return total
@@ -695,20 +698,20 @@ class ConjugateCocycle(Cocycle):
         total = ZERO
         for (a1, a2, a3), c1 in pres.iterated_coproduct_monomial(m1, 2).terms.items():
             ha = self._eval_at(a1, self.point)
-            if ha == 0:
+            if not ha:
                 continue
             ta = self._eval_at(a3, self.point_inv)
-            if ta == 0:
+            if not ta:
                 continue
             for (b1, b2, b3), c2 in pres.iterated_coproduct_monomial(m2, 2).terms.items():
                 hb = self._eval_at(b1, self.point)
-                if hb == 0:
+                if not hb:
                     continue
                 tb = self._eval_at(b3, self.point_inv)
-                if tb == 0:
+                if not tb:
                     continue
                 mid = self.inner.pair(a2, b2)
-                if mid == 0:
+                if not mid:
                     continue
                 total += c1 * c2 * ha * hb * mid * ta * tb
         return total
@@ -727,11 +730,11 @@ def convolution_product(pres, left, right):
             total = ZERO
             for (a1, a2), c1 in pres.coproduct_monomial(m1).terms.items():
                 for (b1, b2), c2 in pres.coproduct_monomial(m2).terms.items():
-                    v1 = left.pair(*_genparts(a1, b1))
-                    if v1 == 0:
+                    v1 = left.pair(a1.gen_part, b1.gen_part)
+                    if not v1:
                         continue
-                    v2 = right.pair(*_genparts(a2, b2))
-                    if v2 == 0:
+                    v2 = right.pair(a2.gen_part, b2.gen_part)
+                    if not v2:
                         continue
                     total += c1 * c2 * v1 * v2
             return total
@@ -783,40 +786,40 @@ def verify_cocycle_identity(j, degree_bound, jinv=None):
     ring = pres.ring
     mons = [m for m in ring.monomials_up_to(degree_bound, include_one=False)]
     for m in ring.monomials_up_to(degree_bound):
-        if j.pair(m, ring.one_monomial) != (ONE if m.is_one() else ZERO):
+        if j.pair(m, ring.one_monomial) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
-        if j.pair(ring.one_monomial, m) != (ONE if m.is_one() else ZERO):
+        if j.pair(ring.one_monomial, m) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
 
     checked = 0
     for a in mons:
         da = pres.coproduct_monomial(a)
         for b in mons:
-            if a.degree() + b.degree() >= degree_bound:
+            if a.degree + b.degree >= degree_bound:
                 continue
             db = pres.coproduct_monomial(b)
             for c in mons:
-                if a.degree() + b.degree() + c.degree() > degree_bound:
+                if a.degree + b.degree + c.degree > degree_bound:
                     continue
                 dc = pres.coproduct_monomial(c)
                 lhs = ZERO
                 for (a1, a2), ca in da.terms.items():
                     for (b1, b2), cb in db.terms.items():
                         v2 = j.pair(a2, b2)
-                        if v2 == 0:
+                        if not v2:
                             continue
                         v1 = j.pair(a1.mul(b1), c)
-                        if v1 == 0:
+                        if not v1:
                             continue
                         lhs += ca * cb * v1 * v2
                 rhs = ZERO
                 for (b1, b2), cb in db.terms.items():
                     for (c1, c2), cc in dc.terms.items():
                         v2 = j.pair(b2, c2)
-                        if v2 == 0:
+                        if not v2:
                             continue
                         v1 = j.pair(a, b1.mul(c1))
-                        if v1 == 0:
+                        if not v1:
                             continue
                         rhs += cb * cc * v1 * v2
                 checked += 1

@@ -265,5 +265,5 @@ def default_degree_bound(pres):
     best = 0
     for g, q in pres.q.items():
         for (m1, m2), _ in q.terms.items():
-            best = max(best, m1.degree(), m2.degree())
+            best = max(best, m1.degree, m2.degree)
     return 2 * best + 2

@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .poly import (ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly,
-                   grlex_key, render_poly)
+from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, grlex_key, render_poly
 
 
 class PresentationError(ValueError):
@@ -208,6 +207,7 @@ class GroupPresentation:
         self._iter = {}
         self._antipode = {}
         self._corad = {}
+        self._words = {}
         self._lie = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -225,6 +225,7 @@ class GroupPresentation:
         self._iter.clear()
         self._antipode.clear()
         self._corad.clear()
+        self._words.clear()
         self._lie = None
 
     def add_subgroup(self, name, param_names, coord_exprs):
@@ -257,7 +258,7 @@ class GroupPresentation:
         cached = self._coprod.get(m)
         if cached is not None:
             return cached
-        if m.is_one():
+        if m.is_one:
             result = TensorPoly.from_polys([self.ring.one, self.ring.one])
         else:
             for i in range(len(self.ring.names)):
@@ -266,14 +267,12 @@ class GroupPresentation:
             name = self.ring.names[i]
             exps = list(m.exps)
             exps[i] -= 1
-            rest = Monomial(self.ring, tuple(exps))
+            rest = self.ring.monomial(exps)
             if self.ring.is_parameter(name):
                 # Parameters are central scalars: Delta is Q[params]-linear.
                 # The parameter factor is carried on slot 1 by convention;
                 # bilinear consumers split it off as a coefficient.
-                pexps = [0] * len(self.ring.names)
-                pexps[i] = 1
-                pmono = Monomial(self.ring, tuple(pexps))
+                pmono = self.ring.var_monomial(name)
                 part = self.coproduct_monomial(rest)
                 result = TensorPoly(self.ring, 2,
                                     {(k[0].mul(pmono), k[1]): c
@@ -326,7 +325,7 @@ class GroupPresentation:
         cached = self._antipode.get(m)
         if cached is not None:
             return cached
-        if m.is_one():
+        if m.is_one:
             result = self.ring.one
         else:
             for i in range(len(self.ring.names)):
@@ -335,7 +334,7 @@ class GroupPresentation:
             name = self.ring.names[i]
             exps = list(m.exps)
             exps[i] -= 1
-            rest = Monomial(self.ring, tuple(exps))
+            rest = self.ring.monomial(exps)
             if self.ring.is_parameter(name):
                 result = self.antipode_monomial(rest) * self.ring.var(name)
             else:
@@ -375,37 +374,37 @@ class GroupPresentation:
         return max(self.corad_degree_monomial(m) for m in f.terms)
 
     # -- word tables (degree-(1,..,1) components of iterated coproducts) -----
-    def word_table(self, m, k, _cache={}):
+    def word_table(self, m, k):
         """Coefficients of X_{i1} (x) ... (x) X_{ik} in Delta^{k-1}(monomial).
 
         Returns a dict word-tuple (0-based generator indices) -> Fraction.
         """
-        key = (id(self), m, k)
-        hit = _cache.get(key)
+        key = (m, k)
+        hit = self._words.get(key)
         if hit is not None:
             return hit
         if k == 0:
-            out = {(): ONE} if m.is_one() else {}
+            out = {(): ONE} if m.is_one else {}
         elif k == 1:
             out = {}
-            if m.degree() == 1 and m.param_degree() == 0:
+            if m.degree == 1 and m.param_degree() == 0:
                 for i in range(self.ring.ngens):
                     if m.exps[i] == 1:
                         out[(i,)] = ONE
         else:
             out = {}
             for (m1, m2), c in self.coproduct_monomial(m).terms.items():
-                if m1.degree() != 1 or m1.param_degree() != 0:
+                if m1.degree != 1 or m1.param_degree() != 0:
                     continue
                 idx = next(i for i in range(self.ring.ngens) if m1.exps[i] == 1)
                 for word, c2 in self.word_table(m2, k - 1).items():
                     w = (idx,) + word
                     v = out.get(w, ZERO) + c * c2
-                    if v == 0:
-                        out.pop(w, None)
-                    else:
+                    if v:
                         out[w] = v
-        _cache[key] = out
+                    else:
+                        out.pop(w, None)
+        self._words[key] = out
         return out
 
     # -- points ---------------------------------------------------------------
@@ -491,7 +490,7 @@ class GroupPresentation:
                             continue
                         c = ZERO
                         for (m1, m2), v in q.terms.items():
-                            if m1.degree() == 1 and m2.degree() == 1 and \
+                            if m1.degree == 1 and m2.degree == 1 and \
                                m1.param_degree() == 0 and m2.param_degree() == 0:
                                 a = next(t for t in range(n) if m1.exps[t] == 1)
                                 b = next(t for t in range(n) if m2.exps[t] == 1)
@@ -566,7 +565,7 @@ class GroupPresentation:
             i = self.gen_index(g)
             for (m1, m2), _ in q.terms.items():
                 for mm in (m1, m2):
-                    if mm.degree() == 0:
+                    if mm.degree == 0:
                         record("q-counit-free", False,
                                "q(%s) has a scalar slot entry" % g)
                         ok_chain = False

@@ -7,6 +7,15 @@ for all truncation decisions and they sort below every generator in the
 term order.  Coefficients are `fractions.Fraction`; no floating point
 arithmetic occurs anywhere.
 
+Monomials are canonical: `PolyRing.monomial(exps)` is the only place a
+`Monomial` is built, and it returns one instance per exponent tuple, kept
+in a table owned by the ring.  Monomial equality is therefore identity
+(equal exponents in two rings are different monomials), while the hash
+stays the hash of the exponent tuple.  Each monomial carries its
+generator degree, whether it is 1, and its generator and parameter parts
+as precomputed slots, and the ring memoizes monomial products in a second
+table.  Both tables live and die with their ring.
+
 The canonical text rendering (used for golden comparisons) lists terms in
 decreasing graded-lex order, e.g. ``W*X + 1/2*Y``; `parse_poly` reads the
 same format back.
@@ -39,8 +48,9 @@ class PolyRing:
         self.names = names
         self.ngens = len(generators)
         self.index = {name: i for i, name in enumerate(names)}
-        self._zero_exps = (0,) * len(names)
-        self.one_monomial = Monomial(self, self._zero_exps)
+        self._monomials = {}
+        self._products = {}
+        self.one_monomial = self.monomial((0,) * len(names))
         self.zero = Poly(self, {})
         self.one = Poly(self, {self.one_monomial: ONE})
 
@@ -48,13 +58,27 @@ class PolyRing:
         return name in self.parameters
 
     def monomial(self, exps):
-        return Monomial(self, tuple(exps))
+        """The canonical monomial with these exponents."""
+        exps = tuple(exps)
+        m = self._monomials.get(exps)
+        if m is None:
+            m = self._monomials[exps] = Monomial(self, exps)
+            ng = self.ngens
+            if any(exps[ng:]):
+                m.gen_part = self.monomial(exps[:ng] + (0,) * (len(exps) - ng))
+                m.param_part = self.monomial((0,) * ng + exps[ng:])
+            else:
+                m.gen_part = m
+                m.param_part = self.monomial((0,) * len(exps))
+        return m
+
+    def var_monomial(self, name):
+        exps = [0] * len(self.names)
+        exps[self.index[name]] = 1
+        return self.monomial(exps)
 
     def var(self, name):
-        i = self.index[name]
-        exps = [0] * len(self.names)
-        exps[i] = 1
-        return Poly(self, {Monomial(self, tuple(exps)): ONE})
+        return Poly(self, {self.var_monomial(name): ONE})
 
     def const(self, c):
         c = Fraction(c)
@@ -77,7 +101,7 @@ class PolyRing:
 
         def rec(pos, budget, exps):
             if pos == len(idxs):
-                out.append(Monomial(self, tuple(exps)))
+                out.append(self.monomial(exps))
                 return
             for e in range(budget + 1):
                 exps[idxs[pos]] = e
@@ -86,7 +110,7 @@ class PolyRing:
 
         rec(0, bound, [0] * len(self.names))
         if not include_one:
-            out = [m for m in out if m.total_degree() > 0]
+            out = [m for m in out if not m.is_one]
         out.sort(key=grlex_key)
         return out
 
@@ -101,24 +125,25 @@ class PolyRing:
 
 
 class Monomial:
-    """A power product, stored densely over the ring's variable list."""
+    """A power product, stored densely over the ring's variable list.
 
-    __slots__ = ("ring", "exps", "_hash")
+    Built only by `PolyRing.monomial`, which keeps one instance per
+    exponent tuple; equality is the default identity comparison.  The
+    slots `degree` (generator degree, parameters count 0), `is_one`,
+    `gen_part` and `param_part` are fixed at construction.
+    """
+
+    __slots__ = ("ring", "exps", "_hash", "degree", "is_one", "gen_part", "param_part")
 
     def __init__(self, ring, exps):
         self.ring = ring
         self.exps = exps
         self._hash = hash(exps)
+        self.degree = sum(exps[:ring.ngens])
+        self.is_one = not any(exps)
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        return self.exps == other.exps and self.ring is other.ring
-
-    def degree(self):
-        """Generator degree; parameters count 0."""
-        return sum(self.exps[: self.ring.ngens])
 
     def param_degree(self):
         return sum(self.exps[self.ring.ngens:])
@@ -127,33 +152,32 @@ class Monomial:
         return sum(self.exps)
 
     def mul(self, other):
-        return Monomial(self.ring, tuple(a + b for a, b in zip(self.exps, other.exps)))
+        products = self.ring._products
+        key = (self, other)
+        m = products.get(key)
+        if m is None:
+            m = products[key] = self.ring.monomial(
+                [a + b for a, b in zip(self.exps, other.exps)])
+        return m
 
     def divides(self, other):
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def divide(self, other):
         """self / other, assuming other divides self."""
-        return Monomial(self.ring, tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return self.ring.monomial([a - b for a, b in zip(self.exps, other.exps)])
 
     def lcm(self, other):
-        return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return self.ring.monomial([max(a, b) for a, b in zip(self.exps, other.exps)])
 
     def gcd(self, other):
-        return Monomial(self.ring, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return self.ring.monomial([min(a, b) for a, b in zip(self.exps, other.exps)])
 
     def coprime(self, other):
         return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
 
     def variables(self):
         return [self.ring.names[i] for i, e in enumerate(self.exps) if e > 0]
-
-    def split_params(self):
-        """Split into (generator part, parameter part)."""
-        ng = self.ring.ngens
-        gen = self.exps[:ng] + (0,) * (len(self.exps) - ng)
-        par = (0,) * ng + self.exps[ng:]
-        return Monomial(self.ring, gen), Monomial(self.ring, par)
 
     def max_generator_index(self):
         """Largest 1-based generator index occurring, 0 if none."""
@@ -165,9 +189,6 @@ class Monomial:
 
     def as_poly(self):
         return Poly(self.ring, {self: ONE})
-
-    def is_one(self):
-        return not any(self.exps)
 
     def __repr__(self):
         return render_monomial(self) or "1"
@@ -193,7 +214,7 @@ class Poly:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- ring sanity ------------------------------------------------------
     def _coerce(self, other):
@@ -209,10 +230,10 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             v = terms.get(m, ZERO) + c
-            if v == 0:
-                terms.pop(m, None)
-            else:
+            if v:
                 terms[m] = v
+            else:
+                terms.pop(m, None)
         return Poly(self.ring, terms)
 
     __radd__ = __add__
@@ -229,7 +250,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
+            if not c:
                 return self.ring.zero
             return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
@@ -238,10 +259,10 @@ class Poly:
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
                 v = terms.get(m, ZERO) + c1 * c2
-                if v == 0:
-                    terms.pop(m, None)
-                else:
+                if v:
                     terms[m] = v
+                else:
+                    terms.pop(m, None)
         return Poly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -274,13 +295,13 @@ class Poly:
         """Generator degree (parameters count 0); -1 for the zero poly."""
         if not self.terms:
             return -1
-        return max(m.degree() for m in self.terms)
+        return max(m.degree for m in self.terms)
 
     def constant_term(self):
         """Coefficient part of generator-degree 0 (may involve parameters)."""
         out = {}
         for m, c in self.terms.items():
-            if m.degree() == 0:
+            if m.degree == 0:
                 out[m] = c
         return Poly(self.ring, out)
 
@@ -293,9 +314,7 @@ class Poly:
 
     def coefficient_of_var(self, name):
         """Coefficient of the plain degree-1 monomial in `name`."""
-        exps = [0] * len(self.ring.names)
-        exps[self.ring.index[name]] = 1
-        return self.terms.get(Monomial(self.ring, tuple(exps)), ZERO)
+        return self.terms.get(self.ring.var_monomial(name), ZERO)
 
     def sorted_terms(self, key=grlex_key, reverse=True):
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
@@ -596,9 +615,6 @@ class TensorPoly:
         if out_rank is None:
             raise ValueError("cannot map a slot of the zero tensor")
         return TensorPoly(self.ring, out_rank, out_terms)
-
-    def slot_poly(self, key_index):
-        raise NotImplementedError
 
     def to_poly(self):
         if self.rank != 1:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form, rename_into)
-from .poly import ONE, ZERO, Monomial, Poly, PolyRing, grlex_key, render_poly
+from .poly import ONE, ZERO, Poly, PolyRing, grlex_key, render_poly
 from .twist import TwistedPresentation, pairwise_commutators
 
 
@@ -235,7 +235,7 @@ def weyl_detect(pres_relations, ring, variables=None):
         i, j = pivot
         pij = brk(i, j)
         pairs.append((basis[i], basis[j], pij))
-        if not (len(pij.terms) == 1 and next(iter(pij.terms)).is_one()):
+        if not (len(pij.terms) == 1 and next(iter(pij.terms)).is_one):
             side.append(_normalize_sign(pij))
         rest = [k for k in active if k not in (i, j)]
         # e_k' = M_ij e_k - M_kj e_i + M_ki e_j kills both pivot directions;
@@ -298,7 +298,7 @@ def _scale_down(p):
         exps = list(m.exps)
         for t, e in enumerate(min_exps):
             exps[ring.ngens + t] -= e
-        terms[Monomial(ring, tuple(exps))] = c / scale
+        terms[ring.monomial(exps)] = c / scale
     q = Poly(ring, terms)
     lead = max(q.terms, key=grlex_key)
     if q.terms[lead] < 0:
@@ -390,7 +390,7 @@ def _free_variables(ideal):
     eliminated = set()
     for g in ideal.groebner():
         m, _ = order.leading(g)
-        if m.degree() == 1:
+        if m.degree == 1:
             for i in range(ring.ngens):
                 if m.exps[i] == 1:
                     eliminated.add(ring.generators[i])
@@ -608,12 +608,12 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None):
 
     def sym(m):
         """Evaluate a parameter-free monomial at the symbolic point."""
-        return Monomial(gcoords, m.exps[:ring.ngens] + (0,) * len(ring.parameters))
+        return gcoords.monomial(m.exps[:ring.ngens] + (0,) * len(ring.parameters))
 
     mons = ring.monomials_up_to(degree_bound, include_one=False)
     by_degree = {}
     for m in mons:
-        by_degree.setdefault(m.degree(), []).append(m)
+        by_degree.setdefault(m.degree, []).append(m)
     deltas = {m: list(group.coproduct_monomial(m).terms.items()) for m in mons}
     back = {("g_" + g): g for g in ring.generators}
     order = TermOrder(ring)
@@ -634,18 +634,18 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None):
                             if v:
                                 key = sym(a1).mul(sym(b1))
                                 w = acc.get(key, ZERO) + c1 * c2 * v
-                                if w == 0:
-                                    acc.pop(key, None)
-                                else:
+                                if w:
                                     acc[key] = w
+                                else:
+                                    acc.pop(key, None)
                             v = j.pair(a1, b1)
                             if v:
                                 key = sym(a2).mul(sym(b2))
                                 w = acc.get(key, ZERO) - c1 * c2 * v
-                                if w == 0:
-                                    acc.pop(key, None)
-                                else:
+                                if w:
                                     acc[key] = w
+                                else:
+                                    acc.pop(key, None)
                     if not acc:
                         continue
                     condition = rename_into(Poly(gcoords, acc), ring, back)

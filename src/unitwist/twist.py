@@ -64,17 +64,17 @@ class TwistedContext:
         for (a1, a2, a3), c1 in left_terms.items():
             for (b1, b2, b3), c2 in right_terms.items():
                 head = kinv.pair(a1, b1)
-                if head == 0:
+                if not head:
                     continue
                 tail = j.pair(a3, b3)
-                if tail == 0:
+                if not tail:
                     continue
                 m = a2.mul(b2)
                 v = acc.get(m, ZERO) + head * tail * c1 * c2
-                if v == 0:
-                    acc.pop(m, None)
-                else:
+                if v:
                     acc[m] = v
+                else:
+                    acc.pop(m, None)
         out = Poly(pres.ring, acc)
         self._mul_cache[key] = out
         return out
@@ -82,10 +82,9 @@ class TwistedContext:
     def mul(self, f, g):
         out = self.pres.ring.zero
         for m1, c1 in f.terms.items():
-            g1, p1 = m1.split_params()
             for m2, c2 in g.terms.items():
-                g2, p2 = m2.split_params()
-                out = out + self.mul_monomials(g1, g2) * p1.mul(p2).as_poly() * (c1 * c2)
+                out = out + self.mul_monomials(m1.gen_part, m2.gen_part) \
+                    * m1.param_part.mul(m2.param_part).as_poly() * (c1 * c2)
         return out
 
     def commutator(self, f, g):
@@ -132,7 +131,7 @@ class TwistedContext:
                 total = total + m1.as_poly() * n1.as_poly() * j.eval(m2.as_poly(), n2.as_poly()) * (c * c2)
         for (a1, a21, a22), c in self._q_expanded(gi):
             for (b1, b21, b22), c2 in self._q_expanded(gj):
-                if a21.is_one() and b21.is_one():
+                if a21.is_one and b21.is_one:
                     continue
                 head = jinv.eval(a1.as_poly(), b1.as_poly())
                 if head.is_zero():
@@ -172,7 +171,7 @@ class TwistedContext:
                 total = total + m1.as_poly() * n1.as_poly() * q_form(m2.as_poly(), n2.as_poly()) * (c * c2)
         for (a1, a21, a22), c in self._q_expanded(gi):
             for (b1, b21, b22), c2 in self._q_expanded(gj):
-                if a21.is_one() and b21.is_one():
+                if a21.is_one and b21.is_one:
                     continue
                 coef = (jinv.eval(a1.as_poly(), b1.as_poly()) * j.eval(a22.as_poly(), b22.as_poly())
                         - jinv.eval(b1.as_poly(), a1.as_poly()) * j.eval(b22.as_poly(), a22.as_poly()))
@@ -361,7 +360,7 @@ def rform_axiom_check(r, degree_bound):
 
     for h in mons:
         for g in mons:
-            if h.degree() + g.degree() > degree_bound:
+            if h.degree + g.degree > degree_bound:
                 continue
             # (3) cotriangularity
             total = ring.zero
@@ -392,7 +391,7 @@ def rform_axiom_check(r, degree_bound):
 
     by_degree = {}
     for m in mons:
-        by_degree.setdefault(m.degree(), []).append(m)
+        by_degree.setdefault(m.degree, []).append(m)
     degs = sorted(by_degree)
     for dh in degs:
         for dl in degs:
@@ -442,15 +441,14 @@ def twisted_antipode(ctx, f):
     ring = pres.ring
     out = ring.zero
     for m, c in f.terms.items():
-        gm, pm = m.split_params()
-        for (a1, a2, a3, a4, a5), c2 in pres.iterated_coproduct_monomial(gm, 4).terms.items():
+        for (a1, a2, a3, a4, a5), c2 in pres.iterated_coproduct_monomial(m.gen_part, 4).terms.items():
             head = ctx.right_inv.eval(a1.as_poly(), pres.antipode_monomial(a2))
             if head.is_zero():
                 continue
             tail = ctx.right.eval(pres.antipode_monomial(a4), a5.as_poly())
             if tail.is_zero():
                 continue
-            out = out + head * tail * pres.antipode_monomial(a3) * (c * c2) * pm.as_poly()
+            out = out + head * tail * pres.antipode_monomial(a3) * (c * c2) * m.param_part.as_poly()
     return out
 
 
@@ -477,7 +475,7 @@ class PsiFunctional:
         """Least N <= bound+1 with the table zero on all monomials of degree >= N."""
         top = 0
         for m in self.table:
-            top = max(top, m.degree())
+            top = max(top, m.degree)
         return top + 1
 
     def convolve(self, other):
@@ -488,10 +486,10 @@ class PsiFunctional:
         for m in pres.ring.monomials_up_to(bound):
             acc = pres.ring.zero
             for (m1, m2), c in pres.coproduct_monomial(m).terms.items():
-                v1 = self.value(m1.split_params()[0])
+                v1 = self.value(m1.gen_part)
                 if v1.is_zero():
                     continue
-                v2 = other.value(m2.split_params()[0])
+                v2 = other.value(m2.gen_part)
                 if v2.is_zero():
                     continue
                 acc = acc + v1 * v2 * c

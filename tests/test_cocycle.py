@@ -12,7 +12,7 @@ from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CounitPair,
                               pullback_cocycle, quasi_frobenius_check,
                               verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData
-from unitwist.poly import parse_poly
+from unitwist.poly import TensorPoly, parse_poly
 
 
 # -- independent oracle for the 2-variable primitive case ---------------------
@@ -98,7 +98,7 @@ def test_unitality(each_example):
     j = each_example.ctx.right
     ring = each_example.pres.ring
     for m in ring.monomials_up_to(5):
-        want = Fraction(1) if m.is_one() else Fraction(0)
+        want = Fraction(1) if m.is_one else Fraction(0)
         assert j.pair(m, ring.one_monomial) == want
         assert j.pair(ring.one_monomial, m) == want
 
@@ -309,7 +309,7 @@ def test_gauge_examples():
     gauged2 = GaugeCocycle(g, J, chi)
     for m1 in g.ring.monomials_up_to(3):
         for m2 in g.ring.monomials_up_to(3):
-            if m1.degree() + m2.degree() <= 3 + 3:
+            if m1.degree + m2.degree <= 3 + 3:
                 assert gauged2.pair(m1, m2) == J.pair(m1, m2)
 
 
@@ -365,7 +365,7 @@ def test_conjugate_matches_adjoint_rmatrix(examples):
     conj = conjugate_cocycle(ex5.ctx.right, pt)
     for m1 in g.ring.monomials_up_to(2, include_one=False):
         for m2 in g.ring.monomials_up_to(1, include_one=False):
-            if m1.degree() + m2.degree() <= 3:
+            if m1.degree + m2.degree <= 3:
                 assert conj.pair(m1, m2) == moved.pair(m1, m2), (m1, m2)
 
 
@@ -439,7 +439,7 @@ def test_corrected_cocycle_rederivation(examples):
     assert got == frozen
     # corrections never touch generator pairs: the displayed values persist
     for (m1, m2) in solved:
-        assert m1.degree() > 1 or m2.degree() > 1
+        assert m1.degree > 1 or m2.degree > 1
 
 
 def test_exponential_truncation_extra_order(examples):
@@ -462,3 +462,19 @@ def test_rmatrix_support_flags(examples):
     heis = examples("heisenberg3").pres.lie_data()
     r_bad = RMatrix(3, {(0, 1): 1})
     assert not r_bad.support_is_subalgebra(heis)
+
+
+def test_word_table_follows_set_q():
+    # a word table computed before set_q must not survive it
+    def value(warm):
+        g = GroupPresentation("heis", ["X", "Y", "V"])
+        R = g.ring
+        X, Y = R.var("X"), R.var("Y")
+        V, XY = R.var_monomial("V"), next(iter((X * Y).terms))
+        if warm:
+            g.word_table(V, 2)
+        g.set_q("V", TensorPoly.from_polys([X, Y]))
+        return ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).pair(V, XY)
+
+    assert value(warm=False) == Fraction(-1, 8)
+    assert value(warm=True) == Fraction(-1, 8)

@@ -178,3 +178,24 @@ V , X = -1/2
     V = data.presentation.ring.var("V")
     from fractions import Fraction
     assert data.table_cocycle.scalar(X, V) == Fraction(1, 2)
+
+
+def test_report_independent_of_hash_seed():
+    # identity equality of monomials must not let hash order reach the output
+    import os
+    import subprocess
+    import sys
+
+    import unitwist
+    src = os.path.dirname(os.path.dirname(os.path.abspath(unitwist.__file__)))
+    for eid in ("heisenberg3", "u3"):
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "unitwist.cli", "report",
+                                   "--example", eid], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert "manifest: all comparisons OK" in proc.stdout
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

@@ -92,7 +92,7 @@ def test_antipode_axiom(each_example):
         for (m1, m2), c in g.coproduct_monomial(m).terms.items():
             left = left + g.antipode_monomial(m1) * m2.as_poly() * c
             right = right + m1.as_poly() * g.antipode_monomial(m2) * c
-        expected = g.ring.one * (1 if m.is_one() else 0)
+        expected = g.ring.one * (1 if m.is_one else 0)
         assert left == expected and right == expected
 
 

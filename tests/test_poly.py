@@ -135,3 +135,74 @@ def test_parameters_sort_below_generators():
     # generator beats any parameter power in the term order
     assert render_poly(f) == "X + a^3"
     assert f.degree() == 1
+
+
+# -- canonical monomials -------------------------------------------------------
+
+def assert_canonical(m):
+    assert m is m.ring.monomial(m.exps)
+
+
+def test_monomials_are_canonical_on_every_path():
+    from unitwist import catalog
+    from unitwist.cli import build_context
+    from unitwist.strata import _scale_down, c0_solver
+
+    R = PolyRing(["X", "Y", "V"], parameters=("a", "b"))
+    mons = R.monomials_up_to(3, names=R.names)
+    for m in mons:
+        assert_canonical(m)
+        assert_canonical(m.gen_part)
+        assert_canonical(m.param_part)
+    for name in R.names:
+        (m,) = R.var(name).terms
+        assert_canonical(m)
+    rng = random.Random(5)
+    for _ in range(200):
+        m1, m2 = rng.choice(mons), rng.choice(mons)
+        for m in (m1.mul(m2), m1.lcm(m2), m1.gcd(m2), m1.mul(m2).divide(m2)):
+            assert_canonical(m)
+        assert m1.mul(m2).divide(m2) is m1
+    for m in parse_poly("3*X^2*Y*a - 1/2*V*b^2 + 7", R).terms:
+        assert_canonical(m)
+    for m in _scale_down(parse_poly("2*X*a^2 + 4*Y*a*b", R)).terms:
+        assert_canonical(m)
+
+    data = catalog.get("u4-ex5").load()
+    pres = data.presentation
+    for m in pres.ring.monomials_up_to(3):
+        for key in pres.coproduct_monomial(m).terms:
+            for slot in key:
+                assert_canonical(slot)
+        for a in pres.antipode_monomial(m).terms:
+            assert_canonical(a)
+    ideal = c0_solver(pres, build_context(data).right, 2).ideal
+    assert ideal.gens
+    for p in ideal.gens:
+        for m in p.terms:
+            assert_canonical(m)
+
+
+def test_equal_exponents_in_different_rings_differ():
+    R1, R2 = PolyRing(["X", "V"]), PolyRing(["X", "V"])
+    for m1, m2 in zip(R1.monomials_up_to(2), R2.monomials_up_to(2)):
+        assert m1.exps == m2.exps
+        assert m1 != m2
+        assert hash(m1) == hash(m2)
+    assert len({m for R in (R1, R2) for m in R.monomials_up_to(2)}) \
+        == 2 * len(R1.monomials_up_to(2))
+
+
+def test_monomial_slots_match_their_definitions():
+    R = PolyRing(["X", "Y", "V"], parameters=("a",))
+    ng = R.ngens
+    rng = random.Random(17)
+    for _ in range(300):
+        exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in R.names)
+        m = R.monomial(exps)
+        assert hash(m) == hash(exps)
+        assert m.is_one == (not any(exps))
+        assert m.degree == sum(exps[:ng])
+        assert m.gen_part.exps == exps[:ng] + (0,) * (len(exps) - ng)
+        assert m.param_part.exps == (0,) * ng + exps[ng:]
+        assert m.gen_part.mul(m.param_part) is m

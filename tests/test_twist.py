@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 from unitwist.cocycle import ConjugateCocycle, CounitPair
@@ -102,7 +103,7 @@ def test_associativity_generators(each_example):
 
 def test_associativity_random(each_example):
     ctx = each_example.ctx
-    rng = random.Random(hash(each_example.entry.id) & 0xffff)
+    rng = random.Random(zlib.crc32(each_example.entry.id.encode()) & 0xffff)
     for _ in range(50):
         a, b, c = rnd_polys(ctx.pres.ring, rng, 3)
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
@@ -201,7 +202,7 @@ def test_twisted_antipode_axiom(examples):
         total = g.ring.zero
         for (m1, m2), c in g.coproduct_monomial(m).terms.items():
             total = total + ctx.mul(twisted_antipode(ctx, m1.as_poly()), m2.as_poly()) * c
-        assert total == g.ring.one * (1 if m.is_one() else 0)
+        assert total == g.ring.one * (1 if m.is_one else 0)
 
 
 def test_psi_examples(examples):
@@ -212,7 +213,7 @@ def test_psi_examples(examples):
     X, V = g.ring.var("X"), g.ring.var("V")
     psi1 = psi_eval(r, g.ring.one, 3)
     for m in g.ring.monomials_up_to(3):
-        want = g.ring.one * (1 if m.is_one() else 0)
+        want = g.ring.one * (1 if m.is_one else 0)
         assert psi1.value(m) == want
 
     psiX = psi_eval(r, X, 3)
