@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from unitwist.groebner import (Ideal, TermOrder, buchberger, eliminate,
                                krull_dimension, normal_form, rename_into)
 from unitwist.poly import PolyRing, parse_poly
@@ -136,3 +138,91 @@ def test_ideal_equality_and_sum():
     c = Ideal(ring, [X]) + Ideal(ring, [Y])
     assert c == b
     assert Ideal(ring, [X, X + 1]).is_unit()
+
+
+# -- sympy as an independent oracle ------------------------------------------
+
+def _random_ideal(rng, ring, ngens=3, nterms=3, bound=2):
+    mons = ring.monomials_up_to(bound, names=ring.names)
+    gens = []
+    for _ in range(ngens):
+        p = ring.zero
+        for m in rng.sample(mons, nterms):
+            p = p + m.as_poly() * Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                           rng.choice([1, 1, 2]))
+        gens.append(p)
+    return gens
+
+
+def _to_sympy(p, symbols):
+    sympy = pytest.importorskip("sympy")
+    out = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in zip(p.ring.names, m.exps):
+            term *= symbols[name] ** e
+        out += term
+    return sympy.expand(out)
+
+
+def _sympy_basis(polys, gens_high_first, symbols, order):
+    sympy = pytest.importorskip("sympy")
+    exprs = [_to_sympy(p, symbols) for p in polys]
+    gb = sympy.groebner(exprs, *[symbols[n] for n in gens_high_first],
+                        order=order, domain="QQ")
+    return {sympy.expand(g) for g in gb.exprs}
+
+
+def test_buchberger_matches_sympy_grlex():
+    # grlex_key compares the last generator first, so sympy's grlex with
+    # the generators listed in reverse is the same order
+    sympy = pytest.importorskip("sympy")
+    ring = R("X", "Y", "Z")
+    symbols = {n: sympy.Symbol(n) for n in ring.names}
+    order = TermOrder(ring)
+    for k in range(40):
+        rng = random.Random(1000 + k)
+        gens = _random_ideal(rng, ring, ngens=rng.choice([2, 3]))
+        ours = {_to_sympy(g, symbols) for g in buchberger(gens, order)}
+        assert ours == _sympy_basis(gens, ("Z", "Y", "X"), symbols, "grlex"), k
+
+
+def test_parameter_block_matches_sympy_product_order():
+    # parameters sort below every generator: a product order, generators first
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grlex
+    ring = R("X", "Y", params=("a",))
+    symbols = {n: sympy.Symbol(n) for n in ring.names}
+    product = ProductOrder((grlex, lambda m: m[:2]), (grlex, lambda m: m[2:]))
+    order = TermOrder(ring)
+    for k in range(15):
+        rng = random.Random(2000 + k)
+        gens = _random_ideal(rng, ring, ngens=2)
+        ours = {_to_sympy(g, symbols) for g in buchberger(gens, order)}
+        assert ours == _sympy_basis(gens, ("Y", "X", "a"), symbols, product), k
+
+
+def test_eliminate_matches_sympy_product_order():
+    # the block order: the eliminated names (last one compared first) by
+    # grlex, then grlex on the whole monomial, which on equal blocks is
+    # grlex on the kept generators
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grlex
+    ring = R("s", "X", "Y", "Z")
+    symbols = {n: sympy.Symbol(n) for n in ring.names}
+    product = ProductOrder((grlex, lambda m: m[:1]), (grlex, lambda m: m[1:]))
+    block = TermOrder(ring, eliminate=("s",))
+    for k in range(20):
+        rng = random.Random(3000 + k)
+        gens = _random_ideal(rng, ring, ngens=2)
+        full = _sympy_basis(gens, ("s", "Z", "Y", "X"), symbols, product)
+        assert {_to_sympy(g, symbols) for g in buchberger(gens, block)} == full, k
+        s = symbols["s"]
+        kept = [g for g in full if not g.has(s)]
+        want = set()
+        if kept:
+            want = {sympy.expand(g) for g in sympy.groebner(
+                kept, symbols["Z"], symbols["Y"], symbols["X"],
+                order="grlex", domain="QQ").exprs}
+        got = eliminate(Ideal(ring, gens), ["s"]).groebner()
+        assert {_to_sympy(g, symbols) for g in got} == want, k
