@@ -11,18 +11,16 @@ import argparse
 import sys
 
 from . import catalog as _catalog
-from .cocycle import ExponentialCocycle, cybe_check, verify_cocycle_identity
+from .cocycle import (CocycleBoundError, CocycleInputError, ExponentialCocycle, cybe_check,
+                      verify_cocycle_identity)
 from .groebner import Ideal, TermOrder, buchberger, eliminate as _eliminate, krull_dimension
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
-from .strata import (_normalize_sign, c0_solver, commutator_ideal_and_gamma,
+from .strata import (StratumError, _normalize_sign, c0_solver, commutator_ideal_and_gamma,
                      stratum_presentation)
-from .twist import RForm, TwistedContext, ihoe_presentation, rform_axiom_check, twisted_antipode
-
-
-class CheckFailure(Exception):
-    pass
+from .twist import (RForm, TwistConsistencyError, TwistedContext, ihoe_presentation,
+                    rform_axiom_check, twisted_antipode)
 
 
 class InputError(Exception):
@@ -147,15 +145,19 @@ def run_stratum(data, subgroup_name, point_name, coinv_bound=3):
                                 point, name=label, coinv_bound=coinv_bound)
 
 
-def _parse_ring_args(args):
+def _ring_and_polys(args):
+    """The ring from --vars/--params and the polynomials given on the line."""
     gens = tuple(args.vars.replace(",", " ").split())
     params = tuple((args.params or "").replace(",", " ").split())
-    return PolyRing(gens, params)
+    try:
+        ring = PolyRing(gens, params)
+        return ring, [parse_poly(t, ring) for t in args.polys]
+    except ValueError as e:
+        raise InputError(str(e))
 
 
 def cmd_gb(args, out):
-    ring = _parse_ring_args(args)
-    polys = [parse_poly(t, ring) for t in args.polys]
+    ring, polys = _ring_and_polys(args)
     basis = buchberger(polys, TermOrder(ring))
     for g in basis:
         out.write(render_poly(g) + "\n")
@@ -166,9 +168,11 @@ def cmd_gb(args, out):
 
 
 def cmd_eliminate(args, out):
-    ring = _parse_ring_args(args)
-    polys = [parse_poly(t, ring) for t in args.polys]
+    ring, polys = _ring_and_polys(args)
     drop = tuple(args.drop.replace(",", " ").split())
+    unknown = [n for n in drop if n not in ring.index]
+    if unknown:
+        raise InputError("unknown variable %r in --drop" % unknown[0])
     kept = _eliminate(Ideal(ring, polys), drop)
     gb = kept.groebner()
     for g in gb:
@@ -379,6 +383,10 @@ def main(argv=None):
     except (GroupFileError, PresentationError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
+    except (StratumError, TwistConsistencyError, CocycleBoundError, CocycleInputError) as e:
+        # the input parsed, but its data fails the engine's own checks
+        sys.stderr.write("error: %s\n" % e)
+        return 1
 
 
 if __name__ == "__main__":

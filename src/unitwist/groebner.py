@@ -1,9 +1,11 @@
 """Commutative Groebner bases over Q: Buchberger, normal forms, elimination.
 
-Desk-scale by design (few variables, low degree).  Determinism matters
-more than speed here: the S-pair queue is processed in a fixed sorted
-order and reduced bases are inter-reduced, made monic and sorted, so a
-basis is a canonical artifact suitable for golden comparisons.
+Desk-scale by design (few variables, low degree), and deterministic: every
+S-pair gets its rank (lcm degree, lcm key, i, j) once, when the pair is
+created, and pairs are popped from a heap in increasing rank.  Leading
+monomials are computed once per basis element.  Reduced bases are
+inter-reduced, made monic and sorted, so a basis is a canonical artifact
+suitable for golden comparisons.
 
 Parameters of the ring always sort below the generators and are excluded
 from staircase dimension counts; leading monomials are taken with respect
@@ -12,6 +14,8 @@ parameter fiber.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .poly import ONE, ZERO, Poly, grlex_key, render_poly
 
@@ -43,7 +47,7 @@ def _reduce(f, basis, order):
     if f.is_zero():
         return f
     ring = f.ring
-    leads = [(order.leading(g)[0], order.leading(g)[1], g) for g in basis if not g.is_zero()]
+    leads = [order.leading(g) + (g,) for g in basis if not g.is_zero()]
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -86,31 +90,32 @@ def buchberger(gens, order):
     if not basis:
         return []
 
-    def lm(g):
-        return order.leading(g)[0]
+    leads = [order.leading(g)[0] for g in basis]
+    pairs = []
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    def add_pairs(i):
+        li = leads[i]
+        for j in range(i):
+            l = li.lcm(leads[j])
+            heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j))
+
+    for i in range(len(basis)):
+        add_pairs(i)
     done = set()
     while pairs:
-        def pair_rank(p):
-            i, j = p
-            l = lm(basis[i]).lcm(lm(basis[j]))
-            return (l.total_degree(), order.key(l), i, j)
-
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+        _, _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = lm(basis[i]), lm(basis[j])
+        li, lj = leads[i], leads[j]
         l = li.lcm(lj)
         if li.coprime(lj):
             continue
         # Buchberger's chain criterion, conservative form: only pairs that
         # were actually treated earlier may justify skipping this one.
         chain = False
-        for k in range(len(basis)):
+        for k, lk in enumerate(leads):
             if k in (i, j):
                 continue
-            if lm(basis[k]).divides(l) and \
+            if lk.divides(l) and \
                (max(i, k), min(i, k)) in done and (max(j, k), min(j, k)) in done:
                 chain = True
                 break
@@ -120,23 +125,20 @@ def buchberger(gens, order):
         s = fi * l.divide(li).as_poly() - fj * l.divide(lj).as_poly()
         r = _reduce(s, basis, order)
         if not r.is_zero():
-            _, lc = order.leading(r)
-            r = r * (ONE / lc)
-            basis.append(r)
-            new = len(basis) - 1
-            for k in range(new):
-                pairs.add((new, k))
+            lm, lc = order.leading(r)
+            basis.append(r * (ONE / lc))
+            leads.append(lm)
+            add_pairs(len(basis) - 1)
 
     # prune to a minimal basis, then inter-reduce tails
     minimal = []
     for i, g in enumerate(basis):
-        lg = lm(g)
+        lg = leads[i]
         redundant = False
-        for k, h in enumerate(basis):
+        for k, lh in enumerate(leads):
             if k == i:
                 continue
-            lh = lm(h)
-            if lh.divides(lg) and (lh != lg or k < i):
+            if lh.divides(lg) and (lh is not lg or k < i):
                 redundant = True
                 break
         if not redundant:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .cocycle import RMatrix, TableCocycle
 from .hopf import GroupPresentation
-from .poly import PolyRing, TensorPoly, parse_poly
+from .poly import PolyRing, TensorPoly, parse_poly, parse_rational
 
 
 class GroupFileError(ValueError):
@@ -156,7 +156,7 @@ def parse_group_file(text):
                 if len(parts) != 4:
                     raise GroupFileError("expected 'i j k p/q'", no)
                 i, j, k = (int(p) for p in parts[:3])
-                lie_table.setdefault((i - 1, j - 1), {})[k - 1] = Fraction(parts[3])
+                lie_table.setdefault((i - 1, j - 1), {})[k - 1] = _rational(parts[3], no)
         elif head == "rmatrix":
             entries = {}
             for no, line in lines:
@@ -171,7 +171,7 @@ def parse_group_file(text):
                     raise GroupFileError(
                         "pair (%d,%d) declared twice; entries are antisymmetric "
                         "and must be given once" % (i + 1, j + 1), no)
-                entries[(i, j)] = Fraction(parts[2])
+                entries[(i, j)] = _rational(parts[2], no)
             rmatrix = RMatrix(len(pres.ring.generators), entries)
         elif head.startswith("subgroup"):
             sub_name = head[len("subgroup"):].strip()
@@ -217,7 +217,7 @@ def parse_group_file(text):
                 m1txt, m2txt = lhs.split(",", 1)
                 m1 = _as_monomial(parse_poly(m1txt, pres.ring), no)
                 m2 = _as_monomial(parse_poly(m2txt, pres.ring), no)
-                table[(m1, m2)] = Fraction(val.strip())
+                table[(m1, m2)] = _rational(val, no)
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
             table_cocycle = TableCocycle(pres, table, bound)
@@ -227,6 +227,13 @@ def parse_group_file(text):
             raise GroupFileError("unknown section [%s]" % head, hno)
 
     return GroupData(pres, rmatrix=rmatrix, lie_table=lie_table, table_cocycle=table_cocycle)
+
+
+def _rational(text, line_no):
+    try:
+        return parse_rational(text)
+    except ValueError as e:
+        raise GroupFileError(str(e), line_no) from None
 
 
 def _as_monomial(p, line_no):

@@ -84,20 +84,37 @@ class SubgroupParam:
     def dim(self):
         return len(self.param_names)
 
+    def restriction(self, target=None, rename=None):
+        """The restriction O(G) -> target as a monomial -> Poly map.
+
+        Each parameter t becomes rename[t] (default t) and group parameters
+        map to themselves.  The coordinate images are built once; monomial
+        images are memoized only for the life of the returned map.
+        """
+        target = target or self.param_ring
+        ring = self.group.ring
+        coords = [self.coord_exprs[n] for n in ring.generators]
+        if target is not self.param_ring:
+            ren = rename or {}
+            images = {t: target.var(ren.get(t, t)) for t in self.param_names}
+            coords = [e.substitute(images, target) for e in coords]
+        memo = {ring.one_monomial: target.one}
+
+        def image(m):
+            img = memo.get(m)
+            if img is None:
+                i = next(i for i, e in enumerate(m.exps) if e)
+                var = coords[i] if i < ring.ngens else target.var(ring.names[i])
+                rest = ring.monomial(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:])
+                img = memo[m] = image(rest) * var
+            return img
+
+        return image
+
     def restrict(self, f, target=None, rename=None):
         """Restriction O(G) -> Q[t1..tm]: substitute the parametrization."""
-        target = target or self.param_ring
-        images = {}
-        for name, e in self.coord_exprs.items():
-            img = e
-            if target is not self.param_ring:
-                ren = rename or {}
-                img = e.substitute({t: target.var(ren.get(t, t)) for t in self.param_names}, target)
-            images[name] = img
-        for p in self.group.ring.parameters:
-            if p in target.index:
-                images[p] = target.var(p)
-        return f.substitute(images, target)
+        image = self.restriction(target, rename)
+        return sum((image(m) * c for m, c in f.terms.items()), (target or self.param_ring).zero)
 
     def tangent_vectors(self):
         """d/dt_j at t=0 of the parametrization, as vectors over the generators."""
@@ -308,9 +325,6 @@ class GroupPresentation:
             out = out + self.iterated_coproduct_monomial(m, k).scale(c)
         return out
 
-    def counit(self, f):
-        return f.counit()
-
     # -- antipode -----------------------------------------------------------
     def antipode_gen(self, name):
         x = self.ring.var(name)
@@ -506,20 +520,18 @@ class GroupPresentation:
 
     # -- coset functions ---------------------------------------------------------
     def coinvariants(self, subgroup, degree_bound, side="left"):
-        """Basis of functions of degree <= bound constant on (left/right/double) cosets."""
+        """Basis of functions of degree <= bound constant on (left/right/double) cosets.
+
+        The restriction map to the subgroup is built once per call and
+        serves every coproduct term.
+        """
         if side not in ("left", "right", "double"):
             raise ValueError("side must be left, right or double")
         mons = self.ring.monomials_up_to(degree_bound)
-        conditions = []
-        if side in ("left", "double"):
-            conditions.append(("left", {}))
-        if side in ("right", "double"):
-            conditions.append(("right", {}))
-
-        trings = {}
-        for which, _ in conditions:
-            trings[which] = PolyRing(self.ring.generators,
-                                     self.ring.parameters + tuple("c_" + t for t in subgroup.param_names))
+        sides = [w for w in ("left", "right") if side in (w, "double")]
+        rename = {t: "c_" + t for t in subgroup.param_names}
+        tring = PolyRing(self.ring.generators, self.ring.parameters + tuple(rename.values()))
+        restrict = subgroup.restriction(tring, rename)
 
         rows = {}
 
@@ -529,14 +541,12 @@ class GroupPresentation:
 
         for col, m in enumerate(mons):
             delta = self.coproduct_monomial(m)
-            for which, _ in conditions:
-                tring = trings[which]
-                rename = {t: "c_" + t for t in subgroup.param_names}
+            for which in sides:
                 for (m1, m2), c in delta.terms.items():
                     if which == "left":
-                        keep, proj = m1, subgroup.restrict(m2.as_poly(), tring, rename)
+                        keep, proj = m1, restrict(m2)
                     else:
-                        keep, proj = m2, subgroup.restrict(m1.as_poly(), tring, rename)
+                        keep, proj = m2, restrict(m1)
                     for pm, pc in proj.terms.items():
                         add(which, (keep, pm), col, c * pc)
                 # subtract f (x) 1

@@ -26,11 +26,15 @@ def rref(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r] = [x * inv for x in m[r]]
+        # the matrices met here are sparse: touch only the pivot row's support
+        support = [k for k in range(c, ncols) if prow[k]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for k in support:
+                    row[k] -= f * prow[k]
         pivots.append(c)
         r += 1
         if r == len(m):

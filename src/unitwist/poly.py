@@ -34,6 +34,18 @@ class RingContextError(ValueError):
     """Raised when values from different ring contexts are combined."""
 
 
+class ZeroDenominatorError(ValueError):
+    """Raised when a rational literal has denominator 0."""
+
+
+def parse_rational(text):
+    """A rational literal p or p/q as a Fraction; p/0 is an input error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDenominatorError("zero denominator in %r" % text.strip()) from None
+
+
 class PolyRing:
     """An ordered polynomial ring Q[X1,...,Xn; params]."""
 
@@ -419,7 +431,7 @@ def parse_poly(text, ring):
             raise ValueError("cannot tokenize %r at %d" % (text, pos))
         pos = m.end()
         if m.group("num") is not None:
-            tokens.append(("num", Fraction(m.group("num"))))
+            tokens.append(("num", parse_rational(m.group("num"))))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:

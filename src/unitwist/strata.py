@@ -28,78 +28,28 @@ class StratumError(ValueError):
     pass
 
 
-def _coords_of_sgt(group, subgroup, point):
-    """Coordinates of s.g.t in Q[s-params, t-params, group params]."""
-    s_names = tuple("s_" + t for t in subgroup.param_names)
-    t_names = tuple("t_" + t for t in subgroup.param_names)
-    work = PolyRing(s_names + t_names, group.ring.parameters)
+def _product_image_ideal(group, subgroup, factors):
+    """Vanishing ideal of the closure of all products a.b.c, by elimination.
 
-    def left(m):
-        return subgroup.restrict(m.as_poly(), work, {t: "s_" + t for t in subgroup.param_names})
-
-    def mid(m):
-        v = group.evaluate(m.as_poly(), point)
-        return v.substitute({}, work)
-
-    def right(m):
-        return subgroup.restrict(m.as_poly(), work, {t: "t_" + t for t in subgroup.param_names})
-
-    coords = {}
-    for gname in group.ring.generators:
-        gen_mono = next(iter(group.ring.var(gname).terms))
-        acc = work.zero
-        for (m1, m2, m3), c in group.iterated_coproduct_monomial(gen_mono, 2).terms.items():
-            a = left(m1)
-            if a.is_zero():
-                continue
-            b = mid(m2)
-            if b.is_zero():
-                continue
-            cc = right(m3)
-            if cc.is_zero():
-                continue
-            acc = acc + a * b * cc * c
-        coords[gname] = acc
-    return work, coords
-
-
-def double_coset_ideal(group, subgroup, point):
-    """Vanishing ideal of the closure of T.g.T, in the group ring."""
-    work, coords = _coords_of_sgt(group, subgroup, point)
-    s_names = tuple("s_" + t for t in subgroup.param_names)
-    t_names = tuple("t_" + t for t in subgroup.param_names)
-    elim_ring = PolyRing(s_names + t_names + group.ring.generators, group.ring.parameters)
+    Each of the three factors is a fixed point of the group, or a prefix p
+    standing for the subgroup with its parameters t renamed to p + t.  The
+    product's coordinates contract the factors' coordinate maps over the
+    iterated coproduct of each generator; the renamed parameters are then
+    eliminated from the graph ideal.
+    """
+    names = tuple(f + t for f in factors if isinstance(f, str) for t in subgroup.param_names)
+    work = PolyRing(names, group.ring.parameters)
+    left, mid, right = [
+        subgroup.restriction(work, {t: f + t for t in subgroup.param_names})
+        if isinstance(f, str) else
+        (lambda m, f=f: group.evaluate(m.as_poly(), f).substitute({}, work))
+        for f in factors]
+    elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
     gens = []
     for gname in group.ring.generators:
-        graph = elim_ring.var(gname) - coords[gname].substitute({}, elim_ring)
-        gens.append(graph)
-    ideal = Ideal(elim_ring, gens)
-    kept = eliminate(ideal, s_names + t_names)
-    out = [rename_into(g, group.ring) for g in kept.groebner()]
-    return Ideal(group.ring, out)
-
-
-def conjugate_subgroup_ideal(group, subgroup, point):
-    """Vanishing ideal of g T g^{-1} by elimination."""
-    pinv = group.point_inv(point)
-    t_names = tuple("t_" + t for t in subgroup.param_names)
-    work = PolyRing(t_names, group.ring.parameters)
-
-    def left(m):
-        return group.evaluate(m.as_poly(), point).substitute({}, work)
-
-    def mid(m):
-        return subgroup.restrict(m.as_poly(), work, {t: "t_" + t for t in subgroup.param_names})
-
-    def right(m):
-        return group.evaluate(m.as_poly(), pinv).substitute({}, work)
-
-    elim_ring = PolyRing(t_names + group.ring.generators, group.ring.parameters)
-    gens = []
-    for gname in group.ring.generators:
-        gen_mono = next(iter(group.ring.var(gname).terms))
         acc = work.zero
-        for (m1, m2, m3), c in group.iterated_coproduct_monomial(gen_mono, 2).terms.items():
+        triples = group.iterated_coproduct_monomial(group.ring.var_monomial(gname), 2)
+        for (m1, m2, m3), c in triples.terms.items():
             a = left(m1)
             if a.is_zero():
                 continue
@@ -111,8 +61,18 @@ def conjugate_subgroup_ideal(group, subgroup, point):
                 continue
             acc = acc + a * b * cc * c
         gens.append(elim_ring.var(gname) - acc.substitute({}, elim_ring))
-    kept = eliminate(Ideal(elim_ring, gens), t_names)
+    kept = eliminate(Ideal(elim_ring, gens), names)
     return Ideal(group.ring, [rename_into(g, group.ring) for g in kept.groebner()])
+
+
+def double_coset_ideal(group, subgroup, point):
+    """Vanishing ideal of the closure of T.g.T, in the group ring."""
+    return _product_image_ideal(group, subgroup, ("s_", point, "t_"))
+
+
+def conjugate_subgroup_ideal(group, subgroup, point):
+    """Vanishing ideal of g T g^{-1} by elimination."""
+    return _product_image_ideal(group, subgroup, (point, "t_", group.point_inv(point)))
 
 
 def subgroup_ideal(group, subgroup):
@@ -462,7 +422,6 @@ class CobracketData:
         d = len(self.basis)
         self.dim = d
         # express r in the wedge basis of the subalgebra
-        cols = []
         keys = [(i, j) for i in range(d) for j in range(i + 1, d)]
         rows = []
         n = lie.n

@@ -90,12 +90,6 @@ class TwistedContext:
     def commutator(self, f, g):
         return self.mul(f, g) - self.mul(g, f)
 
-    def product_chain(self, polys):
-        out = self.pres.ring.one
-        for p in polys:
-            out = self.mul(out, p)
-        return out
-
     # -- closed forms on generator pairs ------------------------------------
     def _q_terms(self, gen):
         q = self.pres.q.get(gen)

@@ -1,8 +1,11 @@
 import pytest
 
-from unitwist import catalog
+from unitwist import catalog, cli
 from unitwist.cli import main, report_lines
+from unitwist.cocycle import CocycleBoundError, CocycleInputError
 from unitwist.groupfile import GroupFileError, default_degree_bound, parse_group_file
+from unitwist.strata import StratumError
+from unitwist.twist import TwistConsistencyError
 
 
 def run_cli(args, capsys):
@@ -199,3 +202,82 @@ def test_report_independent_of_hash_seed():
             assert "manifest: all comparisons OK" in proc.stdout
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+_HEIS = """
+[group]
+name = heis
+generators = X Y V
+
+[coproduct]
+V = X (x) Y
+"""
+
+_STRATA = _HEIS + """
+[subgroup T]
+params = s1 s2
+X = s1
+V = s2
+
+[point g]
+X = 1
+Y = 2
+"""
+
+# (case, group file text or None, argv with FILE for the file, exit code,
+# stderr substring)
+MALFORMED = [
+    ("inline-point-zero-denominator", None,
+     ["strata", "--example", "u4-ex5", "--point", "F23=1/0"], 2, "zero denominator in '1/0'"),
+    ("point-zero-denominator", _HEIS + "[point g]\nX = 1/0\n", ["present", "FILE"], 2,
+     "zero denominator in '1/0'"),
+    ("coproduct-zero-denominator", _HEIS.replace("V = X", "V = 1/0 X"), ["present", "FILE"], 2,
+     "zero denominator in '1/0'"),
+    ("rmatrix-zero-denominator", _HEIS + "[rmatrix]\n1 3 1/0\n", ["present", "FILE"], 2,
+     "line 9: zero denominator in '1/0'"),
+    ("lie-zero-denominator", _HEIS + "[lie]\n1 2 3 1/0\n", ["present", "FILE"], 2,
+     "line 9: zero denominator"),
+    ("cocycle-table-zero-denominator", _HEIS + "[cocycle-table]\nbound = 2\nX , Y = 2/0\n",
+     ["present", "FILE"], 2, "line 10: zero denominator in '2/0'"),
+    ("bad-rational", _HEIS + "[rmatrix]\n1 3 one\n", ["present", "FILE"], 2,
+     "line 9: Invalid literal"),
+    ("gb-zero-denominator", None, ["gb", "--vars", "X", "X - 1/0"], 2, "zero denominator"),
+    ("gb-dangling-sign", None, ["gb", "--vars", "X", "X -"], 2, "dangling sign"),
+    ("gb-duplicate-variable", None, ["gb", "--vars", "X,X", "X"], 2, "duplicate variable"),
+    ("eliminate-unknown-drop", None, ["eliminate", "--vars", "X,Y", "--drop", "Z", "X - Y"], 2,
+     "unknown variable 'Z'"),
+    ("unknown-example", None, ["present", "--example", "nope"], 2, "unknown catalog id"),
+    ("unknown-point", None, ["strata", "--example", "u3", "--point", "nope"], 2,
+     "unknown point 'nope'"),
+    ("cocycle-beyond-bound", _HEIS + "[cocycle-table]\nbound = 0\n", ["present", "FILE"], 1,
+     "exceeds the declared bound 0"),
+    ("stratum-not-two-sided", _STRATA + "[cocycle-table]\nbound = 3\nX , Y = 1\n",
+     ["strata", "FILE", "--point", "g"], 1, "double-coset ideal is not two-sided"),
+]
+
+
+@pytest.mark.parametrize("text,argv,code,message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, text, argv, code, message):
+    # exit 2 for input errors, 1 for data failing its own checks; one
+    # stderr line and no stdout either way
+    if text is not None:
+        path = tmp_path / "input.group"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == code, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize("error", [StratumError, TwistConsistencyError, CocycleBoundError,
+                                   CocycleInputError])
+def test_check_errors_exit_1(monkeypatch, capsys, error):
+    def fail(data):
+        raise error("data fails a check")
+
+    monkeypatch.setattr(cli, "run_present", fail)
+    assert run_cli(["present", "--example", "u3"], capsys) == \
+        (1, "", "error: data fails a check\n")

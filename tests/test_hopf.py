@@ -259,3 +259,30 @@ def test_winding_examples():
     assert g.winding_left(p, X) == X + 2
     assert g.winding_left(p, V) == V + 2 * Y + 5
     assert g.winding_right(p, V) == V + 3 * X + 5
+
+
+def test_restriction_matches_substitution(examples):
+    # the monomial map against a direct substitution of the parametrization
+    g = examples("u4-ex6").pres
+    T = g.named_subgroups["T"]
+    rename = {t: "c_" + t for t in T.param_names}
+    target = PolyRing(tuple(rename.values()), g.ring.parameters)
+    image = T.restriction(target, rename)
+    lifted = {t: target.var(rename[t]) for t in T.param_names}
+    coords = {n: e.substitute(lifted, target) for n, e in T.coord_exprs.items()}
+    mons = g.ring.monomials_up_to(3, names=g.ring.names)
+    for m in mons:
+        want = m.as_poly().substitute(coords, target)
+        assert image(m) == want == T.restrict(m.as_poly(), target, rename), m
+    plain = T.restriction()
+    for m in g.ring.monomials_up_to(3):
+        want = m.as_poly().substitute(T.coord_exprs, T.param_ring)
+        assert plain(m) == want == T.restrict(m.as_poly()), m
+    # multiplicative on monomials and on polynomials
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = rng.choice(mons), rng.choice(mons)
+        assert image(a.mul(b)) == image(a) * image(b)
+        f, h = random_poly(g.ring, rng, degree=2), random_poly(g.ring, rng, degree=2)
+        assert T.restrict(f * h, target, rename) == \
+            T.restrict(f, target, rename) * T.restrict(h, target, rename)
