@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from unitwist import (ExponentialCocycle, GroupPresentation, RMatrix,
                       TensorPoly, TwistedContext, ihoe_presentation,
-                      render_poly, twisted_commutator, twisted_mul)
+                      render_poly)
 
 
 def jordan4():
@@ -42,8 +42,8 @@ print(g.validate().lines(), "\n")
 # support on the abelian {X, V} plane
 ctx_abelian = TwistedContext.hopf(g, ExponentialCocycle(g, RMatrix(4, {(0, 2): 1})))
 W, X, V, Y = (g.ring.var(n) for n in "WXVY")
-print("deformed products:  W.X =", render_poly(twisted_mul(ctx_abelian, W, X)))
-print("                    W.V =", render_poly(twisted_mul(ctx_abelian, W, V)))
+print("deformed products:  W.X =", render_poly(ctx_abelian.mul(W, X)))
+print("                    W.V =", render_poly(ctx_abelian.mul(W, V)))
 show("abelian support", ctx_abelian)
 
 # the minimal (nondegenerate) deformation of the same group
@@ -53,6 +53,6 @@ show("minimal deformation", ctx_min)
 # after the change of variable X' = X + Y^2/2 the minimal relations become
 # the defining relations of the group's own Lie algebra
 xprime = X + Y * Y * Fraction(1, 2)
-print("[W, X'] =", render_poly(twisted_commutator(ctx_min, W, xprime)))
-print("[W, V]  =", render_poly(twisted_commutator(ctx_min, W, V)),
+print("[W, X'] =", render_poly(ctx_min.commutator(W, xprime)))
+print("[W, V]  =", render_poly(ctx_min.commutator(W, V)),
       " (equals X')")

@@ -9,7 +9,7 @@ agreeing on the nose.
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import (ExponentialCocycle, cybe_check, pullback_cocycle,
+from unitwist.cocycle import (ExponentialCocycle, PullbackCocycle, cybe_check,
                               verify_cocycle_identity)
 from unitwist.poly import parse_poly
 
@@ -37,6 +37,6 @@ print("  corrected table:", verify_cocycle_identity(build_context(ex6).right, 3)
 target = catalog.get("jordan4-minimal").load()
 images = {k: parse_poly(v, target.presentation.ring)
           for k, v in catalog.get("u4-ex6").expected["pullback_images"].items()}
-pulled = pullback_cocycle(g6, build_context(target).right, images)
+pulled = PullbackCocycle(g6, build_context(target).right, images)
 F14, F23 = g6.ring.var("F14"), g6.ring.var("F23")
 print("  pullback value J(F14,F23) =", pulled.eval(F14, F23))

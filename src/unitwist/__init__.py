@@ -8,21 +8,15 @@ abelianization and the group of 1-dimensional modules, plus the Groebner
 machinery all of that rests on.
 """
 
-from .poly import (Monomial, Poly, PolyRing, TensorPoly, apply_functional_slot,
-                   parse_poly, poly_mul, render_poly)
-from .hopf import (GroupPresentation, LieAlgebraData, Point, SubgroupParam,
-                   antipode, coinvariants, coproduct, iterated_coproduct,
-                   point_inv, point_mul, validate_presentation)
-from .cocycle import (Cocycle, CocycleBoundError, CounitPair, ExponentialCocycle,
-                      FunctionalTable, GaugeCocycle, PullbackCocycle, RMatrix,
-                      TableCocycle, TangentFunctional, cocycle_eval,
-                      conjugate_cocycle, convolution_inverse, cybe_check,
-                      gauge_transform, pullback_cocycle, quasi_frobenius_check,
-                      verify_cocycle_identity)
+from .poly import Monomial, Poly, PolyRing, TensorPoly, parse_poly, render_poly
+from .hopf import GroupPresentation, LieAlgebraData, Point, SubgroupParam
+from .cocycle import (Cocycle, CocycleBoundError, Convolution, CounitPair, ExponentialCocycle,
+                      FunctionalTable, GaugeCocycle, PointFunctional, PullbackCocycle,
+                      RMatrix, TableCocycle, TangentFunctional, cybe_check,
+                      quasi_frobenius_check, verify_cocycle_identity)
 from .twist import (PsiFunctional, RForm, TwistedContext, TwistedPresentation,
-                    ihoe_presentation, pairwise_commutators, psi_eval,
-                    rform_axiom_check, rform_eval, twisted_antipode,
-                    twisted_commutator, twisted_mul, winding_automorphism)
+                    ihoe_presentation, pairwise_commutators, rform_axiom_check,
+                    twisted_antipode)
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form)
 from .strata import (CobracketData, GammaReport, Stratum, c0_solver,

@@ -17,8 +17,7 @@ from .groebner import Ideal, TermOrder, buchberger, eliminate as _eliminate, kru
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
-from .strata import (StratumError, _normalize_sign, c0_solver, commutator_ideal_and_gamma,
-                     stratum_presentation)
+from .strata import StratumError, c0_solver, commutator_ideal_and_gamma, stratum_presentation
 from .twist import (RForm, TwistConsistencyError, TwistedContext, ihoe_presentation,
                     rform_axiom_check, twisted_antipode)
 
@@ -250,7 +249,7 @@ def report_lines(entry, max_degree=None, strict=False):
         for f in pres.coinvariants(pres.named_subgroups["T"], 2, side="double"):
             f = f - pres.ring.const(f.counit())
             if not f.is_zero():
-                candidates.append(_normalize_sign(f))
+                candidates.append(f.normalize_sign())
     if not candidates:
         lines.append("(no nontrivial double-coset functions up to degree 2)")
     central_renders = []

@@ -10,15 +10,16 @@ invertible.  Evaluators are built from:
     where tangent functionals pair with functions through iterated
     coproducts,
   * pullback along a coalgebra-compatible algebra surjection,
-  * a gauge transformation by an invertible functional,
-  * conjugation by a group point,
+  * a gauge transformation by an invertible functional; conjugation by a
+    rational point g is the gauge by evaluation at g,
   * an explicit value table on monomial pairs up to a degree bound.
 
 The exponential sum truncates at the coradical degree of its arguments
 (not their polynomial degree: q-corrections let length-k words pair
 nontrivially with low-degree functions).  Convolution inverses are exact:
 the exponential kind negates its r-matrix, the other kinds use the
-terminating geometric series of (eps (x) eps) - J.
+terminating geometric series of (eps (x) eps) - J.  Every sum over
+Delta(a) x Delta(b) goes through `GroupPresentation.contract`.
 
 Evaluators memoize values per monomial pair; the caches never change a
 result, only its cost.
@@ -26,6 +27,7 @@ result, only its cost.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -234,9 +236,17 @@ class Cocycle:
             raise ValueError("cocycle value is parameter-valued: %r" % v)
         return v.counit()
 
+    def _sum(self, m1, m2, f, g):
+        """The scalar contraction sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2)."""
+        return self.pres.contract(m1, m2, f, g).get(self.pres.ring.one_monomial, ZERO)
+
     # -- derived evaluators -------------------------------------------------
     def inverse(self):
         return NeumannInverse(self)
+
+    def conjugate(self, point):
+        """J^g = (g (x) g) * J * (g^{-1} (x) g^{-1}) for a rational point g."""
+        return GaugeCocycle(self.pres, self, PointFunctional(self.pres, point))
 
     def swap(self):
         return SwappedCocycle(self)
@@ -450,29 +460,6 @@ def solve_cocycle_corrections(pres, base, total_bound):
             table[key] = v
         return v
 
-    def defect(a, b, c):
-        lhs = ZERO
-        for (a1, a2), c1 in pres.coproduct_monomial(a).terms.items():
-            for (b1, b2), c2 in pres.coproduct_monomial(b).terms.items():
-                v2 = value(a2, b2)
-                if not v2:
-                    continue
-                v1 = value(a1.mul(b1), c)
-                if not v1:
-                    continue
-                lhs += c1 * c2 * v1 * v2
-        rhs = ZERO
-        for (b1, b2), c2 in pres.coproduct_monomial(b).terms.items():
-            for (c1m, c2m), c3 in pres.coproduct_monomial(c).terms.items():
-                v2 = value(b2, c2m)
-                if not v2:
-                    continue
-                v1 = value(a, b1.mul(c1m))
-                if not v1:
-                    continue
-                rhs += c2 * c3 * v1 * v2
-        return lhs - rhs
-
     by_level = {}
     for a in mons:
         for b in mons:
@@ -487,11 +474,13 @@ def solve_cocycle_corrections(pres, base, total_bound):
 
     corrections = {}
     for level in sorted(by_level):
-        # difference constraints: x(ab, c) - x(a, bc) = -defect(a, b, c)
+        # difference constraints: x(ab, c) - x(a, bc) = -defect(a, b, c);
+        # values change only between levels, so the memo lives for one level
+        right = _right_product(pres, value)
         adjacency = {}
         nodes = set()
         for a, b, c in by_level[level]:
-            d = defect(a, b, c)
+            d = _identity_defect(value, right, a, b, c)
             u = (a.mul(b), c)
             v = (a, b.mul(c))
             if u == v:
@@ -558,30 +547,14 @@ class NeumannInverse(Cocycle):
         super().__init__(inner.pres)
         self.inner = inner
 
+    def _n(self, a1, b1):
+        # N = eps.eps - J vanishes unless both arguments are nonconstant,
+        # where it is -J; the sign is applied once, in `_pair`
+        return ZERO if a1.is_one else self.inner.pair(a1, b1)
+
     def _pair(self, m1, m2):
-        # N = eps.eps - J; J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2),
-        # where the N factor needs both of a1, b1 nonconstant.
-        pres = self.pres
-        inner = self.inner
-        total = ZERO
-        d2 = pres.coproduct_monomial(m2).terms.items()
-        for (a1, a2), c1 in pres.coproduct_monomial(m1).terms.items():
-            if a1.is_one:
-                continue
-            for (b1, b2), c2 in d2:
-                if b1.is_one:
-                    continue
-                n = inner.pair(a1.gen_part, b1.gen_part)
-                if not n:
-                    continue
-                rest = self.pair(a2.gen_part, b2.gen_part)
-                if not rest:
-                    continue
-                if not (a1.param_part.is_one and b1.param_part.is_one
-                        and a2.param_part.is_one and b2.param_part.is_one):
-                    raise ValueError("parameters inside inverse recursion")
-                total -= c1 * c2 * n * rest
-        return total
+        # J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2)
+        return -self._sum(m1, m2, self._n, self.pair)
 
     def inverse(self):
         return self.inner
@@ -645,8 +618,53 @@ class FunctionalTable:
         return total
 
 
+class PointFunctional:
+    """Evaluation at a rational point g; its convolution inverse is evaluation at g^{-1}.
+
+    Unbounded, unlike a FunctionalTable: each monomial's value is computed
+    from the coordinates when first asked for, then memoized.
+    """
+
+    def __init__(self, pres, point):
+        self.pres = pres
+        self._at = self._evaluator(point)
+        self._at_inv = self._evaluator(pres.point_inv(point))
+
+    def _evaluator(self, point):
+        coords = []
+        for g in self.pres.ring.generators:
+            v = point.coord(g)
+            if any(not m.is_one for m in v.terms):
+                raise CocycleInputError("conjugation point must have scalar coordinates")
+            coords.append(v.counit())
+        memo = {}
+
+        def at(m):
+            v = memo.get(m)
+            if v is None:
+                v = ONE
+                for c, e in zip(coords, m.exps):
+                    if e:
+                        v *= c ** e
+                memo[m] = v
+            return v
+
+        return at
+
+    def __call__(self, m):
+        return self._at(m)
+
+    def inv(self, m):
+        return self._at_inv(m)
+
+
 class GaugeCocycle(Cocycle):
-    """J^chi(a,b) = sum chi(a1 b1) J(a2,b2) chi^{-1}(a3) chi^{-1}(b3)."""
+    """J^chi(a,b) = sum chi(a1 b1) J(a2,b2) chi^{-1}(a3) chi^{-1}(b3).
+
+    The sum runs over Delta(a) x Delta(b) with the tail
+    T(x,y) = sum J(x1,y1) chi^{-1}(x2) chi^{-1}(y2) in the second legs.  T is
+    not unital, so it is memoized in a plain dict, never through `pair`.
+    """
 
     kind = "gauge"
 
@@ -654,112 +672,37 @@ class GaugeCocycle(Cocycle):
         super().__init__(pres)
         self.inner = inner
         self.chi = chi
+        self._tails = {}
+
+    def _tail(self, x, y):
+        v = self._tails.get((x, y))
+        if v is None:
+            inv = self.chi.inv
+            v = self._tails[(x, y)] = self._sum(x, y, self.inner.pair,
+                                                lambda u, w: inv(u) * inv(w))
+        return v
 
     def _pair(self, m1, m2):
-        pres = self.pres
-        total = ZERO
-        for (a1, a2, a3), c1 in pres.iterated_coproduct_monomial(m1, 2).terms.items():
-            for (b1, b2, b3), c2 in pres.iterated_coproduct_monomial(m2, 2).terms.items():
-                head = self.chi(a1.mul(b1).as_poly())
-                if not head:
-                    continue
-                mid = self.inner.pair(a2, b2)
-                if not mid:
-                    continue
-                tail = self.chi.inv(a3) * self.chi.inv(b3)
-                if not tail:
-                    continue
-                total += c1 * c2 * head * mid * tail
-        return total
+        chi = self.chi
+        return sum((chi(k) * v for k, v in self.pres.contract(m1, m2, None, self._tail).items()),
+                   ZERO)
 
     def inverse(self):
         return GaugeCocycle(self.pres, self.inner.inverse(), self.chi)
 
 
-class ConjugateCocycle(Cocycle):
-    """J^g = (g (x) g) * J * (g^{-1} (x) g^{-1}) for a rational point g."""
-
-    kind = "conjugate"
-
-    def __init__(self, pres, inner, point):
-        super().__init__(pres)
-        self.inner = inner
-        self.point = point
-        self.point_inv = pres.point_inv(point)
-
-    def _eval_at(self, m, point):
-        v = self.pres.evaluate_scalar(m.as_poly(), point)
-        if v.degree() > 0:
-            raise CocycleInputError("conjugation point must have scalar coordinates")
-        return v.counit()
-
-    def _pair(self, m1, m2):
-        pres = self.pres
-        total = ZERO
-        for (a1, a2, a3), c1 in pres.iterated_coproduct_monomial(m1, 2).terms.items():
-            ha = self._eval_at(a1, self.point)
-            if not ha:
-                continue
-            ta = self._eval_at(a3, self.point_inv)
-            if not ta:
-                continue
-            for (b1, b2, b3), c2 in pres.iterated_coproduct_monomial(m2, 2).terms.items():
-                hb = self._eval_at(b1, self.point)
-                if not hb:
-                    continue
-                tb = self._eval_at(b3, self.point_inv)
-                if not tb:
-                    continue
-                mid = self.inner.pair(a2, b2)
-                if not mid:
-                    continue
-                total += c1 * c2 * ha * hb * mid * ta * tb
-        return total
-
-    def inverse(self):
-        return ConjugateCocycle(self.pres, self.inner.inverse(), self.point)
-
-
-def convolution_product(pres, left, right):
+class Convolution(Cocycle):
     """(F * G)(f,g) = sum F(f1,g1) G(f2,g2) as a plain evaluator."""
 
-    class _Conv(Cocycle):
-        kind = "convolution"
+    kind = "convolution"
 
-        def _pair(self, m1, m2):
-            total = ZERO
-            for (a1, a2), c1 in pres.coproduct_monomial(m1).terms.items():
-                for (b1, b2), c2 in pres.coproduct_monomial(m2).terms.items():
-                    v1 = left.pair(a1.gen_part, b1.gen_part)
-                    if not v1:
-                        continue
-                    v2 = right.pair(a2.gen_part, b2.gen_part)
-                    if not v2:
-                        continue
-                    total += c1 * c2 * v1 * v2
-            return total
+    def __init__(self, left, right):
+        super().__init__(left.pres)
+        self.left = left
+        self.right = right
 
-    return _Conv(pres)
-
-
-def convolution_inverse(j):
-    return j.inverse()
-
-
-def pullback_cocycle(pres, inner, images, check=True):
-    return PullbackCocycle(pres, inner, images, check=check)
-
-
-def gauge_transform(j, chi):
-    return GaugeCocycle(j.pres, j, chi)
-
-
-def conjugate_cocycle(j, point):
-    return ConjugateCocycle(j.pres, j, point)
-
-
-def cocycle_eval(j, f, g):
-    return j.eval(f, g)
+    def _pair(self, m1, m2):
+        return self._sum(m1, m2, self.left.pair, self.right.pair)
 
 
 class CocycleIdentityReport:
@@ -775,7 +718,22 @@ class CocycleIdentityReport:
         return "cocycle identity FAIL at bound %d on %r" % (self.bound, self.failure)
 
 
-def verify_cocycle_identity(j, degree_bound, jinv=None):
+def _right_product(pres, value):
+    """The map (a, b) -> {a1 b1: sum value(a2, b2)}, memoized for its own life.
+
+    One entry serves every identity instance that shares the pair (a, b).
+    """
+    return functools.lru_cache(maxsize=None)(lambda a, b: pres.contract(a, b, None, value))
+
+
+def _identity_defect(value, right, a, b, c):
+    """sum J(a1 b1, c) J(a2, b2) - sum J(a, b1 c1) J(b2, c2), J = value."""
+    lhs = sum((value(m, c) * v for m, v in right(a, b).items()), ZERO)
+    rhs = sum((value(a, m) * v for m, v in right(b, c).items()), ZERO)
+    return lhs - rhs
+
+
+def verify_cocycle_identity(j, degree_bound):
     """Check the 2-cocycle identity and unitality on monomials within bound.
 
     The identity sum J(a1 b1, c) J(a2, b2) = sum J(a, b1 c1) J(b2, c2) is
@@ -784,45 +742,23 @@ def verify_cocycle_identity(j, degree_bound, jinv=None):
     """
     pres = j.pres
     ring = pres.ring
-    mons = [m for m in ring.monomials_up_to(degree_bound, include_one=False)]
+    mons = ring.monomials_up_to(degree_bound, include_one=False)
     for m in ring.monomials_up_to(degree_bound):
         if j.pair(m, ring.one_monomial) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
         if j.pair(ring.one_monomial, m) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
 
+    right = _right_product(pres, j.pair)
     checked = 0
     for a in mons:
-        da = pres.coproduct_monomial(a)
         for b in mons:
             if a.degree + b.degree >= degree_bound:
                 continue
-            db = pres.coproduct_monomial(b)
             for c in mons:
                 if a.degree + b.degree + c.degree > degree_bound:
                     continue
-                dc = pres.coproduct_monomial(c)
-                lhs = ZERO
-                for (a1, a2), ca in da.terms.items():
-                    for (b1, b2), cb in db.terms.items():
-                        v2 = j.pair(a2, b2)
-                        if not v2:
-                            continue
-                        v1 = j.pair(a1.mul(b1), c)
-                        if not v1:
-                            continue
-                        lhs += ca * cb * v1 * v2
-                rhs = ZERO
-                for (b1, b2), cb in db.terms.items():
-                    for (c1, c2), cc in dc.terms.items():
-                        v2 = j.pair(b2, c2)
-                        if not v2:
-                            continue
-                        v1 = j.pair(a, b1.mul(c1))
-                        if not v1:
-                            continue
-                        rhs += cb * cc * v1 * v2
                 checked += 1
-                if lhs != rhs:
+                if _identity_defect(j.pair, right, a, b, c):
                     return CocycleIdentityReport(False, degree_bound, checked, (a, b, c))
     return CocycleIdentityReport(True, degree_bound, checked)

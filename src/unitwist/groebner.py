@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 
-from .poly import ONE, ZERO, Poly, grlex_key, render_poly
+from .poly import ONE, ZERO, Poly, render_poly
 
 
 class TermOrder:
@@ -31,9 +31,9 @@ class TermOrder:
 
     def key(self, m):
         if not self._elim:
-            return grlex_key(m)
+            return m.grlex
         block = tuple(m.exps[i] for i in self._elim)
-        return (sum(block), tuple(reversed(block))) + grlex_key(m)
+        return (sum(block), block[::-1]) + m.grlex
 
     def leading(self, f):
         if f.is_zero():

@@ -148,7 +148,12 @@ def parse_group_file(text):
                 gen = gen.strip()
                 if gen not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % gen, no)
-                pres.set_q(gen, parse_tensor(rhs, pres.ring, no))
+                q = parse_tensor(rhs, pres.ring, no)
+                for check, detail in pres.q_defects(gen, q):
+                    if check == "q-chain-containment":
+                        raise GroupFileError(detail + "; corrections may only use "
+                                             "earlier generators", no)
+                pres.set_q(gen, q)
         elif head == "lie":
             lie_table = {}
             for no, line in lines:

@@ -305,6 +305,53 @@ class GroupPresentation:
             out = out + self.coproduct_monomial(m).scale(c)
         return out
 
+    def contract(self, m1, m2, f, g):
+        """The rank-2 convolution sum over Delta(m1) x Delta(m2), by monomial.
+
+        Returns {monomial: sum c c' f(a1,b1) g(a2,b2)} over the coproduct
+        terms c a1 (x) a2 of m1 and c' b1 (x) b2 of m2, zero entries dropped.
+        f and g take two parameter-free monomials to a scalar, keyed by 1;
+        g may instead return a {monomial: coefficient} dict, such as another
+        contraction's result, whose keys then key its terms.  A None slot
+        stands for the monomial product of its two arguments, and that
+        product keys the result.  Each factor is tested for zero before
+        coefficients are multiplied.
+        """
+        d1 = self.coproduct_monomial(m1).terms.items()
+        d2 = self.coproduct_monomial(m2).terms.items()
+        out = {}
+        if f is None:
+            for (a1, a2), c1 in d1:
+                for (b1, b2), c2 in d2:
+                    v = g(a2, b2)
+                    if v:
+                        k = a1.mul(b1)
+                        out[k] = out.get(k, ZERO) + c1 * c2 * v
+        elif g is None:
+            for (a1, a2), c1 in d1:
+                for (b1, b2), c2 in d2:
+                    v = f(a1, b1)
+                    if v:
+                        k = a2.mul(b2)
+                        out[k] = out.get(k, ZERO) + c1 * c2 * v
+        else:
+            one = self.ring.one_monomial
+            for (a1, a2), c1 in d1:
+                for (b1, b2), c2 in d2:
+                    v = f(a1, b1)
+                    if not v:
+                        continue
+                    w = g(a2, b2)
+                    if not w:
+                        continue
+                    if w.__class__ is dict:
+                        c = c1 * c2 * v
+                        for k, cw in w.items():
+                            out[k] = out.get(k, ZERO) + c * cw
+                    else:
+                        out[one] = out.get(one, ZERO) + c1 * c2 * v * w
+        return {k: c for k, c in out.items() if c}
+
     def iterated_coproduct_monomial(self, m, k):
         """Delta^k applied to a monomial, a rank k+1 tensor (k >= 1)."""
         if k == 1:
@@ -381,11 +428,6 @@ class GroupPresentation:
             if m.exps[i]:
                 d += m.exps[i] * self.corad_degree_gen(self.ring.names[i])
         return d
-
-    def corad_degree(self, f):
-        if f.is_zero():
-            return 0
-        return max(self.corad_degree_monomial(m) for m in f.terms)
 
     # -- word tables (degree-(1,..,1) components of iterated coproducts) -----
     def word_table(self, m, k):
@@ -482,7 +524,8 @@ class GroupPresentation:
         images = {}
         for g in self.ring.generators:
             acc = ext.zero
-            for (m1, m2, m3), c in _rank3_terms(self, g):
+            for (m1, m2, m3), c in self.iterated_coproduct_monomial(
+                    self.ring.var_monomial(g), 2).terms.items():
                 acc = acc + eval_sym(m1.as_poly()) * m2.as_poly().substitute({}, ext) \
                     * eval_sym(self.antipode_monomial(m3)) * c
             images[g] = acc
@@ -564,6 +607,23 @@ class GroupPresentation:
         return out
 
     # -- validation ----------------------------------------------------------------
+    def q_defects(self, gen, tensor):
+        """(check name, detail) for each slot entry of q(gen) that breaks a rule.
+
+        Each slot entry must be nonconstant and may only involve generators
+        below gen in the chain.
+        """
+        i = self.gen_index(gen)
+        out = []
+        for (m1, m2), _ in tensor.terms.items():
+            for mm in (m1, m2):
+                if mm.degree == 0:
+                    out.append(("q-counit-free", "q(%s) has a scalar slot entry" % gen))
+                if mm.max_generator_index() >= i:
+                    out.append(("q-chain-containment",
+                                "q(%s) involves a generator of index >= %d" % (gen, i)))
+        return out
+
     def validate(self, strict=False):
         checks = []
 
@@ -572,17 +632,9 @@ class GroupPresentation:
 
         ok_chain = True
         for g, q in self.q.items():
-            i = self.gen_index(g)
-            for (m1, m2), _ in q.terms.items():
-                for mm in (m1, m2):
-                    if mm.degree == 0:
-                        record("q-counit-free", False,
-                               "q(%s) has a scalar slot entry" % g)
-                        ok_chain = False
-                    if mm.max_generator_index() >= i:
-                        record("q-chain-containment", False,
-                               "q(%s) involves a generator of index >= %d" % (g, i))
-                        ok_chain = False
+            for name, detail in self.q_defects(g, q):
+                record(name, False, detail)
+                ok_chain = False
         if ok_chain:
             record("q-chain-containment", True)
             record("q-counit-free", True)
@@ -681,40 +733,3 @@ class ValidationReport:
 
     def lines(self):
         return [repr(c) for c in self.checks]
-
-
-def _rank3_terms(pres, gen):
-    """Monomial triples of Delta^2(generator) with coefficients."""
-    t = pres.iterated_coproduct_monomial(
-        next(iter(pres.ring.var(gen).terms)), 2)
-    return list(t.terms.items())
-
-
-# Free-function aliases for the class methods above ---------------------------
-
-def coproduct(pres, f):
-    return pres.coproduct(f)
-
-
-def iterated_coproduct(pres, f, k):
-    return pres.iterated_coproduct(f, k)
-
-
-def antipode(pres, f):
-    return pres.antipode(f)
-
-
-def point_mul(pres, p, q):
-    return pres.point_mul(p, q)
-
-
-def point_inv(pres, p):
-    return pres.point_inv(p)
-
-
-def coinvariants(pres, subgroup, degree_bound, side="left"):
-    return pres.coinvariants(subgroup, degree_bound, side)
-
-
-def validate_presentation(pres, strict=False):
-    return pres.validate(strict=strict)

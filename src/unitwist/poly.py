@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -142,17 +143,21 @@ class Monomial:
     Built only by `PolyRing.monomial`, which keeps one instance per
     exponent tuple; equality is the default identity comparison.  The
     slots `degree` (generator degree, parameters count 0), `is_one`,
-    `gen_part` and `param_part` are fixed at construction.
+    `grlex` (the `grlex_key` tuple), `gen_part` and `param_part` are fixed
+    at construction.
     """
 
-    __slots__ = ("ring", "exps", "_hash", "degree", "is_one", "gen_part", "param_part")
+    __slots__ = ("ring", "exps", "_hash", "degree", "is_one", "grlex", "gen_part",
+                 "param_part")
 
     def __init__(self, ring, exps):
         self.ring = ring
         self.exps = exps
         self._hash = hash(exps)
-        self.degree = sum(exps[:ring.ngens])
+        g, p = exps[:ring.ngens], exps[ring.ngens:]
+        self.degree = sum(g)
         self.is_one = not any(exps)
+        self.grlex = (self.degree, g[::-1], sum(p), p[::-1])
 
     def __hash__(self):
         return self._hash
@@ -212,11 +217,9 @@ def grlex_key(m):
     Compares generator degree first, then generator exponents from the top
     variable down, then the same for parameters.  Ascending comparison of
     keys realizes the order; it is a product order (generators dominate).
+    The tuple is the monomial's `grlex` slot, built with it.
     """
-    ng = m.ring.ngens
-    g = m.exps[:ng]
-    p = m.exps[ng:]
-    return (sum(g), tuple(reversed(g)), sum(p), tuple(reversed(p)))
+    return m.grlex
 
 
 class Poly:
@@ -345,6 +348,41 @@ class Poly:
                 if m.exps[i] > 0:
                     best = max(best, i + 1)
         return best
+
+    # -- normalization ----------------------------------------------------
+    def content(self):
+        """(rational content, least parameter exponents over the terms).
+
+        The rational content is gcd(numerators) / lcm(denominators); the
+        zero polynomial has content 0 and no exponents.
+        """
+        nums, dens, low = 0, 1, None
+        for m, c in self.terms.items():
+            nums = gcd(nums, c.numerator)
+            dens = dens * c.denominator // gcd(dens, c.denominator)
+            pexps = m.exps[self.ring.ngens:]
+            low = pexps if low is None else tuple(map(min, low, pexps))
+        return Fraction(nums, dens), low
+
+    def normalize_sign(self):
+        """Divide by the rational content, keeping monomials; leading sign +."""
+        if not self.terms:
+            return self
+        return (self * (ONE / self.content()[0]))._lead_positive()
+
+    def scale_down(self):
+        """Divide by the content, parameter monomial included; leading sign +."""
+        if not self.terms:
+            return self
+        scale, low = self.content()
+        ring, ng = self.ring, self.ring.ngens
+        terms = {ring.monomial(m.exps[:ng] + tuple(e - l for e, l in zip(m.exps[ng:], low))):
+                 c / scale for m, c in self.terms.items()}
+        return Poly(ring, terms)._lead_positive()
+
+    def _lead_positive(self):
+        lead = max(self.terms, key=grlex_key)
+        return -self if self.terms[lead] < 0 else self
 
     # -- substitution -----------------------------------------------------
     def substitute(self, images, target):
@@ -558,13 +596,6 @@ class TensorPoly:
     def is_zero(self):
         return not self.terms
 
-    def tensor(self, other):
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                terms[k1 + k2] = terms.get(k1 + k2, ZERO) + c1 * c2
-        return TensorPoly(self.ring, self.rank + other.rank, terms)
-
     def slotwise_mul(self, other):
         """Componentwise product (the algebra structure of the tensor power)."""
         if other.rank != self.rank:
@@ -645,13 +676,3 @@ class TensorPoly:
             slots = " (x) ".join(render_monomial(m) or "1" for m in key)
             parts.append("%s [%s]" % (c, slots))
         return " + ".join(parts)
-
-
-def poly_mul(f, g):
-    """Exact product. Provided as a named operation alongside ``*``."""
-    return f * g
-
-
-def apply_functional_slot(t, slot, phi):
-    """Contract slot `slot` (1-based) of `t` with the linear functional `phi`."""
-    return t.apply_linear_slot(slot, phi)

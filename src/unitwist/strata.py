@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form, rename_into)
-from .poly import ONE, ZERO, Poly, PolyRing, grlex_key, render_poly
+from .poly import ZERO, Poly, PolyRing, render_poly
 from .twist import TwistedPresentation, pairwise_commutators
 
 
@@ -196,7 +196,7 @@ def weyl_detect(pres_relations, ring, variables=None):
         pij = brk(i, j)
         pairs.append((basis[i], basis[j], pij))
         if not (len(pij.terms) == 1 and next(iter(pij.terms)).is_one):
-            side.append(_normalize_sign(pij))
+            side.append(pij.normalize_sign())
         rest = [k for k in active if k not in (i, j)]
         # e_k' = M_ij e_k - M_kj e_i + M_ki e_j kills both pivot directions;
         # division-free, so parameter pivots stay polynomial.
@@ -221,7 +221,7 @@ def weyl_detect(pres_relations, ring, variables=None):
         bracket = new_bracket
         active = rest
 
-    central = [_scale_down(basis[k]) for k in active]
+    central = [basis[k].scale_down() for k in active]
     if not pairs:
         verdict = "commutative"
     elif central:
@@ -229,53 +229,6 @@ def weyl_detect(pres_relations, ring, variables=None):
     else:
         verdict = "A_%d" % len(pairs)
     return WeylReport(verdict, pairs, central, side)
-
-
-def _content(p):
-    """Greatest common scalar-and-parameter-monomial factor."""
-    from math import gcd
-    if p.is_zero():
-        return None
-    nums = 0
-    dens = 1
-    min_exps = None
-    for m, c in p.terms.items():
-        nums = gcd(nums, c.numerator)
-        dens = dens * c.denominator // gcd(dens, c.denominator)
-        pexps = m.exps[m.ring.ngens:]
-        min_exps = pexps if min_exps is None else tuple(min(a, b) for a, b in zip(min_exps, pexps))
-    return Fraction(nums, dens), min_exps
-
-
-def _scale_down(p):
-    """Divide by the content and normalize the leading sign."""
-    if p.is_zero():
-        return p
-    scale, min_exps = _content(p)
-    ring = p.ring
-    terms = {}
-    for m, c in p.terms.items():
-        exps = list(m.exps)
-        for t, e in enumerate(min_exps):
-            exps[ring.ngens + t] -= e
-        terms[ring.monomial(exps)] = c / scale
-    q = Poly(ring, terms)
-    lead = max(q.terms, key=grlex_key)
-    if q.terms[lead] < 0:
-        q = -q
-    return q
-
-
-def _normalize_sign(p):
-    """Divide by the rational content and fix the sign, keeping monomials."""
-    if p.is_zero():
-        return p
-    scale, _ = _content(p)
-    q = p * (ONE / scale)
-    lead = max(q.terms, key=grlex_key)
-    if q.terms[lead] < 0:
-        q = -q
-    return q
 
 
 class Stratum:
@@ -563,18 +516,10 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None):
     supplied the two are compared as reduced bases.
     """
     ring = group.ring
-    gcoords = PolyRing(tuple("g_" + g for g in ring.generators), ring.parameters)
-
-    def sym(m):
-        """Evaluate a parameter-free monomial at the symbolic point."""
-        return gcoords.monomial(m.exps[:ring.ngens] + (0,) * len(ring.parameters))
-
     mons = ring.monomials_up_to(degree_bound, include_one=False)
     by_degree = {}
     for m in mons:
         by_degree.setdefault(m.degree, []).append(m)
-    deltas = {m: list(group.coproduct_monomial(m).terms.items()) for m in mons}
-    back = {("g_" + g): g for g in ring.generators}
     order = TermOrder(ring)
     kept = []
     basis = []
@@ -583,31 +528,12 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None):
             if d1 + d2 > degree_bound:
                 continue
             for m1 in by_degree[d1]:
-                t1 = deltas[m1]
                 for m2 in by_degree[d2]:
-                    t2 = deltas[m2]
-                    acc = {}
-                    for (a1, a2), c1 in t1:
-                        for (b1, b2), c2 in t2:
-                            v = j.pair(a2, b2)
-                            if v:
-                                key = sym(a1).mul(sym(b1))
-                                w = acc.get(key, ZERO) + c1 * c2 * v
-                                if w:
-                                    acc[key] = w
-                                else:
-                                    acc.pop(key, None)
-                            v = j.pair(a1, b1)
-                            if v:
-                                key = sym(a2).mul(sym(b2))
-                                w = acc.get(key, ZERO) - c1 * c2 * v
-                                if w:
-                                    acc[key] = w
-                                else:
-                                    acc.pop(key, None)
-                    if not acc:
+                    # g's coordinates are written with the generator names
+                    condition = Poly(ring, group.contract(m1, m2, None, j.pair)) \
+                        - Poly(ring, group.contract(m1, m2, j.pair, None))
+                    if condition.is_zero():
                         continue
-                    condition = rename_into(Poly(gcoords, acc), ring, back)
                     # keep only conditions that add new constraints
                     if basis and normal_form(condition, basis, order).is_zero():
                         continue

@@ -17,8 +17,8 @@ routes are compared exactly before a presentation is returned.
 
 from __future__ import annotations
 
-from .cocycle import CounitPair, convolution_product
-from .poly import ZERO, Poly, render_poly
+from .cocycle import Convolution, CounitPair
+from .poly import Poly, render_poly
 
 
 class TwistConsistencyError(AssertionError):
@@ -34,6 +34,7 @@ class TwistedContext:
         self.right_inv = right.cached_inverse()
         self.two_sided = left is right
         self._mul_cache = {}
+        self._right_products = {}
 
     @classmethod
     def hopf(cls, pres, j):
@@ -44,40 +45,26 @@ class TwistedContext:
     def one_sided_right(cls, pres, j):
         return cls(pres, CounitPair(pres), j)
 
-    @classmethod
-    def one_sided_left(cls, pres, k):
-        return cls(pres, k, CounitPair(pres))
-
     # -- products ----------------------------------------------------------
+    def _right_product(self, x, y):
+        """The one-sided product x ._J y = sum x1 y1 J(x2,y2), memoized."""
+        hit = self._right_products.get((x, y))
+        if hit is None:
+            hit = self._right_products[(x, y)] = self.pres.contract(x, y, None, self.right.pair)
+        return hit
+
     def mul_monomials(self, m1, m2):
-        """Product of two parameter-free monomials, as a Poly."""
+        """Product of two parameter-free monomials, as a Poly.
+
+        a . b = sum K^{-1}(a1,b1) (a2 ._J b2): the (id (x) Delta) Delta terms
+        of the defining sum, with the inner sums shared between products.
+        """
         key = (m1, m2)
         hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        pres = self.pres
-        kinv = self.left_inv
-        j = self.right
-        acc = {}
-        left_terms = pres.iterated_coproduct_monomial(m1, 2).terms
-        right_terms = pres.iterated_coproduct_monomial(m2, 2).terms
-        for (a1, a2, a3), c1 in left_terms.items():
-            for (b1, b2, b3), c2 in right_terms.items():
-                head = kinv.pair(a1, b1)
-                if not head:
-                    continue
-                tail = j.pair(a3, b3)
-                if not tail:
-                    continue
-                m = a2.mul(b2)
-                v = acc.get(m, ZERO) + head * tail * c1 * c2
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-        out = Poly(pres.ring, acc)
-        self._mul_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._mul_cache[key] = Poly(self.pres.ring, self.pres.contract(
+                m1, m2, self.left_inv.pair, self._right_product))
+        return hit
 
     def mul(self, f, g):
         out = self.pres.ring.zero
@@ -283,14 +270,6 @@ def ihoe_presentation(ctx):
     return TwistedPresentation(pres, rel)
 
 
-def twisted_mul(ctx, f, g):
-    return ctx.mul(f, g)
-
-
-def twisted_commutator(ctx, f, g):
-    return ctx.commutator(f, g)
-
-
 # -- R-form ------------------------------------------------------------------
 
 class RForm:
@@ -301,8 +280,7 @@ class RForm:
             raise ValueError("the R-form belongs to the two-sided context")
         self.ctx = ctx
         self.pres = ctx.pres
-        self._ev = convolution_product(ctx.pres, ctx.right_inv.swap(), ctx.right)
-        self._ev_op = None
+        self._ev = Convolution(ctx.right_inv.swap(), ctx.right)
 
     def eval(self, f, g):
         return self._ev.eval(f, g)
@@ -310,17 +288,8 @@ class RForm:
     def scalar(self, f, g):
         return self._ev.scalar(f, g)
 
-    def swapped(self):
-        if self._ev_op is None:
-            self._ev_op = self._ev.swap()
-        return self._ev_op
-
     def evaluator(self):
         return self._ev
-
-
-def rform_eval(r, f, g):
-    return r.eval(f, g)
 
 
 class RFormReport:
@@ -352,22 +321,17 @@ def rform_axiom_check(r, degree_bound):
     def poly_pairs(m):
         return pres.coproduct_monomial(m).terms.items()
 
+    ev = r.evaluator()
+
+    def swapped(x, y):
+        return ev.pair(y, x)
+
     for h in mons:
         for g in mons:
             if h.degree + g.degree > degree_bound:
                 continue
             # (3) cotriangularity
-            total = ring.zero
-            for (h1, h2), c1 in poly_pairs(h):
-                for (g1, g2), c2 in poly_pairs(g):
-                    v1 = r.eval(h1.as_poly(), g1.as_poly())
-                    if v1.is_zero():
-                        continue
-                    v2 = r.eval(g2.as_poly(), h2.as_poly())
-                    if v2.is_zero():
-                        continue
-                    total = total + v1 * v2 * (c1 * c2)
-            if not total.is_zero():
+            if pres.contract(h, g, ev.pair, swapped):
                 failures.append(("cotriangular", h, g))
             # (2) commutation identity
             lhs = ring.zero
@@ -490,14 +454,3 @@ class PsiFunctional:
             if not acc.is_zero():
                 out[m] = acc
         return out
-
-
-def psi_eval(rform, a, degree_bound):
-    return PsiFunctional(rform, a, degree_bound)
-
-
-# -- winding automorphisms -------------------------------------------------------
-
-def winding_automorphism(pres, g, f):
-    """tau^l_g : f -> sum f1(g) f2."""
-    return pres.winding_left(g, f)

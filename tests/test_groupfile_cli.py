@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from unitwist import catalog, cli
@@ -6,6 +8,9 @@ from unitwist.cocycle import CocycleBoundError, CocycleInputError
 from unitwist.groupfile import GroupFileError, default_degree_bound, parse_group_file
 from unitwist.strata import StratumError
 from unitwist.twist import TwistConsistencyError
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs", "catalog")
 
 
 def run_cli(args, capsys):
@@ -141,10 +146,13 @@ W = V (x) Y
 
 
 def test_report_all_catalog(capsys):
+    # the golden reports are the behaviour contract: byte-identical stdout
     for cid in catalog.ids():
         rc, out, _ = run_cli(["report", "--example", cid], capsys)
         assert rc == 0, (cid, out[-2000:])
         assert "manifest: all comparisons OK" in out
+        with open(os.path.join(GOLDEN, cid + ".txt")) as fh:
+            assert out == fh.read(), cid
 
 
 def test_report_determinism():
@@ -185,7 +193,6 @@ V , X = -1/2
 
 def test_report_independent_of_hash_seed():
     # identity equality of monomials must not let hash order reach the output
-    import os
     import subprocess
     import sys
 
@@ -254,6 +261,11 @@ MALFORMED = [
     ("stratum-not-two-sided", _STRATA + "[cocycle-table]\nbound = 3\nX , Y = 1\n",
      ["strata", "FILE", "--point", "g"], 1, "double-coset ideal is not two-sided"),
 ]
+# q(V) may only involve generators below V in the chain
+_SELF_REF = _HEIS.replace("V = X (x) Y", "V = V (x) X") + "[rmatrix]\n1 2 1\n"
+MALFORMED += [("self-referential-coproduct-" + cmd, _SELF_REF, [cmd, "FILE"], 2,
+               "line 7: q(V) involves a generator of index >= 3")
+              for cmd in ("validate", "present", "gamma")]
 
 
 @pytest.mark.parametrize("text,argv,code,message", [case[1:] for case in MALFORMED],

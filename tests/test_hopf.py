@@ -1,7 +1,12 @@
 import random
+import zlib
 from fractions import Fraction
 
-from unitwist.hopf import GroupPresentation, validate_presentation
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unitwist.hopf import GroupPresentation
 from unitwist.poly import PolyRing, TensorPoly, parse_poly, render_poly
 
 
@@ -204,9 +209,9 @@ def test_coinvariants_u4_ex6(examples):
 
 
 def test_validate_catalog(each_example):
-    rep = validate_presentation(each_example.pres)
+    rep = each_example.pres.validate()
     assert rep.ok, rep.first_failure()
-    rep = validate_presentation(each_example.pres, strict=True)
+    rep = each_example.pres.validate(strict=True)
     assert rep.ok, rep.first_failure()
 
 
@@ -286,3 +291,52 @@ def test_restriction_matches_substitution(examples):
         f, h = random_poly(g.ring, rng, degree=2), random_poly(g.ring, rng, degree=2)
         assert T.restrict(f * h, target, rename) == \
             T.restrict(f, target, rename) * T.restrict(h, target, rename)
+
+
+# -- the Delta x Delta contraction kernel against a written-out double sum ----
+
+def _values(seed, sign):
+    """A deterministic scalar function on monomial pairs, zero on about 1 in 5."""
+    def f(x, y):
+        return Fraction(zlib.crc32(repr((seed, sign, x.exps, y.exps)).encode()) % 5 - 2)
+    return f
+
+
+def _naive_contract(pres, m1, m2, f, g):
+    """sum c c' F(a1,b1) G(a2,b2): each slot value as a polynomial, None = x*y."""
+    one = pres.ring.one_monomial
+
+    def slot(h, x, y):
+        if h is None:
+            return {x.mul(y): Fraction(1)}
+        v = h(x, y)
+        return v if isinstance(v, dict) else {one: v}
+
+    out = {}
+    for (a1, a2), c1 in pres.coproduct_monomial(m1).terms.items():
+        for (b1, b2), c2 in pres.coproduct_monomial(m2).terms.items():
+            for k1, v1 in slot(f, a1, b1).items():
+                for k2, v2 in slot(g, a2, b2).items():
+                    k = k1.mul(k2)
+                    out[k] = out.get(k, 0) + c1 * c2 * v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("cid", ["u4-ex6", "jordan4-minimal"])
+def test_contract_matches_naive_double_sum(examples, cid):
+    pres = examples(cid).pres
+    mons = pres.ring.monomials_up_to(3)
+
+    def dict_valued(x, y):
+        # a dict-valued second slot: its keys key the result
+        return {k: v for k, v in ((x.mul(y), _values(7, 0)(x, y)),
+                                  (pres.ring.one_monomial, _values(7, 1)(y, x))) if v}
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.sampled_from(mons), st.sampled_from(mons), st.integers(0, 10 ** 6))
+    def check(m1, m2, seed):
+        f, g = _values(seed, 0), _values(seed, 1)
+        for slots in ((None, g), (f, None), (f, g), (f, dict_valued)):
+            assert pres.contract(m1, m2, *slots) == _naive_contract(pres, m1, m2, *slots)
+
+    check()

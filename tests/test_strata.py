@@ -7,7 +7,7 @@ from unitwist.strata import (commutator_ideal_and_gamma,
                              polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              verify_two_sided, weyl_detect)
-from unitwist.twist import TwistedContext, pairwise_commutators, winding_automorphism
+from unitwist.twist import TwistedContext, pairwise_commutators
 
 
 def ideal_gb_strings(ideal):
@@ -185,7 +185,7 @@ def test_winding_consistency_c0_point(examples):
     gamma_pt = g.point({"F12": 1, "F24": 1})
     ideal_g = double_coset_ideal(g, T, gamma_pt)
     ideal_t = subgroup_ideal(g, T)
-    moved = Ideal(g.ring, [winding_automorphism(g, gamma_pt, p) for p in ideal_g.gens])
+    moved = Ideal(g.ring, [g.winding_left(gamma_pt, p) for p in ideal_g.gens])
     assert moved == ideal_t
 
 
@@ -202,12 +202,12 @@ def test_winding_stratum_relations_match(examples):
     it = subgroup_ideal(g, T)
     gbt = it.groebner()
     # tau maps the stratum ideal onto I(T)
-    moved = Ideal(g.ring, [winding_automorphism(g, pt, p) for p in stratum.ideal.gens])
+    moved = Ideal(g.ring, [g.winding_left(pt, p) for p in stratum.ideal.gens])
     assert moved == it
     # and intertwines the quotient relations: tau([Xi,Xj] - f_ij) dies mod I(T)
     for (a, b), f in stratum.quotient.relations.items():
         xa, xb = g.ring.var(a), g.ring.var(b)
-        lhs = winding_automorphism(g, pt, ex6.ctx.commutator(xa, xb) - f)
+        lhs = g.winding_left(pt, ex6.ctx.commutator(xa, xb) - f)
         assert normal_form(lhs, gbt, order).is_zero()
 
 
