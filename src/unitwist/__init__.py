@@ -14,9 +14,8 @@ from .cocycle import (Cocycle, CocycleBoundError, Convolution, CounitPair, Expon
                       FunctionalTable, GaugeCocycle, PointFunctional, PullbackCocycle,
                       RMatrix, TableCocycle, TangentFunctional, cybe_check,
                       quasi_frobenius_check, verify_cocycle_identity)
-from .twist import (PsiFunctional, RForm, TwistedContext, TwistedPresentation,
-                    ihoe_presentation, pairwise_commutators, rform_axiom_check,
-                    twisted_antipode)
+from .twist import (PsiFunctional, TwistedContext, TwistedPresentation, ihoe_presentation,
+                    pairwise_commutators, rform_axiom_check, twisted_antipode)
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form)
 from .strata import (CobracketData, GammaReport, Stratum, c0_solver,

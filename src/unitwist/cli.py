@@ -18,8 +18,8 @@ from .groupfile import GroupFileError, default_degree_bound, parse_group_file, v
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
 from .strata import StratumError, c0_solver, commutator_ideal_and_gamma, stratum_presentation
-from .twist import (RForm, TwistConsistencyError, TwistedContext, ihoe_presentation,
-                    rform_axiom_check, twisted_antipode)
+from .twist import (TwistConsistencyError, TwistedContext, ihoe_presentation, rform_axiom_check,
+                    twisted_antipode)
 
 
 class InputError(Exception):
@@ -265,7 +265,7 @@ def report_lines(entry, max_degree=None, strict=False):
         if member not in central_renders:
             mismatches.append("expected centre member %s not found" % member)
 
-    rrep = rform_axiom_check(RForm(ctx), 3)
+    rrep = rform_axiom_check(ctx, 3)
     lines += ["", "[checks]"]
     lines += rrep.lines()
     if not rrep.ok:
@@ -335,6 +335,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_degree", None) is not None and args.max_degree < 1:
+            raise InputError("--max-degree must be at least 1")
         if args.command == "gb":
             return cmd_gb(args, out)
         if args.command == "eliminate":
@@ -371,15 +373,11 @@ def main(argv=None):
             out.write("\n".join(stratum.lines()) + "\n")
             return 0
         if args.command == "rform-check":
-            ctx = build_context(data)
-            rep = rform_axiom_check(RForm(ctx), min(bound, 3))
+            rep = rform_axiom_check(build_context(data), min(bound, 3))
             out.write("\n".join(rep.lines()) + "\n")
             return 0 if rep.ok else 1
         raise InputError("unknown command")
-    except InputError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except (GroupFileError, PresentationError) as e:
+    except (InputError, GroupFileError, PresentationError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     except (StratumError, TwistConsistencyError, CocycleBoundError, CocycleInputError) as e:

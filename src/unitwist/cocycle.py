@@ -578,19 +578,6 @@ class FunctionalTable:
             raise CocycleInputError("functional must send 1 to 1")
         self._inv_cache = {}
 
-    @classmethod
-    def from_point(cls, pres, point, bound):
-        vals = {}
-        for m in pres.ring.monomials_up_to(bound):
-            v = pres.evaluate_scalar(m.as_poly(), point)
-            if v.degree() > 0:
-                raise CocycleInputError("point has parameter coordinates")
-            c = v.counit()
-            if c:
-                vals[m] = c
-        vals[pres.ring.one_monomial] = ONE
-        return cls(pres, vals)
-
     def __call__(self, m):
         if isinstance(m, Poly):
             return sum((c * self(mm) for mm, c in m.terms.items()), ZERO)

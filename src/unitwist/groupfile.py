@@ -5,6 +5,7 @@ Sections, in any order, '#' comments allowed anywhere:
     [group]            name, generators (chain order), optional parameters
     [coproduct]        one line per non-primitive generator:
                            V = X (x) Y + 1/2 X (x) Y^2
+                       using only earlier generators, and no parameters
     [lie]              optional bracket table, lines "i j k p/q" meaning the
                        u_k coefficient of [u_i, u_j]; verified against the
                        brackets derived from the coproducts
@@ -149,6 +150,8 @@ def parse_group_file(text):
                 if gen not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % gen, no)
                 q = parse_tensor(rhs, pres.ring, no)
+                if any(m.param_degree() for key in q.terms for m in key):
+                    raise GroupFileError("coproduct corrections may not involve parameters", no)
                 for check, detail in pres.q_defects(gen, q):
                     if check == "q-chain-containment":
                         raise GroupFileError(detail + "; corrections may only use "

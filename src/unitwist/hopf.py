@@ -470,12 +470,6 @@ class GroupPresentation:
         out = f.substitute(images, self.ring)
         return out
 
-    def evaluate_scalar(self, f, p):
-        v = self.evaluate(f, p)
-        if v.degree() > 0:
-            raise ValueError("evaluation did not produce a scalar")
-        return v
-
     def point_mul(self, p, q):
         coords = {}
         for g in self.ring.generators:

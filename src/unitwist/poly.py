@@ -612,10 +612,8 @@ class TensorPoly:
         return TensorPoly(self.ring, self.rank, terms)
 
     def apply_linear_slot(self, slot, phi):
-        """Contract one slot (1-based) with a linear functional on Poly.
-
-        Returns a TensorPoly of rank k-1, or a Poly when k == 2 contracts
-        to rank 1?  No: always a TensorPoly of rank k-1 (rank >= 2 required).
+        """Contract one slot (1-based) of a rank-k tensor, k >= 2, with a
+        linear functional on Poly; the result is a TensorPoly of rank k-1.
         """
         if self.rank < 2:
             raise ValueError("rank must be >= 2 to contract a slot")

@@ -10,15 +10,16 @@ vector space.  The two-sided case K = J is the Hopf-algebra deformation;
 one-sided and mixed contexts (K = eps.eps, or K = J^g) are first class
 because coset-stratum isomorphism checks need them.
 
-Generator commutators are computed twice, through the deformed product
-and through the closed-form expansion in the q-tensors, and the two
+Generator products and commutators are computed twice, through the
+deformed product and through the closed-form expansion in the q-tensors
+(the closed commutator is the antisymmetrised closed product), and the
 routes are compared exactly before a presentation is returned.
 """
 
 from __future__ import annotations
 
 from .cocycle import Convolution, CounitPair
-from .poly import Poly, render_poly
+from .poly import ONE, ZERO, Poly, render_poly
 
 
 class TwistConsistencyError(AssertionError):
@@ -94,84 +95,58 @@ class TwistedContext:
         """Closed-form Xi . Xj for the two-sided context."""
         if not self.two_sided:
             raise ValueError("closed form applies to the two-sided context")
-        pres = self.pres
-        ring = pres.ring
-        j = self.right
-        jinv = self.right_inv
-        xi = ring.var(gi)
-        xj = ring.var(gj)
-        total = xi * xj
+        ring = self.pres.ring
+        j = self.right.pair
+        jinv = self.right_inv.pair
+        xi = ring.var_monomial(gi)
+        xj = ring.var_monomial(gj)
+        out = {xi.mul(xj): ONE}
+
+        def add(m, v):
+            out[m] = out.get(m, ZERO) + v
+
         for (m1, m2), c in self._q_terms(gj):
-            total = total + jinv.eval(xi, m1.as_poly()) * m2.as_poly() * c
-            total = total + m1.as_poly() * j.eval(xi, m2.as_poly()) * c
+            add(m2, jinv(xi, m1) * c)
+            add(m1, j(xi, m2) * c)
         for (m1, m2), c in self._q_terms(gi):
-            total = total + m1.as_poly() * j.eval(m2.as_poly(), xj) * c
-            total = total + jinv.eval(m1.as_poly(), xj) * m2.as_poly() * c
-        for (m1, m2), c in self._q_terms(gi):
+            add(m1, j(m2, xj) * c)
+            add(m2, jinv(m1, xj) * c)
             for (n1, n2), c2 in self._q_terms(gj):
-                total = total + m1.as_poly() * n1.as_poly() * j.eval(m2.as_poly(), n2.as_poly()) * (c * c2)
+                add(m1.mul(n1), j(m2, n2) * (c * c2))
         for (a1, a21, a22), c in self._q_expanded(gi):
             for (b1, b21, b22), c2 in self._q_expanded(gj):
                 if a21.is_one and b21.is_one:
                     continue
-                head = jinv.eval(a1.as_poly(), b1.as_poly())
-                if head.is_zero():
+                head = jinv(a1, b1)
+                if not head:
                     continue
-                tail = j.eval(a22.as_poly(), b22.as_poly())
-                if tail.is_zero():
-                    continue
-                total = total + head * tail * a21.mul(b21).as_poly() * (c * c2)
-        return total
+                tail = j(a22, b22)
+                if tail:
+                    add(a21.mul(b21), head * tail * (c * c2))
+        return Poly(ring, out)
 
     def generator_commutator_formula(self, gi, gj):
-        """Closed-form [Xi, Xj] via Q = J - J21 and Qbar = J^{-1} - (J^{-1})21."""
-        if not self.two_sided:
-            raise ValueError("closed form applies to the two-sided context")
-        pres = self.pres
-        ring = pres.ring
-        j = self.right
-        jinv = self.right_inv
-
-        def q_form(f, g):
-            return j.eval(f, g) - j.eval(g, f)
-
-        def qbar_form(f, g):
-            return jinv.eval(f, g) - jinv.eval(g, f)
-
-        xi = ring.var(gi)
-        xj = ring.var(gj)
-        total = ring.zero
-        for (m1, m2), c in self._q_terms(gi):
-            total = total + m1.as_poly() * q_form(m2.as_poly(), xj) * c
-            total = total + m2.as_poly() * qbar_form(m1.as_poly(), xj) * c
-        for (m1, m2), c in self._q_terms(gj):
-            total = total + m1.as_poly() * q_form(xi, m2.as_poly()) * c
-            total = total + m2.as_poly() * qbar_form(xi, m1.as_poly()) * c
-        for (m1, m2), c in self._q_terms(gi):
-            for (n1, n2), c2 in self._q_terms(gj):
-                total = total + m1.as_poly() * n1.as_poly() * q_form(m2.as_poly(), n2.as_poly()) * (c * c2)
-        for (a1, a21, a22), c in self._q_expanded(gi):
-            for (b1, b21, b22), c2 in self._q_expanded(gj):
-                if a21.is_one and b21.is_one:
-                    continue
-                coef = (jinv.eval(a1.as_poly(), b1.as_poly()) * j.eval(a22.as_poly(), b22.as_poly())
-                        - jinv.eval(b1.as_poly(), a1.as_poly()) * j.eval(b22.as_poly(), a22.as_poly()))
-                if coef.is_zero():
-                    continue
-                total = total + coef * a21.mul(b21).as_poly() * (c * c2)
-        return total
+        """Closed-form [Xi, Xj]: the antisymmetrised closed-form product."""
+        return self.generator_product_formula(gi, gj) - self.generator_product_formula(gj, gi)
 
     def pairing_identity_defect(self, gi, gj):
         """J(Xi,Xj) + J^{-1}(Xi,Xj) + sum J(x^i_1,x^j_1) J^{-1}(x^i_2,x^j_2)."""
         ring = self.pres.ring
-        xi = ring.var(gi)
-        xj = ring.var(gj)
-        total = self.right.eval(xi, xj) + self.right_inv.eval(xi, xj)
+        j = self.right.pair
+        jinv = self.right_inv.pair
+        xi = ring.var_monomial(gi)
+        xj = ring.var_monomial(gj)
+        total = j(xi, xj) + jinv(xi, xj)
         for (m1, m2), c in self._q_terms(gi):
             for (n1, n2), c2 in self._q_terms(gj):
-                total = total + self.right.eval(m1.as_poly(), n1.as_poly()) \
-                    * self.right_inv.eval(m2.as_poly(), n2.as_poly()) * (c * c2)
-        return total
+                total += j(m1, n1) * jinv(m2, n2) * (c * c2)
+        return ring.const(total)
+
+    def rform(self):
+        """R^J = (J21)^{-1} * J, the cotriangular form of the deformation."""
+        if not self.two_sided:
+            raise ValueError("the R-form belongs to the two-sided context")
+        return Convolution(self.right_inv.swap(), self.right)
 
 
 class TwistedPresentation:
@@ -180,8 +155,6 @@ class TwistedPresentation:
     def __init__(self, pres, relations):
         self.pres = pres
         self.relations = dict(relations)
-        self.chain_degrees = {k: f.max_generator_index()
-                              for k, f in self.relations.items() if not f.is_zero()}
 
     def relation(self, gi, gj):
         """f with [Xi, Xj] = f, for any order of the two generators."""
@@ -272,26 +245,6 @@ def ihoe_presentation(ctx):
 
 # -- R-form ------------------------------------------------------------------
 
-class RForm:
-    """R^J = (J21)^{-1} * J, the cotriangular form of the deformation."""
-
-    def __init__(self, ctx):
-        if not ctx.two_sided:
-            raise ValueError("the R-form belongs to the two-sided context")
-        self.ctx = ctx
-        self.pres = ctx.pres
-        self._ev = Convolution(ctx.right_inv.swap(), ctx.right)
-
-    def eval(self, f, g):
-        return self._ev.eval(f, g)
-
-    def scalar(self, f, g):
-        return self._ev.scalar(f, g)
-
-    def evaluator(self):
-        return self._ev
-
-
 class RFormReport:
     def __init__(self, ok, bound, failures):
         self.ok = ok
@@ -304,87 +257,69 @@ class RFormReport:
         return ["r-form axioms FAIL at bound %d: %s" % (self.bound, f) for f in self.failures]
 
 
-def rform_axiom_check(r, degree_bound):
-    """Definition-level checks of the R-form on monomials within bound.
+def rform_axiom_check(ctx, degree_bound):
+    """Definition-level checks of the R-form of `ctx` on monomials within bound.
 
     (1) the two convolution-splitting identities, with the products taken in
         the deformed algebra;
     (2) R(h1,g1) h2.g2 = g1.h1 R(h2,g2) with deformed products on both sides;
     (3) cotriangularity: R * R21 = eps.eps.
     """
-    ctx = r.ctx
     pres = ctx.pres
-    ring = pres.ring
-    mons = ring.monomials_up_to(degree_bound, include_one=False)
+    R = ctx.rform().pair
+    mons = pres.ring.monomials_up_to(degree_bound, include_one=False)
     failures = []
 
-    def poly_pairs(m):
+    def delta(m):
         return pres.coproduct_monomial(m).terms.items()
 
-    ev = r.evaluator()
-
     def swapped(x, y):
-        return ev.pair(y, x)
+        return R(y, x)
+
+    def products(x, y):
+        return ctx.mul_monomials(x, y).terms
 
     for h in mons:
         for g in mons:
             if h.degree + g.degree > degree_bound:
                 continue
             # (3) cotriangularity
-            if pres.contract(h, g, ev.pair, swapped):
+            if pres.contract(h, g, R, swapped):
                 failures.append(("cotriangular", h, g))
-            # (2) commutation identity
-            lhs = ring.zero
-            rhs = ring.zero
-            for (h1, h2), c1 in poly_pairs(h):
-                for (g1, g2), c2 in poly_pairs(g):
-                    v = r.eval(h1.as_poly(), g1.as_poly())
-                    if not v.is_zero():
-                        lhs = lhs + v * ctx.mul(h2.as_poly(), g2.as_poly()) * (c1 * c2)
-                    v = r.eval(h2.as_poly(), g2.as_poly())
-                    if not v.is_zero():
-                        rhs = rhs + ctx.mul(g1.as_poly(), h1.as_poly()) * v * (c1 * c2)
-            if lhs != rhs:
+            # (2) commutation identity; the scalar of the right side sits in
+            # the second legs, so that side is summed here
+            rhs = {}
+            for (h1, h2), c1 in delta(h):
+                for (g1, g2), c2 in delta(g):
+                    v = R(h2, g2)
+                    if v:
+                        for k, w in products(g1, h1).items():
+                            rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
+            if pres.contract(h, g, R, products) != {k: v for k, v in rhs.items() if v}:
                 failures.append(("commutation", h, g))
 
-    by_degree = {}
-    for m in mons:
-        by_degree.setdefault(m.degree, []).append(m)
-    degs = sorted(by_degree)
-    for dh in degs:
-        for dl in degs:
-            for dg in degs:
-                if dh + dl + dg > degree_bound:
+    # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)
+    for h in mons:
+        for l in mons:
+            for g in mons:
+                if h.degree + l.degree + g.degree > degree_bound:
                     continue
-                for h in by_degree[dh]:
-                    for l in by_degree[dl]:
-                        for g in by_degree[dg]:
-                            lg = ctx.mul(l.as_poly(), g.as_poly())
-                            lhs = r.eval(h.as_poly(), lg)
-                            rhs = ring.zero
-                            for (h1, h2), c in poly_pairs(h):
-                                v1 = r.eval(h1.as_poly(), g.as_poly())
-                                if v1.is_zero():
-                                    continue
-                                v2 = r.eval(h2.as_poly(), l.as_poly())
-                                if v2.is_zero():
-                                    continue
-                                rhs = rhs + v1 * v2 * c
-                            if lhs != rhs:
-                                failures.append(("split-right", h, l, g))
-                            gh = ctx.mul(g.as_poly(), h.as_poly())
-                            lhs = r.eval(gh, l.as_poly())
-                            rhs = ring.zero
-                            for (l1, l2), c in poly_pairs(l):
-                                v1 = r.eval(g.as_poly(), l1.as_poly())
-                                if v1.is_zero():
-                                    continue
-                                v2 = r.eval(h.as_poly(), l2.as_poly())
-                                if v2.is_zero():
-                                    continue
-                                rhs = rhs + v1 * v2 * c
-                            if lhs != rhs:
-                                failures.append(("split-left", h, l, g))
+                lhs = sum((c * R(h, k) for k, c in products(l, g).items()), ZERO)
+                rhs = ZERO
+                for (h1, h2), c in delta(h):
+                    v = R(h1, g)
+                    if v:
+                        rhs += c * v * R(h2, l)
+                if lhs != rhs:
+                    failures.append(("split-right", h, l, g))
+                lhs = sum((c * R(k, l) for k, c in products(g, h).items()), ZERO)
+                rhs = ZERO
+                for (l1, l2), c in delta(l):
+                    v = R(g, l1)
+                    if v:
+                        rhs += c * v * R(h, l2)
+                if lhs != rhs:
+                    failures.append(("split-left", h, l, g))
 
     return RFormReport(not failures, degree_bound, failures)
 

@@ -17,8 +17,8 @@ from unitwist.strata import (_free_variables, commutator_ideal_and_gamma,
                              hopf_ideal_check, polycentral_check,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              weyl_detect)
-from unitwist.twist import (RForm, TwistedContext, pairwise_commutators,
-                            rform_axiom_check, twisted_antipode)
+from unitwist.twist import (TwistedContext, pairwise_commutators, rform_axiom_check,
+                            twisted_antipode)
 
 ABELIAN_SUPPORT = ("u3", "heisenberg3", "jordan4-abelian", "u4-ex5")
 NONABELIAN_SUPPORT = ("jordan4-minimal", "u4-ex6")
@@ -110,11 +110,11 @@ def test_criterion_05_cocycle_axioms(examples):
 
 def test_criterion_06_rform(each_example):
     ex = each_example
-    rep = rform_axiom_check(RForm(ex.ctx), 3)
+    rep = rform_axiom_check(ex.ctx, 3)
     assert rep.ok, rep.failures[:2]
     # R(p, alpha) = (J - J21)(p, alpha) for primitive p, deg(alpha) <= 3
     g = ex.pres
-    r = RForm(ex.ctx)
+    r = ex.ctx.rform()
     j = ex.ctx.right
     rng = random.Random(len(ex.entry.id))
     mons = g.ring.monomials_up_to(3, include_one=False)

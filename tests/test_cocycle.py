@@ -7,8 +7,9 @@ import pytest
 from unitwist import linalg
 from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CounitPair,
                               ExponentialCocycle, FunctionalTable, GaugeCocycle,
-                              PullbackCocycle, RMatrix, TableCocycle, TangentFunctional,
-                              cybe_check, quasi_frobenius_check, verify_cocycle_identity)
+                              PointFunctional, PullbackCocycle, RMatrix, TableCocycle,
+                              TangentFunctional, cybe_check, quasi_frobenius_check,
+                              verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData
 from unitwist.poly import TensorPoly, parse_poly
 
@@ -297,7 +298,7 @@ def test_gauge_examples():
             assert gauged.pair(m1, m2) == J.pair(m1, m2)
     # gauge of the trivial cocycle by a point functional stays trivial
     pt = g.point({"X": 3, "V": Fraction(1, 2)})
-    chi = FunctionalTable.from_point(g, pt, 6)
+    chi = PointFunctional(g, pt)
     triv = GaugeCocycle(g, CounitPair(g), chi)
     assert triv.scalar(X, V) == 0
     for m1 in g.ring.monomials_up_to(2, include_one=False):

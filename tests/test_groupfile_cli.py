@@ -266,6 +266,18 @@ _SELF_REF = _HEIS.replace("V = X (x) Y", "V = V (x) X") + "[rmatrix]\n1 2 1\n"
 MALFORMED += [("self-referential-coproduct-" + cmd, _SELF_REF, [cmd, "FILE"], 2,
                "line 7: q(V) involves a generator of index >= 3")
               for cmd in ("validate", "present", "gamma")]
+# parameters are central scalars, never part of a coproduct correction
+_PARAM_Q = _HEIS.replace("generators = X Y V", "generators = X Y V\nparameters = a").replace(
+    "V = X (x) Y", "V = a X (x) Y") + "[rmatrix]\n1 3 1\n"
+MALFORMED += [("parameter-in-coproduct-" + cmd, _PARAM_Q, [cmd, "FILE"], 2,
+               "line 8: coproduct corrections may not involve parameters")
+              for cmd in ("validate", "present", "gamma")]
+MALFORMED += [
+    ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
+     "--max-degree must be at least 1"),
+    ("max-degree-negative", None, ["c0", "--example", "u3", "--max-degree", "-3"], 2,
+     "--max-degree must be at least 1"),
+]
 
 
 @pytest.mark.parametrize("text,argv,code,message", [case[1:] for case in MALFORMED],
@@ -282,6 +294,17 @@ def test_malformed_input_exit_codes(tmp_path, capsys, text, argv, code, message)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_rform_check_reports_each_failure(tmp_path, capsys):
+    # this table is not a cocycle: its R-form fails six splitting instances
+    path = tmp_path / "heis.group"
+    path.write_text(_HEIS + "[cocycle-table]\nbound = 4\nX , Y = 1\n")
+    rc, out, err = run_cli(["rform-check", str(path)], capsys)
+    assert (rc, err) == (1, "")
+    assert out.splitlines() == ["r-form axioms FAIL at bound 3: ('%s', %s)" % case for case in [
+        ("split-right", "X, V, Y"), ("split-right", "Y, X, V"), ("split-left", "Y, X, V"),
+        ("split-left", "Y, V, X"), ("split-right", "V, X, Y"), ("split-left", "V, Y, X")]]
 
 
 @pytest.mark.parametrize("error", [StratumError, TwistConsistencyError, CocycleBoundError,

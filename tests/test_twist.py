@@ -2,10 +2,13 @@ import random
 import zlib
 from fractions import Fraction
 
+import pytest
+
 from unitwist.cocycle import CounitPair
 from unitwist.poly import Poly
-from unitwist.twist import (PsiFunctional, RForm, TwistedContext, ihoe_presentation,
-                            pairwise_commutators, rform_axiom_check, twisted_antipode)
+from unitwist.twist import (PsiFunctional, TwistConsistencyError, TwistedContext,
+                            ihoe_presentation, pairwise_commutators, rform_axiom_check,
+                            twisted_antipode)
 
 
 def rnd_polys(ring, rng, count, degree=2, terms=3):
@@ -91,6 +94,22 @@ def test_formula_vs_direct(each_example):
             assert ctx.generator_commutator_formula(a, b) == ctx.commutator(xa, xb)
 
 
+@pytest.mark.parametrize("pair", [("F14", "F12"), ("F12", "F14")], ids=["F14.F12", "F12.F14"])
+def test_closed_product_route_guard(examples, monkeypatch, pair):
+    # a closed product that is wrong in either order of one generator pair
+    # must stop the presentation
+    ctx = examples("u4-ex6").ctx
+    closed = TwistedContext.generator_product_formula
+
+    def tampered(self, gi, gj):
+        out = closed(self, gi, gj)
+        return out + self.pres.ring.var("F12") if (gi, gj) == pair else out
+
+    monkeypatch.setattr(TwistedContext, "generator_product_formula", tampered)
+    with pytest.raises(TwistConsistencyError):
+        ihoe_presentation(ctx)
+
+
 def test_associativity_generators(each_example):
     ctx = each_example.ctx
     gens = [ctx.pres.ring.var(n) for n in ctx.pres.ring.generators]
@@ -127,7 +146,7 @@ def test_one_sided_weyl(examples):
 
 def test_rform_values(examples):
     ex = examples("u3")
-    r = RForm(ex.ctx)
+    r = ex.ctx.rform()
     R = ex.pres.ring
     X, V = R.var("X"), R.var("V")
     assert r.scalar(X, V) == 1
@@ -144,7 +163,7 @@ def test_rform_values(examples):
 
 def test_rform_primitive_oracle_all(each_example):
     ctx = each_example.ctx
-    r = RForm(ctx)
+    r = ctx.rform()
     j = ctx.right
     g = ctx.pres
     rng = random.Random(4)
@@ -157,23 +176,23 @@ def test_rform_primitive_oracle_all(each_example):
 
 
 def test_rform_axioms_bound3(each_example):
-    rep = rform_axiom_check(RForm(each_example.ctx), 3)
+    rep = rform_axiom_check(each_example.ctx, 3)
     assert rep.ok, rep.failures[:3]
 
 
 def test_cotriangularity_deg3(each_example):
     ctx = each_example.ctx
-    r = RForm(ctx)
+    r = ctx.rform()
     g = ctx.pres
     for m1 in g.ring.monomials_up_to(2, include_one=False):
         for m2 in g.ring.monomials_up_to(1, include_one=False):
             total = Fraction(0)
             for (a1, a2), c1 in g.coproduct_monomial(m1).terms.items():
                 for (b1, b2), c2 in g.coproduct_monomial(m2).terms.items():
-                    v1 = r.evaluator().pair(a1, b1)
+                    v1 = r.pair(a1, b1)
                     if v1 == 0:
                         continue
-                    v2 = r.evaluator().pair(b2, a2)
+                    v2 = r.pair(b2, a2)
                     if v2 == 0:
                         continue
                     total += c1 * c2 * v1 * v2
@@ -207,7 +226,7 @@ def test_twisted_antipode_axiom(examples):
 def test_psi_examples(examples):
     ex = examples("u3")
     ctx = ex.ctx
-    r = RForm(ctx)
+    r = ctx.rform()
     g = ex.pres
     X, V = g.ring.var("X"), g.ring.var("V")
     psi1 = PsiFunctional(r, g.ring.one, 3)
