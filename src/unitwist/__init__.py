@@ -20,9 +20,9 @@ from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form)
 from .strata import (CobracketData, GammaReport, Stratum, c0_solver,
                      commutator_ideal_and_gamma, conjugate_subgroup_ideal,
-                     double_coset_ideal, polycentral_check, stabilizer_dimension,
-                     stratum_presentation, subgroup_F, subgroup_ideal,
-                     verify_two_sided, weyl_detect)
+                     double_coset_ideal, fixed_locus_ideal, polycentral_check,
+                     stabilizer_dimension, stratum_presentation, subgroup_F,
+                     subgroup_ideal, verify_two_sided, weyl_detect)
 from .groupfile import GroupData, GroupFileError, default_degree_bound, parse_group_file
 from . import catalog
 

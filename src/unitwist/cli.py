@@ -17,7 +17,8 @@ from .groebner import Ideal, TermOrder, buchberger, eliminate as _eliminate, kru
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
-from .strata import StratumError, c0_solver, commutator_ideal_and_gamma, stratum_presentation
+from .strata import (StratumError, c0_solver, commutator_ideal_and_gamma, fixed_locus_ideal,
+                     stratum_presentation)
 from .twist import (TwistConsistencyError, TwistedContext, ihoe_presentation, rform_axiom_check,
                     twisted_antipode)
 
@@ -106,14 +107,20 @@ def run_c0(data, bound, with_gamma=True):
     gamma_ideal = None
     if with_gamma:
         gamma_ideal = commutator_ideal_and_gamma(ctx).commutator_ideal
-    # The fixed-point conditions are evaluated on the exponential evaluator:
-    # it is natural in the r-matrix, so its symbolic conjugates realize the
-    # adjoint action exactly.  A solved correction table is a particular
-    # cocycle representative and need not be equivariant.
+    # A solved correction table is a particular cocycle representative and
+    # need not be equivariant, so the conditions are evaluated on the
+    # exponential cocycle J_r of the file's r-matrix instead.  Conjugation
+    # moves J_r along the adjoint action, J_r^g = J_{Ad_g r}, so its fixed
+    # locus is the stabiliser of r, and the sweep stops once its kept
+    # conditions generate that ideal.  A [cocycle-table] is not J_r; its
+    # sweep runs to the bound.
     j = ctx.right
     if data.cocycle_override is not None and data.rmatrix is not None:
         j = ExponentialCocycle(data.presentation, data.rmatrix)
-    return c0_solver(data.presentation, j, bound, gamma_ideal=gamma_ideal)
+    exact = None
+    if isinstance(j, ExponentialCocycle) and j.rmatrix is data.rmatrix:
+        exact = fixed_locus_ideal(data.presentation, data.rmatrix)
+    return c0_solver(data.presentation, j, bound, gamma_ideal=gamma_ideal, exact=exact)
 
 
 def run_stratum(data, subgroup_name, point_name, coinv_bound=3):

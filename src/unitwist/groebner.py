@@ -183,9 +183,6 @@ class Ideal:
     def is_zero(self):
         return not self.gens
 
-    def is_unit(self):
-        return self.contains(self.ring.one)
-
     def __eq__(self, other):
         if not isinstance(other, Ideal) or other.ring is not self.ring:
             return NotImplemented

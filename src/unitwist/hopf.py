@@ -525,6 +525,25 @@ class GroupPresentation:
             images[g] = acc
         return ext, images
 
+    def adjoint_matrix(self):
+        """Ad(g) on the Lie basis, symbolic in g with coordinates named by the generators.
+
+        Read off the linear part of `conjugation_images`: ad[i][j] is the
+        coefficient of X_i in C_g(X_j).  A tangent vector moves by the
+        transpose, Ad(g) u_a = sum_k ad[a][k] u_k.
+        """
+        ext, images = self.conjugation_images()
+        back = {"g_" + g: self.ring.var(g) for g in self.ring.generators}
+        row = {ext.var_monomial(g): i for i, g in enumerate(self.ring.generators)}
+        n = self.ring.ngens
+        ad = [[self.ring.zero] * n for _ in range(n)]
+        for j, g in enumerate(self.ring.generators):
+            for m, c in images[g].terms.items():
+                i = row.get(m.gen_part)
+                if i is not None:
+                    ad[i][j] = ad[i][j] + m.param_part.as_poly().substitute(back, self.ring) * c
+        return ad
+
     # -- Lie data ---------------------------------------------------------------
     def lie_data(self):
         """Structure constants on the basis dual to the generators, from q."""

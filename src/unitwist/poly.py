@@ -563,10 +563,6 @@ class TensorPoly:
             terms = new
         return cls(ring, len(polys), terms)
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls.from_polys([p])
-
     def normalized(self):
         return TensorPoly(self.ring, self.rank, dict(self.terms))
 

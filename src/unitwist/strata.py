@@ -501,7 +501,29 @@ class C0Report:
             % (self.bound, self.verdict, self.ideal.render())
 
 
-def c0_solver(group, j, degree_bound, gamma_ideal=None):
+def fixed_locus_ideal(group, rmatrix):
+    """The stabiliser {g : Ad_g r = r}, cut out by the entries of (Ad_g (x) Ad_g) r - r.
+
+    J_r^g = J_{Ad_g r}, and J_r determines r (its values on pairs of
+    generators are r/2), so this ideal is the exact fixed-cocycle locus of
+    J_r, with no degree bound.  Ad_g r is antisymmetric like r, so the
+    entries above the diagonal suffice.
+    """
+    ring = group.ring
+    ad = group.adjoint_matrix()
+    r = rmatrix.matrix
+    support = [(a, b, v) for a, row in enumerate(r) for b, v in enumerate(row) if v]
+    gens = []
+    for i in range(ring.ngens):
+        for k in range(i + 1, ring.ngens):
+            moved = ring.const(-r[i][k])
+            for a, b, v in support:
+                moved = moved + ad[a][i] * ad[b][k] * v
+            gens.append(moved)
+    return Ideal(ring, gens)
+
+
+def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
     """Conditions J^g = J for a symbolic point g, collected as an ideal.
 
     Because (g (x) g) is convolution invertible with inverse
@@ -514,31 +536,41 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None):
     a polynomial in the symbolic coordinates of g.  The resulting ideal
     cuts out the fixed locus up to the bound; when a reference ideal is
     supplied the two are compared as reduced bases.
+
+    `exact`, when given, must be `fixed_locus_ideal(group, r)` for
+    J = J_r.  Each condition above is (J^g - J) * (g (x) g) on the pair, a
+    combination with polynomial coefficients in g of values
+    (J^g - J)(a, b) = P(Ad_g r) - P(r), for P the polynomial in r that
+    gives J_r(a, b); each lies in the ideal of the entries of
+    Ad_g r - r, which is `exact`.  So once the kept conditions generate
+    `exact`, every later condition reduces to 0 and would be dropped: the
+    sweep stops there with its kept list already final.
     """
     ring = group.ring
     mons = ring.monomials_up_to(degree_bound, include_one=False)
     by_degree = {}
     for m in mons:
         by_degree.setdefault(m.degree, []).append(m)
+    pairs = ((m1, m2)
+             for d1 in sorted(by_degree) for d2 in sorted(by_degree) if d1 + d2 <= degree_bound
+             for m1 in by_degree[d1] for m2 in by_degree[d2])
     order = TermOrder(ring)
+    target = None if exact is None else exact.groebner(order)
     kept = []
     basis = []
-    for d1 in sorted(by_degree):
-        for d2 in sorted(by_degree):
-            if d1 + d2 > degree_bound:
-                continue
-            for m1 in by_degree[d1]:
-                for m2 in by_degree[d2]:
-                    # g's coordinates are written with the generator names
-                    condition = Poly(ring, group.contract(m1, m2, None, j.pair)) \
-                        - Poly(ring, group.contract(m1, m2, j.pair, None))
-                    if condition.is_zero():
-                        continue
-                    # keep only conditions that add new constraints
-                    if basis and normal_form(condition, basis, order).is_zero():
-                        continue
-                    kept.append(condition)
-                    basis = buchberger(kept, order)
+    for m1, m2 in pairs:
+        if target is not None and basis == target:
+            break
+        # g's coordinates are written with the generator names
+        condition = Poly(ring, group.contract(m1, m2, None, j.pair)) \
+            - Poly(ring, group.contract(m1, m2, j.pair, None))
+        if condition.is_zero():
+            continue
+        # keep only conditions that add new constraints
+        if basis and normal_form(condition, basis, order).is_zero():
+            continue
+        kept.append(condition)
+        basis = buchberger(kept, order)
     ideal = Ideal(ring, kept)
     verdict = "inconclusive at bound %d" % degree_bound
     matches = None

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitwist import linalg
 from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CounitPair,
@@ -335,20 +337,10 @@ def test_conjugate_examples(examples):
             assert conj4.eval(xa, xb) == ex4.ctx.right.eval(xa, xb)
 
 
-def test_conjugate_matches_adjoint_rmatrix(examples):
-    # conjugating the exponential cocycle equals the exponential of Ad(g) r
-    ex5 = examples("u4-ex5")
-    g = ex5.pres
-    pt = g.point({"F23": 1})
-    pinv = g.point_inv(pt)
-
-    def conj_map(f):
-        return g.winding_left(pt, g.winding_right(pinv, f))
-
+def adjoint_moved_rmatrix(g, r, pt):
+    """Ad(g) r at a rational point, from the symbolic `adjoint_matrix`."""
     n = g.ring.ngens
-    ad = [[conj_map(g.ring.var(g.ring.generators[j])).coefficient_of_var(
-        g.ring.generators[i]) for j in range(n)] for i in range(n)]
-    base = RMatrix(6, {(0, 2): 1})
+    ad = [[g.evaluate(p, pt).counit() for p in row] for row in g.adjoint_matrix()]
     entries = {}
     # the pushforward of a tangent functional is the transpose of the
     # pullback matrix on coordinates: Ad(g) u_a = sum_k u_a(C_g X_k) u_k
@@ -357,15 +349,47 @@ def test_conjugate_matches_adjoint_rmatrix(examples):
             v = Fraction(0)
             for a in range(n):
                 for b in range(n):
-                    v += ad[a][i] * ad[b][j] * base.matrix[a][b]
+                    v += ad[a][i] * ad[b][j] * r.matrix[a][b]
             if v:
                 entries[(i, j)] = v
-    moved = ExponentialCocycle(g, RMatrix(n, entries))
+    return RMatrix(n, entries)
+
+
+def test_conjugate_matches_adjoint_rmatrix(examples):
+    # conjugating the exponential cocycle equals the exponential of Ad(g) r
+    ex5 = examples("u4-ex5")
+    g = ex5.pres
+    pt = g.point({"F23": 1})
+    moved = ExponentialCocycle(g, adjoint_moved_rmatrix(g, RMatrix(6, {(0, 2): 1}), pt))
     conj = ex5.ctx.right.conjugate(pt)
     for m1 in g.ring.monomials_up_to(2, include_one=False):
         for m2 in g.ring.monomials_up_to(1, include_one=False):
             if m1.degree + m2.degree <= 3:
                 assert conj.pair(m1, m2) == moved.pair(m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("cid", ["u4-ex5", "u4-ex6", "jordan4-minimal"])
+def test_conjugate_is_adjoint_action_at_drawn_points(examples, cid):
+    # J_r^g = J_{Ad_g r}: the gauge through the winding maps against the
+    # exponential of the moved r-matrix, on all pairs of total degree <= 3
+    ex = examples(cid)
+    g = ex.pres
+    j = ExponentialCocycle(g, ex.data.rmatrix)
+    pairs = [(m1, m2) for m1 in g.ring.monomials_up_to(2, include_one=False)
+             for m2 in g.ring.monomials_up_to(2, include_one=False)
+             if m1.degree + m2.degree <= 3]
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(st.fixed_dictionaries({name: coord for name in g.ring.generators}))
+    def check(coords):
+        pt = g.point(coords)
+        moved = ExponentialCocycle(g, adjoint_moved_rmatrix(g, ex.data.rmatrix, pt))
+        conj = j.conjugate(pt)
+        for m1, m2 in pairs:
+            assert conj.pair(m1, m2) == moved.pair(m1, m2), (coords, m1, m2)
+
+    check()
 
 
 def test_verify_identity_examples():

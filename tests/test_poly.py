@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitwist import catalog
 from unitwist.poly import (Monomial, Poly, PolyRing, RingContextError, TensorPoly, parse_poly,
                            render_poly)
 
@@ -66,6 +69,24 @@ def test_render_parse_round_trip():
     assert parse_poly("W*X + 1/2*Y", R) == R.var("W") * R.var("X") + R.var("Y") * Fraction(1, 2)
 
 
+@pytest.mark.parametrize("cid", catalog.ids() + [None])
+def test_render_parse_round_trip_property(examples, cid):
+    # sparse polynomials over generators and parameters, with negative and
+    # non-integral coefficients; None is a ring with parameters of its own
+    R = PolyRing(["X", "Y", "V"], parameters=("a", "b")) if cid is None \
+        else examples(cid).pres.ring
+    mons = R.monomials_up_to(3, names=R.names)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.dictionaries(st.sampled_from(mons), coeff, max_size=6))
+    def check(terms):
+        p = Poly(R, terms)
+        assert parse_poly(render_poly(p), R) == p
+
+    check()
+
+
 def test_render_canonical_order():
     R = PolyRing(["X", "Y", "W"])
     f = R.var("W") * R.var("X") + R.var("Y") * Fraction(1, 2)
@@ -126,7 +147,7 @@ def test_slot_out_of_range():
     with pytest.raises(IndexError):
         t.apply_linear_slot(3, lambda p: p.counit())
     with pytest.raises(ValueError):
-        TensorPoly.from_poly(R.var("X")).apply_linear_slot(1, lambda p: p.counit())
+        TensorPoly.from_polys([R.var("X")]).apply_linear_slot(1, lambda p: p.counit())
 
 
 def test_parameters_sort_below_generators():

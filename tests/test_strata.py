@@ -1,9 +1,14 @@
 from fractions import Fraction
 
+import pytest
+
+from unitwist import catalog, cli
+from unitwist.cocycle import ExponentialCocycle
 from unitwist.groebner import Ideal, TermOrder, normal_form
 from unitwist.poly import parse_poly, render_poly
-from unitwist.strata import (commutator_ideal_and_gamma,
-                             conjugate_subgroup_ideal, double_coset_ideal,
+from unitwist.groupfile import parse_group_file
+from unitwist.strata import (c0_solver, commutator_ideal_and_gamma,
+                             conjugate_subgroup_ideal, double_coset_ideal, fixed_locus_ideal,
                              polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              verify_two_sided, weyl_detect)
@@ -174,6 +179,72 @@ def test_c0_matches_gamma(examples):
         ex = examples(cid)
         rep = run_c0(ex.data, ex.entry.expected["c0_bound"])
         assert rep.matches_gamma, (cid, rep.describe())
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_c0_exit_matches_full_sweep(examples, cid):
+    # the exit through the adjoint fixed locus against the sweep run to the bound
+    ex = examples(cid)
+    pres, r = ex.pres, ex.data.rmatrix
+    bound = ex.entry.expected.get("c0_bound", 4)
+    j = ExponentialCocycle(pres, r)
+    gamma = commutator_ideal_and_gamma(ex.ctx, ex.ihoe).commutator_ideal
+    exact = fixed_locus_ideal(pres, r)
+    full = c0_solver(pres, j, bound, gamma)
+    fast = c0_solver(pres, j, bound, gamma, exact=exact)
+    assert fast.ideal.gens == full.ideal.gens
+    assert fast.ideal.render() == full.ideal.render()
+    assert (fast.verdict, fast.matches_gamma) == (full.verdict, full.matches_gamma)
+    if "c0_bound" in ex.entry.expected:
+        assert exact == full.ideal
+
+
+def test_c0_exit_at_zero_ideal_evaluates_nothing(examples):
+    pres = examples("u3").pres
+
+    class Unread(ExponentialCocycle):
+        def pair(self, m1, m2):
+            raise AssertionError("a condition was evaluated")
+
+    j = Unread(pres, examples("u3").data.rmatrix)
+    exact = fixed_locus_ideal(pres, j.rmatrix)
+    assert exact.is_zero()
+    assert c0_solver(pres, j, 5, exact=exact).ideal.render() == "<0>"
+
+
+_HEIS = """
+[group]
+name = heis
+generators = X Y V
+
+[coproduct]
+V = X (x) Y
+"""
+
+
+@pytest.mark.parametrize("source,exits", [
+    (_HEIS + "[rmatrix]\n1 2 1\n", True),
+    (_HEIS + "[cocycle-table]\nbound = 4\nX , Y = 1/2\nY , X = -1/2\n", False),
+    (_HEIS + "[rmatrix]\n1 2 1\n[cocycle-table]\nbound = 4\nX , Y = 1/2\nY , X = -1/2\n",
+     False),
+    # a frozen correction table: c0 evaluates J_r of the entry's r-matrix
+    ("u4-ex6", True),
+], ids=["rmatrix", "cocycle-table", "rmatrix-and-table", "u4-ex6"])
+def test_run_c0_exit_only_for_the_files_rmatrix(monkeypatch, source, exits):
+    data = catalog.get(source).load() if source in catalog.ids() else parse_group_file(source)
+    seen = []
+
+    def spy(group, j, *args, exact=None, **kwargs):
+        seen.append((j, exact))
+        return c0_solver(group, j, *args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(cli, "c0_solver", spy)
+    cli.run_c0(data, 3, with_gamma=False)
+    (j, exact), = seen
+    assert (exact is not None) == exits
+    if exits:
+        assert isinstance(j, ExponentialCocycle) and j.rmatrix is data.rmatrix
+        assert exact == fixed_locus_ideal(data.presentation, data.rmatrix)
 
 
 def test_winding_consistency_c0_point(examples):
