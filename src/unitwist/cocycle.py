@@ -27,6 +27,7 @@ result, only its cost.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from fractions import Fraction
 
@@ -715,8 +716,8 @@ def _right_product(pres, value):
 
 def _identity_defect(value, right, a, b, c):
     """sum J(a1 b1, c) J(a2, b2) - sum J(a, b1 c1) J(b2, c2), J = value."""
-    lhs = sum((value(m, c) * v for m, v in right(a, b).items()), ZERO)
-    rhs = sum((value(a, m) * v for m, v in right(b, c).items()), ZERO)
+    lhs = sum((w * v for m, v in right(a, b).items() if (w := value(m, c))), ZERO)
+    rhs = sum((w * v for m, v in right(b, c).items() if (w := value(a, m))), ZERO)
     return lhs - rhs
 
 
@@ -724,28 +725,69 @@ def verify_cocycle_identity(j, degree_bound):
     """Check the 2-cocycle identity and unitality on monomials within bound.
 
     The identity sum J(a1 b1, c) J(a2, b2) = sum J(a, b1 c1) J(b2, c2) is
-    enumerated over nonconstant monomial triples with total degree at most
+    checked on nonconstant monomial triples with total degree at most
     `degree_bound`; unitality is checked on every monomial within bound.
+
+    Only triples that can be nonzero are visited.  With R(x, y) the map
+    {x1 y1: sum J(x2, y2)}, the sides are sum_m J(m, c) R(a, b)[m] and
+    sum_m J(a, m) R(b, c)[m], so (a, b, c) is 0 = 0 unless a key m of
+    R(a, b) has J(m, c) != 0 or a key m of R(b, c) has J(a, m) != 0.  Each
+    R(x, y) is walked once; its keys meet the supports of J, built on
+    demand, so J is evaluated on exactly the pairs a full sweep evaluates.
+
+    `checked` counts triples in that full sweep's order (grlex in each
+    slot): all on success, else up to the first failing one, `failure`.
+    If a bounded evaluator leaves its range, every triple is checked in
+    that order, so the sweep's first error or failure is the one given.
     """
     pres = j.pres
     ring = pres.ring
-    mons = ring.monomials_up_to(degree_bound, include_one=False)
     for m in ring.monomials_up_to(degree_bound):
         if j.pair(m, ring.one_monomial) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
         if j.pair(ring.one_monomial, m) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
 
+    mons = ring.monomials_up_to(degree_bound, include_one=False)
+    degs = [m.degree for m in mons]
+
+    def upto(d):
+        # how many of mons have degree <= d; grlex order sorts them by degree
+        return bisect.bisect_right(degs, d)
+
+    def sweep_pairs():
+        # the full sweep's (a, b) as indices, with the number of c it takes
+        for x in range(len(mons)):
+            for y in range(upto(degree_bound - 1 - degs[x])):
+                yield x, y, upto(degree_bound - degs[x] - degs[y])
+
     right = _right_product(pres, j.pair)
-    checked = 0
-    for a in mons:
-        for b in mons:
-            if a.degree + b.degree >= degree_bound:
-                continue
-            for c in mons:
-                if a.degree + b.degree + c.degree > degree_bound:
-                    continue
-                checked += 1
-                if _identity_defect(j.pair, right, a, b, c):
-                    return CocycleIdentityReport(False, degree_bound, checked, (a, b, c))
-    return CocycleIdentityReport(True, degree_bound, checked)
+    supports = {}
+
+    def support(m, end, slot):
+        # indices k < end with J(m, mons[k]) != 0 (slot 0) or J(mons[k], m) != 0
+        done, hit = supports.get((m, slot), (0, []))
+        hit += [k for k in range(done, end) if (j.pair(m, mons[k]) if slot == 0
+                                                 else j.pair(mons[k], m))]
+        supports[(m, slot)] = (max(done, end), hit)
+        return hit[:bisect.bisect_left(hit, end)]
+
+    try:
+        found = set()
+        for x, y, end in sweep_pairs():
+            for m in right(mons[x], mons[y]):
+                found.update((x, y, z) for z in support(m, end, 0))
+                found.update((w, x, y) for w in support(m, end, 1))
+        candidates = sorted(found)
+    except CocycleBoundError:
+        candidates = ((x, y, z) for x, y, end in sweep_pairs() for z in range(end))
+
+    def visited(before):
+        # triples the full sweep visits before reaching the (a, b) pair `before`
+        return sum(end for x, y, end in sweep_pairs() if (x, y) < before)
+
+    for x, y, z in candidates:
+        if _identity_defect(j.pair, right, mons[x], mons[y], mons[z]):
+            return CocycleIdentityReport(False, degree_bound, visited((x, y)) + z + 1,
+                                         (mons[x], mons[y], mons[z]))
+    return CocycleIdentityReport(True, degree_bound, visited((len(mons), 0)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitwist import linalg
-from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CounitPair,
+from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, CounitPair,
                               ExponentialCocycle, FunctionalTable, GaugeCocycle,
                               PointFunctional, PullbackCocycle, RMatrix, TableCocycle,
                               TangentFunctional, cybe_check, quasi_frobenius_check,
@@ -445,6 +445,141 @@ def test_identity_verdict_recorded_nonabelian(examples):
         raw = ExponentialCocycle(ex.pres, ex.data.rmatrix)
         rep = verify_cocycle_identity(raw, 3)
         assert rep.ok == ex.entry.expected["exponential_identity"][3]
+
+
+def sweep_every_triple(j, bound):
+    """Reference for `verify_cocycle_identity`: the plain sweep of all triples.
+
+    Visits every nonconstant triple with total degree <= bound in grlex
+    order in each slot and returns (ok, checked, failure) the way the
+    support-driven check reports them.
+    """
+    pres = j.pres
+    mons = pres.ring.monomials_up_to(bound, include_one=False)
+    products = {}
+
+    def right(a, b):
+        if (a, b) not in products:
+            products[(a, b)] = pres.contract(a, b, None, j.pair)
+        return products[(a, b)]
+
+    checked = 0
+    for a in mons:
+        for b in mons:
+            if a.degree + b.degree >= bound:
+                continue
+            for c in mons:
+                if a.degree + b.degree + c.degree > bound:
+                    continue
+                checked += 1
+                lhs = sum((j.pair(m, c) * v for m, v in right(a, b).items()), Fraction(0))
+                rhs = sum((j.pair(a, m) * v for m, v in right(b, c).items()), Fraction(0))
+                if lhs != rhs:
+                    return False, checked, (a, b, c)
+    return True, checked, None
+
+
+class Recorded(Cocycle):
+    """An evaluator's values, kept for every pair it is asked for."""
+
+    def __init__(self, inner):
+        super().__init__(inner.pres)
+        self.inner = inner
+        self.values = {}
+
+    def _pair(self, m1, m2):
+        v = self.values[(m1, m2)] = self.inner.pair(m1, m2)
+        return v
+
+
+def identity_outcome(check, j, bound):
+    # (ok, checked, failure), or the message of a bound error
+    try:
+        rep = check(j, bound)
+    except CocycleBoundError as e:
+        return str(e)
+    return rep if isinstance(rep, tuple) else (rep.ok, rep.checked, rep.failure)
+
+
+def test_identity_check_matches_full_sweep(each_example):
+    # both routes on every bound the report and its validate section use,
+    # and on the raw exponential where the manifest records it
+    ex = each_example
+    expected = ex.entry.expected
+    cases = [(ex.ctx.right, b) for b in sorted(set(expected["cocycle_identity"]) | {3})]
+    cases += [(ExponentialCocycle(ex.pres, ex.data.rmatrix), b)
+              for b in sorted(expected.get("exponential_identity", {}))]
+    for j, b in cases:
+        rep = verify_cocycle_identity(j, b)
+        assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, b), (b, j.kind)
+    if ex.entry.id == "jordan4-minimal":
+        assert not verify_cocycle_identity(ex.ctx.right, 3).ok
+    if ex.entry.id == "u4-ex6":
+        assert not verify_cocycle_identity(ExponentialCocycle(ex.pres, ex.data.rmatrix), 3).ok
+
+
+def test_identity_checked_counts(examples):
+    for cid, bound, checked in [("u3", 5, 146), ("jordan4-abelian", 5, 2704),
+                                ("u4-ex5", 4, 2484), ("u4-ex5", 5, 16470)]:
+        rep = verify_cocycle_identity(examples(cid).ctx.right, bound)
+        assert (rep.ok, rep.checked) == (True, checked), cid
+    assert repr(verify_cocycle_identity(examples("u3").ctx.right, 5)) == \
+        "cocycle identity PASS at bound 5 (146 instances)"
+    ex = examples("jordan4-minimal")
+    rep = verify_cocycle_identity(ExponentialCocycle(ex.pres, ex.data.rmatrix), 3)
+    assert (rep.ok, rep.checked) == (False, 16)
+    assert repr(rep) == "cocycle identity FAIL at bound 3 on (X, W, W)"
+
+
+@pytest.mark.parametrize("cid,bound", [("u3", 5), ("heisenberg3", 5), ("jordan4-abelian", 4),
+                                       ("u4-ex5", 4), ("u4-ex6", 4)])
+def test_tampered_cocycle_fails_where_full_sweep_does(examples, cid, bound):
+    # one value of J moved off its cocycle: the first failing triple and
+    # the count must be the full sweep's, whichever slot holds the pair
+    ex = examples(cid)
+    # the table holds J on every pair the full sweep asks for; coproduct
+    # slots of degree 2 (jordan4) make some of them exceed the total bound
+    asked = Recorded(ex.ctx.right)
+    assert sweep_every_triple(asked, bound)[0]
+    table = {p: v for p, v in asked.values.items() if v}
+    mons = ex.pres.ring.monomials_up_to(bound - 1, include_one=False)
+    pairs = [(m1, m2) for m1 in mons for m2 in mons if m1.degree + m2.degree <= bound]
+    top = bound - 1
+    drawn = st.one_of(st.sampled_from([p for p in pairs if p[0].degree == 1]),
+                      st.sampled_from([p for p in pairs if p[1].degree == 1]),
+                      st.sampled_from([p for p in pairs if p[0].degree == top]),
+                      st.sampled_from([p for p in pairs if p[1].degree == top]))
+    shift = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(drawn, shift)
+    def check(pair, delta):
+        tampered = dict(table)
+        tampered[pair] = tampered.get(pair, Fraction(0)) + delta
+        rep = verify_cocycle_identity(TableCocycle(ex.pres, tampered, 2 * bound), bound)
+        ref = sweep_every_triple(TableCocycle(ex.pres, tampered, 2 * bound), bound)
+        assert (rep.ok, rep.checked, rep.failure) == ref, (pair, delta)
+
+    check()
+
+
+def test_identity_check_beyond_evaluator_bound(examples):
+    # a bounded evaluator asked beyond its range: the support walk must not
+    # change which error, or which failure before it, is reported
+    ex = examples("u4-ex6")
+    outcome = identity_outcome(verify_cocycle_identity, ex.ctx.right, 7)
+    assert outcome == identity_outcome(sweep_every_triple, ex.ctx.right, 7)
+    assert outcome == "pair (F12^2, F12^5) exceeds the solved total degree 6"
+    # plane tables of slot bound 2: two meet the bound error first, and
+    # the last fails at (X, X, V) before the sweep reaches its bound
+    g, J = plane_cocycle()
+    X, V = (g.ring.var_monomial(name) for name in ("X", "V"))
+    mons = g.ring.monomials_up_to(2, include_one=False)
+    for extra, bound in [({}, 5), ({(X, V): Fraction(1)}, 5), ({(X.mul(X), V): Fraction(1)}, 4)]:
+        table = {(m1, m2): J.pair(m1, m2) + extra.get((m1, m2), 0) for m1 in mons for m2 in mons}
+        outcomes = [identity_outcome(check, TableCocycle(g, table, 2), bound)
+                    for check in (verify_cocycle_identity, sweep_every_triple)]
+        assert outcomes[0] == outcomes[1], extra
 
 
 def test_corrected_cocycle_rederivation(examples):
