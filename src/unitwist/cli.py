@@ -131,9 +131,14 @@ def run_stratum(data, subgroup_name, point_name, coinv_bound=3):
         # inline coordinates: "X=1,Y=1/2"
         coords = {}
         for part in point_name.split(","):
-            name, val = part.split("=", 1)
+            name, eq, val = part.partition("=")
+            name = name.strip()
+            if not eq:
+                raise InputError("bad inline coordinate %r: expected NAME=VALUE" % part)
+            if name in coords:
+                raise InputError("coordinate %r is given twice" % name)
             try:
-                coords[name.strip()] = parse_poly(val, pres.ring)
+                coords[name] = parse_poly(val, pres.ring)
             except ValueError as e:
                 raise InputError("bad inline coordinate %r: %s" % (part, e))
         try:

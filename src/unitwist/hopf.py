@@ -27,6 +27,22 @@ class PresentationError(ValueError):
     pass
 
 
+def _monomial_map(ring, coords, target):
+    """O(G) -> target on monomials, generator i to coords[i] and parameters fixed; memoized."""
+    memo = {ring.one_monomial: target.one}
+
+    def image(m):
+        img = memo.get(m)
+        if img is None:
+            i = next(i for i, e in enumerate(m.exps) if e)
+            var = coords[i] if i < ring.ngens else target.var(ring.names[i])
+            rest = ring.monomial(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:])
+            img = memo[m] = image(rest) * var
+        return img
+
+    return image
+
+
 class Point:
     """A group element: rational (or parameter-valued) coordinates."""
 
@@ -46,6 +62,12 @@ class Point:
 
     def coord(self, name):
         return self.coords.get(name, self.group.ring.zero)
+
+    def restriction(self, target):
+        """Evaluation at this point, into `target`, as a monomial -> Poly map."""
+        ring = self.group.ring
+        return _monomial_map(ring, [self.coord(n).substitute({}, target) for n in ring.generators],
+                             target)
 
     def __repr__(self):
         parts = ["%s=%s" % (n, render_poly(p)) for n, p in sorted(self.coords.items())]
@@ -92,24 +114,12 @@ class SubgroupParam:
         images are memoized only for the life of the returned map.
         """
         target = target or self.param_ring
-        ring = self.group.ring
-        coords = [self.coord_exprs[n] for n in ring.generators]
+        coords = [self.coord_exprs[n] for n in self.group.ring.generators]
         if target is not self.param_ring:
             ren = rename or {}
             images = {t: target.var(ren.get(t, t)) for t in self.param_names}
             coords = [e.substitute(images, target) for e in coords]
-        memo = {ring.one_monomial: target.one}
-
-        def image(m):
-            img = memo.get(m)
-            if img is None:
-                i = next(i for i, e in enumerate(m.exps) if e)
-                var = coords[i] if i < ring.ngens else target.var(ring.names[i])
-                rest = ring.monomial(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:])
-                img = memo[m] = image(rest) * var
-            return img
-
-        return image
+        return _monomial_map(self.group.ring, coords, target)
 
     def restrict(self, f, target=None, rename=None):
         """Restriction O(G) -> Q[t1..tm]: substitute the parametrization."""
@@ -225,6 +235,8 @@ class GroupPresentation:
         self._antipode = {}
         self._corad = {}
         self._words = {}
+        self._coinv = {}
+        self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._lie = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -243,6 +255,8 @@ class GroupPresentation:
         self._antipode.clear()
         self._corad.clear()
         self._words.clear()
+        self._coinv.clear()
+        self._subgroup_ideals.clear()
         self._lie = None
 
     def add_subgroup(self, name, param_names, coord_exprs):
@@ -363,14 +377,6 @@ class GroupPresentation:
             cached = prev.map_slot(prev.rank, self.coproduct_monomial)
             self._iter[key] = cached
         return cached
-
-    def iterated_coproduct(self, f, k):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        out = TensorPoly.zero(self.ring, k + 1)
-        for m, c in f.terms.items():
-            out = out + self.iterated_coproduct_monomial(m, k).scale(c)
-        return out
 
     # -- antipode -----------------------------------------------------------
     def antipode_gen(self, name):
@@ -578,11 +584,15 @@ class GroupPresentation:
     def coinvariants(self, subgroup, degree_bound, side="left"):
         """Basis of functions of degree <= bound constant on (left/right/double) cosets.
 
-        The restriction map to the subgroup is built once per call and
-        serves every coproduct term.
+        Memoized per (subgroup, bound, side) until `set_q`; each call returns
+        a fresh list.  The restriction map to the subgroup is built once per
+        computation and serves every coproduct term.
         """
         if side not in ("left", "right", "double"):
             raise ValueError("side must be left, right or double")
+        key = (subgroup, degree_bound, side)
+        if key in self._coinv:
+            return list(self._coinv[key])
         mons = self.ring.monomials_up_to(degree_bound)
         sides = [w for w in ("left", "right") if side in (w, "double")]
         rename = {t: "c_" + t for t in subgroup.param_names}
@@ -617,7 +627,8 @@ class GroupPresentation:
                 if c:
                     p = p + mons[col].as_poly() * c
             out.append(p)
-        return out
+        self._coinv[key] = out
+        return list(out)
 
     # -- validation ----------------------------------------------------------------
     def q_defects(self, gen, tensor):

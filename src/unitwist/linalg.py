@@ -84,7 +84,7 @@ def solve(rows, rhs):
 
 
 def det(matrix):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant by Gaussian elimination over Fraction (exact)."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)

@@ -11,6 +11,10 @@ read off the staircase of its ideal, while dim(T cap gTg^{-1}) comes from
 a separate elimination (the ideal of gTg^{-1} plus the ideal of T), so
 the dimension law 2 dim T - dim T_g is a genuine cross-check rather than
 a definition.
+
+A sweep over many points of one group redoes only point-dependent work:
+the ideal of T and the coset-function basis of the normalizing case are
+memoized on the GroupPresentation per SubgroupParam object; `set_q` clears them.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ def _product_image_ideal(group, subgroup, factors):
     work = PolyRing(names, group.ring.parameters)
     left, mid, right = [
         subgroup.restriction(work, {t: f + t for t in subgroup.param_names})
-        if isinstance(f, str) else
-        (lambda m, f=f: group.evaluate(m.as_poly(), f).substitute({}, work))
+        if isinstance(f, str) else f.restriction(work)
         for f in factors]
     elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
     gens = []
@@ -76,8 +79,11 @@ def conjugate_subgroup_ideal(group, subgroup, point):
 
 
 def subgroup_ideal(group, subgroup):
-    """Vanishing ideal of T itself (the identity double coset)."""
-    return double_coset_ideal(group, subgroup, group.identity_point())
+    """Vanishing ideal of T itself (the identity double coset), memoized on the group."""
+    memo = group._subgroup_ideals
+    if subgroup not in memo:
+        memo[subgroup] = double_coset_ideal(group, subgroup, group.identity_point())
+    return memo[subgroup]
 
 
 def stabilizer_dimension(group, subgroup, point):
@@ -282,11 +288,7 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum", coinv_boun
         # g normalizes T: the ideal must be generated by coset functions
         # f - f(g) for f running over the left coset-invariant functions.
         basis = group.coinvariants(subgroup, coinv_bound, side="left")
-        gens = []
-        for f in basis:
-            val = group.evaluate(f, point)
-            gens.append(f - val)
-        mgt = Ideal(group.ring, [p for p in gens if not p.is_zero()])
+        mgt = Ideal(group.ring, [f - group.evaluate(f, point) for f in basis])
         flags["normalizing-case"] = "ideal == coset-function ideal: %s" \
             % ("pass" if mgt == ideal else "FAIL")
 

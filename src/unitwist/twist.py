@@ -364,13 +364,6 @@ class PsiFunctional:
     def value(self, m):
         return self.table.get(m, self.rform.pres.ring.zero)
 
-    def vanishing_degree(self):
-        """Least N <= bound+1 with the table zero on all monomials of degree >= N."""
-        top = 0
-        for m in self.table:
-            top = max(top, m.degree)
-        return top + 1
-
     def convolve(self, other):
         """Table of Psi(a) * Psi(b) up to the shared bound (for cross-checks)."""
         pres = self.rform.pres

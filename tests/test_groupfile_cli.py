@@ -236,6 +236,15 @@ Y = 2
 MALFORMED = [
     ("inline-point-zero-denominator", None,
      ["strata", "--example", "u4-ex5", "--point", "F23=1/0"], 2, "zero denominator in '1/0'"),
+    ("inline-point-part-without-value", None,
+     ["strata", "--example", "u4-ex5", "--point", "F12=1,F13"], 2,
+     "bad inline coordinate 'F13': expected NAME=VALUE"),
+    ("inline-point-empty-part", None,
+     ["strata", "--example", "u4-ex5", "--point", ",F12=1"], 2,
+     "bad inline coordinate '': expected NAME=VALUE"),
+    ("inline-point-repeated-coordinate", None,
+     ["strata", "--example", "u4-ex5", "--point", "F12=1,F12=2"], 2,
+     "coordinate 'F12' is given twice"),
     ("point-zero-denominator", _HEIS + "[point g]\nX = 1/0\n", ["present", "FILE"], 2,
      "zero denominator in '1/0'"),
     ("coproduct-zero-denominator", _HEIS.replace("V = X", "V = 1/0 X"), ["present", "FILE"], 2,

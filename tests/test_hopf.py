@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitwist.hopf import GroupPresentation
+from unitwist.hopf import GroupPresentation, SubgroupParam
 from unitwist.poly import PolyRing, TensorPoly, parse_poly, render_poly
+from unitwist.strata import subgroup_ideal
 
 
 def heisenberg():
@@ -52,11 +53,11 @@ def test_iterated_coproduct_examples():
     R = g.ring
     X, Y, V = R.var("X"), R.var("Y"), R.var("V")
     one = R.one
-    t = g.iterated_coproduct(X, 2)
+    t = g.iterated_coproduct_monomial(R.var_monomial("X"), 2)
     assert t == (TensorPoly.from_polys([X, one, one]) + TensorPoly.from_polys([one, X, one])
                  + TensorPoly.from_polys([one, one, X]))
     # the five-group expansion: primitive spine, 1 (x) q, and (id (x) Delta) q
-    tv = g.iterated_coproduct(V, 2)
+    tv = g.iterated_coproduct_monomial(R.var_monomial("V"), 2)
     expected = (TensorPoly.from_polys([V, one, one]) + TensorPoly.from_polys([one, V, one])
                 + TensorPoly.from_polys([one, one, V]) + TensorPoly.from_polys([one, X, Y])
                 + TensorPoly.from_polys([X, Y, one]) + TensorPoly.from_polys([X, one, Y]))
@@ -148,10 +149,72 @@ def test_coinvariants_trivial_subgroup():
     assert len(basis) == len(g.ring.monomials_up_to(2))
 
 
+# Heisenberg coproduct corrections q(V), as factor names (none: abelian)
+HEIS_Q = {"xy": ("X", "Y"), "yx": ("Y", "X"), "abelian": None}
+# the X-axis, and the curve t -> (t, t, t^2/2), a subgroup for q(V) = X (x) Y
+HEIS_SUBGROUPS = {"axis": {"X": "t"}, "curve": {"X": "t", "Y": "t", "V": "1/2*t^2"}}
+
+
+def set_heis_q(g, q):
+    factors = HEIS_Q[q]
+    g.set_q("V", TensorPoly.from_polys([g.ring.var(f) for f in factors]) if factors
+            else TensorPoly.zero(g.ring, 2))
+
+
+def heis_subgroup(g, name):
+    ring = PolyRing(("t",))
+    return SubgroupParam(g, ("t",), {k: parse_poly(v, ring)
+                                     for k, v in HEIS_SUBGROUPS[name].items()})
+
+
+def memoized_results(g, subgroup):
+    """The two memoized point-independent results, rendered ring-free."""
+    return ([render_poly(p) for p in subgroup_ideal(g, subgroup).groebner()],
+            [[render_poly(p) for p in g.coinvariants(subgroup, 2, side)]
+             for side in ("left", "right", "double")])
+
+
+def fresh_results(q, name):
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    set_heis_q(g, q)
+    return memoized_results(g, heis_subgroup(g, name))
+
+
+def test_set_q_clears_the_memos():
+    # every memo entry is computed before each change of q, and must be
+    # recomputed after it: compare with a presentation built with that q
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    subgroups = {name: heis_subgroup(g, name) for name in HEIS_SUBGROUPS}
+    seen = set()
+    for q in ("xy", "yx", "abelian", "xy"):
+        set_heis_q(g, q)
+        for name, subgroup in subgroups.items():
+            got = memoized_results(g, subgroup)
+            assert got == fresh_results(q, name), (q, name)
+            assert memoized_results(g, subgroup) == got
+            seen.add(repr((name, got)))
+    # the results differ between the q's, so a stale memo would show
+    assert len(seen) == 6
+
+
+def test_memos_are_per_subgroup_object():
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    set_heis_q(g, "xy")
+    want = {name: fresh_results("xy", name) for name in HEIS_SUBGROUPS}
+    assert want["axis"] != want["curve"]
+    for name in ("axis", "curve") * 8:
+        # a new object each time, dropped right after: an entry keyed by
+        # id() would be read back whenever a later object reuses the address
+        assert memoized_results(g, heis_subgroup(g, name)) == want[name], name
+    # equal parametrizations held side by side get equal, separate results
+    a, b = heis_subgroup(g, "curve"), heis_subgroup(g, "curve")
+    assert memoized_results(g, a) == memoized_results(g, b) == want["curve"]
+    assert g.coinvariants(a, 2) is not g.coinvariants(a, 2)
+
+
 def test_subgroup_closed_under_group_law(each_example):
     # the parametrized set is closed under multiplication: the coordinates
     # of point(s) . point(t) satisfy the subgroup's defining ideal
-    from unitwist.strata import subgroup_ideal
     g = each_example.pres
     T = g.named_subgroups["T"]
     ideal = subgroup_ideal(g, T)

@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from unitwist.cocycle import ExponentialCocycle
 from unitwist.groebner import Ideal, TermOrder, normal_form
 from unitwist.poly import parse_poly, render_poly
 from unitwist.groupfile import parse_group_file
-from unitwist.strata import (c0_solver, commutator_ideal_and_gamma,
+from unitwist.strata import (StratumError, c0_solver, commutator_ideal_and_gamma,
                              conjugate_subgroup_ideal, double_coset_ideal, fixed_locus_ideal,
                              polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
@@ -355,3 +357,51 @@ def test_weyl_detect_shapes(examples):
     # the two-sided twist of an abelian group is just commutative
     rep2 = weyl_detect(examples("u3").ihoe.relation, ex.pres.ring)
     assert rep2.verdict == "commutative"
+
+
+def stratum_outcome(pres, ctx, point_name):
+    try:
+        stratum = stratum_presentation(pres, ctx, pres.named_subgroups["T"],
+                                       pres.named_points[point_name], point_name)
+    except StratumError as e:
+        return "error: %s" % e
+    return stratum.lines()
+
+
+@pytest.mark.parametrize("cid", [cid for cid in catalog.ids()
+                                 if "T" in catalog.get(cid).load().presentation.named_subgroups])
+def test_stratum_lines_independent_of_sweep_history(cid):
+    # two routes to each named point's stratum: a presentation loaded for
+    # that point alone, and one that has swept every named point already
+    # (so T's ideal and coset functions come from the memos)
+    entry = catalog.get(cid)
+    names = sorted(entry.load().presentation.named_points)
+    fresh = {}
+    for name in names:
+        data = entry.load()
+        fresh[name] = stratum_outcome(data.presentation, cli.build_context(data), name)
+    data = entry.load()
+    ctx = cli.build_context(data)
+    for name in names + names[::-1]:
+        assert stratum_outcome(data.presentation, ctx, name) == fresh[name], (cid, name)
+
+
+SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs",
+                          "strata-sweep.json")
+
+
+def test_strata_sweep_pool_on_shared_presentations():
+    # every recorded variant, run through one presentation and context per
+    # group in pool order and then reversed, matches its recorded output
+    with open(SWEEP_POOL) as fh:
+        pool = json.load(fh)
+    for group, slots in sorted(pool["groups"].items()):
+        data = catalog.get(group).load()
+        pres, ctx = data.presentation, cli.build_context(data)
+        subgroup = pres.named_subgroups[pool["subgroup"]]
+        variants = [v for slot in slots for v in slot["variants"]]
+        for v in variants + variants[::-1]:
+            coords = dict(part.split("=", 1) for part in v["point"].split(","))
+            point = pres.point({k: parse_poly(val, pres.ring) for k, val in coords.items()})
+            stratum = stratum_presentation(pres, ctx, subgroup, point, name=v["point"])
+            assert "\n".join(stratum.lines()) + "\n" == v["expect"], (group, v["point"])

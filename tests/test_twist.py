@@ -246,8 +246,9 @@ def test_psi_examples(examples):
     for m in g.ring.monomials_up_to(3):
         assert prod.value(m) == conv.get(m, g.ring.zero)
 
-    # distribution-at-identity evidence: the table vanishes above some degree
-    assert psiX.vanishing_degree() <= 4
+    # distribution-at-identity evidence: the whole table is Psi_X(V) = -1,
+    # so it vanishes above degree 1
+    assert psiX.table == {next(iter(V.terms)): g.ring.const(-1)}
 
 
 def test_winding_examples(examples):
