@@ -30,7 +30,10 @@ seq = [parse_poly("F23 - a", g.ring), parse_poly("F13*F24 - a*F14", g.ring)]
 print("polycentral in the stated order:", polycentral_check(seq, ctx))
 print("polycentral reversed:           ", polycentral_check(list(reversed(seq)), ctx))
 
-gamma = commutator_ideal_and_gamma(ctx, ihoe_presentation(ctx))
+# the strata above already filled the context's commutator table; check it
+# against the closed forms before reading the commutator ideal off it
+ihoe_presentation(ctx)
+gamma = commutator_ideal_and_gamma(ctx)
 print("\n".join(gamma.lines()))
 
 c0 = run_c0(ex5, 4)

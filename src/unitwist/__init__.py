@@ -11,11 +11,11 @@ machinery all of that rests on.
 from .poly import Monomial, Poly, PolyRing, TensorPoly, parse_poly, render_poly
 from .hopf import GroupPresentation, LieAlgebraData, Point, SubgroupParam
 from .cocycle import (Cocycle, CocycleBoundError, Convolution, CounitPair, ExponentialCocycle,
-                      FunctionalTable, GaugeCocycle, PointFunctional, PullbackCocycle,
-                      RMatrix, TableCocycle, TangentFunctional, cybe_check,
-                      quasi_frobenius_check, verify_cocycle_identity)
+                      GaugeCocycle, PointFunctional, PullbackCocycle, RMatrix, TableCocycle,
+                      TangentFunctional, cybe_check, quasi_frobenius_check,
+                      verify_cocycle_identity)
 from .twist import (PsiFunctional, TwistedContext, TwistedPresentation, ihoe_presentation,
-                    pairwise_commutators, rform_axiom_check, twisted_antipode)
+                    rform_axiom_check, twisted_antipode)
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form)
 from .strata import (CobracketData, GammaReport, Stratum, c0_solver,

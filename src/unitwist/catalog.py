@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cocycle import CorrectedCocycle, ExponentialCocycle
+from .cocycle import CorrectedCocycle
 from .groupfile import parse_group_file
 from .poly import parse_poly
 
@@ -31,15 +31,14 @@ class CatalogEntry:
         data = parse_group_file(self.group_text)
         corrections = self.expected.get("cocycle_corrections")
         if corrections:
-            pres = data.presentation
-            base = ExponentialCocycle(pres, data.rmatrix)
+            ring = data.presentation.ring
             table = {}
             for m1txt, m2txt, val in corrections:
-                m1 = next(iter(parse_poly(m1txt, pres.ring).terms))
-                m2 = next(iter(parse_poly(m2txt, pres.ring).terms))
+                m1 = next(iter(parse_poly(m1txt, ring).terms))
+                m2 = next(iter(parse_poly(m2txt, ring).terms))
                 table[(m1, m2)] = Fraction(val)
-            data.cocycle_override = CorrectedCocycle(
-                base, table, self.expected["corrections_total_bound"])
+            data.cocycle = CorrectedCocycle(
+                data.cocycle, table, self.expected["corrections_total_bound"])
         return data
 
 

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from . import catalog as _catalog
-from .cocycle import (CocycleBoundError, CocycleInputError, ExponentialCocycle, cybe_check,
-                      verify_cocycle_identity)
+from .cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle, ExponentialCocycle,
+                      cybe_check, verify_cocycle_identity)
 from .groebner import Ideal, TermOrder, buchberger, eliminate as _eliminate, krull_dimension
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
@@ -27,13 +27,16 @@ class InputError(Exception):
     pass
 
 
+def catalog_entry(example):
+    try:
+        return _catalog.get(example)
+    except KeyError as e:
+        raise InputError(e.args[0]) from None
+
+
 def load_group(args):
     if getattr(args, "example", None):
-        try:
-            entry = _catalog.get(args.example)
-        except KeyError as e:
-            raise InputError(str(e))
-        return entry.load(), entry
+        return catalog_entry(args.example).load()
     if getattr(args, "file", None):
         try:
             with open(args.file) as fh:
@@ -41,24 +44,19 @@ def load_group(args):
         except OSError as e:
             raise InputError(str(e))
         try:
-            return parse_group_file(text), None
+            return parse_group_file(text)
         except (GroupFileError, PresentationError, ValueError) as e:
             raise InputError("cannot parse %s: %s" % (args.file, e))
     raise InputError("give a group file or --example ID")
 
 
-def build_cocycle(data):
-    if data.cocycle_override is not None:
-        return data.cocycle_override
-    if data.table_cocycle is not None:
-        return data.table_cocycle
-    if data.rmatrix is None:
-        raise InputError("group file defines no [rmatrix] or [cocycle-table]")
-    return ExponentialCocycle(data.presentation, data.rmatrix)
-
-
 def build_context(data):
-    return TwistedContext.hopf(data.presentation, build_cocycle(data))
+    """The two-sided context of the group's cocycle, built once per GroupData."""
+    if data.context is None:
+        if data.cocycle is None:
+            raise InputError("group file defines no [rmatrix] or [cocycle-table]")
+        data.context = TwistedContext.hopf(data.presentation, data.cocycle)
+    return data.context
 
 
 def header(data, max_degree, strict):
@@ -81,8 +79,7 @@ def run_validate(data, max_degree, strict):
         cy = cybe_check(lie, data.rmatrix)
         lines.append("classical Yang-Baxter equation: %s" % ("pass" if cy else "FAIL"))
         ok = ok and cy
-    j = build_cocycle(data)
-    idrep = verify_cocycle_identity(j, max_degree)
+    idrep = verify_cocycle_identity(build_context(data).right, max_degree)
     lines.append("cocycle identity at bound %d: %s"
                  % (max_degree, "pass" if idrep.ok else "FAIL on %r" % (idrep.failure,)))
     ok = ok and idrep.ok
@@ -95,31 +92,26 @@ def run_present(data):
     return pres, pres.lines()
 
 
-def run_gamma(data, bound=None):
+def run_gamma(data):
     ctx = build_context(data)
-    pres = ihoe_presentation(ctx)
-    rep = commutator_ideal_and_gamma(ctx, pres)
-    return rep
+    ihoe_presentation(ctx)
+    return commutator_ideal_and_gamma(ctx)
 
 
-def run_c0(data, bound, with_gamma=True):
+def run_c0(data, bound):
     ctx = build_context(data)
-    gamma_ideal = None
-    if with_gamma:
-        gamma_ideal = commutator_ideal_and_gamma(ctx).commutator_ideal
+    gamma_ideal = commutator_ideal_and_gamma(ctx).commutator_ideal
     # A solved correction table is a particular cocycle representative and
     # need not be equivariant, so the conditions are evaluated on the
-    # exponential cocycle J_r of the file's r-matrix instead.  Conjugation
-    # moves J_r along the adjoint action, J_r^g = J_{Ad_g r}, so its fixed
-    # locus is the stabiliser of r, and the sweep stops once its kept
-    # conditions generate that ideal.  A [cocycle-table] is not J_r; its
-    # sweep runs to the bound.
-    j = ctx.right
-    if data.cocycle_override is not None and data.rmatrix is not None:
-        j = ExponentialCocycle(data.presentation, data.rmatrix)
+    # exponential cocycle J_r it corrects instead.  Conjugation moves J_r
+    # along the adjoint action, J_r^g = J_{Ad_g r}, so its fixed locus is
+    # the stabiliser of r, and the sweep stops once its kept conditions
+    # generate that ideal.  A [cocycle-table] is not J_r; its sweep runs to
+    # the bound.
+    j = ctx.right.base if isinstance(ctx.right, CorrectedCocycle) else ctx.right
     exact = None
-    if isinstance(j, ExponentialCocycle) and j.rmatrix is data.rmatrix:
-        exact = fixed_locus_ideal(data.presentation, data.rmatrix)
+    if isinstance(j, ExponentialCocycle):
+        exact = fixed_locus_ideal(data.presentation, j.rmatrix)
     return c0_solver(data.presentation, j, bound, gamma_ideal=gamma_ideal, exact=exact)
 
 
@@ -220,17 +212,16 @@ def report_lines(entry, max_degree=None, strict=False):
         if idrep.ok != expect_ok:
             mismatches.append("cocycle identity verdict at bound %d: %s" % (b, verdict))
     exp_expect = expected.get("exponential_identity", {})
-    if exp_expect and data.cocycle_override is not None:
-        raw = ExponentialCocycle(pres, data.rmatrix)
+    if exp_expect and isinstance(ctx.right, CorrectedCocycle):
         for b, expect_ok in sorted(exp_expect.items()):
-            idrep = verify_cocycle_identity(raw, b)
+            idrep = verify_cocycle_identity(ctx.right.base, b)
             verdict = "pass" if idrep.ok else "fail"
             lines.append("raw exponential identity at bound %d: %s "
                          "(corrected table in use)" % (b, verdict))
             if idrep.ok != expect_ok:
                 mismatches.append("exponential identity verdict at bound %d" % b)
 
-    gam = commutator_ideal_and_gamma(ctx, presentation)
+    gam = commutator_ideal_and_gamma(ctx)
     lines += ["", "[gamma]"] + gam.lines()
     got_gb = [render_poly(g) for g in gam.commutator_ideal.groebner()]
     if got_gb != expected["gamma_gb"]:
@@ -354,15 +345,12 @@ def main(argv=None):
         if args.command == "eliminate":
             return cmd_eliminate(args, out)
         if args.command == "report":
-            entry = _catalog.get(args.example) if args.example in _catalog.ids() else None
-            if entry is None:
-                raise InputError("unknown catalog id %r (known: %s)"
-                                 % (args.example, ", ".join(_catalog.ids())))
-            lines, mismatches = report_lines(entry, args.max_degree, args.strict)
+            lines, mismatches = report_lines(catalog_entry(args.example), args.max_degree,
+                                             args.strict)
             out.write("\n".join(lines) + "\n")
             return 1 if mismatches else 0
 
-        data, entry = load_group(args)
+        data = load_group(args)
         bound = args.max_degree or default_degree_bound(data.presentation)
         if args.command == "validate":
             ok, lines = run_validate(data, bound, args.strict)

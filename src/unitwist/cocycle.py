@@ -32,7 +32,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .poly import ONE, ZERO, Monomial, Poly, TensorPoly, grlex_key
+from .poly import ONE, ZERO, TensorPoly, grlex_key
 
 
 class CocycleBoundError(ValueError):
@@ -561,56 +561,11 @@ class NeumannInverse(Cocycle):
         return self.inner
 
 
-class FunctionalTable:
-    """An invertible functional chi with chi(1) = 1, given on monomials.
-
-    Missing monomials evaluate to 0.  The convolution inverse is computed
-    by the terminating geometric series of (eps - chi).
-    """
-
-    def __init__(self, pres, values):
-        self.pres = pres
-        self.values = {}
-        for m, v in values.items():
-            if not isinstance(m, Monomial):
-                raise CocycleInputError("functional keys must be monomials")
-            self.values[m] = Fraction(v)
-        if self.values.get(pres.ring.one_monomial, ZERO) != 1:
-            raise CocycleInputError("functional must send 1 to 1")
-        self._inv_cache = {}
-
-    def __call__(self, m):
-        if isinstance(m, Poly):
-            return sum((c * self(mm) for mm, c in m.terms.items()), ZERO)
-        if not m.param_part.is_one:
-            raise CocycleInputError("functional applied to a parameter monomial")
-        return self.values.get(m.gen_part, ZERO)
-
-    def inv(self, m):
-        if isinstance(m, Poly):
-            return sum((c * self.inv(mm) for mm, c in m.terms.items()), ZERO)
-        if m.is_one:
-            return ONE
-        hit = self._inv_cache.get(m)
-        if hit is not None:
-            return hit
-        total = ZERO
-        for (a1, a2), c in self.pres.coproduct_monomial(m).terms.items():
-            if a1.is_one:
-                continue
-            n = -self(a1)
-            if not n:
-                continue
-            total += c * n * (self.inv(a2) if not a2.is_one else ONE)
-        self._inv_cache[m] = total
-        return total
-
-
 class PointFunctional:
     """Evaluation at a rational point g; its convolution inverse is evaluation at g^{-1}.
 
-    Unbounded, unlike a FunctionalTable: each monomial's value is computed
-    from the coordinates when first asked for, then memoized.
+    Each monomial's value is computed from the coordinates when first asked
+    for, then memoized.
     """
 
     def __init__(self, pres, point):

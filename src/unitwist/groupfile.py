@@ -15,13 +15,18 @@ Sections, in any order, '#' comments allowed anywhere:
     [cocycle-table]    bound = d  then  MONOMIAL , MONOMIAL = p/q
 
 Everything is whitespace-insensitive; '(x)' separates tensor slots.
+
+A file defines one cocycle, carried by `GroupData.cocycle`: its
+[cocycle-table] if it has one, else the exponential cocycle J_r of its
+[rmatrix], else none.  A catalog entry with a frozen correction table
+wraps that J_r in a `CorrectedCocycle` when it is loaded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cocycle import RMatrix, TableCocycle
+from .cocycle import ExponentialCocycle, RMatrix, TableCocycle
 from .hopf import GroupPresentation
 from .poly import PolyRing, TensorPoly, parse_poly, parse_rational
 
@@ -35,14 +40,14 @@ class GroupFileError(ValueError):
 
 
 class GroupData:
-    """Everything a group file defines."""
+    """Everything a group file defines; `context` is set by `cli.build_context`."""
 
-    def __init__(self, presentation, rmatrix=None, lie_table=None, table_cocycle=None):
+    def __init__(self, presentation, rmatrix=None, lie_table=None, cocycle=None):
         self.presentation = presentation
         self.rmatrix = rmatrix
         self.lie_table = lie_table
-        self.table_cocycle = table_cocycle
-        self.cocycle_override = None
+        self.cocycle = cocycle
+        self.context = None
 
     @property
     def name(self):
@@ -139,7 +144,7 @@ def parse_group_file(text):
 
     rmatrix = None
     lie_table = None
-    table_cocycle = None
+    cocycle = None
     for head, hno, lines in sections:
         if head == "coproduct":
             for no, line in lines:
@@ -228,13 +233,15 @@ def parse_group_file(text):
                 table[(m1, m2)] = _rational(val, no)
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
-            table_cocycle = TableCocycle(pres, table, bound)
+            cocycle = TableCocycle(pres, table, bound)
         elif head == "group":
             pass
         else:
             raise GroupFileError("unknown section [%s]" % head, hno)
 
-    return GroupData(pres, rmatrix=rmatrix, lie_table=lie_table, table_cocycle=table_cocycle)
+    if cocycle is None and rmatrix is not None:
+        cocycle = ExponentialCocycle(pres, rmatrix)
+    return GroupData(pres, rmatrix=rmatrix, lie_table=lie_table, cocycle=cocycle)
 
 
 def _rational(text, line_no):

@@ -667,42 +667,30 @@ class GroupPresentation:
             # violating presentation would not terminate, so stop here
             return ValidationReport(checks)
 
-        ok = True
-        for g in self.ring.generators:
-            d = self.coproduct_gen(g)
-            lhs = d.map_slot(1, self.coproduct_monomial)
-            rhs = d.map_slot(2, self.coproduct_monomial)
-            if lhs != rhs:
-                record("coassociativity", False, "fails on %s" % g)
-                ok = False
-                break
-        if ok:
-            record("coassociativity", True)
+        def each_generator(name, fails, detail="fails on %s"):
+            # one check over the generators, reporting the first that fails
+            bad = next((g for g in self.ring.generators if fails(g)), None)
+            record(name, bad is None, "" if bad is None else detail % bad)
 
-        ok = True
-        for g in self.ring.generators:
+        def coassociativity_fails(g):
             d = self.coproduct_gen(g)
-            left = d.apply_linear_slot(1, lambda p: p.counit()).to_poly()
-            right = d.apply_linear_slot(2, lambda p: p.counit()).to_poly()
+            return d.map_slot(1, self.coproduct_monomial) != d.map_slot(2, self.coproduct_monomial)
+
+        def counit_fails(g):
+            d = self.coproduct_gen(g)
             x = self.ring.var(g)
-            if left != x or right != x:
-                record("counit-axiom", False, "fails on %s" % g)
-                ok = False
-                break
-        if ok:
-            record("counit-axiom", True)
+            return any(d.apply_linear_slot(slot, lambda p: p.counit()).to_poly() != x
+                       for slot in (1, 2))
 
-        ok = True
-        for g in self.ring.generators:
+        def antipode_fails(g):
             acc = self.ring.zero
             for (m1, m2), c in self.coproduct_gen(g).terms.items():
                 acc = acc + self.antipode_monomial(m1) * m2.as_poly() * c
-            if not acc.is_zero():
-                record("antipode-axiom", False, "fails on %s" % g)
-                ok = False
-                break
-        if ok:
-            record("antipode-axiom", True)
+            return not acc.is_zero()
+
+        each_generator("coassociativity", coassociativity_fails)
+        each_generator("counit-axiom", counit_fails)
+        each_generator("antipode-axiom", antipode_fails)
 
         lie = self.lie_data()
         jac, bad = lie.check_jacobi()
@@ -710,22 +698,15 @@ class GroupPresentation:
         record("lie-nilpotent", lie.check_nilpotent())
 
         if strict:
-            ok = True
             ext, images = self.conjugation_images()
-            for g in self.ring.generators:
+
+            def shifts(g):
                 i = self.gen_index(g)
-                diff = images[g] - ext.var(g)
-                for m, _ in diff.terms.items():
-                    mx = m.max_generator_index()
-                    if mx == 0 or mx >= i:
-                        record("strict-central-chain", False,
-                               "conjugate of %s shifts outside the lower chain" % g)
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                record("strict-central-chain", True)
+                return any(not 0 < m.max_generator_index() < i
+                           for m in (images[g] - ext.var(g)).terms)
+
+            each_generator("strict-central-chain", shifts,
+                           "conjugate of %s shifts outside the lower chain")
 
         return ValidationReport(checks)
 

@@ -527,8 +527,7 @@ class TensorPoly:
     """Element of a k-fold tensor power, normalized to monomial slots.
 
     Stored as a mapping tuple-of-monomials -> Fraction.  All slot
-    operations are linear and preserve the normal form, so
-    ``normalized(normalized(t)) == normalized(t)`` holds trivially.
+    operations are linear and preserve the normal form.
     """
 
     __slots__ = ("ring", "rank", "terms")
@@ -562,9 +561,6 @@ class TensorPoly:
                         new[k2] = v
             terms = new
         return cls(ring, len(polys), terms)
-
-    def normalized(self):
-        return TensorPoly(self.ring, self.rank, dict(self.terms))
 
     def __add__(self, other):
         if other.rank != self.rank or other.ring is not self.ring:

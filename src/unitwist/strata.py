@@ -15,6 +15,7 @@ a definition.
 A sweep over many points of one group redoes only point-dependent work:
 the ideal of T and the coset-function basis of the normalizing case are
 memoized on the GroupPresentation per SubgroupParam object; `set_q` clears them.
+The generator commutator table is the context's own, computed once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import linalg
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form, rename_into)
 from .poly import ZERO, Poly, PolyRing, render_poly
-from .twist import TwistedPresentation, pairwise_commutators
+from .twist import TwistedPresentation
 
 
 class StratumError(ValueError):
@@ -271,11 +272,8 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum", coinv_boun
         raise StratumError("double-coset ideal is not two-sided: invalid cocycle data")
     gb = ideal.groebner()
     order = TermOrder(group.ring)
-    presentation = pairwise_commutators(ctx)
-    reduced = {}
-    for key, f in presentation.relations.items():
-        reduced[key] = normal_form(f, gb, order)
-    quotient = TwistedPresentation(group, reduced)
+    quotient = TwistedPresentation(group, {
+        key: normal_form(f, gb, order) for key, f in ctx.commutators().relations.items()})
     dim_t = subgroup.dim
     dim_tg = stabilizer_dimension(group, subgroup, point)
     dim_q = krull_dimension(ideal)
@@ -315,30 +313,21 @@ def _free_variables(ideal):
 # -- abelianisation and the group of 1-dimensional modules -------------------
 
 class GammaReport:
-    def __init__(self, commutator_ideal, gamma_dim, hopf_ok, c0=None):
+    def __init__(self, commutator_ideal, gamma_dim, hopf_ok):
         self.commutator_ideal = commutator_ideal
         self.gamma_dim = gamma_dim
         self.hopf_ok = hopf_ok
-        self.c0 = c0
 
     def lines(self):
-        out = ["commutator ideal %s" % self.commutator_ideal.render(),
-               "dim Gamma = %d" % self.gamma_dim,
-               "hopf-ideal check: %s" % ("pass" if self.hopf_ok else "FAIL")]
-        if self.c0 is not None:
-            out.append(self.c0.describe())
-        return out
+        return ["commutator ideal %s" % self.commutator_ideal.render(),
+                "dim Gamma = %d" % self.gamma_dim,
+                "hopf-ideal check: %s" % ("pass" if self.hopf_ok else "FAIL")]
 
 
-def commutator_ideal_and_gamma(ctx, presentation=None):
+def commutator_ideal_and_gamma(ctx):
     """The commutator ideal (generated by the f_ij), its basis and dimension."""
-    pres = presentation if presentation is not None else pairwise_commutators(ctx)
-    ring = ctx.pres.ring
-    gens = [f for _, _, f in pres.nonzero()]
-    ideal = Ideal(ring, gens)
-    dim = krull_dimension(ideal)
-    hopf_ok = hopf_ideal_check(ctx.pres, ideal)
-    return GammaReport(ideal, dim, hopf_ok)
+    ideal = Ideal(ctx.pres.ring, [f for _, _, f in ctx.commutators().nonzero()])
+    return GammaReport(ideal, krull_dimension(ideal), hopf_ideal_check(ctx.pres, ideal))
 
 
 def hopf_ideal_check(group, ideal):

@@ -36,6 +36,7 @@ class TwistedContext:
         self.two_sided = left is right
         self._mul_cache = {}
         self._right_products = {}
+        self._commutators = None
 
     @classmethod
     def hopf(cls, pres, j):
@@ -77,6 +78,19 @@ class TwistedContext:
 
     def commutator(self, f, g):
         return self.mul(f, g) - self.mul(g, f)
+
+    def commutators(self):
+        """All generator commutators [Xi, Xj] (i > j), computed once per context.
+
+        No Hopf-chain checks; `ihoe_presentation` runs them on this table.
+        """
+        if self._commutators is None:
+            ring = self.pres.ring
+            gens = ring.generators
+            self._commutators = TwistedPresentation(self.pres, {
+                (gi, gj): self.commutator(ring.var(gi), ring.var(gj))
+                for i, gi in enumerate(gens) for gj in gens[:i]})
+        return self._commutators
 
     # -- closed forms on generator pairs ------------------------------------
     def _q_terms(self, gen):
@@ -183,18 +197,6 @@ class TwistedPresentation:
         return not self.nonzero()
 
 
-def pairwise_commutators(ctx):
-    """All generator commutators of the context, without Hopf-chain checks."""
-    gens = ctx.pres.ring.generators
-    rel = {}
-    for i, gi in enumerate(gens):
-        xi = ctx.pres.ring.var(gi)
-        for j in range(i):
-            xj = ctx.pres.ring.var(gens[j])
-            rel[(gi, gens[j])] = ctx.commutator(xi, xj)
-    return TwistedPresentation(ctx.pres, rel)
-
-
 def ihoe_presentation(ctx):
     """The derivation-type Ore presentation of the two-sided deformation.
 
@@ -202,45 +204,42 @@ def ihoe_presentation(ctx):
     verifies the pairing identity on every generator pair, checks that each
     f_ij only involves generators strictly below max(i,j) with zero constant
     term, and that primitive generators commute.  Any failure raises
-    TwistConsistencyError: it indicates invalid cocycle data.
+    TwistConsistencyError: it indicates invalid cocycle data.  The checked
+    table is the context's own `commutators()`.
     """
     if not ctx.two_sided:
         raise ValueError("ihoe presentation requires the two-sided context")
     pres = ctx.pres
-    gens = pres.ring.generators
-    rel = {}
-    for i, gi in enumerate(gens):
+    table = ctx.commutators()
+    rel = table.relations
+    for (gi, gj), direct in rel.items():
         xi = pres.ring.var(gi)
-        for j in range(i):
-            gj = gens[j]
-            xj = pres.ring.var(gj)
-            direct = ctx.commutator(xi, xj)
-            closed = ctx.generator_commutator_formula(gi, gj)
-            if direct != closed:
-                raise TwistConsistencyError(
-                    "commutator routes disagree on [%s,%s]: %s vs %s"
-                    % (gi, gj, render_poly(direct), render_poly(closed)))
-            prod_direct = ctx.mul(xi, xj)
-            prod_closed = ctx.generator_product_formula(gi, gj)
-            if prod_direct != prod_closed:
-                raise TwistConsistencyError(
-                    "product routes disagree on %s.%s" % (gi, gj))
-            if not ctx.pairing_identity_defect(gi, gj).is_zero():
-                raise TwistConsistencyError(
-                    "pairing identity fails on (%s,%s)" % (gi, gj))
-            if direct.counit() != 0 or not direct.constant_term().is_zero():
-                raise TwistConsistencyError(
-                    "[%s,%s] has a constant term" % (gi, gj))
-            if direct.max_generator_index() >= max(pres.gen_index(gi), pres.gen_index(gj)):
-                raise TwistConsistencyError(
-                    "[%s,%s] leaves the lower chain subalgebra" % (gi, gj))
-            rel[(gi, gj)] = direct
-    primitives = [g for g in gens if g not in pres.q]
+        xj = pres.ring.var(gj)
+        closed = ctx.generator_commutator_formula(gi, gj)
+        if direct != closed:
+            raise TwistConsistencyError(
+                "commutator routes disagree on [%s,%s]: %s vs %s"
+                % (gi, gj, render_poly(direct), render_poly(closed)))
+        prod_direct = ctx.mul(xi, xj)
+        prod_closed = ctx.generator_product_formula(gi, gj)
+        if prod_direct != prod_closed:
+            raise TwistConsistencyError(
+                "product routes disagree on %s.%s" % (gi, gj))
+        if not ctx.pairing_identity_defect(gi, gj).is_zero():
+            raise TwistConsistencyError(
+                "pairing identity fails on (%s,%s)" % (gi, gj))
+        if direct.counit() != 0 or not direct.constant_term().is_zero():
+            raise TwistConsistencyError(
+                "[%s,%s] has a constant term" % (gi, gj))
+        if direct.max_generator_index() >= max(pres.gen_index(gi), pres.gen_index(gj)):
+            raise TwistConsistencyError(
+                "[%s,%s] leaves the lower chain subalgebra" % (gi, gj))
+    primitives = [g for g in pres.ring.generators if g not in pres.q]
     for a in primitives:
         for b in primitives:
             if pres.gen_index(a) > pres.gen_index(b) and not rel[(a, b)].is_zero():
                 raise TwistConsistencyError("primitive generators %s,%s fail to commute" % (a, b))
-    return TwistedPresentation(pres, rel)
+    return table
 
 
 # -- R-form ------------------------------------------------------------------

@@ -4,10 +4,11 @@ import pytest
 
 from unitwist import catalog, cli
 from unitwist.cli import main, report_lines
-from unitwist.cocycle import CocycleBoundError, CocycleInputError
+from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle,
+                              ExponentialCocycle, TableCocycle)
 from unitwist.groupfile import GroupFileError, default_degree_bound, parse_group_file
 from unitwist.strata import StratumError
-from unitwist.twist import TwistConsistencyError
+from unitwist.twist import TwistConsistencyError, TwistedContext
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs", "catalog")
@@ -155,6 +156,51 @@ def test_report_all_catalog(capsys):
             assert out == fh.read(), cid
 
 
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_report_builds_one_context(monkeypatch, cid):
+    # every section of a report reads the one context of its loaded group
+    built = []
+    init = TwistedContext.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistedContext, "__init__", spy)
+    _, mismatches = report_lines(catalog.get(cid))
+    assert not mismatches
+    assert len(built) == 1
+
+
+def test_build_context_once_per_group_data():
+    data = catalog.get("u4-ex6").load()
+    ctx = cli.build_context(data)
+    assert cli.build_context(data) is ctx
+    assert ctx.right is data.cocycle
+    # a second load is a second group, with its own context
+    assert cli.build_context(catalog.get("u4-ex6").load()) is not ctx
+
+
+def test_one_cocycle_per_file():
+    # a [cocycle-table] wins over an [rmatrix]; an [rmatrix] alone gives J_r
+    rmat = "[rmatrix]\n1 3 1\n"
+    table = "[cocycle-table]\nbound = 4\nX , Y = 1/2\nY , X = -1/2\n"
+    both = parse_group_file(_HEIS + rmat + table)
+    assert isinstance(both.cocycle, TableCocycle) and both.rmatrix is not None
+    only_r = parse_group_file(_HEIS + rmat)
+    assert isinstance(only_r.cocycle, ExponentialCocycle)
+    assert only_r.cocycle.rmatrix is only_r.rmatrix
+    neither = parse_group_file(_HEIS)
+    assert neither.cocycle is None
+    with pytest.raises(cli.InputError, match="defines no"):
+        cli.build_context(neither)
+    # a frozen correction table wraps the file's J_r
+    ex6 = catalog.get("u4-ex6").load()
+    assert isinstance(ex6.cocycle, CorrectedCocycle)
+    assert isinstance(ex6.cocycle.base, ExponentialCocycle)
+    assert ex6.cocycle.base.rmatrix is ex6.rmatrix
+
+
 def test_report_determinism():
     lines1, mis1 = report_lines(catalog.get("jordan4-abelian"))
     lines2, mis2 = report_lines(catalog.get("jordan4-abelian"))
@@ -184,11 +230,11 @@ X , V = 1/2
 V , X = -1/2
 """
     data = parse_group_file(text)
-    assert data.table_cocycle is not None
+    assert data.cocycle is not None
     X = data.presentation.ring.var("X")
     V = data.presentation.ring.var("V")
     from fractions import Fraction
-    assert data.table_cocycle.scalar(X, V) == Fraction(1, 2)
+    assert data.cocycle.scalar(X, V) == Fraction(1, 2)
 
 
 def test_report_independent_of_hash_seed():
@@ -231,6 +277,9 @@ X = 1
 Y = 2
 """
 
+_UNKNOWN_ID = ("error: unknown catalog id 'nope' (known: heisenberg3, jordan4-abelian, "
+               "jordan4-minimal, u3, u4-ex5, u4-ex6)\n")
+
 # (case, group file text or None, argv with FILE for the file, exit code,
 # stderr substring)
 MALFORMED = [
@@ -262,7 +311,8 @@ MALFORMED = [
     ("gb-duplicate-variable", None, ["gb", "--vars", "X,X", "X"], 2, "duplicate variable"),
     ("eliminate-unknown-drop", None, ["eliminate", "--vars", "X,Y", "--drop", "Z", "X - Y"], 2,
      "unknown variable 'Z'"),
-    ("unknown-example", None, ["present", "--example", "nope"], 2, "unknown catalog id"),
+    ("unknown-example", None, ["present", "--example", "nope"], 2, _UNKNOWN_ID),
+    ("unknown-example-report", None, ["report", "--example", "nope"], 2, _UNKNOWN_ID),
     ("unknown-point", None, ["strata", "--example", "u3", "--point", "nope"], 2,
      "unknown point 'nope'"),
     ("cocycle-beyond-bound", _HEIS + "[cocycle-table]\nbound = 0\n", ["present", "FILE"], 1,

@@ -271,11 +271,16 @@ def test_coinvariants_u4_ex6(examples):
     assert not _in_span(basis, R.var("F12"))
 
 
+VALIDATE_PASS = ["PASS q-chain-containment", "PASS q-counit-free", "PASS coassociativity",
+                 "PASS counit-axiom", "PASS antipode-axiom", "PASS lie-jacobi",
+                 "PASS lie-nilpotent"]
+
+
 def test_validate_catalog(each_example):
     rep = each_example.pres.validate()
     assert rep.ok, rep.first_failure()
     rep = each_example.pres.validate(strict=True)
-    assert rep.ok, rep.first_failure()
+    assert rep.lines() == VALIDATE_PASS + ["PASS strict-central-chain"]
 
 
 def test_validate_chain_violation():
@@ -298,14 +303,19 @@ def test_validate_counit_violation():
 
 
 def test_validate_coassociativity_violation():
-    # q(W) = V (x) Y without the compensating X (x) Y^2/2 term fails
-    g = GroupPresentation("bad3", ["X", "Y", "V", "W"])
+    # q(W) = V (x) Y without the compensating X (x) Y^2/2 term fails, and
+    # so does q(Z) = V (x) X; each check reports the first failing generator
+    g = GroupPresentation("bad3", ["X", "Y", "V", "W", "Z"])
     X, Y, V = g.ring.var("X"), g.ring.var("Y"), g.ring.var("V")
     g.set_q("V", TensorPoly.from_polys([X, Y]))
     g.set_q("W", TensorPoly.from_polys([V, Y]))
+    g.set_q("Z", TensorPoly.from_polys([V, X]))
     rep = g.validate()
     assert not rep.ok
-    assert any(c.name == "coassociativity" for c in rep.checks if not c.ok)
+    fail = "FAIL coassociativity: fails on W"
+    assert rep.lines() == VALIDATE_PASS[:2] + [fail] + VALIDATE_PASS[3:]
+    assert g.validate(strict=True).lines() == VALIDATE_PASS[:2] + [fail] + VALIDATE_PASS[3:] + [
+        "FAIL strict-central-chain: conjugate of W shifts outside the lower chain"]
 
 
 def test_lie_data_derivation():

@@ -14,7 +14,7 @@ from unitwist.strata import (StratumError, c0_solver, commutator_ideal_and_gamma
                              polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              verify_two_sided, weyl_detect)
-from unitwist.twist import TwistedContext, pairwise_commutators
+from unitwist.twist import TwistedContext
 
 
 def ideal_gb_strings(ideal):
@@ -102,7 +102,7 @@ def test_stabilizer_dimensions_independent_route(examples):
 
 
 def test_gamma_reports(each_example):
-    rep = commutator_ideal_and_gamma(each_example.ctx, each_example.ihoe)
+    rep = commutator_ideal_and_gamma(each_example.ctx)
     assert ideal_gb_strings(rep.commutator_ideal) == each_example.entry.expected["gamma_gb"]
     assert rep.gamma_dim == each_example.entry.expected["gamma_dim"]
     assert rep.hopf_ok
@@ -113,7 +113,7 @@ def test_gamma_reports(each_example):
 def test_gamma_dim_law(each_example):
     # dim Gamma = dim C - dim [T,T]
     ex = each_example
-    rep = commutator_ideal_and_gamma(ex.ctx, ex.ihoe)
+    rep = commutator_ideal_and_gamma(ex.ctx)
     lie = ex.pres.lie_data()
     T = ex.pres.named_subgroups["T"]
     tangent = T.tangent_vectors()
@@ -130,7 +130,7 @@ def test_gamma_locus_examples(examples):
     n_sub = g5.add_subgroup("Nlocus", ["n1", "n2", "n3"],
                             {"F12": pr.var("n1"), "F34": pr.var("n2"), "F14": pr.var("n3")})
     n_ideal = subgroup_ideal(g5, n_sub)
-    rep5 = commutator_ideal_and_gamma(ex5.ctx, ex5.ihoe)
+    rep5 = commutator_ideal_and_gamma(ex5.ctx)
     assert rep5.commutator_ideal == n_ideal
     # ex4: Gamma = {I + vE13 + wE14}
     ex4 = examples("jordan4-minimal")
@@ -140,11 +140,11 @@ def test_gamma_locus_examples(examples):
     f_sub = g4.add_subgroup("Flocus", ["f1", "f2"],
                             {"V": pr4.var("f1"), "W": pr4.var("f2")})
     f_ideal = subgroup_ideal(g4, f_sub)
-    rep4 = commutator_ideal_and_gamma(ex4.ctx, ex4.ihoe)
+    rep4 = commutator_ideal_and_gamma(ex4.ctx)
     assert rep4.commutator_ideal == f_ideal
     # heisenberg: invariant cocycle, zero commutator ideal
     ex2 = examples("heisenberg3")
-    rep2 = commutator_ideal_and_gamma(ex2.ctx, ex2.ihoe)
+    rep2 = commutator_ideal_and_gamma(ex2.ctx)
     assert rep2.commutator_ideal.is_zero()
 
 
@@ -190,7 +190,7 @@ def test_c0_exit_matches_full_sweep(examples, cid):
     pres, r = ex.pres, ex.data.rmatrix
     bound = ex.entry.expected.get("c0_bound", 4)
     j = ExponentialCocycle(pres, r)
-    gamma = commutator_ideal_and_gamma(ex.ctx, ex.ihoe).commutator_ideal
+    gamma = commutator_ideal_and_gamma(ex.ctx).commutator_ideal
     exact = fixed_locus_ideal(pres, r)
     full = c0_solver(pres, j, bound, gamma)
     fast = c0_solver(pres, j, bound, gamma, exact=exact)
@@ -241,7 +241,7 @@ def test_run_c0_exit_only_for_the_files_rmatrix(monkeypatch, source, exits):
         return c0_solver(group, j, *args, exact=exact, **kwargs)
 
     monkeypatch.setattr(cli, "c0_solver", spy)
-    cli.run_c0(data, 3, with_gamma=False)
+    cli.run_c0(data, 3)
     (j, exact), = seen
     assert (exact is not None) == exits
     if exits:
@@ -350,7 +350,7 @@ def test_stratum_inline_point(examples):
 def test_weyl_detect_shapes(examples):
     ex = examples("u3")
     one_sided = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
-    pres = pairwise_commutators(one_sided)
+    pres = one_sided.commutators()
     report = weyl_detect(pres.relation, ex.pres.ring)
     assert report.verdict == "A_1"
     assert not report.central

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from unitwist.cli import build_context
 from unitwist.cocycle import CounitPair
-from unitwist.poly import Poly
+from unitwist.poly import Poly, render_poly
+from unitwist.strata import stratum_presentation
 from unitwist.twist import (PsiFunctional, TwistConsistencyError, TwistedContext,
-                            ihoe_presentation, pairwise_commutators, rform_axiom_check,
-                            twisted_antipode)
+                            ihoe_presentation, rform_axiom_check, twisted_antipode)
 
 
 def rnd_polys(ring, rng, count, degree=2, terms=3):
@@ -47,6 +48,38 @@ def test_twisted_commutator_examples(examples):
 
 def test_ihoe_relations_match_manifest(each_example):
     assert each_example.ihoe.lines() == each_example.entry.expected["relations"]
+
+
+def test_commutator_table_two_routes(each_example):
+    # the context's memoized table against per-pair commutators computed on
+    # a freshly loaded context; the checked presentation is that same table
+    ctx = each_example.ctx
+    fresh = build_context(each_example.entry.load())
+    ring = fresh.pres.ring
+    gens = ring.generators
+    expect = [((gi, gj), render_poly(fresh.commutator(ring.var(gi), ring.var(gj))))
+              for i, gi in enumerate(gens) for gj in gens[:i]]
+    assert [(key, render_poly(f)) for key, f in ctx.commutators().relations.items()] == expect
+    assert ihoe_presentation(ctx) is ctx.commutators()
+
+
+def test_strata_share_the_commutator_table(examples, monkeypatch):
+    # two strata on one context compute the generator commutators once
+    ctx = build_context(examples("u4-ex5").entry.load())
+    group = ctx.pres
+    calls = []
+    commutator = TwistedContext.commutator
+
+    def spy(self, f, g):
+        calls.append((f, g))
+        return commutator(self, f, g)
+
+    monkeypatch.setattr(TwistedContext, "commutator", spy)
+    for name in ("caseII", "caseI1"):
+        stratum_presentation(group, ctx, group.named_subgroups["T"], group.named_points[name],
+                             name)
+    n = len(group.ring.generators)
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_ihoe_trivial_cocycle(examples):
