@@ -81,16 +81,6 @@ class RMatrix:
                     return False
         return True
 
-    def permuted(self, perm):
-        """Basis permutation: new index i corresponds to old perm[i]."""
-        entries = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                v = self.matrix[perm[i]][perm[j]]
-                if v:
-                    entries[(i, j)] = v
-        return RMatrix(self.n, entries)
-
 
 def cybe_check(lie, r):
     """True iff [r12,r13] + [r12,r23] + [r13,r23] = 0 exactly."""

@@ -325,9 +325,14 @@ class GammaReport:
 
 
 def commutator_ideal_and_gamma(ctx):
-    """The commutator ideal (generated by the f_ij), its basis and dimension."""
-    ideal = Ideal(ctx.pres.ring, [f for _, _, f in ctx.commutators().nonzero()])
-    return GammaReport(ideal, krull_dimension(ideal), hopf_ideal_check(ctx.pres, ideal))
+    """The commutator ideal (generated by the f_ij), its basis and dimension.
+
+    Computed once per context, like the commutator table it reads.
+    """
+    if ctx._gamma is None:
+        ideal = Ideal(ctx.pres.ring, [f for _, _, f in ctx.commutators().nonzero()])
+        ctx._gamma = GammaReport(ideal, krull_dimension(ideal), hopf_ideal_check(ctx.pres, ideal))
+    return ctx._gamma
 
 
 def hopf_ideal_check(group, ideal):

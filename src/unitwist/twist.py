@@ -10,6 +10,19 @@ vector space.  The two-sided case K = J is the Hopf-algebra deformation;
 one-sided and mixed contexts (K = eps.eps, or K = J^g) are first class
 because coset-stratum isomorphism checks need them.
 
+The product is computed from K itself, never from K^{-1}.  Since
+K * K^{-1} = eps.eps, coassociativity gives
+
+    sum K(a1,b1) (a2 . b2)  =  a ._J b  =  sum a1 b1 J(a2,b2),
+
+the one-sided product.  On monomials K(a1,b1) is 1 when a1 and b1 are both
+1, and 0 when exactly one of them is, so the (1,1) term is a . b itself:
+
+    a . b  =  a ._J b  -  sum_{a1 != 1} K(a1,b1) (a2 . b2).
+
+Each a2 beside an a1 != 1 has strictly lower coradical degree than a, so
+the recursion ends; it is the argument that makes `NeumannInverse` end.
+
 Generator products and commutators are computed twice, through the
 deformed product and through the closed-form expansion in the q-tensors
 (the closed commutator is the antisymmetrised closed product), and the
@@ -31,12 +44,12 @@ class TwistedContext:
         self.pres = pres
         self.left = left
         self.right = right
-        self.left_inv = left.cached_inverse()
         self.right_inv = right.cached_inverse()
         self.two_sided = left is right
         self._mul_cache = {}
         self._right_products = {}
         self._commutators = None
+        self._gamma = None  # strata.commutator_ideal_and_gamma's report
 
     @classmethod
     def hopf(cls, pres, j):
@@ -55,17 +68,27 @@ class TwistedContext:
             hit = self._right_products[(x, y)] = self.pres.contract(x, y, None, self.right.pair)
         return hit
 
-    def mul_monomials(self, m1, m2):
-        """Product of two parameter-free monomials, as a Poly.
+    def _left_reduced(self, a, b):
+        # K(a,b) without its (1,1) term; `pair` is already 0 when exactly
+        # one argument is 1
+        return ZERO if a.is_one else self.left.pair(a, b)
 
-        a . b = sum K^{-1}(a1,b1) (a2 ._J b2): the (id (x) Delta) Delta terms
-        of the defining sum, with the inner sums shared between products.
+    def mul_monomials(self, m1, m2):
+        """Product of two parameter-free monomials, as a Poly, from K alone.
+
+        sum K(a1,b1) (a2 . b2) = a ._J b, and the only nonzero term with a 1
+        in either slot is K(1,1) = 1, so a . b = a ._J b - sum_{a1 != 1}
+        K(a1,b1) (a2 . b2).  Each such a2 has strictly lower coradical
+        degree than a, so the recursion ends.  Both products are memoized.
         """
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self._mul_cache[key] = Poly(self.pres.ring, self.pres.contract(
-                m1, m2, self.left_inv.pair, self._right_product))
+            terms = dict(self._right_product(m1, m2))
+            for k, c in self.pres.contract(m1, m2, self._left_reduced,
+                                           lambda a, b: self.mul_monomials(a, b).terms).items():
+                terms[k] = terms.get(k, ZERO) - c
+            hit = self._mul_cache[key] = Poly(self.pres.ring, terms)
         return hit
 
     def mul(self, f, g):
@@ -362,22 +385,3 @@ class PsiFunctional:
 
     def value(self, m):
         return self.table.get(m, self.rform.pres.ring.zero)
-
-    def convolve(self, other):
-        """Table of Psi(a) * Psi(b) up to the shared bound (for cross-checks)."""
-        pres = self.rform.pres
-        bound = min(self.bound, other.bound)
-        out = {}
-        for m in pres.ring.monomials_up_to(bound):
-            acc = pres.ring.zero
-            for (m1, m2), c in pres.coproduct_monomial(m).terms.items():
-                v1 = self.value(m1.gen_part)
-                if v1.is_zero():
-                    continue
-                v2 = other.value(m2.gen_part)
-                if v2.is_zero():
-                    continue
-                acc = acc + v1 * v2 * c
-            if not acc.is_zero():
-                out[m] = acc
-        return out

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from unitwist import catalog, cli
+from unitwist import catalog, cli, strata
 from unitwist.cli import main, report_lines
 from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle,
                               ExponentialCocycle, TableCocycle)
@@ -170,6 +170,23 @@ def test_report_builds_one_context(monkeypatch, cid):
     _, mismatches = report_lines(catalog.get(cid))
     assert not mismatches
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("cid", [c for c in catalog.ids() if "c0_bound" in catalog.get(c).expected])
+def test_report_computes_gamma_once(monkeypatch, cid):
+    # the [gamma] section and c0's locus comparison share one commutator
+    # ideal report: one Hopf-ideal check per report
+    checked = []
+    check = strata.hopf_ideal_check
+
+    def spy(group, ideal):
+        checked.append(ideal)
+        return check(group, ideal)
+
+    monkeypatch.setattr(strata, "hopf_ideal_check", spy)
+    _, mismatches = report_lines(catalog.get(cid))
+    assert not mismatches
+    assert len(checked) == 1
 
 
 def test_build_context_once_per_group_data():

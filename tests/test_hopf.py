@@ -318,6 +318,26 @@ def test_validate_coassociativity_violation():
         "FAIL strict-central-chain: conjugate of W shifts outside the lower chain"]
 
 
+def test_validate_strict_conjugate_term_in_g_itself(monkeypatch):
+    # a conjugate of g must shift g by terms in strictly lower generators.
+    # The chain checks keep q(g) below g, so no parsed group gets a term in
+    # g itself this far; the strict check is fed a conjugation map whose
+    # image of V gains g_X V, a term whose largest generator is V
+    g = heisenberg()
+    assert g.validate(strict=True).lines() == VALIDATE_PASS + ["PASS strict-central-chain"]
+    images_of = g.conjugation_images
+
+    def tampered():
+        ext, images = images_of()
+        images["V"] = images["V"] + ext.var("g_X") * ext.var("V")
+        return ext, images
+
+    monkeypatch.setattr(g, "conjugation_images", tampered)
+    assert g.validate().lines() == VALIDATE_PASS
+    assert g.validate(strict=True).lines() == VALIDATE_PASS + [
+        "FAIL strict-central-chain: conjugate of V shifts outside the lower chain"]
+
+
 def test_lie_data_derivation():
     g = heisenberg()
     lie = g.lie_data()

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import CounitPair
+from unitwist.cocycle import CocycleBoundError, CounitPair
 from unitwist.poly import Poly, render_poly
 from unitwist.strata import stratum_presentation
 from unitwist.twist import (PsiFunctional, TwistConsistencyError, TwistedContext,
@@ -256,6 +260,25 @@ def test_twisted_antipode_axiom(examples):
         assert total == g.ring.one * (1 if m.is_one else 0)
 
 
+def _convolve(psi, other):
+    """Table of psi(a) * other(b) up to the shared bound (for cross-checks)."""
+    pres = psi.rform.pres
+    out = {}
+    for m in pres.ring.monomials_up_to(min(psi.bound, other.bound)):
+        acc = pres.ring.zero
+        for (m1, m2), c in pres.coproduct_monomial(m).terms.items():
+            v1 = psi.value(m1.gen_part)
+            if v1.is_zero():
+                continue
+            v2 = other.value(m2.gen_part)
+            if v2.is_zero():
+                continue
+            acc = acc + v1 * v2 * c
+        if not acc.is_zero():
+            out[m] = acc
+    return out
+
+
 def test_psi_examples(examples):
     ex = examples("u3")
     ctx = ex.ctx
@@ -275,7 +298,7 @@ def test_psi_examples(examples):
     # multiplicativity against the deformed product
     psiV = PsiFunctional(r, V, 3)
     prod = PsiFunctional(r, ctx.mul(X, V), 3)
-    conv = psiX.convolve(psiV)
+    conv = _convolve(psiX, psiV)
     for m in g.ring.monomials_up_to(3):
         assert prod.value(m) == conv.get(m, g.ring.zero)
 
@@ -339,10 +362,14 @@ def test_change_of_variable_minimal(examples):
 
 def _mul_monomials_reference(ctx, m1, m2):
     """sum K^{-1}(a1,b1) a2 b2 J(a3,b3), written out over Delta^2 x Delta^2."""
+    kinv = ctx.left.cached_inverse().pair
     acc = {}
     for (a1, a2, a3), c1 in ctx.pres.iterated_coproduct_monomial(m1, 2).terms.items():
         for (b1, b2, b3), c2 in ctx.pres.iterated_coproduct_monomial(m2, 2).terms.items():
-            v = ctx.left_inv.pair(a1, b1) * ctx.right.pair(a3, b3)
+            head = kinv(a1, b1)
+            if not head:
+                continue
+            v = head * ctx.right.pair(a3, b3)
             if v:
                 m = a2.mul(b2)
                 acc[m] = acc.get(m, 0) + v * c1 * c2
@@ -359,3 +386,71 @@ def test_mul_monomials_matches_delta2_reference(examples):
             if m1.degree + m2.degree <= 4:
                 assert ctx.mul_monomials(m1, m2) == _mul_monomials_reference(ctx, m1, m2), \
                     (m1, m2)
+
+
+MIXED_POINTS = {
+    "heisenberg3": {"X": 2, "Y": -1, "V": Fraction(1, 3)},
+    "u4-ex5": {"F12": 1, "F23": -2, "F34": Fraction(1, 2), "F13": 3, "F24": -1, "F14": 2},
+}
+
+
+@pytest.mark.parametrize("side", ["one-sided", "mixed"])
+@pytest.mark.parametrize("cid", sorted(MIXED_POINTS))
+def test_mul_monomials_reference_one_sided_and_mixed(examples, cid, side):
+    # K = eps.eps (one-sided) and K = J^g (mixed) against the Delta^2
+    # reference, on every pair of monomials up to total degree 3
+    ex = examples(cid)
+    g, j = ex.pres, ex.ctx.right
+    if side == "one-sided":
+        ctx = TwistedContext.one_sided_right(g, j)
+    else:
+        ctx = TwistedContext(g, j.conjugate(g.point(MIXED_POINTS[cid])), j)
+    mons = g.ring.monomials_up_to(3)
+    pairs = [(m1, m2) for m1 in mons for m2 in mons if m1.degree + m2.degree <= 3]
+    for m1, m2 in pairs:
+        assert ctx.mul_monomials(m1, m2) == _mul_monomials_reference(ctx, m1, m2), (m1, m2)
+    # the left cocycle matters: the context differs from the two-sided one,
+    # except that heisenberg3's r = u_X ^ u_V is Ad-invariant (V is central),
+    # so there J^g = J
+    differs = any(ctx.mul_monomials(m1, m2) != ex.ctx.mul_monomials(m1, m2) for m1, m2 in pairs)
+    assert differs == ((cid, side) != ("heisenberg3", "mixed"))
+
+
+def test_mul_monomials_reference_drawn_pairs(examples):
+    # hypothesis-drawn pairs of total degree 5 or 6 on the corrected
+    # cocycle, beyond the exhaustive check above and within its solved bound
+    ctx = examples("u4-ex6").ctx
+    mons = ctx.pres.ring.monomials_up_to(4, include_one=False)
+    pair = st.tuples(st.sampled_from(mons), st.sampled_from(mons)).filter(
+        lambda p: 5 <= p[0].degree + p[1].degree <= 6)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(pair)
+    def check(p):
+        assert ctx.mul_monomials(*p) == _mul_monomials_reference(ctx, *p), p
+
+    check()
+
+
+def test_products_never_evaluate_the_left_inverse():
+    # a fresh context, so that no closed form or R-form has touched J^{-1}
+    ctx = build_context(catalog.get("u4-ex6").load())
+    ring = ctx.pres.ring
+    mons = ring.monomials_up_to(2)
+    for m1 in mons:
+        for m2 in mons:
+            ctx.mul_monomials(m1, m2)
+    gens = [ring.var(n) for n in ring.generators]
+    ctx.commutators()
+    ctx.mul(ctx.mul(gens[0], gens[5]), gens[3] * gens[4] - 2)
+    assert ctx.left.cached_inverse()._cache == {}
+
+
+def test_product_beyond_the_solved_degree():
+    # past the frozen table's total degree 6 a product raises the bound
+    # error on the first pair it needs there
+    ctx = build_context(catalog.get("u4-ex6").load())
+    f14 = ctx.pres.ring.var("F14")
+    with pytest.raises(CocycleBoundError) as err:
+        ctx.mul(f14 ** 4, f14 ** 3)
+    assert str(err.value) == "pair (F14^4, F14^3) exceeds the solved total degree 6"
