@@ -27,6 +27,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like an input error: one "error:" line, exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def catalog_entry(example):
     try:
         return _catalog.get(example)
@@ -115,7 +122,7 @@ def run_c0(data, bound):
     return c0_solver(data.presentation, j, bound, gamma_ideal=gamma_ideal, exact=exact)
 
 
-def run_stratum(data, subgroup_name, point_name, coinv_bound=3):
+def run_stratum(data, subgroup_name, point_name):
     pres = data.presentation
     if subgroup_name not in pres.named_subgroups:
         raise InputError("unknown subgroup %r" % subgroup_name)
@@ -145,7 +152,7 @@ def run_stratum(data, subgroup_name, point_name, coinv_bound=3):
         raise InputError("unknown point %r" % point_name)
     ctx = build_context(data)
     return stratum_presentation(pres, ctx, pres.named_subgroups[subgroup_name],
-                                point, name=label, coinv_bound=coinv_bound)
+                                point, name=label)
 
 
 def _ring_and_polys(args):
@@ -185,14 +192,13 @@ def cmd_eliminate(args, out):
     return 0
 
 
-def report_lines(entry, max_degree=None, strict=False):
+def report_lines(entry, strict=False):
     """The full golden report for a catalog entry, plus mismatch list."""
     data = entry.load()
     expected = entry.expected
     pres = data.presentation
-    bound = max_degree or default_degree_bound(pres)
     lines = ["= report %s =" % entry.id]
-    lines += header(data, bound, strict)
+    lines += header(data, default_degree_bound(pres), strict)
     mismatches = []
 
     ok, vlines = run_validate(data, max_degree=3, strict=strict)
@@ -298,33 +304,29 @@ def report_lines(entry, max_degree=None, strict=False):
 
 def main(argv=None):
     out = sys.stdout
-    parser = argparse.ArgumentParser(prog="unitwist",
-                                     description="deformed coordinate rings of unipotent groups")
+    parser = _Parser(prog="unitwist", description="deformed coordinate rings of unipotent groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p):
+    # each command takes only the options it reads
+    def group_command(name, help, max_degree=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("file", nargs="?", help="group definition file")
         p.add_argument("--example", help="built-in catalog id")
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--strict", action="store_true")
+        if max_degree:
+            p.add_argument("--max-degree", type=int, default=None)
+        return p
 
-    p = sub.add_parser("validate", help="check presentation, CYBE and cocycle axioms")
-    add_group_args(p)
-    p = sub.add_parser("present", help="emit the commutator presentation")
-    add_group_args(p)
-    p = sub.add_parser("gamma", help="commutator ideal and 1-dimensional module group")
-    add_group_args(p)
-    p = sub.add_parser("c0", help="fixed-cocycle locus by symbolic conjugation")
-    add_group_args(p)
-    p = sub.add_parser("strata", help="double-coset stratum report")
-    add_group_args(p)
+    p = group_command("validate", "check presentation, CYBE and cocycle axioms", max_degree=True)
+    p.add_argument("--strict", action="store_true")
+    group_command("present", "emit the commutator presentation")
+    group_command("gamma", "commutator ideal and 1-dimensional module group")
+    group_command("c0", "fixed-cocycle locus by symbolic conjugation", max_degree=True)
+    p = group_command("strata", "double-coset stratum report")
     p.add_argument("--subgroup", default="T")
     p.add_argument("--point", required=True)
-    p = sub.add_parser("rform-check", help="verify the cotriangular form axioms")
-    add_group_args(p)
+    group_command("rform-check", "verify the cotriangular form axioms", max_degree=True)
     p = sub.add_parser("report", help="golden report for a catalog example")
     p.add_argument("--example", required=True)
-    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--strict", action="store_true")
     p = sub.add_parser("gb", help="reduced Groebner basis of explicit generators")
     p.add_argument("--vars", required=True)
@@ -336,8 +338,8 @@ def main(argv=None):
     p.add_argument("--drop", required=True)
     p.add_argument("polys", nargs="+")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "max_degree", None) is not None and args.max_degree < 1:
             raise InputError("--max-degree must be at least 1")
         if args.command == "gb":
@@ -345,17 +347,11 @@ def main(argv=None):
         if args.command == "eliminate":
             return cmd_eliminate(args, out)
         if args.command == "report":
-            lines, mismatches = report_lines(catalog_entry(args.example), args.max_degree,
-                                             args.strict)
+            lines, mismatches = report_lines(catalog_entry(args.example), args.strict)
             out.write("\n".join(lines) + "\n")
             return 1 if mismatches else 0
 
         data = load_group(args)
-        bound = args.max_degree or default_degree_bound(data.presentation)
-        if args.command == "validate":
-            ok, lines = run_validate(data, bound, args.strict)
-            out.write("\n".join(header(data, bound, args.strict) + lines) + "\n")
-            return 0 if ok else 1
         if args.command == "present":
             _, lines = run_present(data)
             out.write("\n".join(lines) + ("\n" if lines else "(commutative)\n"))
@@ -364,14 +360,19 @@ def main(argv=None):
             rep = run_gamma(data)
             out.write("\n".join(rep.lines()) + "\n")
             return 0
-        if args.command == "c0":
-            rep = run_c0(data, bound)
-            out.write(rep.describe() + "\n")
-            return 0 if rep.verdict != "MISMATCH" else 1
         if args.command == "strata":
             stratum = run_stratum(data, args.subgroup, args.point)
             out.write("\n".join(stratum.lines()) + "\n")
             return 0
+        bound = args.max_degree or default_degree_bound(data.presentation)
+        if args.command == "validate":
+            ok, lines = run_validate(data, bound, args.strict)
+            out.write("\n".join(header(data, bound, args.strict) + lines) + "\n")
+            return 0 if ok else 1
+        if args.command == "c0":
+            rep = run_c0(data, bound)
+            out.write(rep.describe() + "\n")
+            return 0 if rep.verdict != "MISMATCH" else 1
         if args.command == "rform-check":
             rep = rform_axiom_check(build_context(data), min(bound, 3))
             out.write("\n".join(rep.lines()) + "\n")

@@ -21,14 +21,13 @@ the exponential kind negates its r-matrix, the other kinds use the
 terminating geometric series of (eps (x) eps) - J.  Every sum over
 Delta(a) x Delta(b) goes through `GroupPresentation.contract`.
 
-Evaluators memoize values per monomial pair; the caches never change a
-result, only its cost.
+Evaluators memoize values and one-sided products per monomial pair; the
+caches never change a result, only its cost.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 from fractions import Fraction
 
 from . import linalg
@@ -68,18 +67,11 @@ class RMatrix:
     def is_nondegenerate_on_support(self):
         idx = self.support_indices()
         sub = [[self.matrix[i][j] for j in idx] for i in idx]
-        return linalg.det(sub) != 0
+        return linalg.matrix_rank(sub) == len(sub)
 
     def support_is_subalgebra(self, lie):
-        idx = self.support_indices()
-        span = [[ONE if k == i else ZERO for k in range(self.n)] for i in idx]
-        red, _ = linalg.rref(span)
-        for a in idx:
-            for b in idx:
-                v = lie.bracket_basis(a, b)
-                if any(v) and linalg.matrix_rank(red + [v]) > len(red):
-                    return False
-        return True
+        return lie.is_subalgebra([[ONE if k == i else ZERO for k in range(self.n)]
+                                  for i in self.support_indices()])
 
 
 def cybe_check(lie, r):
@@ -137,7 +129,7 @@ def quasi_frobenius_check(lie, omega, sub_basis=None):
         for j in range(d):
             if omega[i][j] != -omega[j][i]:
                 return False
-    if linalg.det(omega) == 0:
+    if linalg.matrix_rank(omega) < d:
         return False
 
     def express(v):
@@ -183,6 +175,7 @@ class Cocycle:
     def __init__(self, pres):
         self.pres = pres
         self._cache = {}
+        self._products = {}
         self._inv_memo = None
 
     def cached_inverse(self):
@@ -205,6 +198,17 @@ class Cocycle:
         if hit is None:
             hit = self._pair(m1, m2)
             self._cache[key] = hit
+        return hit
+
+    def right_product(self, x, y):
+        """The one-sided product x ._J y = {x1 y1: sum J(x2, y2)}, memoized.
+
+        x and y are parameter-free monomials.  The dict is shared by every
+        caller asking for the same pair, so callers must not change it.
+        """
+        hit = self._products.get((x, y))
+        if hit is None:
+            hit = self._products[(x, y)] = self.pres.contract(x, y, None, self.pair)
         return hit
 
     def eval(self, f, g):
@@ -261,22 +265,19 @@ class ExponentialCocycle(Cocycle):
 
     kind = "exponential"
 
-    def __init__(self, pres, rmatrix, negate=False, extra_orders=0):
+    def __init__(self, pres, rmatrix, negate=False):
         super().__init__(pres)
         self.rmatrix = rmatrix
         self.negate = negate
-        self.extra_orders = extra_orders
         # sparse rows of r: row a lists the (b, r[a][b]) with r[a][b] != 0
         self._rows = [[(b, v) for b, v in enumerate(row) if v] for row in rmatrix.matrix]
 
     def _pair(self, m1, m2):
         # The sum truncates at the coradical degree: length-k words pair as
         # degree-k distributions, which kill the k-th coradical filtration
-        # layer.  `extra_orders` exists so tests can confirm that adding
-        # terms beyond the bound never changes a value.
+        # layer.
         pres = self.pres
-        kmax = min(pres.corad_degree_monomial(m1),
-                   pres.corad_degree_monomial(m2)) + self.extra_orders
+        kmax = min(pres.corad_degree_monomial(m1), pres.corad_degree_monomial(m2))
         total = ZERO
         scale_base = Fraction(-1, 2) if self.negate else Fraction(1, 2)
         fact = ONE
@@ -325,7 +326,7 @@ class ExponentialCocycle(Cocycle):
         return total
 
     def inverse(self):
-        return ExponentialCocycle(self.pres, self.rmatrix, not self.negate, self.extra_orders)
+        return ExponentialCocycle(self.pres, self.rmatrix, not self.negate)
 
 
 class PullbackCocycle(Cocycle):
@@ -433,24 +434,7 @@ def solve_cocycle_corrections(pres, base, total_bound):
             if m1.degree != 1 or m2.degree != 1:
                 raise CocycleInputError(
                     "correction solving needs degree-1 coproduct corrections")
-    ring = pres.ring
-    mons = ring.monomials_up_to(total_bound - 2, include_one=False)
-
-    table = {}
-
-    def value(m1, m2):
-        if m1.is_one:
-            return ONE if m2.is_one else ZERO
-        if m2.is_one:
-            return ZERO
-        key = (m1, m2)
-        if key in table:
-            v = table[key]
-        else:
-            v = base.pair(m1, m2)
-            table[key] = v
-        return v
-
+    mons = pres.ring.monomials_up_to(total_bound - 2, include_one=False)
     by_level = {}
     for a in mons:
         for b in mons:
@@ -466,12 +450,12 @@ def solve_cocycle_corrections(pres, base, total_bound):
     corrections = {}
     for level in sorted(by_level):
         # difference constraints: x(ab, c) - x(a, bc) = -defect(a, b, c);
-        # values change only between levels, so the memo lives for one level
-        right = _right_product(pres, value)
+        # values change only between levels, so each level has its cocycle
+        j = CorrectedCocycle(base, corrections, total_bound)
         adjacency = {}
         nodes = set()
         for a, b, c in by_level[level]:
-            d = _identity_defect(value, right, a, b, c)
+            d = _identity_defect(j, a, b, c)
             u = (a.mul(b), c)
             v = (a, b.mul(c))
             if u == v:
@@ -504,7 +488,6 @@ def solve_cocycle_corrections(pres, base, total_bound):
             x = assign[key]
             if x != 0:
                 corrections[key] = corrections.get(key, ZERO) + x
-                table[key] = value(*key) + x if key not in table else table[key] + x
     return corrections
 
 
@@ -554,8 +537,8 @@ class NeumannInverse(Cocycle):
 class PointFunctional:
     """Evaluation at a rational point g; its convolution inverse is evaluation at g^{-1}.
 
-    Each monomial's value is computed from the coordinates when first asked
-    for, then memoized.
+    Each monomial's value is read off `Point.restriction` into the group
+    ring, which memoizes it when first asked for.
     """
 
     def __init__(self, pres, point):
@@ -564,25 +547,11 @@ class PointFunctional:
         self._at_inv = self._evaluator(pres.point_inv(point))
 
     def _evaluator(self, point):
-        coords = []
-        for g in self.pres.ring.generators:
-            v = point.coord(g)
-            if any(not m.is_one for m in v.terms):
-                raise CocycleInputError("conjugation point must have scalar coordinates")
-            coords.append(v.counit())
-        memo = {}
-
-        def at(m):
-            v = memo.get(m)
-            if v is None:
-                v = ONE
-                for c, e in zip(coords, m.exps):
-                    if e:
-                        v *= c ** e
-                memo[m] = v
-            return v
-
-        return at
+        ring = self.pres.ring
+        if any(not m.is_one for g in ring.generators for m in point.coord(g).terms):
+            raise CocycleInputError("conjugation point must have scalar coordinates")
+        image = point.restriction(ring)
+        return lambda m: image(m).counit()
 
     def __call__(self, m):
         return self._at(m)
@@ -651,18 +620,10 @@ class CocycleIdentityReport:
         return "cocycle identity FAIL at bound %d on %r" % (self.bound, self.failure)
 
 
-def _right_product(pres, value):
-    """The map (a, b) -> {a1 b1: sum value(a2, b2)}, memoized for its own life.
-
-    One entry serves every identity instance that shares the pair (a, b).
-    """
-    return functools.lru_cache(maxsize=None)(lambda a, b: pres.contract(a, b, None, value))
-
-
-def _identity_defect(value, right, a, b, c):
-    """sum J(a1 b1, c) J(a2, b2) - sum J(a, b1 c1) J(b2, c2), J = value."""
-    lhs = sum((w * v for m, v in right(a, b).items() if (w := value(m, c))), ZERO)
-    rhs = sum((w * v for m, v in right(b, c).items() if (w := value(a, m))), ZERO)
+def _identity_defect(j, a, b, c):
+    """sum J(a1 b1, c) J(a2, b2) - sum J(a, b1 c1) J(b2, c2)."""
+    lhs = sum((w * v for m, v in j.right_product(a, b).items() if (w := j.pair(m, c))), ZERO)
+    rhs = sum((w * v for m, v in j.right_product(b, c).items() if (w := j.pair(a, m))), ZERO)
     return lhs - rhs
 
 
@@ -673,20 +634,20 @@ def verify_cocycle_identity(j, degree_bound):
     checked on nonconstant monomial triples with total degree at most
     `degree_bound`; unitality is checked on every monomial within bound.
 
-    Only triples that can be nonzero are visited.  With R(x, y) the map
-    {x1 y1: sum J(x2, y2)}, the sides are sum_m J(m, c) R(a, b)[m] and
-    sum_m J(a, m) R(b, c)[m], so (a, b, c) is 0 = 0 unless a key m of
-    R(a, b) has J(m, c) != 0 or a key m of R(b, c) has J(a, m) != 0.  Each
-    R(x, y) is walked once; its keys meet the supports of J, built on
-    demand, so J is evaluated on exactly the pairs a full sweep evaluates.
+    Only triples that can be nonzero are visited.  With R(x, y) the
+    one-sided product {x1 y1: sum J(x2, y2)}, `j.right_product`, the sides
+    are sum_m J(m, c) R(a, b)[m] and sum_m J(a, m) R(b, c)[m], so (a, b, c)
+    is 0 = 0 unless a key m of R(a, b) has J(m, c) != 0 or a key m of
+    R(b, c) has J(a, m) != 0.  Each R(x, y) is walked once; its keys meet
+    the supports of J, built on demand, so J is evaluated on exactly the
+    pairs a full sweep evaluates.
 
     `checked` counts triples in that full sweep's order (grlex in each
     slot): all on success, else up to the first failing one, `failure`.
     If a bounded evaluator leaves its range, every triple is checked in
     that order, so the sweep's first error or failure is the one given.
     """
-    pres = j.pres
-    ring = pres.ring
+    ring = j.pres.ring
     for m in ring.monomials_up_to(degree_bound):
         if j.pair(m, ring.one_monomial) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
@@ -706,7 +667,6 @@ def verify_cocycle_identity(j, degree_bound):
             for y in range(upto(degree_bound - 1 - degs[x])):
                 yield x, y, upto(degree_bound - degs[x] - degs[y])
 
-    right = _right_product(pres, j.pair)
     supports = {}
 
     def support(m, end, slot):
@@ -720,7 +680,7 @@ def verify_cocycle_identity(j, degree_bound):
     try:
         found = set()
         for x, y, end in sweep_pairs():
-            for m in right(mons[x], mons[y]):
+            for m in j.right_product(mons[x], mons[y]):
                 found.update((x, y, z) for z in support(m, end, 0))
                 found.update((w, x, y) for w in support(m, end, 1))
         candidates = sorted(found)
@@ -732,7 +692,7 @@ def verify_cocycle_identity(j, degree_bound):
         return sum(end for x, y, end in sweep_pairs() if (x, y) < before)
 
     for x, y, z in candidates:
-        if _identity_defect(j.pair, right, mons[x], mons[y], mons[z]):
+        if _identity_defect(j, mons[x], mons[y], mons[z]):
             return CocycleIdentityReport(False, degree_bound, visited((x, y)) + z + 1,
                                          (mons[x], mons[y], mons[z]))
     return CocycleIdentityReport(True, degree_bound, visited((len(mons), 0)))

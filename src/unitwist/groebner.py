@@ -237,12 +237,3 @@ def krull_dimension(ideal):
             best = len(subset)
     return best
 
-
-def rename_into(f, target, mapping=None):
-    """Transport a polynomial into another ring by variable names."""
-    mapping = mapping or {}
-    images = {}
-    for name in f.variables():
-        out = mapping.get(name, name)
-        images[name] = target.var(out)
-    return f.substitute(images, target)

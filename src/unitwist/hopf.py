@@ -27,22 +27,6 @@ class PresentationError(ValueError):
     pass
 
 
-def _monomial_map(ring, coords, target):
-    """O(G) -> target on monomials, generator i to coords[i] and parameters fixed; memoized."""
-    memo = {ring.one_monomial: target.one}
-
-    def image(m):
-        img = memo.get(m)
-        if img is None:
-            i = next(i for i, e in enumerate(m.exps) if e)
-            var = coords[i] if i < ring.ngens else target.var(ring.names[i])
-            rest = ring.monomial(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:])
-            img = memo[m] = image(rest) * var
-        return img
-
-    return image
-
-
 class Point:
     """A group element: rational (or parameter-valued) coordinates."""
 
@@ -64,10 +48,9 @@ class Point:
         return self.coords.get(name, self.group.ring.zero)
 
     def restriction(self, target):
-        """Evaluation at this point, into `target`, as a monomial -> Poly map."""
+        """Evaluation at this point, into `target`, as a memoized monomial -> Poly map."""
         ring = self.group.ring
-        return _monomial_map(ring, [self.coord(n).substitute({}, target) for n in ring.generators],
-                             target)
+        return ring.hom({n: self.coord(n).substitute({}, target) for n in ring.generators}, target)
 
     def __repr__(self):
         parts = ["%s=%s" % (n, render_poly(p)) for n, p in sorted(self.coords.items())]
@@ -110,16 +93,16 @@ class SubgroupParam:
         """The restriction O(G) -> target as a monomial -> Poly map.
 
         Each parameter t becomes rename[t] (default t) and group parameters
-        map to themselves.  The coordinate images are built once; monomial
-        images are memoized only for the life of the returned map.
+        map to themselves.  The coordinate images are built once; the map is
+        `PolyRing.hom`, so monomial images are memoized for its life.
         """
         target = target or self.param_ring
-        coords = [self.coord_exprs[n] for n in self.group.ring.generators]
+        images = self.coord_exprs
         if target is not self.param_ring:
             ren = rename or {}
-            images = {t: target.var(ren.get(t, t)) for t in self.param_names}
-            coords = [e.substitute(images, target) for e in coords]
-        return _monomial_map(self.group.ring, coords, target)
+            moved = {t: target.var(ren.get(t, t)) for t in self.param_names}
+            images = {n: e.substitute(moved, target) for n, e in images.items()}
+        return self.group.ring.hom(images, target)
 
     def restrict(self, f, target=None, rename=None):
         """Restriction O(G) -> Q[t1..tm]: substitute the parametrization."""
@@ -173,6 +156,16 @@ class LieAlgebraData:
                     out[k] += a * b * bb[k]
         return out
 
+    def is_subalgebra(self, vectors):
+        """Whether the span of `vectors` is closed under the bracket."""
+        red, _ = linalg.rref(vectors)
+        for i, v in enumerate(vectors):
+            for w in vectors[i + 1:]:
+                b = self.bracket(v, w)
+                if any(b) and linalg.matrix_rank(red + [b]) > len(red):
+                    return False
+        return True
+
     def check_jacobi(self):
         n = self.n
         basis = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
@@ -216,18 +209,10 @@ class LieAlgebraData:
 class GroupPresentation:
     """A unipotent group presented by its Hopf data."""
 
-    def __init__(self, name, generators, q_data=None, parameters=()):
+    def __init__(self, name, generators, parameters=()):
         self.name = name
         self.ring = PolyRing(generators, parameters)
         self.q = {}
-        q_data = q_data or {}
-        for gen, t in q_data.items():
-            if gen not in self.ring.index:
-                raise PresentationError("q-data for unknown generator %r" % gen)
-            if not isinstance(t, TensorPoly) or t.rank != 2:
-                raise PresentationError("q(%s) must be a rank-2 tensor" % gen)
-            if not t.is_zero():
-                self.q[gen] = t
         self.named_subgroups = {}
         self.named_points = {}
         self._coprod = {}
@@ -507,20 +492,17 @@ class GroupPresentation:
                 out = out + m1.as_poly() * self.evaluate(m2.as_poly(), g) * (c * c2)
         return out
 
-    def conjugation_images(self, gcoord_names=None):
+    def conjugation_images(self):
         """Images of generators under conjugation by a symbolic point.
 
         Returns (extended_ring, images) where images[name] is
         sum f1(g) f2 S(f3)(g) written with symbolic coordinates g_<name>.
         """
-        if gcoord_names is None:
-            gcoord_names = {g: "g_" + g for g in self.ring.generators}
-        ext = self.ring.extended(extra_parameters=tuple(gcoord_names[g] for g in self.ring.generators))
+        ext = self.ring.extended(extra_parameters=tuple("g_" + g for g in self.ring.generators))
 
         def eval_sym(poly):
-            return poly.substitute({g: ext.var(gcoord_names[g]) for g in self.ring.generators}, ext)
+            return poly.substitute({g: ext.var("g_" + g) for g in self.ring.generators}, ext)
 
-        lift = {n: ext.var(n) for n in self.ring.names}
         images = {}
         for g in self.ring.generators:
             acc = ext.zero

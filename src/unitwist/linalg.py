@@ -83,34 +83,6 @@ def solve(rows, rhs):
     return x
 
 
-def det(matrix):
-    """Determinant by Gaussian elimination over Fraction (exact)."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in matrix]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result * sign
-
-
 def matrix_rank(rows):
     if not rows:
         return 0

@@ -127,6 +127,30 @@ class PolyRing:
         out.sort(key=grlex_key)
         return out
 
+    def hom(self, images, target):
+        """The algebra map into `target` sending each variable per `images`.
+
+        `images` maps names to Polys in `target` or to rationals; a variable
+        absent from it maps to the target variable of the same name, which
+        must then exist.  Returned as a monomial -> Poly map whose values
+        are memoized for the life of the map.
+        """
+        images = {n: v if isinstance(v, Poly) else target.const(v) for n, v in images.items()}
+        memo = {self.one_monomial: target.one}
+
+        def image(m):
+            img = memo.get(m)
+            if img is None:
+                i = next(i for i, e in enumerate(m.exps) if e)
+                var = images.get(self.names[i])
+                if var is None:
+                    var = images[self.names[i]] = target.var(self.names[i])
+                rest = self.monomial(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:])
+                img = memo[m] = image(rest) * var
+            return img
+
+        return image
+
     def extended(self, extra_generators=(), extra_parameters=()):
         return PolyRing(self.generators + tuple(extra_generators),
                         self.parameters + tuple(extra_parameters))
@@ -331,8 +355,8 @@ class Poly:
         """Coefficient of the plain degree-1 monomial in `name`."""
         return self.terms.get(self.ring.var_monomial(name), ZERO)
 
-    def sorted_terms(self, key=grlex_key, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: t[0].grlex, reverse=True)
 
     def variables(self):
         seen = set()
@@ -391,27 +415,10 @@ class Poly:
         Variables absent from `images` must exist in the target ring and map
         to themselves.
         """
-        cache = {}
-
-        def image_of(i):
-            if i not in cache:
-                name = self.ring.names[i]
-                if name in images:
-                    img = images[name]
-                    if not isinstance(img, Poly):
-                        img = target.const(img)
-                    cache[i] = img
-                else:
-                    cache[i] = target.var(name)
-            return cache[i]
-
+        image = self.ring.hom(images, target)
         result = target.zero
         for m, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(m.exps):
-                if e:
-                    term = term * image_of(i) ** e
-            result = result + term
+            result = result + image(m) * c
         return result
 
     def __repr__(self):

@@ -23,9 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
-                       normal_form, rename_into)
-from .poly import ZERO, Poly, PolyRing, render_poly
+from .groebner import Ideal, TermOrder, buchberger, eliminate, krull_dimension, normal_form
+from .poly import ONE, ZERO, Poly, PolyRing, render_poly
 from .twist import TwistedPresentation
 
 
@@ -66,7 +65,7 @@ def _product_image_ideal(group, subgroup, factors):
             acc = acc + a * b * cc * c
         gens.append(elim_ring.var(gname) - acc.substitute({}, elim_ring))
     kept = eliminate(Ideal(elim_ring, gens), names)
-    return Ideal(group.ring, [rename_into(g, group.ring) for g in kept.groebner()])
+    return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.groebner()])
 
 
 def double_coset_ideal(group, subgroup, point):
@@ -265,7 +264,7 @@ class Stratum:
         return out
 
 
-def stratum_presentation(group, ctx, subgroup, point, name="stratum", coinv_bound=3):
+def stratum_presentation(group, ctx, subgroup, point, name="stratum"):
     """Full stratum report: ideal, two-sidedness, quotient, dimensions."""
     ideal = double_coset_ideal(group, subgroup, point)
     if not verify_two_sided(ideal, ctx):
@@ -285,7 +284,7 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum", coinv_boun
     if dim_tg == dim_t:
         # g normalizes T: the ideal must be generated by coset functions
         # f - f(g) for f running over the left coset-invariant functions.
-        basis = group.coinvariants(subgroup, coinv_bound, side="left")
+        basis = group.coinvariants(subgroup, 3, side="left")
         mgt = Ideal(group.ring, [f - group.evaluate(f, point) for f in basis])
         flags["normalizing-case"] = "ideal == coset-function ideal: %s" \
             % ("pass" if mgt == ideal else "FAIL")
@@ -368,61 +367,30 @@ class CobracketData:
     def __init__(self, lie, tangent_basis, rmatrix):
         self.lie = lie
         self.basis = [list(map(Fraction, v)) for v in tangent_basis]
-        d = len(self.basis)
-        self.dim = d
-        # express r in the wedge basis of the subalgebra
-        keys = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        rows = []
-        n = lie.n
-        for a in range(n):
-            for b in range(n):
-                row = []
-                for (i, j) in keys:
-                    row.append(self.basis[i][a] * self.basis[j][b]
-                               - self.basis[j][a] * self.basis[i][b])
-                rows.append(row)
-        target = [rmatrix.matrix[a][b] for a in range(n) for b in range(n)]
-        sol = linalg.solve(rows, target)
-        if sol is None:
+        self.dim = len(self.basis)
+        self.r = rmatrix.matrix
+        # r lies in t (x) t, hence in t /\ t, iff every row of its
+        # antisymmetric matrix lies in t
+        if linalg.matrix_rank(self.basis + self.r) > linalg.matrix_rank(self.basis):
             raise StratumError("r-matrix is not supported on the subalgebra")
-        self.r_wedge = {k: v for k, v in zip(keys, sol) if v != 0}
-        # brackets of the subalgebra in its own basis (closure check)
-        self.sub_brackets = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = lie.bracket(self.basis[i], self.basis[j])
-                coords = linalg.solve([[self.basis[k][t] for k in range(d)]
-                                       for t in range(n)], v)
-                if coords is None:
-                    raise StratumError("subalgebra basis is not bracket-closed")
-                self.sub_brackets[(i, j)] = coords
-
-    def sub_bracket(self, i, j):
-        if i == j:
-            return [ZERO] * self.dim
-        if (i, j) in self.sub_brackets:
-            return list(self.sub_brackets[(i, j)])
-        return [-c for c in self.sub_brackets.get((j, i), [ZERO] * self.dim)]
+        if not lie.is_subalgebra(self.basis):
+            raise StratumError("subalgebra basis is not bracket-closed")
 
     def delta_matrix(self):
-        """Matrix of x -> [x.1 + 1.x, r] from the basis to the wedge basis."""
-        d = self.dim
-        keys = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        """Matrix of x -> [x (x) 1 + 1 (x) x, r] from the basis to g (x) g coordinates.
+
+        With r = sum r[a][b] u_a (x) u_b, the image of x is
+        sum r[a][b] ([x, u_a] (x) u_b + u_a (x) [x, u_b]).
+        """
+        n = self.lie.n
+        r = self.r
+        units = [[ONE if k == a else ZERO for k in range(n)] for a in range(n)]
         cols = []
-        for k in range(d):
-            out = {}
-            for (i, j), rv in self.r_wedge.items():
-                # [x (x) 1 + 1 (x) x, ui /\ uj] = [x,ui] /\ uj + ui /\ [x,uj]
-                bki = self.sub_bracket(k, i)
-                bkj = self.sub_bracket(k, j)
-                for e in range(d):
-                    if bki[e]:
-                        _wedge_add(out, e, j, rv * bki[e])
-                    if bkj[e]:
-                        _wedge_add(out, i, e, rv * bkj[e])
-            col = [out.get(key, ZERO) for key in keys]
-            cols.append(col)
-        return [[cols[k][t] for k in range(d)] for t in range(len(keys))]
+        for x in self.basis:
+            ad = [self.lie.bracket(x, u) for u in units]  # ad[a] = [x, u_a]
+            cols.append([sum((ad[a][e] * r[a][b] + r[e][a] * ad[a][b] for a in range(n)), ZERO)
+                         for e in range(n) for b in range(n)])
+        return [list(row) for row in zip(*cols)]
 
     def kernel(self):
         """Basis of ker(delta) in subalgebra coordinates."""
@@ -438,37 +406,6 @@ class CobracketData:
             out.append(w)
         return out
 
-    def kernel_is_bracket_closed(self):
-        ker = self.kernel()
-        if not ker:
-            return True
-        red, _ = linalg.rref(ker)
-        for i in range(len(ker)):
-            for j in range(len(ker)):
-                b = [ZERO] * self.dim
-                for a, ca in enumerate(ker[i]):
-                    for c, cc in enumerate(ker[j]):
-                        bb = self.sub_bracket(a, c)
-                        for t in range(self.dim):
-                            b[t] += ca * cc * bb[t]
-                if any(b) and linalg.matrix_rank(red + [b]) > len(red):
-                    return False
-        return True
-
-
-def _wedge_add(table, i, j, val):
-    if i == j or val == 0:
-        return
-    if i < j:
-        key = (i, j)
-    else:
-        key, val = (j, i), -val
-    v = table.get(key, ZERO) + val
-    if v == 0:
-        table.pop(key, None)
-    else:
-        table[key] = v
-
 
 def subgroup_F(lie, tangent_basis, rmatrix):
     """ker(delta) with its sanity checks; returns (CobracketData, kernel)."""
@@ -478,7 +415,7 @@ def subgroup_F(lie, tangent_basis, rmatrix):
     if len(ker) != expected:
         raise StratumError("dim ker(delta) = %d but dim(t/[t,t]) = %d"
                            % (len(ker), expected))
-    if not data.kernel_is_bracket_closed():
+    if not lie.is_subalgebra(data.kernel_in_ambient()):
         raise StratumError("ker(delta) is not bracket-closed")
     return data, ker
 
@@ -558,7 +495,7 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
         if target is not None and basis == target:
             break
         # g's coordinates are written with the generator names
-        condition = Poly(ring, group.contract(m1, m2, None, j.pair)) \
+        condition = Poly(ring, j.right_product(m1, m2)) \
             - Poly(ring, group.contract(m1, m2, j.pair, None))
         if condition.is_zero():
             continue

@@ -47,7 +47,6 @@ class TwistedContext:
         self.right_inv = right.cached_inverse()
         self.two_sided = left is right
         self._mul_cache = {}
-        self._right_products = {}
         self._commutators = None
         self._gamma = None  # strata.commutator_ideal_and_gamma's report
 
@@ -61,13 +60,6 @@ class TwistedContext:
         return cls(pres, CounitPair(pres), j)
 
     # -- products ----------------------------------------------------------
-    def _right_product(self, x, y):
-        """The one-sided product x ._J y = sum x1 y1 J(x2,y2), memoized."""
-        hit = self._right_products.get((x, y))
-        if hit is None:
-            hit = self._right_products[(x, y)] = self.pres.contract(x, y, None, self.right.pair)
-        return hit
-
     def _left_reduced(self, a, b):
         # K(a,b) without its (1,1) term; `pair` is already 0 when exactly
         # one argument is 1
@@ -79,12 +71,13 @@ class TwistedContext:
         sum K(a1,b1) (a2 . b2) = a ._J b, and the only nonzero term with a 1
         in either slot is K(1,1) = 1, so a . b = a ._J b - sum_{a1 != 1}
         K(a1,b1) (a2 . b2).  Each such a2 has strictly lower coradical
-        degree than a, so the recursion ends.  Both products are memoized.
+        degree than a, so the recursion ends.  Both products are memoized,
+        the one-sided one on J as `right_product`.
         """
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            terms = dict(self._right_product(m1, m2))
+            terms = dict(self.right.right_product(m1, m2))
             for k, c in self.pres.contract(m1, m2, self._left_reduced,
                                            lambda a, b: self.mul_monomials(a, b).terms).items():
                 terms[k] = terms.get(k, ZERO) - c

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -601,13 +602,16 @@ def test_corrected_cocycle_rederivation(examples):
 
 
 def test_exponential_truncation_extra_order(examples):
+    # the word-pairing term one order past the truncation is 0, so adding
+    # it would never change a value
     ex = examples("jordan4-minimal")
     g = ex.pres
-    base = ex.ctx.right
-    extra = ExponentialCocycle(g, base.rmatrix, extra_orders=1)
+    j = ex.ctx.right
+    assert isinstance(j, ExponentialCocycle)
     for m1 in g.ring.monomials_up_to(3, include_one=False):
         for m2 in g.ring.monomials_up_to(2, include_one=False):
-            assert base.pair(m1, m2) == extra.pair(m1, m2)
+            k = min(g.corad_degree_monomial(m1), g.corad_degree_monomial(m2)) + 1
+            assert j._contract(g.word_table(m1, k), g.word_table(m2, k)) == 0, (m1, m2)
 
 
 def test_rmatrix_support_flags(examples):
@@ -620,6 +624,36 @@ def test_rmatrix_support_flags(examples):
     heis = examples("heisenberg3").pres.lie_data()
     r_bad = RMatrix(3, {(0, 1): 1})
     assert not r_bad.support_is_subalgebra(heis)
+
+
+def test_one_sided_products_computed_once(monkeypatch):
+    # x ._J y = {x1 y1: sum J(x2, y2)} has one memo, on J: the identity check
+    # at three bounds, the deformed product and c0 share it
+    from unitwist import catalog
+    from unitwist.strata import c0_solver
+    from unitwist.twist import TwistedContext
+    data = catalog.get("u4-ex5").load()
+    pres, j = data.presentation, data.cocycle
+    computed = collections.Counter()
+    contract = pres.contract
+
+    def spy(m1, m2, f, g):
+        if f is None and g == j.pair:
+            computed[(m1, m2)] += 1
+        return contract(m1, m2, f, g)
+
+    monkeypatch.setattr(pres, "contract", spy)
+    for bound in (3, 4, 5):
+        assert verify_cocycle_identity(j, bound).ok
+    checked = len(computed)
+    ctx = TwistedContext.hopf(pres, j)
+    mons = pres.ring.monomials_up_to(3, include_one=False)
+    for a in mons:
+        for b in mons:
+            ctx.mul_monomials(a, b)
+    assert len(computed) > checked  # pairs of total degree 6 are new
+    c0_solver(pres, j, 3)
+    assert computed and max(computed.values()) == 1
 
 
 def test_word_table_follows_set_q():

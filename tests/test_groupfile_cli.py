@@ -354,6 +354,16 @@ MALFORMED += [
     ("max-degree-negative", None, ["c0", "--example", "u3", "--max-degree", "-3"], 2,
      "--max-degree must be at least 1"),
 ]
+# a command takes only the options it reads
+MALFORMED += [("unread-option-%s-%s" % (cmd, option[2:]), None,
+               [cmd, "--example", "u3"] + (["--point", "origin"] if cmd == "strata" else [])
+               + ([option, "3"] if option == "--max-degree" else [option]),
+               2, "unrecognized arguments: " + option)
+              for cmd, option in [("present", "--max-degree"), ("present", "--strict"),
+                                  ("gamma", "--max-degree"), ("gamma", "--strict"),
+                                  ("strata", "--max-degree"), ("strata", "--strict"),
+                                  ("c0", "--strict"), ("rform-check", "--strict"),
+                                  ("report", "--max-degree")]]
 
 
 @pytest.mark.parametrize("text,argv,code,message", [case[1:] for case in MALFORMED],

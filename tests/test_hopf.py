@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitwist.hopf import GroupPresentation, SubgroupParam
+from unitwist.hopf import GroupPresentation, PresentationError, SubgroupParam
 from unitwist.poly import PolyRing, TensorPoly, parse_poly, render_poly
 from unitwist.strata import subgroup_ideal
 
@@ -178,6 +178,18 @@ def fresh_results(q, name):
     g = GroupPresentation("heis", ["X", "Y", "V"])
     set_heis_q(g, q)
     return memoized_results(g, heis_subgroup(g, name))
+
+
+def test_presentation_takes_q_only_through_set_q():
+    # set_q checks that a q-tensor lives over the group's own ring; the
+    # constructor has no second way in that skips the check
+    with pytest.raises(TypeError):
+        GroupPresentation("heis", ["X", "Y", "V"], q_data={})
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    other = PolyRing(["X", "Y", "V"])
+    foreign = TensorPoly.from_polys([other.var("X"), other.var("Y")])
+    with pytest.raises(PresentationError, match="over the group ring"):
+        g.set_q("V", foreign)
 
 
 def test_set_q_clears_the_memos():

@@ -225,3 +225,42 @@ def test_monomial_slots_match_their_definitions():
         assert m.gen_part.exps == exps[:ng] + (0,) * (len(exps) - ng)
         assert m.param_part.exps == (0,) * ng + exps[ng:]
         assert m.gen_part.mul(m.param_part) is m
+
+
+def test_substitute_matches_sympy():
+    # an independent oracle for the one algebra map: images in a target ring
+    # with variables of its own, some variables and parameters left to map
+    # to their namesakes, images that are rational constants
+    sympy = pytest.importorskip("sympy")
+    R = PolyRing(["X", "Y", "V"], parameters=("a", "b"))
+    S = PolyRing(["s", "X", "t"], parameters=("a", "b", "c"))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+    def polys(ring, degree, size):
+        mons = ring.monomials_up_to(degree, names=ring.names)
+        return st.dictionaries(st.sampled_from(mons), coeff, max_size=size).map(
+            lambda terms: Poly(ring, terms))
+
+    image = st.one_of(polys(S, 2, 3), coeff)
+    # Y and V have no namesake in S, so they always get an image
+    images = st.fixed_dictionaries({"Y": image, "V": image},
+                                   optional={"X": image, "a": image, "b": image})
+    symbol = {n: sympy.Symbol(n) for n in R.names + S.names}
+
+    def to_sympy(p):
+        if not isinstance(p, Poly):
+            return sympy.Rational(p.numerator, p.denominator)
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[symbol[n] ** e for n, e in zip(p.ring.names, m.exps)])
+                    for m, c in p.terms.items()), sympy.Integer(0))
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(polys(R, 3, 5), images)
+    def check(f, imgs):
+        got = f.substitute(imgs, S)
+        assert got.ring is S
+        want = to_sympy(f).subs({symbol[n]: to_sympy(v) for n, v in imgs.items()},
+                                simultaneous=True)
+        assert sympy.expand(to_sympy(got) - want) == 0, (f, imgs)
+
+    check()

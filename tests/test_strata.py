@@ -1,3 +1,6 @@
+import collections
+import hashlib
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -5,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from unitwist import catalog, cli
-from unitwist.cocycle import ExponentialCocycle
+from unitwist.cocycle import ExponentialCocycle, RMatrix
 from unitwist.groebner import Ideal, TermOrder, normal_form
 from unitwist.poly import parse_poly, render_poly
 from unitwist.groupfile import parse_group_file
@@ -166,6 +169,39 @@ def test_subgroup_F_examples(examples):
         data, ker = subgroup_F(ex.pres.lie_data(), T.tangent_vectors(), ex.data.rmatrix)
         assert len(ker) == ex.entry.expected["F_dim"]
         assert len(ker) == data.dim
+
+
+def test_subgroup_F_pinned_on_coordinate_subalgebras():
+    # every 2- and 3-element coordinate span of every catalog entry, closed
+    # or not, crossed with every single-pair r and the entry's own r; the
+    # kernels and error messages are pinned by digest
+    outcomes = []
+    for cid in catalog.ids():
+        data = catalog.get(cid).load()
+        lie = data.presentation.lie_data()
+        n = lie.n
+        rs = [RMatrix(n, {pair: 1}) for pair in itertools.combinations(range(n), 2)]
+        for size in (2, 3):
+            for span in itertools.combinations(range(n), size):
+                basis = [[int(k == s) for k in range(n)] for s in span]
+                for r in rs + [data.rmatrix]:
+                    try:
+                        _, ker = subgroup_F(lie, basis, r)
+                        got = "ker %s" % [[str(c) for c in v] for v in ker]
+                    except StratumError as e:
+                        got = "error: %s" % e
+                    entries = [(i, j, str(v)) for i, row in enumerate(r.matrix)
+                               for j, v in enumerate(row) if i < j and v]
+                    outcomes.append((cid, span, entries, got))
+    counts = collections.Counter(got.split(" [")[0] for _, _, _, got in outcomes)
+    assert counts == {
+        "error: r-matrix is not supported on the subalgebra": 1074,
+        "error: subalgebra basis is not bracket-closed": 83,
+        "error: dim ker(delta) = 3 but dim(t/[t,t]) = 2": 23,
+        "error: dim ker(delta) = 1 but dim(t/[t,t]) = 2": 11,
+        "ker": 87}
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == \
+        "3f2ec8f4d7c1cbb59ecc852afc4c8c80b44484e197b7b4716d5162d7dc114187"
 
 
 def test_F_dim_all_catalog(each_example):
