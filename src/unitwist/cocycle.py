@@ -21,13 +21,30 @@ the exponential kind negates its r-matrix, the other kinds use the
 terminating geometric series of (eps (x) eps) - J.  Every sum over
 Delta(a) x Delta(b) goes through `GroupPresentation.contract`.
 
+Zeros known ahead of time.  Give each generator X_i an integer weight
+vector w_i, and say w(m) for the weight of a monomial.  If every term
+m1 (x) m2 of q(X_i) has w(m1) + w(m2) = w_i, Delta is homogeneous, and so
+is every word table.  If also w_a + w_b = rho for every nonzero r_ab, the
+k-th term of exp(r/2) pairs a (x) b to 0 unless w(a) + w(b) = k rho, so
+J_r(a, b) != 0 only if w(a) + w(b) lies in N rho.  Convolution, the Neumann
+inverse and the swap keep that class, so J^{-1}, J21 and the R-form
+(J21)^{-1} * J have the same zeros.  `WeightGrading.of` finds such
+weights.  An evaluator's `grading` is set only where this proof holds:
+`ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
+a `Convolution` of two evaluators with the same grading, and a
+`CorrectedCocycle` whose correction keys are all in class.  Every other
+evaluator has None.  The checks that walk many pairs read the grading
+through a per-call `WeightIndex` and skip what it proves 0 = 0.
+
 Evaluators memoize values and one-sided products per monomial pair; the
-caches never change a result, only its cost.
+caches never change a result, only its cost.  `GroupPresentation.set_q`
+clears them.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -72,6 +89,136 @@ class RMatrix:
     def support_is_subalgebra(self, lie):
         return lie.is_subalgebra([[ONE if k == i else ZERO for k in range(self.n)]
                                   for i in self.support_indices()])
+
+
+class WeightGrading:
+    """Integer weights on the generators and rho, grading the zeros of J_r.
+
+    `weights[i]` and `rho` are integer tuples, one entry per basis vector of
+    the weight lattice.  An evaluator with this grading is 0 on (a, b)
+    unless w(a) + w(b) lies in N rho.  A bounded evaluator's grading also
+    carries its `total_bound`, beyond which it raises instead of answering.
+    """
+
+    def __init__(self, weights, rho, unit_legs, total_bound=None):
+        self.weights = weights
+        self.rho = rho
+        # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
+        self.unit_legs = unit_legs
+        self.total_bound = total_bound
+
+    @classmethod
+    def of(cls, pres, rmatrix):
+        """The weight lattice of a presentation and an r-matrix, or None when it is {0}.
+
+        It is the rational nullspace of the equations in (w_1..w_n, rho)
+        w(m1) + w(m2) = w_i for each term of q(X_i), and w_a + w_b = rho for
+        each nonzero r_ab, with each basis vector scaled to integers.
+        Memoized on the presentation until `set_q`.
+        """
+        memo = pres._gradings
+        if rmatrix in memo:
+            return memo[rmatrix]
+        n = pres.ring.ngens
+        rows = []
+        for i, gen in enumerate(pres.ring.generators):
+            q = pres.q.get(gen)
+            for m1, m2 in (q.terms if q is not None else ()):
+                row = [a + b for a, b in zip(m1.exps[:n], m2.exps[:n])] + [0]
+                row[i] -= 1
+                rows.append(row)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rmatrix.matrix[a][b]:
+                    row = [0] * (n + 1)
+                    row[a] = row[b] = 1
+                    row[n] = -1
+                    rows.append(row)
+        basis = linalg.nullspace(rows, n + 1)
+        grading = None
+        if basis:
+            basis = [[int(x * math.lcm(*(y.denominator for y in v))) for x in v] for v in basis]
+            unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
+            grading = cls(tuple(tuple(v[i] for v in basis) for i in range(n)),
+                          tuple(v[n] for v in basis), unit_legs)
+        memo[rmatrix] = grading
+        return grading
+
+    def weight(self, m):
+        out = [0] * len(self.rho)
+        for e, w in zip(m.exps, self.weights):
+            if e:
+                for t, x in enumerate(w):
+                    out[t] += e * x
+        return tuple(out)
+
+    def multiple(self, s, signed=False):
+        """Whether s = k rho for an integer k, with k >= 0 unless `signed`."""
+        k = next((x // r for x, r in zip(s, self.rho) if r), 0)
+        return (signed or k >= 0) and all(x == k * r for x, r in zip(s, self.rho))
+
+    def bounded(self, total_bound):
+        """This grading for an evaluator that answers up to `total_bound` only."""
+        if self.total_bound is not None:
+            total_bound = min(total_bound, self.total_bound)
+        return WeightGrading(self.weights, self.rho, self.unit_legs, total_bound)
+
+    def covers(self, degree_bound):
+        """Whether a check within `degree_bound` stays inside the evaluator's bound.
+
+        With unit legs, every pair the checks ask for, directly or through
+        coproduct legs, has total degree at most `degree_bound`.  Decided
+        from the bound alone, so a check that could meet the bound error
+        takes its full path and reports the error the full path reports.
+        """
+        return self.total_bound is None or (self.unit_legs and degree_bound <= self.total_bound)
+
+
+class WeightIndex:
+    """One call's monomials bucketed by weight.
+
+    `partners(idx, end)` lists, in increasing order, the indices k < end
+    for which the weight of mons[k] times the monomials indexed by `idx`
+    lies in N rho (in Z rho when `signed`).  The full list is memoized per
+    weight.  Buckets are grouped by their line modulo Q rho, so an answer
+    reads one group, not every bucket.
+    """
+
+    def __init__(self, grading, mons):
+        self.grading = grading
+        self._pivot = next((t for t, r in enumerate(grading.rho) if r), None)
+        self._weights = [grading.weight(m) for m in mons]
+        buckets = {}
+        for k, w in enumerate(self._weights):
+            buckets.setdefault(w, []).append(k)
+        self._lines = {}
+        for w, ks in buckets.items():
+            self._lines.setdefault(self._line(w), []).append((w, ks))
+        self._memo = {}
+
+    def _line(self, v):
+        # linear in v, and 0 exactly on Q rho (on 0 when rho is 0)
+        t, rho = self._pivot, self.grading.rho
+        return v if t is None else tuple(rho[t] * x - v[t] * r for x, r in zip(v, rho))
+
+    @classmethod
+    def within(cls, j, mons, degree_bound):
+        """The index for a check on `j` within `degree_bound`, or None for the full path."""
+        grading = j.grading
+        if grading is None or not grading.covers(degree_bound):
+            return None
+        return cls(grading, mons)
+
+    def partners(self, idx, end, signed=False):
+        s = tuple(map(sum, zip(*(self._weights[k] for k in idx))))
+        hit = self._memo.get((s, signed))
+        if hit is None:
+            multiple = self.grading.multiple
+            line = tuple(-x for x in self._line(s))
+            hit = self._memo[(s, signed)] = sorted(
+                k for w, ks in self._lines.get(line, ())
+                if multiple(tuple(map(sum, zip(s, w))), signed) for k in ks)
+        return hit[:bisect.bisect_left(hit, end)]
 
 
 def cybe_check(lie, r):
@@ -167,16 +314,43 @@ class TangentFunctional:
         return val
 
 
+_UNSOLVED = object()  # a grading not looked for yet; None means there is none
+
+
 class Cocycle:
-    """Base evaluator.  Subclasses implement `_pair` on generator monomials."""
+    """Base evaluator.  Subclasses implement `_pair` on generator monomials.
+
+    Subclasses where the proof in the module docstring holds implement
+    `_find_grading`.
+    """
 
     kind = "abstract"
 
     def __init__(self, pres):
         self.pres = pres
+        self.forget_memos()
+        pres._dependents.add(self)
+
+    def forget_memos(self):
+        """Drop every memo, all of which depend on q; `set_q` calls this."""
         self._cache = {}
         self._products = {}
         self._inv_memo = None
+        self._grading = _UNSOLVED
+
+    @property
+    def grading(self):
+        """The `WeightGrading` of this evaluator's zeros, or None; found on first use."""
+        if self._grading is _UNSOLVED:
+            self._grading = self._find_grading()
+        return self._grading
+
+    @grading.setter
+    def grading(self, value):
+        self._grading = value
+
+    def _find_grading(self):
+        return None
 
     def cached_inverse(self):
         if self._inv_memo is None:
@@ -325,6 +499,10 @@ class ExponentialCocycle(Cocycle):
                     break
         return total
 
+    def _find_grading(self):
+        # shared with the inverse through the presentation's memo
+        return WeightGrading.of(self.pres, self.rmatrix)
+
     def inverse(self):
         return ExponentialCocycle(self.pres, self.rmatrix, not self.negate)
 
@@ -416,6 +594,12 @@ class CorrectedCocycle(Cocycle):
                 % (m1, m2, self.total_bound))
         return self.base.pair(m1, m2) + self.corrections.get((m1, m2), ZERO)
 
+    def _find_grading(self):
+        g = self.base.grading
+        if g is None or not all(g.multiple(g.weight(m1.mul(m2))) for m1, m2 in self.corrections):
+            return None
+        return g.bounded(self.total_bound)
+
 
 def solve_cocycle_corrections(pres, base, total_bound):
     """Corrections making `base` satisfy the cocycle identity within bound.
@@ -428,6 +612,11 @@ def solve_cocycle_corrections(pres, base, total_bound):
     corrections x(ab, c) and x(a, bc), a difference-constraint graph solved
     by breadth-first propagation.  Roots keep the base value, so the result
     is deterministic.  Raises if the constraints are inconsistent.
+
+    u = (ab, c) and v = (a, bc) have the same weight, so the constraint
+    graph splits by the class of w(a) + w(b) + w(c).  Where `base` has a
+    grading, a class outside N rho has only zero defects (the corrections
+    found so far lie in class), its roots assign 0, and it is skipped.
     """
     for g, q in pres.q.items():
         for (m1, m2), _ in q.terms.items():
@@ -435,14 +624,16 @@ def solve_cocycle_corrections(pres, base, total_bound):
                 raise CocycleInputError(
                     "correction solving needs degree-1 coproduct corrections")
     mons = pres.ring.monomials_up_to(total_bound - 2, include_one=False)
+    degs = [m.degree for m in mons]
+    index = WeightIndex.within(base, mons, total_bound)
     by_level = {}
-    for a in mons:
-        for b in mons:
+    for x, a in enumerate(mons):
+        for y, b in enumerate(mons):
             if a.degree + b.degree > total_bound - 1:
                 continue
-            for c in mons:
-                if a.degree + b.degree + c.degree > total_bound:
-                    continue
+            end = bisect.bisect_right(degs, total_bound - a.degree - b.degree)
+            for z in range(end) if index is None else index.partners((x, y), end):
+                c = mons[z]
                 lvl = (pres.corad_degree_monomial(a) + pres.corad_degree_monomial(b)
                        + pres.corad_degree_monomial(c))
                 by_level.setdefault(lvl, []).append((a, b, c))
@@ -501,6 +692,9 @@ class SwappedCocycle(Cocycle):
     def _pair(self, m1, m2):
         return self.inner.pair(m2, m1)
 
+    def _find_grading(self):
+        return self.inner.grading
+
     def inverse(self):
         return SwappedCocycle(self.inner.inverse())
 
@@ -529,6 +723,9 @@ class NeumannInverse(Cocycle):
     def _pair(self, m1, m2):
         # J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2)
         return -self._sum(m1, m2, self._n, self.pair)
+
+    def _find_grading(self):
+        return self.inner.grading
 
     def inverse(self):
         return self.inner
@@ -574,6 +771,9 @@ class GaugeCocycle(Cocycle):
         super().__init__(pres)
         self.inner = inner
         self.chi = chi
+
+    def forget_memos(self):
+        super().forget_memos()
         self._tails = {}
 
     def _tail(self, x, y):
@@ -606,6 +806,12 @@ class Convolution(Cocycle):
     def _pair(self, m1, m2):
         return self._sum(m1, m2, self.left.pair, self.right.pair)
 
+    def _find_grading(self):
+        # one lattice object: the presentation memoizes it, and a bounded
+        # cocycle's derived evaluators read its own
+        g = self.left.grading
+        return g if g is self.right.grading else None
+
 
 class CocycleIdentityReport:
     def __init__(self, ok, bound, checked, failure=None):
@@ -627,6 +833,29 @@ def _identity_defect(j, a, b, c):
     return lhs - rhs
 
 
+def _support_candidates(j, mons, sweep_pairs):
+    """The support route of `verify_cocycle_identity`, as index triples in sweep order."""
+    supports = {}
+
+    def support(m, end, slot):
+        # indices k < end with J(m, mons[k]) != 0 (slot 0) or J(mons[k], m) != 0
+        done, hit = supports.get((m, slot), (0, []))
+        hit += [k for k in range(done, end) if (j.pair(m, mons[k]) if slot == 0
+                                                 else j.pair(mons[k], m))]
+        supports[(m, slot)] = (max(done, end), hit)
+        return hit[:bisect.bisect_left(hit, end)]
+
+    try:
+        found = set()
+        for x, y, end in sweep_pairs():
+            for m in j.right_product(mons[x], mons[y]):
+                found.update((x, y, z) for z in support(m, end, 0))
+                found.update((w, x, y) for w in support(m, end, 1))
+        return sorted(found)
+    except CocycleBoundError:
+        return ((x, y, z) for x, y, end in sweep_pairs() for z in range(end))
+
+
 def verify_cocycle_identity(j, degree_bound):
     """Check the 2-cocycle identity and unitality on monomials within bound.
 
@@ -636,16 +865,25 @@ def verify_cocycle_identity(j, degree_bound):
 
     Only triples that can be nonzero are visited.  With R(x, y) the
     one-sided product {x1 y1: sum J(x2, y2)}, `j.right_product`, the sides
-    are sum_m J(m, c) R(a, b)[m] and sum_m J(a, m) R(b, c)[m], so (a, b, c)
-    is 0 = 0 unless a key m of R(a, b) has J(m, c) != 0 or a key m of
-    R(b, c) has J(a, m) != 0.  Each R(x, y) is walked once; its keys meet
-    the supports of J, built on demand, so J is evaluated on exactly the
-    pairs a full sweep evaluates.
+    are sum_m J(m, c) R(a, b)[m] and sum_m J(a, m) R(b, c)[m].
+
+    * Graded route, where `j.grading` is set and covers the bound.  A key m
+      of R(a, b) has w(m) = w(a) + w(b) - k rho with k >= 0, and J(m, c)
+      needs w(m) + w(c) in N rho; so both sides are 0 unless
+      w(a) + w(b) + w(c) lies in N rho (the module docstring has the
+      grading).  Monomials are bucketed by weight, and the walk visits just
+      the in-class c of each (a, b); a pair with none never builds R(a, b).
+    * Support route, for every other evaluator.  (a, b, c) is 0 = 0 unless
+      a key m of R(a, b) has J(m, c) != 0 or a key m of R(b, c) has
+      J(a, m) != 0.  Each R(x, y) is walked once; its keys meet the
+      supports of J, built on demand, so J is evaluated on exactly the
+      pairs a full sweep evaluates.
 
     `checked` counts triples in that full sweep's order (grlex in each
     slot): all on success, else up to the first failing one, `failure`.
     If a bounded evaluator leaves its range, every triple is checked in
-    that order, so the sweep's first error or failure is the one given.
+    that order, so the sweep's first error or failure is the one given; a
+    grading that does not cover the bound sends the check there up front.
     """
     ring = j.pres.ring
     for m in ring.monomials_up_to(degree_bound):
@@ -667,25 +905,12 @@ def verify_cocycle_identity(j, degree_bound):
             for y in range(upto(degree_bound - 1 - degs[x])):
                 yield x, y, upto(degree_bound - degs[x] - degs[y])
 
-    supports = {}
-
-    def support(m, end, slot):
-        # indices k < end with J(m, mons[k]) != 0 (slot 0) or J(mons[k], m) != 0
-        done, hit = supports.get((m, slot), (0, []))
-        hit += [k for k in range(done, end) if (j.pair(m, mons[k]) if slot == 0
-                                                 else j.pair(mons[k], m))]
-        supports[(m, slot)] = (max(done, end), hit)
-        return hit[:bisect.bisect_left(hit, end)]
-
-    try:
-        found = set()
-        for x, y, end in sweep_pairs():
-            for m in j.right_product(mons[x], mons[y]):
-                found.update((x, y, z) for z in support(m, end, 0))
-                found.update((w, x, y) for w in support(m, end, 1))
-        candidates = sorted(found)
-    except CocycleBoundError:
-        candidates = ((x, y, z) for x, y, end in sweep_pairs() for z in range(end))
+    index = WeightIndex.within(j, mons, degree_bound)
+    if index is not None:
+        candidates = ((x, y, z) for x, y, end in sweep_pairs()
+                      for z in index.partners((x, y), end))
+    else:
+        candidates = _support_candidates(j, mons, sweep_pairs)
 
     def visited(before):
         # triples the full sweep visits before reaching the (a, b) pair `before`

@@ -17,6 +17,7 @@ caching.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from . import linalg
@@ -103,11 +104,6 @@ class SubgroupParam:
             moved = {t: target.var(ren.get(t, t)) for t in self.param_names}
             images = {n: e.substitute(moved, target) for n, e in images.items()}
         return self.group.ring.hom(images, target)
-
-    def restrict(self, f, target=None, rename=None):
-        """Restriction O(G) -> Q[t1..tm]: substitute the parametrization."""
-        image = self.restriction(target, rename)
-        return sum((image(m) * c for m, c in f.terms.items()), (target or self.param_ring).zero)
 
     def tangent_vectors(self):
         """d/dt_j at t=0 of the parametrization, as vectors over the generators."""
@@ -222,11 +218,19 @@ class GroupPresentation:
         self._words = {}
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
+        self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
         self._lie = None
+        # cocycles and contexts built on this presentation; each memoizes
+        # values that depend on q, so `set_q` makes them forget
+        self._dependents = weakref.WeakSet()
 
     # -- bookkeeping ------------------------------------------------------
     def set_q(self, gen, tensor):
-        """Attach a coproduct correction after construction (clears caches)."""
+        """Attach a coproduct correction after construction.
+
+        Clears this presentation's memos and those of every cocycle and
+        context built on it.
+        """
         if gen not in self.ring.index:
             raise PresentationError("q-data for unknown generator %r" % gen)
         if not isinstance(tensor, TensorPoly) or tensor.rank != 2 or tensor.ring is not self.ring:
@@ -242,7 +246,10 @@ class GroupPresentation:
         self._words.clear()
         self._coinv.clear()
         self._subgroup_ideals.clear()
+        self._gradings.clear()
         self._lie = None
+        for obj in list(self._dependents):
+            obj.forget_memos()
 
     def add_subgroup(self, name, param_names, coord_exprs):
         self.named_subgroups[name] = SubgroupParam(self, param_names, coord_exprs)
@@ -483,13 +490,6 @@ class GroupPresentation:
         for m, c in f.terms.items():
             for (m1, m2), c2 in self.coproduct_monomial(m).terms.items():
                 out = out + self.evaluate(m1.as_poly(), g) * m2.as_poly() * (c * c2)
-        return out
-
-    def winding_right(self, g, f):
-        out = self.ring.zero
-        for m, c in f.terms.items():
-            for (m1, m2), c2 in self.coproduct_monomial(m).terms.items():
-                out = out + m1.as_poly() * self.evaluate(m2.as_poly(), g) * (c * c2)
         return out
 
     def conjugation_images(self):

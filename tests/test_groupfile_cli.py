@@ -67,6 +67,14 @@ def test_cli_validate_honest_failure(capsys):
     assert "cocycle identity at bound 3: FAIL" in out
 
 
+def test_cli_validate_beyond_solved_degree(capsys):
+    # past its solved total degree the corrected cocycle keeps its bound
+    # error: the identity check must not skip the pair that raises it
+    rc, out, err = run_cli(["validate", "--example", "u4-ex6", "--max-degree", "7"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: pair (F12^2, F12^5) exceeds the solved total degree 6\n"
+
+
 def test_cli_strata(capsys):
     rc, out, _ = run_cli(["strata", "--example", "u4-ex5", "--point", "caseI2"], capsys)
     assert rc == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import CocycleBoundError, CounitPair
+from unitwist.cocycle import CocycleBoundError, CounitPair, ExponentialCocycle, RMatrix
 from unitwist.poly import Poly, render_poly
 from unitwist.strata import stratum_presentation
 from unitwist.twist import (PsiFunctional, TwistConsistencyError, TwistedContext,
@@ -454,3 +454,30 @@ def test_product_beyond_the_solved_degree():
     with pytest.raises(CocycleBoundError) as err:
         ctx.mul(f14 ** 4, f14 ** 3)
     assert str(err.value) == "pair (F14^4, F14^3) exceeds the solved total degree 6"
+
+
+def rform_failures(cid, graded, r_entries=None):
+    """rform_axiom_check's failures at bound 4 on a new load, rendered.
+
+    `r_entries` replaces the entry's r-matrix by one that breaks CYBE.
+    """
+    data = catalog.get(cid).load()
+    j = data.cocycle
+    if r_entries is not None:
+        j = ExponentialCocycle(data.presentation, RMatrix(data.rmatrix.n, r_entries))
+    if not graded:
+        j.grading = None
+    ctx = TwistedContext.hopf(data.presentation, j)
+    assert (ctx.rform().grading is not None) == graded
+    return repr(rform_axiom_check(ctx, 4).failures)
+
+
+@pytest.mark.parametrize("cid,r_entries", [(cid, None) for cid in catalog.ids()]
+                         + [("heisenberg3", {(0, 1): 1}), ("u4-ex5", {(0, 1): 1})])
+def test_rform_check_graded_route_matches_full_route(cid, r_entries):
+    # the same failure list in the same order on both routes; the two
+    # r-matrices off CYBE fail, and so does jordan4-minimal's J_r, which
+    # is not a cocycle
+    got = [rform_failures(cid, graded, r_entries) for graded in (True, False)]
+    assert got[0] == got[1]
+    assert (got[0] != "[]") == (r_entries is not None or cid == "jordan4-minimal")
