@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -410,3 +411,70 @@ def test_check_errors_exit_1(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "run_present", fail)
     assert run_cli(["present", "--example", "u3"], capsys) == \
         (1, "", "error: data fails a check\n")
+
+
+# stdout and stderr digests with the exit code of the identity-check and
+# R-form commands, recorded before the checks shared one triple walk; a
+# change to how they walk their triples must leave every byte as it was
+EMPTY = hashlib.sha256(b"").hexdigest()
+CLI_PINS = {
+    "validate --example heisenberg3 --max-degree 3":
+        (0, "ad81b744595aabe69ea255a578c71abf2f5dae93e693d7498085a8f4de4f8f20", EMPTY),
+    "validate --example heisenberg3 --max-degree 4":
+        (0, "70cc6289d9d3af62f4742fb8d9c5f00422692fecc3c046bd442ff5fd076e163c", EMPTY),
+    "validate --example heisenberg3 --max-degree 5":
+        (0, "7d849a56d21da93329f21dea4822e864141e49bdb14c95983253cfcc33d47895", EMPTY),
+    "validate --example jordan4-abelian --max-degree 3":
+        (0, "bed49cd16dc621ada55d2839a1cac09dc0c2a594a5b5fe608cf8154b51851664", EMPTY),
+    "validate --example jordan4-abelian --max-degree 4":
+        (0, "e623bf4e6acf688d2be5694b6cfa7177452af3148006e8538a488d587ce91b86", EMPTY),
+    "validate --example jordan4-abelian --max-degree 5":
+        (0, "815bdda85c681b11fb619a0fd0b8acd5bf81223ae00b91f20d512b599473a624", EMPTY),
+    "validate --example jordan4-minimal --max-degree 3":
+        (1, "e5b64aaea0c1b2af0f2d5f6c04bc4f501f39fc4da133cb3fff3be0e8fc81d5dc", EMPTY),
+    "validate --example jordan4-minimal --max-degree 4":
+        (1, "5312a0b13154b5b755519cc95413f9f5fb931ad2feff6ad9fb098a0ce8c36926", EMPTY),
+    "validate --example jordan4-minimal --max-degree 5":
+        (1, "ac599ec2af84d5a3acd3a7796c0a019f8eae07113a3037860f7dd53076f8eac3", EMPTY),
+    "validate --example u3 --max-degree 3":
+        (0, "071ec318dd84d9b33b1aa741912c6e1b1c52f88ef5638d3e4464da359b1f1173", EMPTY),
+    "validate --example u3 --max-degree 4":
+        (0, "cde17a4ae1a138e19a761c2a2f312aecf60fc6f6c54f4326bdb89010c7e235dc", EMPTY),
+    "validate --example u3 --max-degree 5":
+        (0, "f5a663c64d51a9a834e976128ad680207b79dd94b11bb664d70a7bd794d5fc85", EMPTY),
+    "validate --example u4-ex5 --max-degree 3":
+        (0, "4ef07ec06d550bb51e19d4f866b28a24528cfe4c67823b783887cbac5a2eee83", EMPTY),
+    "validate --example u4-ex5 --max-degree 4":
+        (0, "e7a8f7ac2485e2447e7a87e204762902df6f9b64add334acdff7dfe6f6187a9f", EMPTY),
+    "validate --example u4-ex5 --max-degree 5":
+        (0, "45c4d2f9e17f0294c17351061eb1f76cd733057da7f749241a5210606f626a8c", EMPTY),
+    "validate --example u4-ex6 --max-degree 3":
+        (0, "f8536f0d32a8bf626c8e76de8904110f049f39c14620c8663ea294cb179011af", EMPTY),
+    "validate --example u4-ex6 --max-degree 4":
+        (0, "0a5a0d529efc29b25d57a47a72eaa1e3b35a1469fe5ecba766cc080d8a98baf3", EMPTY),
+    "validate --example u4-ex6 --max-degree 5":
+        (0, "e213ce8af850cb5a7a46f548127a2d58e082f6290fb13f4a43a755839afcf6f9", EMPTY),
+    "validate --example u4-ex6 --max-degree 7":
+        (1, EMPTY, "69088219a726ddb9529ebbdb1c1158be2294b4e55b10e48e38c35f93c8f11f47"),
+    "validate --example jordan4-minimal --max-degree 6":
+        (1, "9d6a76a99dad6b5993c2e3e63127c6d6b165e6a7d1a1c4d3e286308d5533d42f", EMPTY),
+    "rform-check --example heisenberg3":
+        (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+    "rform-check --example jordan4-abelian":
+        (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+    "rform-check --example jordan4-minimal":
+        (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+    "rform-check --example u3":
+        (0, "b7de2ba19599e38fe3e23de323a07b2a5ccbcf24db44a3ff53c68562be7469d3", EMPTY),
+    "rform-check --example u4-ex5":
+        (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+    "rform-check --example u4-ex6":
+        (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_PINS))
+def test_cli_output_pinned(capsys, argv):
+    rc, out, err = run_cli(argv.split(), capsys)
+    digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+    assert (rc, *digest) == CLI_PINS[argv], (out, err)
