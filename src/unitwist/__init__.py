@@ -12,10 +12,9 @@ from .poly import Monomial, Poly, PolyRing, TensorPoly, parse_poly, render_poly
 from .hopf import GroupPresentation, LieAlgebraData, Point, SubgroupParam
 from .cocycle import (Cocycle, CocycleBoundError, Convolution, CounitPair, ExponentialCocycle,
                       GaugeCocycle, PointFunctional, PullbackCocycle, RMatrix, TableCocycle,
-                      TangentFunctional, cybe_check, quasi_frobenius_check,
-                      verify_cocycle_identity)
-from .twist import (PsiFunctional, TwistedContext, TwistedPresentation, ihoe_presentation,
-                    rform_axiom_check, twisted_antipode)
+                      cybe_check, verify_cocycle_identity)
+from .twist import (TwistedContext, TwistedPresentation, ihoe_presentation, rform_axiom_check,
+                    twisted_antipode)
 from .groebner import (Ideal, TermOrder, buchberger, eliminate, krull_dimension,
                        normal_form)
 from .strata import (CobracketData, GammaReport, Stratum, c0_solver,

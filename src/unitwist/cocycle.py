@@ -33,8 +33,10 @@ weights.  An evaluator's `grading` is set only where this proof holds:
 `ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
 a `Convolution` of two evaluators with the same grading, and a
 `CorrectedCocycle` whose correction keys are all in class.  Every other
-evaluator has None.  The checks that walk many pairs read the grading
-through a per-call `WeightIndex` and skip what it proves 0 = 0.
+evaluator has None.  The identity check, the R-form check and the
+correction solver take their monomial triples from one walk, a per-call
+`WeightIndex`, which skips what the grading proves 0 = 0; with no grading
+it is the full sweep.
 
 Evaluators memoize values and one-sided products per monomial pair; the
 caches never change a result, only its cost.  `GroupPresentation.set_q`
@@ -73,22 +75,6 @@ class RMatrix:
             mat[i][j] += val
             mat[j][i] -= val
         self.matrix = mat
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def support_indices(self):
-        return sorted(i for i in range(self.n)
-                      if any(self.matrix[i][j] != 0 for j in range(self.n)))
-
-    def is_nondegenerate_on_support(self):
-        idx = self.support_indices()
-        sub = [[self.matrix[i][j] for j in idx] for i in idx]
-        return linalg.matrix_rank(sub) == len(sub)
-
-    def support_is_subalgebra(self, lie):
-        return lie.is_subalgebra([[ONE if k == i else ZERO for k in range(self.n)]
-                                  for i in self.support_indices()])
 
 
 class WeightGrading:
@@ -175,7 +161,14 @@ class WeightGrading:
 
 
 class WeightIndex:
-    """One call's monomials bucketed by weight.
+    """A check's nonconstant monomials within `degree_bound`, bucketed by weight.
+
+    This is the one walk of the identity check, the R-form check and the
+    correction solver.  `mons` lists the monomials in grlex order, which
+    sorts them by degree.  The index reads the grading of the evaluator
+    `j`; where it has none, or one that does not cover the bound, the index
+    takes the rank-0 grading, the lattice {0}, which proves nothing zero:
+    every monomial is then a partner, and `triples()` is the full sweep.
 
     `partners(idx, end)` lists, in increasing order, the indices k < end
     for which the weight of mons[k] times the monomials indexed by `idx`
@@ -184,10 +177,16 @@ class WeightIndex:
     reads one group, not every bucket.
     """
 
-    def __init__(self, grading, mons):
+    def __init__(self, j, degree_bound):
+        grading = j.grading
+        if grading is None or not grading.covers(degree_bound):
+            grading = WeightGrading(((),) * j.pres.ring.ngens, (), True)
         self.grading = grading
+        self.bound = degree_bound
+        self.mons = j.pres.ring.monomials_up_to(degree_bound, include_one=False)
+        self._degs = [m.degree for m in self.mons]
         self._pivot = next((t for t, r in enumerate(grading.rho) if r), None)
-        self._weights = [grading.weight(m) for m in mons]
+        self._weights = [grading.weight(m) for m in self.mons]
         buckets = {}
         for k, w in enumerate(self._weights):
             buckets.setdefault(w, []).append(k)
@@ -201,13 +200,9 @@ class WeightIndex:
         t, rho = self._pivot, self.grading.rho
         return v if t is None else tuple(rho[t] * x - v[t] * r for x, r in zip(v, rho))
 
-    @classmethod
-    def within(cls, j, mons, degree_bound):
-        """The index for a check on `j` within `degree_bound`, or None for the full path."""
-        grading = j.grading
-        if grading is None or not grading.covers(degree_bound):
-            return None
-        return cls(grading, mons)
+    def _upto(self, d):
+        # how many of mons have degree <= d
+        return bisect.bisect_right(self._degs, d)
 
     def partners(self, idx, end, signed=False):
         s = tuple(map(sum, zip(*(self._weights[k] for k in idx))))
@@ -219,6 +214,22 @@ class WeightIndex:
                 k for w, ks in self._lines.get(line, ())
                 if multiple(tuple(map(sum, zip(s, w))), signed) for k in ks)
         return hit[:bisect.bisect_left(hit, end)]
+
+    def pairs(self):
+        """The full sweep's (x, y), grlex in each slot, with the number `end` of z it takes.
+
+        (mons[x], mons[y], mons[z]) has total degree within the bound
+        exactly when z < end; pairs with no such z are left out.
+        """
+        for x, dx in enumerate(self._degs):
+            for y in range(self._upto(self.bound - 1 - dx)):
+                yield x, y, self._upto(self.bound - dx - self._degs[y])
+
+    def triples(self, signed=False):
+        """The in-class (x, y, z) of the full sweep, in its order."""
+        for x, y, end in self.pairs():
+            for z in self.partners((x, y), end, signed):
+                yield x, y, z
 
 
 def cybe_check(lie, r):
@@ -258,60 +269,6 @@ def cybe_check(lie, r):
                     for e in range(n):
                         add(a, c, e, coef * br[e])
     return not total
-
-
-def quasi_frobenius_check(lie, omega, sub_basis=None):
-    """Nondegeneracy plus the cyclic 2-cocycle identity on basis triples.
-
-    `omega` is a square antisymmetric matrix over the given basis of a
-    subalgebra (default: the full basis).
-    """
-    basis = sub_basis
-    if basis is None:
-        basis = [[ONE if i == k else ZERO for k in range(lie.n)] for i in range(lie.n)]
-    d = len(basis)
-    if len(omega) != d or any(len(row) != d for row in omega):
-        raise CocycleInputError("omega has the wrong shape")
-    for i in range(d):
-        for j in range(d):
-            if omega[i][j] != -omega[j][i]:
-                return False
-    if linalg.matrix_rank(omega) < d:
-        return False
-
-    def express(v):
-        sol = linalg.solve([[basis[k][t] for k in range(d)] for t in range(lie.n)], v)
-        if sol is None:
-            raise CocycleInputError("bracket leaves the subalgebra span")
-        return sol
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                bij = express(lie.bracket(basis[i], basis[j]))
-                bki = express(lie.bracket(basis[k], basis[i]))
-                bjk = express(lie.bracket(basis[j], basis[k]))
-                s = ZERO
-                for t in range(d):
-                    s += bij[t] * omega[t][k] + bki[t] * omega[t][j] + bjk[t] * omega[t][i]
-                if s != 0:
-                    return False
-    return True
-
-
-class TangentFunctional:
-    """An eps-derivation at the identity: a vector over the generators."""
-
-    def __init__(self, pres, coeffs):
-        self.pres = pres
-        self.coeffs = [Fraction(c) for c in coeffs]
-
-    def __call__(self, f):
-        val = ZERO
-        for i, g in enumerate(self.pres.ring.generators):
-            if self.coeffs[i]:
-                val += self.coeffs[i] * f.coefficient_of_var(g)
-        return val
 
 
 _UNSOLVED = object()  # a grading not looked for yet; None means there is none
@@ -616,27 +573,22 @@ def solve_cocycle_corrections(pres, base, total_bound):
     u = (ab, c) and v = (a, bc) have the same weight, so the constraint
     graph splits by the class of w(a) + w(b) + w(c).  Where `base` has a
     grading, a class outside N rho has only zero defects (the corrections
-    found so far lie in class), its roots assign 0, and it is skipped.
+    found so far lie in class), its roots assign 0, and it is skipped: the
+    instances are the one walk's triples, `WeightIndex(base, total_bound)`.
     """
     for g, q in pres.q.items():
         for (m1, m2), _ in q.terms.items():
             if m1.degree != 1 or m2.degree != 1:
                 raise CocycleInputError(
                     "correction solving needs degree-1 coproduct corrections")
-    mons = pres.ring.monomials_up_to(total_bound - 2, include_one=False)
-    degs = [m.degree for m in mons]
-    index = WeightIndex.within(base, mons, total_bound)
+    index = WeightIndex(base, total_bound)
+    mons = index.mons
     by_level = {}
-    for x, a in enumerate(mons):
-        for y, b in enumerate(mons):
-            if a.degree + b.degree > total_bound - 1:
-                continue
-            end = bisect.bisect_right(degs, total_bound - a.degree - b.degree)
-            for z in range(end) if index is None else index.partners((x, y), end):
-                c = mons[z]
-                lvl = (pres.corad_degree_monomial(a) + pres.corad_degree_monomial(b)
-                       + pres.corad_degree_monomial(c))
-                by_level.setdefault(lvl, []).append((a, b, c))
+    for x, y, z in index.triples():
+        a, b, c = mons[x], mons[y], mons[z]
+        lvl = (pres.corad_degree_monomial(a) + pres.corad_degree_monomial(b)
+               + pres.corad_degree_monomial(c))
+        by_level.setdefault(lvl, []).append((a, b, c))
 
     corrections = {}
     for level in sorted(by_level):
@@ -740,8 +692,14 @@ class PointFunctional:
 
     def __init__(self, pres, point):
         self.pres = pres
+        self.point = point
         self._at = self._evaluator(point)
-        self._at_inv = self._evaluator(pres.point_inv(point))
+        self.forget_memos()
+        pres._dependents.add(self)
+
+    def forget_memos(self):
+        """Recompute g^{-1}, which the antipode, and so q, gives; `set_q` calls this."""
+        self._at_inv = self._evaluator(self.pres.point_inv(self.point))
 
     def _evaluator(self, point):
         ring = self.pres.ring
@@ -833,29 +791,6 @@ def _identity_defect(j, a, b, c):
     return lhs - rhs
 
 
-def _support_candidates(j, mons, sweep_pairs):
-    """The support route of `verify_cocycle_identity`, as index triples in sweep order."""
-    supports = {}
-
-    def support(m, end, slot):
-        # indices k < end with J(m, mons[k]) != 0 (slot 0) or J(mons[k], m) != 0
-        done, hit = supports.get((m, slot), (0, []))
-        hit += [k for k in range(done, end) if (j.pair(m, mons[k]) if slot == 0
-                                                 else j.pair(mons[k], m))]
-        supports[(m, slot)] = (max(done, end), hit)
-        return hit[:bisect.bisect_left(hit, end)]
-
-    try:
-        found = set()
-        for x, y, end in sweep_pairs():
-            for m in j.right_product(mons[x], mons[y]):
-                found.update((x, y, z) for z in support(m, end, 0))
-                found.update((w, x, y) for w in support(m, end, 1))
-        return sorted(found)
-    except CocycleBoundError:
-        return ((x, y, z) for x, y, end in sweep_pairs() for z in range(end))
-
-
 def verify_cocycle_identity(j, degree_bound):
     """Check the 2-cocycle identity and unitality on monomials within bound.
 
@@ -863,27 +798,22 @@ def verify_cocycle_identity(j, degree_bound):
     checked on nonconstant monomial triples with total degree at most
     `degree_bound`; unitality is checked on every monomial within bound.
 
-    Only triples that can be nonzero are visited.  With R(x, y) the
-    one-sided product {x1 y1: sum J(x2, y2)}, `j.right_product`, the sides
-    are sum_m J(m, c) R(a, b)[m] and sum_m J(a, m) R(b, c)[m].
+    The triples come from the one walk, `WeightIndex(j, degree_bound)`.
+    With R(x, y) the one-sided product {x1 y1: sum J(x2, y2)},
+    `j.right_product`, the sides are sum_m J(m, c) R(a, b)[m] and
+    sum_m J(a, m) R(b, c)[m].  A key m of R(a, b) has
+    w(m) = w(a) + w(b) - k rho with k >= 0, and J(m, c) needs w(m) + w(c)
+    in N rho; so both sides are 0 unless w(a) + w(b) + w(c) lies in N rho
+    (the module docstring has the grading), and the walk visits just the
+    in-class c of each (a, b).  A pair with none never builds R(a, b).  An
+    evaluator with no grading that covers the bound is walked over every
+    triple.
 
-    * Graded route, where `j.grading` is set and covers the bound.  A key m
-      of R(a, b) has w(m) = w(a) + w(b) - k rho with k >= 0, and J(m, c)
-      needs w(m) + w(c) in N rho; so both sides are 0 unless
-      w(a) + w(b) + w(c) lies in N rho (the module docstring has the
-      grading).  Monomials are bucketed by weight, and the walk visits just
-      the in-class c of each (a, b); a pair with none never builds R(a, b).
-    * Support route, for every other evaluator.  (a, b, c) is 0 = 0 unless
-      a key m of R(a, b) has J(m, c) != 0 or a key m of R(b, c) has
-      J(a, m) != 0.  Each R(x, y) is walked once; its keys meet the
-      supports of J, built on demand, so J is evaluated on exactly the
-      pairs a full sweep evaluates.
-
-    `checked` counts triples in that full sweep's order (grlex in each
+    `checked` counts triples in the full sweep's order (grlex in each
     slot): all on success, else up to the first failing one, `failure`.
-    If a bounded evaluator leaves its range, every triple is checked in
-    that order, so the sweep's first error or failure is the one given; a
-    grading that does not cover the bound sends the check there up front.
+    A grading that does not cover the bound gives way to the full sweep up
+    front, so a bounded evaluator that leaves its range raises the error
+    the full sweep meets first, after any failure before it.
     """
     ring = j.pres.ring
     for m in ring.monomials_up_to(degree_bound):
@@ -892,32 +822,12 @@ def verify_cocycle_identity(j, degree_bound):
         if j.pair(ring.one_monomial, m) != (ONE if m.is_one else ZERO):
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
 
-    mons = ring.monomials_up_to(degree_bound, include_one=False)
-    degs = [m.degree for m in mons]
-
-    def upto(d):
-        # how many of mons have degree <= d; grlex order sorts them by degree
-        return bisect.bisect_right(degs, d)
-
-    def sweep_pairs():
-        # the full sweep's (a, b) as indices, with the number of c it takes
-        for x in range(len(mons)):
-            for y in range(upto(degree_bound - 1 - degs[x])):
-                yield x, y, upto(degree_bound - degs[x] - degs[y])
-
-    index = WeightIndex.within(j, mons, degree_bound)
-    if index is not None:
-        candidates = ((x, y, z) for x, y, end in sweep_pairs()
-                      for z in index.partners((x, y), end))
-    else:
-        candidates = _support_candidates(j, mons, sweep_pairs)
-
-    def visited(before):
-        # triples the full sweep visits before reaching the (a, b) pair `before`
-        return sum(end for x, y, end in sweep_pairs() if (x, y) < before)
-
-    for x, y, z in candidates:
+    index = WeightIndex(j, degree_bound)
+    mons = index.mons
+    for x, y, z in index.triples():
         if _identity_defect(j, mons[x], mons[y], mons[z]):
-            return CocycleIdentityReport(False, degree_bound, visited((x, y)) + z + 1,
+            # the triples the full sweep visits before reaching the pair (x, y)
+            visited = sum(end for p, q, end in index.pairs() if (p, q) < (x, y))
+            return CocycleIdentityReport(False, degree_bound, visited + z + 1,
                                          (mons[x], mons[y], mons[z]))
-    return CocycleIdentityReport(True, degree_bound, visited((len(mons), 0)))
+    return CocycleIdentityReport(True, degree_bound, sum(end for *_, end in index.pairs()))

@@ -173,12 +173,8 @@ class Ideal:
             self._gb[key] = buchberger(self.gens, order)
         return self._gb[key]
 
-    def normal_form(self, f, order=None):
-        order = order or TermOrder(self.ring)
-        return normal_form(f, self.groebner(order), order)
-
     def contains(self, f):
-        return self.normal_form(f).is_zero()
+        return normal_form(f, self.groebner(), TermOrder(self.ring)).is_zero()
 
     def is_zero(self):
         return not self.gens

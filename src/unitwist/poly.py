@@ -99,9 +99,6 @@ class PolyRing:
             return self.zero
         return Poly(self, {self.one_monomial: c})
 
-    def gens(self):
-        return [self.var(n) for n in self.generators]
-
     def monomials_up_to(self, bound, include_one=True, names=None):
         """All monomials in the given variables with generator-degree <= bound.
 
@@ -151,9 +148,8 @@ class PolyRing:
 
         return image
 
-    def extended(self, extra_generators=(), extra_parameters=()):
-        return PolyRing(self.generators + tuple(extra_generators),
-                        self.parameters + tuple(extra_parameters))
+    def extended(self, extra_parameters):
+        return PolyRing(self.generators, self.parameters + tuple(extra_parameters))
 
     def __repr__(self):
         if self.parameters:
@@ -216,9 +212,6 @@ class Monomial:
 
     def coprime(self, other):
         return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
-
-    def variables(self):
-        return [self.ring.names[i] for i, e in enumerate(self.exps) if e > 0]
 
     def max_generator_index(self):
         """Largest 1-based generator index occurring, 0 if none."""
@@ -358,20 +351,9 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0].grlex, reverse=True)
 
-    def variables(self):
-        seen = set()
-        for m in self.terms:
-            seen.update(m.variables())
-        return sorted(seen, key=lambda n: self.ring.index[n])
-
     def max_generator_index(self):
         """Largest 1-based generator index occurring, 0 if none."""
-        best = 0
-        for m in self.terms:
-            for i in range(self.ring.ngens):
-                if m.exps[i] > 0:
-                    best = max(best, i + 1)
-        return best
+        return max((m.max_generator_index() for m in self.terms), default=0)
 
     # -- normalization ----------------------------------------------------
     def content(self):

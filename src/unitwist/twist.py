@@ -31,8 +31,6 @@ routes are compared exactly before a presentation is returned.
 
 from __future__ import annotations
 
-import bisect
-
 from .cocycle import Convolution, CounitPair, WeightIndex
 from .poly import ONE, ZERO, Poly, render_poly
 
@@ -287,19 +285,20 @@ def rform_axiom_check(ctx, degree_bound):
     (2) R(h1,g1) h2.g2 = g1.h1 R(h2,g2) with deformed products on both sides;
     (3) cotriangularity: R * R21 = eps.eps.
 
-    Where the R-form has a grading that covers the bound, a monomial index
-    skips what it proves 0 = 0.  R * R21 (h, g) is 0 unless w(h) + w(g)
-    lies in N rho.  The keys of l.g have weight w(l) + w(g) - k rho with
-    k >= 0, K and J being graded like R, so both sides of a split identity
-    on (h, l, g) are 0 unless w(h) + w(l) + w(g) lies in Z rho.  Identity
-    (2) holds terms such as h.g itself, so it is checked on every pair.
+    The monomials and the triples of (1) come from the one walk,
+    `WeightIndex(rform, degree_bound)`, which skips what the R-form's
+    grading proves 0 = 0 (with no grading that covers the bound, nothing).
+    R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.  The keys of l.g
+    have weight w(l) + w(g) - k rho with k >= 0, K and J being graded like
+    R, so both sides of a split identity on (h, l, g) are 0 unless
+    w(h) + w(l) + w(g) lies in Z rho.  Identity (2) holds terms such as h.g
+    itself, so it is checked on every pair.
     """
     pres = ctx.pres
     rform = ctx.rform()
     R = rform.pair
-    mons = pres.ring.monomials_up_to(degree_bound, include_one=False)
-    degs = [m.degree for m in mons]
-    index = WeightIndex.within(rform, mons, degree_bound)
+    index = WeightIndex(rform, degree_bound)
+    mons = index.mons
     failures = []
 
     def delta(m):
@@ -312,8 +311,7 @@ def rform_axiom_check(ctx, degree_bound):
         return ctx.mul_monomials(x, y).terms
 
     for x, h in enumerate(mons):
-        near = range(len(mons)) if index is None else \
-            set(index.partners((x,), len(mons)))
+        near = set(index.partners((x,), len(mons)))
         for y, g in enumerate(mons):
             if h.degree + g.degree > degree_bound:
                 continue
@@ -333,28 +331,24 @@ def rform_axiom_check(ctx, degree_bound):
                 failures.append(("commutation", h, g))
 
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)
-    for x, h in enumerate(mons):
-        for y, l in enumerate(mons):
-            end = bisect.bisect_right(degs, degree_bound - h.degree - l.degree)
-            for z in range(end) if index is None else \
-                    index.partners((x, y), end, signed=True):
-                g = mons[z]
-                lhs = sum((c * R(h, k) for k, c in products(l, g).items()), ZERO)
-                rhs = ZERO
-                for (h1, h2), c in delta(h):
-                    v = R(h1, g)
-                    if v:
-                        rhs += c * v * R(h2, l)
-                if lhs != rhs:
-                    failures.append(("split-right", h, l, g))
-                lhs = sum((c * R(k, l) for k, c in products(g, h).items()), ZERO)
-                rhs = ZERO
-                for (l1, l2), c in delta(l):
-                    v = R(g, l1)
-                    if v:
-                        rhs += c * v * R(h, l2)
-                if lhs != rhs:
-                    failures.append(("split-left", h, l, g))
+    for x, y, z in index.triples(signed=True):
+        h, l, g = mons[x], mons[y], mons[z]
+        lhs = sum((c * R(h, k) for k, c in products(l, g).items()), ZERO)
+        rhs = ZERO
+        for (h1, h2), c in delta(h):
+            v = R(h1, g)
+            if v:
+                rhs += c * v * R(h2, l)
+        if lhs != rhs:
+            failures.append(("split-right", h, l, g))
+        lhs = sum((c * R(k, l) for k, c in products(g, h).items()), ZERO)
+        rhs = ZERO
+        for (l1, l2), c in delta(l):
+            v = R(g, l1)
+            if v:
+                rhs += c * v * R(h, l2)
+        if lhs != rhs:
+            failures.append(("split-left", h, l, g))
 
     return RFormReport(not failures, degree_bound, failures)
 
@@ -379,22 +373,3 @@ def twisted_antipode(ctx, f):
             out = out + head * tail * pres.antipode_monomial(a3) * (c * c2) * m.param_part.as_poly()
     return out
 
-
-# -- Psi functionals ------------------------------------------------------------
-
-class PsiFunctional:
-    """The functional R^J(-, a) tabulated on monomials up to a bound."""
-
-    def __init__(self, rform, source, bound):
-        self.rform = rform
-        self.source = source
-        self.bound = bound
-        ring = rform.pres.ring
-        self.table = {}
-        for m in ring.monomials_up_to(bound):
-            v = rform.eval(m.as_poly(), source)
-            if not v.is_zero():
-                self.table[m] = v
-
-    def value(self, m):
-        return self.table.get(m, self.rform.pres.ring.zero)

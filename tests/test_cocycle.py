@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitwist import catalog, cocycle, linalg
+from unitwist import catalog, linalg
 from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, Convolution,
                               CorrectedCocycle, CounitPair, ExponentialCocycle, GaugeCocycle,
                               NeumannInverse, PointFunctional, PullbackCocycle, RMatrix,
-                              TableCocycle, TangentFunctional, WeightGrading, cybe_check,
-                              quasi_frobenius_check, solve_cocycle_corrections,
-                              verify_cocycle_identity)
+                              TableCocycle, WeightGrading, WeightIndex, cybe_check,
+                              solve_cocycle_corrections, verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData
 from unitwist.poly import TensorPoly, parse_poly, render_poly
 
@@ -203,6 +202,45 @@ def test_cybe_basis_permutation_invariance(examples):
     assert cybe_check(lie_p, _permuted(r, perm)) == cybe_check(lie, r)
 
 
+def quasi_frobenius_check(lie, omega, sub_basis=None):
+    """Nondegeneracy plus the cyclic 2-cocycle identity on basis triples.
+
+    `omega` is a square antisymmetric matrix over the given basis of a
+    subalgebra (default: the full basis).
+    """
+    basis = sub_basis
+    if basis is None:
+        basis = [[Fraction(int(i == k)) for k in range(lie.n)] for i in range(lie.n)]
+    d = len(basis)
+    if len(omega) != d or any(len(row) != d for row in omega):
+        raise CocycleInputError("omega has the wrong shape")
+    for i in range(d):
+        for j in range(d):
+            if omega[i][j] != -omega[j][i]:
+                return False
+    if linalg.matrix_rank(omega) < d:
+        return False
+
+    def express(v):
+        sol = linalg.solve([[basis[k][t] for k in range(d)] for t in range(lie.n)], v)
+        if sol is None:
+            raise CocycleInputError("bracket leaves the subalgebra span")
+        return sol
+
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                bij = express(lie.bracket(basis[i], basis[j]))
+                bki = express(lie.bracket(basis[k], basis[i]))
+                bjk = express(lie.bracket(basis[j], basis[k]))
+                s = Fraction(0)
+                for t in range(d):
+                    s += bij[t] * omega[t][k] + bki[t] * omega[t][j] + bjk[t] * omega[t][i]
+                if s != 0:
+                    return False
+    return True
+
+
 def test_quasi_frobenius_examples(examples):
     abelian = LieAlgebraData(["a", "c"], {})
     omega = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
@@ -229,6 +267,21 @@ def _invert(mat):
     red, pivots = linalg.rref(aug)
     assert pivots == list(range(n))
     return [row[n:] for row in red]
+
+
+class TangentFunctional:
+    """An eps-derivation at the identity: a vector over the generators."""
+
+    def __init__(self, pres, coeffs):
+        self.pres = pres
+        self.coeffs = [Fraction(c) for c in coeffs]
+
+    def __call__(self, f):
+        val = Fraction(0)
+        for i, g in enumerate(self.pres.ring.generators):
+            if self.coeffs[i]:
+                val += self.coeffs[i] * f.coefficient_of_var(g)
+        return val
 
 
 def test_tangent_functional_derivation_property():
@@ -454,7 +507,7 @@ def sweep_every_triple(j, bound):
 
     Visits every nonconstant triple with total degree <= bound in grlex
     order in each slot and returns (ok, checked, failure) the way the
-    support-driven check reports them.
+    check, which walks only the triples its grading leaves, reports them.
     """
     pres = j.pres
     mons = pres.ring.monomials_up_to(bound, include_one=False)
@@ -566,8 +619,9 @@ def test_tampered_cocycle_fails_where_full_sweep_does(examples, cid, bound):
 
 
 def test_identity_check_beyond_evaluator_bound(examples):
-    # a bounded evaluator asked beyond its range: the support walk must not
-    # change which error, or which failure before it, is reported
+    # a bounded evaluator asked beyond its range: skipping the triples a
+    # grading proves zero must not change which error, or which failure
+    # before it, is reported
     ex = examples("u4-ex6")
     outcome = identity_outcome(verify_cocycle_identity, ex.ctx.right, 7)
     assert outcome == identity_outcome(sweep_every_triple, ex.ctx.right, 7)
@@ -615,16 +669,30 @@ def test_exponential_truncation_extra_order(examples):
             assert j._contract(g.word_table(m1, k), g.word_table(m2, k)) == 0, (m1, m2)
 
 
+def support_indices(r):
+    return sorted(i for i in range(r.n) if any(r.matrix[i][j] != 0 for j in range(r.n)))
+
+
+def is_nondegenerate_on_support(r):
+    idx = support_indices(r)
+    return linalg.matrix_rank([[r.matrix[i][j] for j in idx] for i in idx]) == len(idx)
+
+
+def support_is_subalgebra(r, lie):
+    return lie.is_subalgebra([[Fraction(int(k == i)) for k in range(r.n)]
+                              for i in support_indices(r)])
+
+
 def test_rmatrix_support_flags(examples):
     r = RMatrix(4, {(0, 2): 1, (3, 1): 1})
     lie = examples("jordan4-minimal").pres.lie_data()
-    assert r.support_indices() == [0, 1, 2, 3]
-    assert r.is_nondegenerate_on_support()
-    assert r.support_is_subalgebra(lie)
+    assert support_indices(r) == [0, 1, 2, 3]
+    assert is_nondegenerate_on_support(r)
+    assert support_is_subalgebra(r, lie)
     # a degenerate flag case: r supported on a non-subalgebra
     heis = examples("heisenberg3").pres.lie_data()
     r_bad = RMatrix(3, {(0, 1): 1})
-    assert not r_bad.support_is_subalgebra(heis)
+    assert not support_is_subalgebra(r_bad, heis)
 
 
 def test_one_sided_products_computed_once(monkeypatch):
@@ -705,6 +773,21 @@ def test_set_q_forgets_cocycle_and_context_memos():
     assert answers(g, j, ctx) == want != before
 
 
+def test_set_q_refreshes_a_conjugate_built_before_it():
+    # the inverse point comes from the antipode, so it must follow q
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    point = g.point({"X": 1, "Y": 1})
+    c = ExponentialCocycle(g, RMatrix(3, {(0, 2): 1})).conjugate(point)
+    g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
+    fresh = ExponentialCocycle(g, RMatrix(3, {(0, 2): 1})).conjugate(point)
+    V = g.ring.var_monomial("V")
+    assert c.pair(V, V) == fresh.pair(V, V) == 0
+    mons = g.ring.monomials_up_to(2, include_one=False)
+    assert len(mons) ** 2 == 81
+    assert [c.pair(a, b) for a in mons for b in mons] == \
+        [fresh.pair(a, b) for a in mons for b in mons]
+
+
 # -- weight grading --------------------------------------------------------------
 
 LATTICE_RANKS = {"u3": 2, "heisenberg3": 2, "jordan4-abelian": 2, "jordan4-minimal": 1,
@@ -762,7 +845,7 @@ def toeplitz():
     return g
 
 
-def test_zero_lattice_takes_the_support_route(monkeypatch):
+def test_zero_lattice_takes_the_full_sweep():
     # w_Y = 2 w_X and w_Z = 3 w_X; r_XY and r_XZ then force w_Y = w_Z, so
     # every weight and rho is 0 and there is no grading
     g = toeplitz()
@@ -770,15 +853,9 @@ def test_zero_lattice_takes_the_support_route(monkeypatch):
     j = ExponentialCocycle(g, RMatrix(3, {(0, 1): 1, (0, 2): 1}))
     assert WeightGrading.of(g, j.rmatrix) is None and j.grading is None
     assert ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).grading is not None
-    routes = []
-    support = cocycle._support_candidates
-    monkeypatch.setattr(cocycle, "_support_candidates",
-                        lambda *args: routes.append(args[0]) or support(*args))
+    assert WeightIndex(j, 4).grading.rho == ()
     rep = verify_cocycle_identity(j, 4)
     assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 4)
-    assert routes == [j]
-    verify_cocycle_identity(ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})), 4)
-    assert routes == [j]
 
 
 def test_grading_only_where_the_proof_holds(examples):
@@ -822,13 +899,34 @@ def fresh_cocycle(cid, graded, raw=False):
 
 @pytest.mark.parametrize("cid,bounds,raw", [(cid, (3, 4, 5), False) for cid in catalog.ids()]
                          + [("u4-ex6", (6,), False), ("u4-ex6", (3,), True)])
-def test_identity_check_graded_route_matches_support_route(cid, bounds, raw):
+def test_identity_check_graded_route_matches_full_route(cid, bounds, raw):
     # the two loads have separate rings, so outcomes are compared rendered
     for bound in bounds:
         got = [repr(identity_outcome(verify_cocycle_identity, fresh_cocycle(cid, graded, raw),
                                      bound))
                for graded in (True, False)]
         assert got[0] == got[1], (cid, bound)
+
+
+def test_index_triples_are_the_sweep_filtered_by_class(each_example):
+    # the rank-0 index walks every triple of the full sweep in its order;
+    # the graded one walks the same triples, less those off class
+    ex = each_example
+    bound = 4
+    graded, full = WeightIndex(ex.ctx.right, bound), WeightIndex(fresh_cocycle(
+        ex.entry.id, graded=False), bound)
+    assert len(graded.grading.rho) == LATTICE_RANKS[ex.entry.id] and full.grading.rho == ()
+    mons = graded.mons
+    assert [repr(m) for m in full.mons] == [repr(m) for m in mons]
+    sweep = [(x, y, z) for x, a in enumerate(mons) for y, b in enumerate(mons)
+             for z, c in enumerate(mons) if a.degree + b.degree + c.degree <= bound]
+    assert list(full.triples()) == list(full.triples(signed=True)) == sweep
+    weight = graded.grading.weight
+    for signed in (False, True):
+        in_class = [(x, y, z) for x, y, z in sweep if graded.grading.multiple(
+            weight(mons[x].mul(mons[y]).mul(mons[z])), signed)]
+        assert list(graded.triples(signed)) == in_class, signed
+    assert sum(end for *_, end in full.pairs()) == len(sweep)
 
 
 def test_corrections_graded_route_matches_full_route():

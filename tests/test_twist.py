@@ -12,8 +12,8 @@ from unitwist.cli import build_context
 from unitwist.cocycle import CocycleBoundError, CounitPair, ExponentialCocycle, RMatrix
 from unitwist.poly import Poly, render_poly
 from unitwist.strata import stratum_presentation
-from unitwist.twist import (PsiFunctional, TwistConsistencyError, TwistedContext,
-                            ihoe_presentation, rform_axiom_check, twisted_antipode)
+from unitwist.twist import (TwistConsistencyError, TwistedContext, ihoe_presentation,
+                            rform_axiom_check, twisted_antipode)
 
 
 def rnd_polys(ring, rng, count, degree=2, terms=3):
@@ -258,6 +258,24 @@ def test_twisted_antipode_axiom(examples):
         for (m1, m2), c in g.coproduct_monomial(m).terms.items():
             total = total + ctx.mul(twisted_antipode(ctx, m1.as_poly()), m2.as_poly()) * c
         assert total == g.ring.one * (1 if m.is_one else 0)
+
+
+class PsiFunctional:
+    """The functional R^J(-, a) tabulated on monomials up to a bound."""
+
+    def __init__(self, rform, source, bound):
+        self.rform = rform
+        self.source = source
+        self.bound = bound
+        ring = rform.pres.ring
+        self.table = {}
+        for m in ring.monomials_up_to(bound):
+            v = rform.eval(m.as_poly(), source)
+            if not v.is_zero():
+                self.table[m] = v
+
+    def value(self, m):
+        return self.table.get(m, self.rform.pres.ring.zero)
 
 
 def _convolve(psi, other):
