@@ -698,7 +698,7 @@ class PointFunctional:
         pres._dependents.add(self)
 
     def forget_memos(self):
-        """Recompute g^{-1}, which the antipode, and so q, gives; `set_q` calls this."""
+        """Recompute g^{-1}, which comes from the antipode and so from q; `set_q` calls this."""
         self._at_inv = self._evaluator(self.pres.point_inv(self.point))
 
     def _evaluator(self, point):
@@ -812,8 +812,8 @@ def verify_cocycle_identity(j, degree_bound):
     `checked` counts triples in the full sweep's order (grlex in each
     slot): all on success, else up to the first failing one, `failure`.
     A grading that does not cover the bound gives way to the full sweep up
-    front, so a bounded evaluator that leaves its range raises the error
-    the full sweep meets first, after any failure before it.
+    front, so a bounded evaluator that leaves its range reports what the
+    full sweep meets first: a failing triple, or the bound error it raises.
     """
     ring = j.pres.ring
     for m in ring.monomials_up_to(degree_bound):

@@ -372,4 +372,3 @@ def twisted_antipode(ctx, f):
                 continue
             out = out + head * tail * pres.antipode_monomial(a3) * (c * c2) * m.param_part.as_poly()
     return out
-

@@ -913,8 +913,8 @@ def test_index_triples_are_the_sweep_filtered_by_class(each_example):
     # the graded one walks the same triples, less those off class
     ex = each_example
     bound = 4
-    graded, full = WeightIndex(ex.ctx.right, bound), WeightIndex(fresh_cocycle(
-        ex.entry.id, graded=False), bound)
+    graded = WeightIndex(ex.ctx.right, bound)
+    full = WeightIndex(fresh_cocycle(ex.entry.id, graded=False), bound)
     assert len(graded.grading.rho) == LATTICE_RANKS[ex.entry.id] and full.grading.rho == ()
     mons = graded.mons
     assert [repr(m) for m in full.mons] == [repr(m) for m in mons]
@@ -927,6 +927,19 @@ def test_index_triples_are_the_sweep_filtered_by_class(each_example):
             weight(mons[x].mul(mons[y]).mul(mons[z])), signed)]
         assert list(graded.triples(signed)) == in_class, signed
     assert sum(end for *_, end in full.pairs()) == len(sweep)
+
+
+def test_signed_index_takes_negative_classes():
+    # no catalog triple within bound 4 lies in a negative class k rho, k < 0,
+    # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the signed walk
+    g, j = plane_cocycle()
+    j.grading = WeightGrading(((1,), (-2,)), (1,), True)
+    index = WeightIndex(j, 3)
+    sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
+    assert list(index.triples(signed=True)) == sweep
+    weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
+    unsigned = [t for t in sweep if sum(weight[k] for k in t) >= 0]
+    assert list(index.triples()) == unsigned != sweep
 
 
 def test_corrections_graded_route_matches_full_route():

@@ -414,8 +414,8 @@ def test_check_errors_exit_1(monkeypatch, capsys, error):
 
 
 # stdout and stderr digests with the exit code of the identity-check and
-# R-form commands, recorded before the checks shared one triple walk; a
-# change to how they walk their triples must leave every byte as it was
+# R-form commands: a change to how the checks walk their triples must
+# leave every byte as it was
 EMPTY = hashlib.sha256(b"").hexdigest()
 CLI_PINS = {
     "validate --example heisenberg3 --max-degree 3":
