@@ -374,7 +374,8 @@ def main(argv=None):
             out.write(rep.describe() + "\n")
             return 0 if rep.verdict != "MISMATCH" else 1
         if args.command == "rform-check":
-            rep = rform_axiom_check(build_context(data), min(bound, 3))
+            # without --max-degree, at most 3: the R-form walk grows fast with the bound
+            rep = rform_axiom_check(build_context(data), args.max_degree or min(bound, 3))
             out.write("\n".join(rep.lines()) + "\n")
             return 0 if rep.ok else 1
         raise InputError("unknown command")

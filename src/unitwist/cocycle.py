@@ -37,10 +37,6 @@ evaluator has None.  The identity check, the R-form check and the
 correction solver take their monomial triples from one walk, a per-call
 `WeightIndex`, which skips what the grading proves 0 = 0; with no grading
 it is the full sweep.
-
-Evaluators memoize values and one-sided products per monomial pair; the
-caches never change a result, only its cost.  `GroupPresentation.set_q`
-clears them.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ class WeightGrading:
         It is the rational nullspace of the equations in (w_1..w_n, rho)
         w(m1) + w(m2) = w_i for each term of q(X_i), and w_a + w_b = rho for
         each nonzero r_ab, with each basis vector scaled to integers.
-        Memoized on the presentation until `set_q`.
+        Memoized on the presentation.
         """
         memo = pres._gradings
         if rmatrix in memo:
@@ -285,11 +281,6 @@ class Cocycle:
 
     def __init__(self, pres):
         self.pres = pres
-        self.forget_memos()
-        pres._dependents.add(self)
-
-    def forget_memos(self):
-        """Drop every memo, all of which depend on q; `set_q` calls this."""
         self._cache = {}
         self._products = {}
         self._inv_memo = None
@@ -694,12 +685,7 @@ class PointFunctional:
         self.pres = pres
         self.point = point
         self._at = self._evaluator(point)
-        self.forget_memos()
-        pres._dependents.add(self)
-
-    def forget_memos(self):
-        """Recompute g^{-1}, which comes from the antipode and so from q; `set_q` calls this."""
-        self._at_inv = self._evaluator(self.pres.point_inv(self.point))
+        self._at_inv = self._evaluator(pres.point_inv(point))
 
     def _evaluator(self, point):
         ring = self.pres.ring
@@ -729,9 +715,6 @@ class GaugeCocycle(Cocycle):
         super().__init__(pres)
         self.inner = inner
         self.chi = chi
-
-    def forget_memos(self):
-        super().forget_memos()
         self._tails = {}
 
     def _tail(self, x, y):

@@ -17,8 +17,8 @@ caching.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, grlex_key, render_poly
@@ -208,7 +208,8 @@ class GroupPresentation:
     def __init__(self, name, generators, parameters=()):
         self.name = name
         self.ring = PolyRing(generators, parameters)
-        self.q = {}
+        self._q = {}
+        self._q_read = False
         self.named_subgroups = {}
         self.named_points = {}
         self._coprod = {}
@@ -220,36 +221,31 @@ class GroupPresentation:
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
         self._lie = None
-        # cocycles and contexts built on this presentation; each memoizes
-        # values that depend on q, so `set_q` makes them forget
-        self._dependents = weakref.WeakSet()
 
     # -- bookkeeping ------------------------------------------------------
-    def set_q(self, gen, tensor):
-        """Attach a coproduct correction after construction.
+    @property
+    def q(self):
+        """The coproduct corrections q(g), keyed by generator; primitive ones are absent.
 
-        Clears this presentation's memos and those of every cocycle and
-        context built on it.
+        Every memo, here or on a cocycle, functional or context built on this
+        presentation, is a function of q.  So the first read fixes q: from
+        then on `set_q` raises, and no memo can outlive a change of q.
         """
+        self._q_read = True
+        return MappingProxyType(self._q)
+
+    def set_q(self, gen, tensor):
+        """Attach a coproduct correction; only before anything has read `q`."""
+        if self._q_read:
+            raise PresentationError("q(%s) set after q was read; q is fixed once read" % gen)
         if gen not in self.ring.index:
             raise PresentationError("q-data for unknown generator %r" % gen)
         if not isinstance(tensor, TensorPoly) or tensor.rank != 2 or tensor.ring is not self.ring:
             raise PresentationError("q(%s) must be a rank-2 tensor over the group ring" % gen)
         if tensor.is_zero():
-            self.q.pop(gen, None)
+            self._q.pop(gen, None)
         else:
-            self.q[gen] = tensor
-        self._coprod.clear()
-        self._iter.clear()
-        self._antipode.clear()
-        self._corad.clear()
-        self._words.clear()
-        self._coinv.clear()
-        self._subgroup_ideals.clear()
-        self._gradings.clear()
-        self._lie = None
-        for obj in list(self._dependents):
-            obj.forget_memos()
+            self._q[gen] = tensor
 
     def add_subgroup(self, name, param_names, coord_exprs):
         self.named_subgroups[name] = SubgroupParam(self, param_names, coord_exprs)
@@ -566,9 +562,9 @@ class GroupPresentation:
     def coinvariants(self, subgroup, degree_bound, side="left"):
         """Basis of functions of degree <= bound constant on (left/right/double) cosets.
 
-        Memoized per (subgroup, bound, side) until `set_q`; each call returns
-        a fresh list.  The restriction map to the subgroup is built once per
-        computation and serves every coproduct term.
+        Memoized per (subgroup, bound, side); each call returns a fresh list.
+        The restriction map to the subgroup is built once per computation and
+        serves every coproduct term.
         """
         if side not in ("left", "right", "double"):
             raise ValueError("side must be left, right or double")

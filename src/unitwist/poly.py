@@ -261,11 +261,7 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            v = terms.get(m, ZERO) + c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
+            terms[m] = terms.get(m, ZERO) + c
         return Poly(self.ring, terms)
 
     __radd__ = __add__
@@ -290,11 +286,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
-                v = terms.get(m, ZERO) + c1 * c2
-                if v:
-                    terms[m] = v
-                else:
-                    terms.pop(m, None)
+                terms[m] = terms.get(m, ZERO) + c1 * c2
         return Poly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -543,11 +535,7 @@ class TensorPoly:
             for key, c in terms.items():
                 for m, cm in p.terms.items():
                     k2 = key + (m,)
-                    v = new.get(k2, ZERO) + c * cm
-                    if v == 0:
-                        new.pop(k2, None)
-                    else:
-                        new[k2] = v
+                    new[k2] = new.get(k2, ZERO) + c * cm
             terms = new
         return cls(ring, len(polys), terms)
 
@@ -556,11 +544,7 @@ class TensorPoly:
             raise RingContextError("tensor rank/ring mismatch")
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            v = terms.get(k, ZERO) + c
-            if v == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = v
+            terms[k] = terms.get(k, ZERO) + c
         return TensorPoly(self.ring, self.rank, terms)
 
     def __sub__(self, other):
@@ -585,11 +569,7 @@ class TensorPoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(a.mul(b) for a, b in zip(k1, k2))
-                v = terms.get(key, ZERO) + c1 * c2
-                if v == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = v
+                terms[key] = terms.get(key, ZERO) + c1 * c2
         return TensorPoly(self.ring, self.rank, terms)
 
     def apply_linear_slot(self, slot, phi):
@@ -607,11 +587,7 @@ class TensorPoly:
             if val == 0:
                 continue
             k2 = key[:s] + key[s + 1:]
-            v = terms.get(k2, ZERO) + c * val
-            if v == 0:
-                terms.pop(k2, None)
-            else:
-                terms[k2] = v
+            terms[k2] = terms.get(k2, ZERO) + c * val
         return TensorPoly(self.ring, self.rank - 1, terms)
 
     def map_slot(self, slot, f):
@@ -629,11 +605,7 @@ class TensorPoly:
                 out_rank = self.rank - 1 + img.rank
             for ikey, ic in img.terms.items():
                 k2 = key[:s] + ikey + key[s + 1:]
-                v = out_terms.get(k2, ZERO) + c * ic
-                if v == 0:
-                    out_terms.pop(k2, None)
-                else:
-                    out_terms[k2] = v
+                out_terms[k2] = out_terms.get(k2, ZERO) + c * ic
         if out_rank is None:
             raise ValueError("cannot map a slot of the zero tensor")
         return TensorPoly(self.ring, out_rank, out_terms)

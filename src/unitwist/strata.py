@@ -14,7 +14,7 @@ a definition.
 
 A sweep over many points of one group redoes only point-dependent work:
 the ideal of T and the coset-function basis of the normalizing case are
-memoized on the GroupPresentation per SubgroupParam object; `set_q` clears them.
+memoized on the GroupPresentation per SubgroupParam object.
 The generator commutator table is the context's own, computed once.
 """
 

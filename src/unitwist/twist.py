@@ -46,11 +46,6 @@ class TwistedContext:
         self.right = right
         self.right_inv = right.cached_inverse()
         self.two_sided = left is right
-        self.forget_memos()
-        pres._dependents.add(self)
-
-    def forget_memos(self):
-        """Drop every memo, all of which depend on q; `set_q` calls this."""
         self._mul_cache = {}
         self._commutators = None
         self._gamma = None  # strata.commutator_ideal_and_gamma's report

@@ -13,7 +13,7 @@ from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, Con
                               NeumannInverse, PointFunctional, PullbackCocycle, RMatrix,
                               TableCocycle, WeightGrading, WeightIndex, cybe_check,
                               solve_cocycle_corrections, verify_cocycle_identity)
-from unitwist.hopf import GroupPresentation, LieAlgebraData
+from unitwist.hopf import GroupPresentation, LieAlgebraData, PresentationError
 from unitwist.poly import TensorPoly, parse_poly, render_poly
 
 
@@ -724,33 +724,38 @@ def test_one_sided_products_computed_once(monkeypatch):
     assert computed and max(computed.values()) == 1
 
 
-def test_word_table_follows_set_q():
-    # a word table computed before set_q must not survive it
-    def value(warm):
-        g = GroupPresentation("heis", ["X", "Y", "V"])
-        R = g.ring
-        X, Y = R.var("X"), R.var("Y")
-        V, XY = R.var_monomial("V"), next(iter((X * Y).terms))
-        if warm:
-            g.word_table(V, 2)
-        g.set_q("V", TensorPoly.from_polys([X, Y]))
-        return ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).pair(V, XY)
-
-    assert value(warm=False) == Fraction(-1, 8)
-    assert value(warm=True) == Fraction(-1, 8)
+HEIS_QV = ("X", "Y")  # q(V) = X (x) Y, the Heisenberg correction
 
 
-def test_set_q_forgets_cocycle_and_context_memos():
-    # memos filled before set_q must not survive it: each answer afterwards
-    # is the one a cocycle and context built after set_q give
+def heisenberg_with(q_factors, rmatrix_entries):
+    g = GroupPresentation("heis", ["X", "Y", "V"])
+    if q_factors:
+        g.set_q("V", TensorPoly.from_polys([g.ring.var(f) for f in q_factors]))
+    return g, ExponentialCocycle(g, RMatrix(3, rmatrix_entries))
+
+
+def test_a_warm_word_table_seals_q():
+    # a word table reads q, so once one is built set_q raises, and the table
+    # and J agree with a fresh presentation that never had q
+    def values(g, j):
+        V, X, Y = (g.ring.var_monomial(n) for n in ("V", "X", "Y"))
+        return g.word_table(V, 2), j.pair(V, X.mul(Y))
+
+    g, j = heisenberg_with(None, {(0, 1): 1})
+    V = g.ring.var_monomial("V")
+    g.word_table(V, 2)
+    with pytest.raises(PresentationError, match="fixed once read"):
+        g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
+    assert values(g, j) == values(*heisenberg_with(None, {(0, 1): 1})) == ({}, 0)
+    # the refused q would have changed both
+    assert values(*heisenberg_with(HEIS_QV, {(0, 1): 1})) == ({(0, 1): 1}, Fraction(-1, 8))
+
+
+def test_cocycle_and_context_memos_seal_q():
+    # memos filled on a presentation read its q, so set_q afterwards raises;
+    # every answer read before it is the one a fresh presentation gives
     from unitwist.strata import commutator_ideal_and_gamma
     from unitwist.twist import TwistedContext
-
-    def heisenberg(with_q):
-        g = GroupPresentation("heis", ["X", "Y", "V"])
-        if with_q:
-            g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
-        return g, ExponentialCocycle(g, RMatrix(3, {(0, 1): 1}))
 
     def answers(g, j, ctx):
         V, X, Y = (g.ring.var_monomial(n) for n in ("V", "X", "Y"))
@@ -761,31 +766,36 @@ def test_set_q_forgets_cocycle_and_context_memos():
                 j.grading.weights, render_poly(ctx.mul_monomials(V, X)),
                 ctx.commutators().lines(), commutator_ideal_and_gamma(ctx).lines())
 
-    g, j = heisenberg(with_q=False)
-    V, XY = g.ring.var_monomial("V"), next(iter((g.ring.var("X") * g.ring.var("Y")).terms))
-    assert j.pair(V, XY) == 0
+    def fresh(q_factors):
+        g, j = heisenberg_with(q_factors, {(0, 1): 1})
+        return answers(g, j, TwistedContext.hopf(g, j))
+
+    g, j = heisenberg_with(None, {(0, 1): 1})
     ctx = TwistedContext.hopf(g, j)
     before = answers(g, j, ctx)
-    g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
-    assert j.pair(V, XY) == Fraction(-1, 8)
-    fresh_g, fresh_j = heisenberg(with_q=True)
-    want = answers(fresh_g, fresh_j, TwistedContext.hopf(fresh_g, fresh_j))
-    assert answers(g, j, ctx) == want != before
+    with pytest.raises(PresentationError, match="fixed once read"):
+        g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
+    assert answers(g, j, ctx) == before == fresh(None) != fresh(HEIS_QV)
 
 
-def test_set_q_refreshes_a_conjugate_built_before_it():
-    # the inverse point comes from the antipode, so it must follow q
+def test_a_conjugate_seals_q():
+    # the inverse point comes from the antipode, which reads q, so building
+    # a conjugate fixes q; its values are a fresh presentation's
+    def conjugate(g):
+        return ExponentialCocycle(g, RMatrix(3, {(0, 2): 1})).conjugate(g.point({"X": 1, "Y": 1}))
+
+    def values(c):
+        mons = c.pres.ring.monomials_up_to(2, include_one=False)
+        assert len(mons) ** 2 == 81
+        return [c.pair(a, b) for a in mons for b in mons]
+
     g = GroupPresentation("heis", ["X", "Y", "V"])
-    point = g.point({"X": 1, "Y": 1})
-    c = ExponentialCocycle(g, RMatrix(3, {(0, 2): 1})).conjugate(point)
-    g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
-    fresh = ExponentialCocycle(g, RMatrix(3, {(0, 2): 1})).conjugate(point)
+    c = conjugate(g)
+    with pytest.raises(PresentationError, match="fixed once read"):
+        g.set_q("V", TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")]))
     V = g.ring.var_monomial("V")
-    assert c.pair(V, V) == fresh.pair(V, V) == 0
-    mons = g.ring.monomials_up_to(2, include_one=False)
-    assert len(mons) ** 2 == 81
-    assert [c.pair(a, b) for a in mons for b in mons] == \
-        [fresh.pair(a, b) for a in mons for b in mons]
+    assert c.pair(V, V) == 0
+    assert values(c) == values(conjugate(GroupPresentation("heis", ["X", "Y", "V"])))
 
 
 # -- weight grading --------------------------------------------------------------

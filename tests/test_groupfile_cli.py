@@ -402,6 +402,23 @@ def test_rform_check_reports_each_failure(tmp_path, capsys):
         ("split-left", "Y, V, X"), ("split-right", "V, X, Y"), ("split-left", "V, Y, X")]]
 
 
+def test_sections_before_coproduct_do_not_read_q(tmp_path, capsys):
+    # nothing the parser builds before the last [coproduct] reads q, so
+    # sections may come in any order: q is fixed only once something reads it
+    head, coproduct = _HEIS.split("[coproduct]")
+    rest = "[cocycle-table]\nbound = 4\n" + _STRATA[len(_HEIS):]
+    runs = []
+    for text in (_HEIS + rest, head + rest + "\n[coproduct]" + coproduct):
+        path = tmp_path / "heis.group"
+        path.write_text(text)
+        runs.append([run_cli([cmd, str(path)] + extra, capsys)
+                     for cmd, extra in (("validate", ["--max-degree", "3"]),
+                                        ("strata", ["--point", "g"]))])
+    assert runs[0] == runs[1]
+    assert [(rc, err) for rc, _, err in runs[0]] == [(0, ""), (0, "")]
+    assert "cocycle identity at bound 3: pass" in runs[0][0][1]
+
+
 @pytest.mark.parametrize("error", [StratumError, TwistConsistencyError, CocycleBoundError,
                                    CocycleInputError])
 def test_check_errors_exit_1(monkeypatch, capsys, error):
@@ -470,6 +487,11 @@ CLI_PINS = {
         (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
     "rform-check --example u4-ex6":
         (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
+    # an explicit --max-degree above 3 is honoured, not lowered to 3
+    "rform-check --example u4-ex5 --max-degree 4":
+        (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
+    "rform-check --example jordan4-minimal --max-degree 4":
+        (1, "3e1cb02c524e7a236919c7c7ba2b85d7360fab48be550dd3f26d28975b3e8e69", EMPTY),
 }
 
 

@@ -1,4 +1,6 @@
+import pathlib
 import random
+import re
 import zlib
 from fractions import Fraction
 
@@ -6,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unitwist
+from unitwist.cocycle import ExponentialCocycle, RMatrix, WeightGrading
+from unitwist.groupfile import default_degree_bound
 from unitwist.hopf import GroupPresentation, PresentationError, SubgroupParam
 from unitwist.poly import PolyRing, TensorPoly, parse_poly, render_poly
 from unitwist.strata import subgroup_ideal
@@ -207,21 +212,65 @@ def test_presentation_takes_q_only_through_set_q():
         g.set_q("V", foreign)
 
 
-def test_set_q_clears_the_memos():
-    # every memo entry is computed before each change of q, and must be
-    # recomputed after it: compare with a presentation built with that q
-    g = GroupPresentation("heis", ["X", "Y", "V"])
-    subgroups = {name: heis_subgroup(g, name) for name in HEIS_SUBGROUPS}
+def test_subgroup_memos_seal_q():
+    # the subgroup memos read q, so once they are filled set_q raises, and
+    # they keep the values of a fresh presentation with that q
     seen = set()
-    for q in ("xy", "yx", "abelian", "xy"):
+    for q in HEIS_Q:
+        g = GroupPresentation("heis", ["X", "Y", "V"])
         set_heis_q(g, q)
+        subgroups = {name: heis_subgroup(g, name) for name in HEIS_SUBGROUPS}
+        got = {name: memoized_results(g, subgroup) for name, subgroup in subgroups.items()}
+        for other in HEIS_Q:
+            with pytest.raises(PresentationError, match="fixed once read"):
+                set_heis_q(g, other)
         for name, subgroup in subgroups.items():
-            got = memoized_results(g, subgroup)
-            assert got == fresh_results(q, name), (q, name)
-            assert memoized_results(g, subgroup) == got
-            seen.add(repr((name, got)))
-    # the results differ between the q's, so a stale memo would show
+            assert memoized_results(g, subgroup) == got[name] == fresh_results(q, name), (q, name)
+            seen.add(repr((name, got[name])))
+    # the results differ between the q's, so a refused set_q that got
+    # through would show
     assert len(seen) == 6
+
+
+SEALING_READS = {
+    "coproduct_monomial": lambda g, V: g.coproduct_monomial(V),
+    "antipode_monomial": lambda g, V: g.antipode_monomial(V),
+    "word_table": lambda g, V: g.word_table(V, 2),
+    "corad_degree_monomial": lambda g, V: g.corad_degree_monomial(V),
+    "lie_data": lambda g, V: g.lie_data(),
+    "coinvariants": lambda g, V: g.coinvariants(heis_subgroup(g, "axis"), 2),
+    "validate": lambda g, V: g.validate(),
+    "point_inv": lambda g, V: g.point_inv(g.point({"X": 1, "Y": 1})),
+    "WeightGrading.of": lambda g, V: WeightGrading.of(g, RMatrix(3, {(0, 1): 1})),
+    "Cocycle.conjugate": lambda g, V: ExponentialCocycle(g, RMatrix(3, {(0, 2): 1}))
+    .conjugate(g.point({"X": 1})),
+    "default_degree_bound": lambda g, V: default_degree_bound(g),
+}
+
+
+@pytest.mark.parametrize("read", sorted(SEALING_READS))
+def test_reading_q_seals_it(read):
+    g = heisenberg()
+    q_v = TensorPoly.from_polys([g.ring.var("X"), g.ring.var("Y")])
+    g.set_q("V", q_v)  # set_q still works: nothing has read q yet
+    SEALING_READS[read](g, g.ring.var_monomial("V"))
+    with pytest.raises(PresentationError, match="fixed once read"):
+        g.set_q("V", q_v)
+
+
+def test_q_is_a_read_only_view():
+    g = heisenberg()
+    with pytest.raises(TypeError):
+        g.q["Y"] = g.q["V"]
+    assert list(g.q) == ["V"]
+
+
+def test_only_hopf_touches_the_q_store():
+    # the seal lives in the `q` property; a module reading `_q` or
+    # resetting `_q_read` directly would get round it
+    src = pathlib.Path(unitwist.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if p.name != "hopf.py" and re.search(r"\._q(\b|_read)", p.read_text())] == []
 
 
 def test_memos_are_per_subgroup_object():
