@@ -36,7 +36,10 @@ a `Convolution` of two evaluators with the same grading, and a
 evaluator has None.  The identity check, the R-form check and the
 correction solver take their monomial triples from one walk, a per-call
 `WeightIndex`, which skips what the grading proves 0 = 0; with no grading
-it is the full sweep.
+it is the full sweep.  `contract` reads only the Delta terms whose legs J
+(in `right_product`) or K (in the deformed product) can pair nonzero; an
+exponential evaluator answers an off-class pair 0 before any word table.
+Past a bounded evaluator's range (`grading_within`) the full path runs.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ class WeightGrading:
         # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
         self.unit_legs = unit_legs
         self.total_bound = total_bound
+        self.pivot = next((t for t, r in enumerate(rho) if r), None)
+        self.step = 1 if self.pivot is None else rho[self.pivot]
 
     @classmethod
     def of(cls, pres, rmatrix):
@@ -134,6 +139,20 @@ class WeightGrading:
                     out[t] += e * x
         return tuple(out)
 
+    def coset(self, v):
+        """(c, p): the class c of the weight v modulo Z rho, and v's pivot coordinate p.
+
+        With t the first coordinate where rho_t != 0 and `step` = rho_t, c is
+        (step v - p rho, p mod step).  Its first part is linear in v and 0
+        exactly on Q rho, so v = k rho exactly when it is 0 and p = k step.
+        With no pivot (rho = 0, or rank 0), c is (v, 0) and p is 0.
+        """
+        t = self.pivot
+        if t is None:
+            return (v, 0), 0
+        p = v[t]
+        return (tuple(self.step * x - p * r for x, r in zip(v, self.rho)), p % self.step), p
+
     def multiple(self, s, signed=False):
         """Whether s = k rho for an integer k, with k >= 0 unless `signed`."""
         k = next((x // r for x, r in zip(s, self.rho) if r), 0)
@@ -169,32 +188,22 @@ class WeightIndex:
     `partners(idx, end)` lists, in increasing order, the indices k < end
     for which the weight of mons[k] times the monomials indexed by `idx`
     lies in N rho (in Z rho when `signed`).  The full list is memoized per
-    weight.  Buckets are grouped by their line modulo Q rho, so an answer
-    reads one group, not every bucket.
+    weight.  Buckets are grouped by their class modulo Z rho
+    (`WeightGrading.coset`), so an answer reads one group, not every bucket.
     """
 
     def __init__(self, j, degree_bound):
-        grading = j.grading
-        if grading is None or not grading.covers(degree_bound):
-            grading = WeightGrading(((),) * j.pres.ring.ngens, (), True)
+        grading = (j.grading_within(degree_bound)
+                   or WeightGrading(((),) * j.pres.ring.ngens, (), True))
         self.grading = grading
         self.bound = degree_bound
         self.mons = j.pres.ring.monomials_up_to(degree_bound, include_one=False)
         self._degs = [m.degree for m in self.mons]
-        self._pivot = next((t for t, r in enumerate(grading.rho) if r), None)
         self._weights = [grading.weight(m) for m in self.mons]
-        buckets = {}
+        self._classes = {}
         for k, w in enumerate(self._weights):
-            buckets.setdefault(w, []).append(k)
-        self._lines = {}
-        for w, ks in buckets.items():
-            self._lines.setdefault(self._line(w), []).append((w, ks))
+            self._classes.setdefault(grading.coset(w)[0], {}).setdefault(w, []).append(k)
         self._memo = {}
-
-    def _line(self, v):
-        # linear in v, and 0 exactly on Q rho (on 0 when rho is 0)
-        t, rho = self._pivot, self.grading.rho
-        return v if t is None else tuple(rho[t] * x - v[t] * r for x, r in zip(v, rho))
 
     def _upto(self, d):
         # how many of mons have degree <= d
@@ -205,9 +214,9 @@ class WeightIndex:
         hit = self._memo.get((s, signed))
         if hit is None:
             multiple = self.grading.multiple
-            line = tuple(-x for x in self._line(s))
+            cls = self.grading.coset(tuple(-x for x in s))[0]
             hit = self._memo[(s, signed)] = sorted(
-                k for w, ks in self._lines.get(line, ())
+                k for w, ks in self._classes.get(cls, {}).items()
                 if multiple(tuple(map(sum, zip(s, w))), signed) for k in ks)
         return hit[:bisect.bisect_left(hit, end)]
 
@@ -234,14 +243,7 @@ def cybe_check(lie, r):
     total = {}
 
     def add(i, j, k, c):
-        if c == 0:
-            return
-        key = (i, j, k)
-        v = total.get(key, ZERO) + c
-        if v == 0:
-            total.pop(key, None)
-        else:
-            total[key] = v
+        total[(i, j, k)] = total.get((i, j, k), ZERO) + c
 
     m = r.matrix
     for a in range(n):
@@ -264,7 +266,7 @@ def cybe_check(lie, r):
                     br = lie.bracket_basis(b, d)
                     for e in range(n):
                         add(a, c, e, coef * br[e])
-    return not total
+    return not any(total.values())
 
 
 _UNSOLVED = object()  # a grading not looked for yet; None means there is none
@@ -300,6 +302,11 @@ class Cocycle:
     def _find_grading(self):
         return None
 
+    def grading_within(self, degree_bound):
+        """`grading` where it covers `degree_bound` (`WeightGrading.covers`), else None."""
+        g = self.grading
+        return g if g is not None and g.covers(degree_bound) else None
+
     def cached_inverse(self):
         if self._inv_memo is None:
             self._inv_memo = self.inverse()
@@ -330,7 +337,8 @@ class Cocycle:
         """
         hit = self._products.get((x, y))
         if hit is None:
-            hit = self._products[(x, y)] = self.pres.contract(x, y, None, self.pair)
+            hit = self._products[(x, y)] = self.pres.contract(
+                x, y, None, self.pair, self.grading_within(x.degree + y.degree))
         return hit
 
     def eval(self, f, g):
@@ -398,6 +406,9 @@ class ExponentialCocycle(Cocycle):
         # The sum truncates at the coradical degree: length-k words pair as
         # degree-k distributions, which kill the k-th coradical filtration
         # layer.
+        g = self.grading
+        if g is not None and not g.multiple(g.weight(m1.mul(m2))):
+            return ZERO
         pres = self.pres
         kmax = min(pres.corad_degree_monomial(m1), pres.corad_degree_monomial(m2))
         total = ZERO
@@ -799,10 +810,10 @@ def verify_cocycle_identity(j, degree_bound):
     full sweep meets first: a failing triple, or the bound error it raises.
     """
     ring = j.pres.ring
+    one = ring.one_monomial
     for m in ring.monomials_up_to(degree_bound):
-        if j.pair(m, ring.one_monomial) != (ONE if m.is_one else ZERO):
-            return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
-        if j.pair(ring.one_monomial, m) != (ONE if m.is_one else ZERO):
+        unit = ONE if m.is_one else ZERO
+        if j.pair(m, one) != unit or j.pair(one, m) != unit:
             return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
 
     index = WeightIndex(j, degree_bound)

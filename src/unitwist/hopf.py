@@ -18,6 +18,7 @@ caching.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from types import MappingProxyType
 
 from . import linalg
@@ -220,6 +221,7 @@ class GroupPresentation:
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
+        self._classes = {}  # _delta_classes's memo, keyed by lattice, then monomial
         self._lie = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -273,6 +275,13 @@ class GroupPresentation:
         q = self.q.get(name)
         return base + q if q is not None else base
 
+    def _split_first(self, m):
+        # (name, rest) with m = name * rest, name the first variable of m
+        i = next(i for i, e in enumerate(m.exps) if e)
+        exps = list(m.exps)
+        exps[i] -= 1
+        return self.ring.names[i], self.ring.monomial(exps)
+
     def coproduct_monomial(self, m):
         cached = self._coprod.get(m)
         if cached is not None:
@@ -280,13 +289,7 @@ class GroupPresentation:
         if m.is_one:
             result = TensorPoly.from_polys([self.ring.one, self.ring.one])
         else:
-            for i in range(len(self.ring.names)):
-                if m.exps[i] > 0:
-                    break
-            name = self.ring.names[i]
-            exps = list(m.exps)
-            exps[i] -= 1
-            rest = self.ring.monomial(exps)
+            name, rest = self._split_first(m)
             if self.ring.is_parameter(name):
                 # Parameters are central scalars: Delta is Q[params]-linear.
                 # The parameter factor is carried on slot 1 by convention;
@@ -307,7 +310,7 @@ class GroupPresentation:
             out = out + self.coproduct_monomial(m).scale(c)
         return out
 
-    def contract(self, m1, m2, f, g):
+    def contract(self, m1, m2, f, g, grading=None):
         """The rank-2 convolution sum over Delta(m1) x Delta(m2), by monomial.
 
         Returns {monomial: sum c c' f(a1,b1) g(a2,b2)} over the coproduct
@@ -318,41 +321,80 @@ class GroupPresentation:
         stands for the monomial product of its two arguments, and that
         product keys the result.  Each factor is tested for zero before
         coefficients are multiplied.
+
+        `grading` grades the first scalar slot (f, or g when f is None): it is
+        0 on (x, y) unless w(x) + w(y) lies in N rho, so only the term pairs
+        where it can be nonzero are read.  None is the rank-0 grading.
         """
-        d1 = self.coproduct_monomial(m1).terms.items()
-        d2 = self.coproduct_monomial(m2).terms.items()
         out = {}
-        if f is None:
-            for (a1, a2), c1 in d1:
-                for (b1, b2), c2 in d2:
-                    v = g(a2, b2)
-                    if v:
-                        k = a1.mul(b1)
-                        out[k] = out.get(k, ZERO) + c1 * c2 * v
-        elif g is None:
-            for (a1, a2), c1 in d1:
-                for (b1, b2), c2 in d2:
-                    v = f(a1, b1)
-                    if v:
-                        k = a2.mul(b2)
-                        out[k] = out.get(k, ZERO) + c1 * c2 * v
-        else:
-            one = self.ring.one_monomial
-            for (a1, a2), c1 in d1:
-                for (b1, b2), c2 in d2:
-                    v = f(a1, b1)
-                    if not v:
-                        continue
-                    w = g(a2, b2)
-                    if not w:
-                        continue
-                    if w.__class__ is dict:
-                        c = c1 * c2 * v
-                        for k, cw in w.items():
-                            out[k] = out.get(k, ZERO) + c * cw
-                    else:
-                        out[one] = out.get(one, ZERO) + c1 * c2 * v * w
+        for d1, d2 in self._graded_terms(m1, m2, f is not None, grading):
+            if f is None:
+                for (a1, a2), c1 in d1:
+                    for (b1, b2), c2 in d2:
+                        v = g(a2, b2)
+                        if v:
+                            k = a1.mul(b1)
+                            out[k] = out.get(k, ZERO) + c1 * c2 * v
+            elif g is None:
+                for (a1, a2), c1 in d1:
+                    for (b1, b2), c2 in d2:
+                        v = f(a1, b1)
+                        if v:
+                            k = a2.mul(b2)
+                            out[k] = out.get(k, ZERO) + c1 * c2 * v
+            else:
+                one = self.ring.one_monomial
+                for (a1, a2), c1 in d1:
+                    for (b1, b2), c2 in d2:
+                        v = f(a1, b1)
+                        if not v:
+                            continue
+                        w = g(a2, b2)
+                        if not w:
+                            continue
+                        if w.__class__ is dict:
+                            c = c1 * c2 * v
+                            for k, cw in w.items():
+                                out[k] = out.get(k, ZERO) + c * cw
+                        else:
+                            out[one] = out.get(one, ZERO) + c1 * c2 * v * w
         return {k: c for k, c in out.items() if c}
+
+    def _graded_terms(self, m1, m2, first, grading):
+        # pairs of term lists of Delta(m1) and Delta(m2) where the graded slot
+        # may be nonzero: the first legs' weights sum to k rho when `first`,
+        # else to w(m1) + w(m2) - k rho, for some k >= 0
+        if grading is None:  # the rank-0 grading: one class holds every term
+            yield (self.coproduct_monomial(m1).terms.items(),
+                   self.coproduct_monomial(m2).terms.items())
+            return
+        l1, p1, classes1 = self._delta_classes(m1, grading)
+        l2, p2, classes2 = self._delta_classes(m2, grading)
+        step = grading.step
+        lu, pu, sign = ((0,) * len(l1), 0, step) if first else (tuple(map(add, l1, l2)),
+                                                                   p1 + p2, -step)
+        for (la, ra), groups in classes1.items():
+            partner = classes2.get((tuple(map(sub, lu, la)), (pu - ra) % step))
+            if partner is None:
+                continue
+            for pa, ta in groups.items():
+                for pb, tb in partner.items():
+                    if (pa + pb - pu) * sign >= 0:
+                        yield ta, tb
+
+    def _delta_classes(self, m, grading):
+        # (line, p, classes): `WeightGrading.coset` of w(m), and Delta(m)'s terms by the
+        # class, then the pivot coordinate, of the first leg's weight; memoized per lattice
+        memo = self._classes.setdefault((grading.weights, grading.rho), {})
+        hit = memo.get(m)
+        if hit is None:
+            classes = {}
+            for t in self.coproduct_monomial(m).terms.items():
+                c, p = grading.coset(grading.weight(t[0][0]))
+                classes.setdefault(c, {}).setdefault(p, []).append(t)
+            (line, _), p = grading.coset(grading.weight(m))
+            hit = memo[m] = (line, p, classes)
+        return hit
 
     def iterated_coproduct_monomial(self, m, k):
         """Delta^k applied to a monomial, a rank k+1 tensor (k >= 1)."""
@@ -383,13 +425,7 @@ class GroupPresentation:
         if m.is_one:
             result = self.ring.one
         else:
-            for i in range(len(self.ring.names)):
-                if m.exps[i] > 0:
-                    break
-            name = self.ring.names[i]
-            exps = list(m.exps)
-            exps[i] -= 1
-            rest = self.ring.monomial(exps)
+            name, rest = self._split_first(m)
             if self.ring.is_parameter(name):
                 result = self.antipode_monomial(rest) * self.ring.var(name)
             else:

@@ -22,6 +22,8 @@ the one-sided product.  On monomials K(a1,b1) is 1 when a1 and b1 are both
 
 Each a2 beside an a1 != 1 has strictly lower coradical degree than a, so
 the recursion ends; it is the argument that makes `NeumannInverse` end.
+Where K and J are graded (see the cocycle module), each sum reads only the
+terms with w(a1) + w(b1) (for K) or w(a2) + w(b2) (for J) in N rho.
 
 Generator products and commutators are computed twice, through the
 deformed product and through the closed-form expansion in the q-tensors
@@ -78,8 +80,10 @@ class TwistedContext:
         hit = self._mul_cache.get(key)
         if hit is None:
             terms = dict(self.right.right_product(m1, m2))
+            grading = self.left.grading_within(m1.degree + m2.degree)
             for k, c in self.pres.contract(m1, m2, self._left_reduced,
-                                           lambda a, b: self.mul_monomials(a, b).terms).items():
+                                           lambda a, b: self.mul_monomials(a, b).terms,
+                                           grading).items():
                 terms[k] = terms.get(k, ZERO) - c
             hit = self._mul_cache[key] = Poly(self.pres.ring, terms)
         return hit
@@ -197,14 +201,9 @@ class TwistedPresentation:
         return -self.relations[(gj, gi)]
 
     def nonzero(self):
-        out = []
         gens = self.pres.ring.generators
-        for i, gi in enumerate(gens):
-            for j in range(i):
-                f = self.relations[(gi, gens[j])]
-                if not f.is_zero():
-                    out.append((gi, gens[j], f))
-        return out
+        return [(gi, gj, f) for i, gi in enumerate(gens) for gj in gens[:i]
+                if not (f := self.relations[(gi, gj)]).is_zero()]
 
     def lines(self):
         return ["[%s,%s] = %s" % (a, b, render_poly(f)) for a, b, f in self.nonzero()]
@@ -229,14 +228,12 @@ def ihoe_presentation(ctx):
     table = ctx.commutators()
     rel = table.relations
     for (gi, gj), direct in rel.items():
-        xi = pres.ring.var(gi)
-        xj = pres.ring.var(gj)
         closed = ctx.generator_commutator_formula(gi, gj)
         if direct != closed:
             raise TwistConsistencyError(
                 "commutator routes disagree on [%s,%s]: %s vs %s"
                 % (gi, gj, render_poly(direct), render_poly(closed)))
-        prod_direct = ctx.mul(xi, xj)
+        prod_direct = ctx.mul(pres.ring.var(gi), pres.ring.var(gj))
         prod_closed = ctx.generator_product_formula(gi, gj)
         if prod_direct != prod_closed:
             raise TwistConsistencyError(
@@ -328,21 +325,11 @@ def rform_axiom_check(ctx, degree_bound):
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)
     for x, y, z in index.triples(signed=True):
         h, l, g = mons[x], mons[y], mons[z]
-        lhs = sum((c * R(h, k) for k, c in products(l, g).items()), ZERO)
-        rhs = ZERO
-        for (h1, h2), c in delta(h):
-            v = R(h1, g)
-            if v:
-                rhs += c * v * R(h2, l)
-        if lhs != rhs:
+        if sum((c * R(h, k) for k, c in products(l, g).items()), ZERO) != \
+                sum((c * v * R(h2, l) for (h1, h2), c in delta(h) if (v := R(h1, g))), ZERO):
             failures.append(("split-right", h, l, g))
-        lhs = sum((c * R(k, l) for k, c in products(g, h).items()), ZERO)
-        rhs = ZERO
-        for (l1, l2), c in delta(l):
-            v = R(g, l1)
-            if v:
-                rhs += c * v * R(h, l2)
-        if lhs != rhs:
+        if sum((c * R(k, l) for k, c in products(g, h).items()), ZERO) != \
+                sum((c * v * R(h, l2) for (l1, l2), c in delta(l) if (v := R(g, l1))), ZERO):
             failures.append(("split-left", h, l, g))
 
     return RFormReport(not failures, degree_bound, failures)

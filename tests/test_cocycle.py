@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -705,10 +706,10 @@ def test_one_sided_products_computed_once(monkeypatch):
     computed = collections.Counter()
     contract = pres.contract
 
-    def spy(m1, m2, f, g):
+    def spy(m1, m2, f, g, grading=None):
         if f is None and g == j.pair:
             computed[(m1, m2)] += 1
-        return contract(m1, m2, f, g)
+        return contract(m1, m2, f, g, grading)
 
     monkeypatch.setattr(pres, "contract", spy)
     for bound in (3, 4, 5):
@@ -950,6 +951,86 @@ def test_signed_index_takes_negative_classes():
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
     unsigned = [t for t in sweep if sum(weight[k] for k in t) >= 0]
     assert list(index.triples()) == unsigned != sweep
+
+
+def test_exponential_pair_answers_off_class_misses_without_word_tables(each_example):
+    # an off-class miss is 0 before any word table is built, and every value
+    # on pairs of total degree <= 4 is that of a fresh evaluator with no grading
+    cid = each_example.entry.id
+    graded, full = fresh_cocycle(cid, True, raw=True), fresh_cocycle(cid, False, raw=True)
+    grading = graded.grading
+    mons = graded.pres.ring.monomials_up_to(4, include_one=False)
+    pairs = [(x, y) for x, a in enumerate(mons) for y, b in enumerate(mons)
+             if a.degree + b.degree <= 4]
+    off = [(x, y) for x, y in pairs if not grading.multiple(grading.weight(mons[x].mul(mons[y])))]
+    assert off
+    words = dict(graded.pres._words)
+    assert all(graded.pair(mons[x], mons[y]) == 0 for x, y in off)
+    assert graded.pres._words == words
+    full_mons = full.pres.ring.monomials_up_to(4, include_one=False)
+    assert [graded.pair(mons[x], mons[y]) for x, y in pairs] \
+        == [full.pair(full_mons[x], full_mons[y]) for x, y in pairs]
+
+
+def graded_contract(pres, a, b, leg, grading, in_class, value):
+    """contract(a, b) with `value` in the graded slot, f (leg 0) or g with f
+    None (leg 1), after checking that the slot reads exactly the in-class
+    leg pairs: w(a1) + w(b1), or w(a2) + w(b2), in N rho."""
+    read = []
+
+    def slot(x, y):
+        read.append((x, y))
+        return value(x, y)
+
+    got = pres.contract(a, b, *((slot, None) if leg == 0 else (None, slot)), grading)
+    want = [(s[leg], t[leg]) for s in pres.coproduct_monomial(a).terms
+            for t in pres.coproduct_monomial(b).terms if in_class(s[leg], t[leg])]
+    assert collections.Counter(read) == collections.Counter(want), (a, b, leg)
+    return got
+
+
+def test_graded_contract_reads_the_class_and_matches_rank0(each_example):
+    # in both shapes the graded contraction reads only the in-class leg
+    # pairs, and equals the rank-0 one on every pair of total degree <= 5
+    ex = each_example
+    pres, j = ex.pres, ex.ctx.right
+    grading = j.grading_within(5)
+    assert grading is not None
+
+    @functools.cache
+    def in_class(x, y):
+        return grading.multiple(grading.weight(x.mul(y)))
+
+    mons = pres.ring.monomials_up_to(5)
+    for a in mons:
+        for b in mons:
+            if a.degree + b.degree <= 5:
+                for leg, shape in ((0, (j.pair, None)), (1, (None, j.pair))):
+                    got = graded_contract(pres, a, b, leg, grading, in_class, j.pair)
+                    assert got == pres.contract(a, b, *shape), (a, b, leg)
+
+
+def test_graded_contract_skips_negative_classes():
+    # no catalog leg pair within total degree 5 lies in a negative class
+    # k rho, k < 0, so a made-up grading w_X = 1, w_V = -2, rho = 1 shows
+    # the k >= 0 test on both legs
+    g, _ = plane_cocycle()
+    grading = WeightGrading(((1,), (-2,)), (1,), True)
+
+    def in_class(x, y):
+        return grading.multiple(grading.weight(x.mul(y)))
+
+    mons = g.ring.monomials_up_to(4)
+    negative = 0
+    for a in mons:
+        for b in mons:
+            for leg in (0, 1):
+                graded_contract(g, a, b, leg, grading, in_class, lambda x, y: Fraction(1))
+            negative += any(grading.multiple(grading.weight(s[0].mul(t[0])), signed=True)
+                            and not in_class(s[0], t[0])
+                            for s in g.coproduct_monomial(a).terms
+                            for t in g.coproduct_monomial(b).terms)
+    assert negative
 
 
 def test_corrections_graded_route_matches_full_route():

@@ -464,6 +464,22 @@ def test_products_never_evaluate_the_left_inverse():
     assert ctx.left.cached_inverse()._cache == {}
 
 
+def test_graded_product_matches_ungraded_product():
+    # u4-ex6's product reads only the in-class Delta terms of its cocycle K;
+    # a new load whose cocycle has no grading reads them all, with the same
+    # products on every pair of monomials of degree <= 3 (total degree <= 6)
+    products = []
+    for graded in (True, False):
+        data = catalog.get("u4-ex6").load()
+        if not graded:
+            data.cocycle.grading = None
+        ctx = build_context(data)
+        assert (ctx.left.grading_within(6) is not None) == graded
+        mons = ctx.pres.ring.monomials_up_to(3, include_one=False)
+        products.append([render_poly(ctx.mul_monomials(a, b)) for a in mons for b in mons])
+    assert products[0] == products[1]
+
+
 def test_product_beyond_the_solved_degree():
     # past the frozen table's total degree 6 a product raises the bound
     # error on the first pair it needs there
