@@ -492,6 +492,20 @@ CLI_PINS = {
         (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
     "rform-check --example jordan4-minimal --max-degree 4":
         (1, "3e1cb02c524e7a236919c7c7ba2b85d7360fab48be550dd3f26d28975b3e8e69", EMPTY),
+    # a point normalizing T, so the stratum is checked against the left coset
+    # functions of degree <= 3
+    "strata --example heisenberg3 --point Y=1":
+        (0, "eeeb95037423719e702d342945cab7e781432f925ade1445839dca0601cf5645", EMPTY),
+    "strata --example jordan4-abelian --point W=1":
+        (0, "1053b9528af8c1c93d8777c0b8cb932b40cbfc23a0777eab4efaefd972e0fe99", EMPTY),
+    "strata --example jordan4-minimal --point W=2":
+        (0, "0ffbe1ec97ac7191324af9fea8193027fad669be6482b10281840b46e6fe122c", EMPTY),
+    "strata --example u3 --point X=2,V=3":
+        (0, "147003cde656e0004aa069f85e33c204eff4ce03e63e0b0a248d9c8be747a429", EMPTY),
+    "strata --example u4-ex5 --point F14=1":
+        (0, "2bf516d9ed6d1531ed83562661afa4f3d49a871eee5f881b09cbbf01ba154ff0", EMPTY),
+    "strata --example u4-ex6 --point F13=1":
+        (0, "07ec7a71317e1924849a5cca3de622821626b0a6cd8dfbeed0d3e142a1e3b2d2", EMPTY),
 }
 
 
