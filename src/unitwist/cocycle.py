@@ -111,16 +111,13 @@ class WeightGrading:
         for i, gen in enumerate(pres.ring.generators):
             q = pres.q.get(gen)
             for m1, m2 in (q.terms if q is not None else ()):
-                row = [a + b for a, b in zip(m1.exps[:n], m2.exps[:n])] + [0]
+                row = dict(enumerate(a + b for a, b in zip(m1.exps[:n], m2.exps[:n])))
                 row[i] -= 1
                 rows.append(row)
         for a in range(n):
             for b in range(a + 1, n):
                 if rmatrix.matrix[a][b]:
-                    row = [0] * (n + 1)
-                    row[a] = row[b] = 1
-                    row[n] = -1
-                    rows.append(row)
+                    rows.append({a: 1, b: 1, n: -1})
         basis = linalg.nullspace(rows, n + 1)
         grading = None
         if basis:

@@ -22,7 +22,7 @@ from operator import add, sub
 from types import MappingProxyType
 
 from . import linalg
-from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, grlex_key, render_poly
+from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, render_poly
 
 
 class PresentationError(ValueError):
@@ -528,12 +528,14 @@ class GroupPresentation:
         """Images of generators under conjugation by a symbolic point.
 
         Returns (extended_ring, images) where images[name] is
-        sum f1(g) f2 S(f3)(g) written with symbolic coordinates g_<name>.
+        sum f1(g) f2 S(f3)(g) written with symbolic coordinates g_<name>, the
+        extended ring's last parameters (with more underscores if a name is taken).
         """
-        ext = self.ring.extended(extra_parameters=tuple("g_" + g for g in self.ring.generators))
+        sym = self.ring.fresh_names("g_", self.ring.generators)
+        ext = self.ring.extended(sym.values())
 
         def eval_sym(poly):
-            return poly.substitute({g: ext.var("g_" + g) for g in self.ring.generators}, ext)
+            return poly.substitute({g: ext.var(s) for g, s in sym.items()}, ext)
 
         images = {}
         for g in self.ring.generators:
@@ -553,9 +555,9 @@ class GroupPresentation:
         transpose, Ad(g) u_a = sum_k ad[a][k] u_k.
         """
         ext, images = self.conjugation_images()
-        back = {"g_" + g: self.ring.var(g) for g in self.ring.generators}
-        row = {ext.var_monomial(g): i for i, g in enumerate(self.ring.generators)}
         n = self.ring.ngens
+        back = {s: self.ring.var(g) for s, g in zip(ext.parameters[-n:], self.ring.generators)}
+        row = {ext.var_monomial(g): i for i, g in enumerate(self.ring.generators)}
         ad = [[self.ring.zero] * n for _ in range(n)]
         for j, g in enumerate(self.ring.generators):
             for m, c in images[g].terms.items():
@@ -598,9 +600,12 @@ class GroupPresentation:
     def coinvariants(self, subgroup, degree_bound, side="left"):
         """Basis of functions of degree <= bound constant on (left/right/double) cosets.
 
-        Memoized per (subgroup, bound, side); each call returns a fresh list.
-        The restriction map to the subgroup is built once per computation and
-        serves every coproduct term.
+        f is left-invariant iff (id (x) res_T) Delta f = f (x) 1, right-invariant
+        iff the mirror holds.  Each side gives one sparse equation in f's
+        coefficients per (kept leg, monomial of the restricted leg); their
+        nullspace comes from the unique RREF, so equation order cannot change
+        it.  Memoized per (subgroup, bound, side); each call returns a fresh
+        list.  The restriction to T is built once and serves every term.
         """
         if side not in ("left", "right", "double"):
             raise ValueError("side must be left, right or double")
@@ -609,31 +614,23 @@ class GroupPresentation:
             return list(self._coinv[key])
         mons = self.ring.monomials_up_to(degree_bound)
         sides = [w for w in ("left", "right") if side in (w, "double")]
-        rename = {t: "c_" + t for t in subgroup.param_names}
+        rename = self.ring.fresh_names("c_", subgroup.param_names)
         tring = PolyRing(self.ring.generators, self.ring.parameters + tuple(rename.values()))
         restrict = subgroup.restriction(tring, rename)
 
         rows = {}
-
-        def add(which, row_key, col, val):
-            row = rows.setdefault((which, row_key), [ZERO] * len(mons))
-            row[col] += val
-
         for col, m in enumerate(mons):
             delta = self.coproduct_monomial(m)
             for which in sides:
                 for (m1, m2), c in delta.terms.items():
-                    if which == "left":
-                        keep, proj = m1, restrict(m2)
-                    else:
-                        keep, proj = m2, restrict(m1)
+                    keep, proj = (m1, restrict(m2)) if which == "left" else (m2, restrict(m1))
                     for pm, pc in proj.terms.items():
-                        add(which, (keep, pm), col, c * pc)
+                        row = rows.setdefault((which, keep, pm), {})
+                        row[col] = row.get(col, ZERO) + c * pc
                 # subtract f (x) 1
-                add(which, (m, tring.one_monomial), col, -ONE)
-
-        matrix = [rows[k] for k in sorted(rows.keys(), key=lambda t: (t[0], grlex_key(t[1][0]), grlex_key(t[1][1])))]
-        basis = linalg.nullspace(matrix, len(mons))
+                row = rows.setdefault((which, m, tring.one_monomial), {})
+                row[col] = row.get(col, ZERO) - ONE
+        basis = linalg.nullspace(list(rows.values()), len(mons))
         out = []
         for vec in basis:
             p = self.ring.zero

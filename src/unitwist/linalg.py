@@ -1,90 +1,89 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of Fraction and is deterministic:
-pivots are always chosen as the first nonzero entry in column order, so
-repeated runs produce identical echelon forms and nullspace bases.
+A matrix is a list of rows.  A row is a list of its entries, or a dict
+{column: entry} that may leave out zero entries; the coset-function systems
+are sparse enough that the dict form saves most of the work.
+
+One kernel, `_echelon`, reduces every matrix.  It keeps the rows seen so far
+in reduced row echelon form and reduces each incoming row against them at
+the pivot columns that row holds.  The reduced row echelon form of a matrix
+depends only on its row space, so results are deterministic: they do not
+depend on the order the rows arrive in or on which row supplies a pivot.
 """
 
 from fractions import Fraction
 
+ZERO = Fraction(0)
+
+
+def _sparse(row):
+    return row if isinstance(row, dict) else dict(enumerate(row))
+
+
+def _subtract(row, f, pivot_row):
+    """row -= f * pivot_row, in place, keeping only nonzero entries."""
+    for k, x in pivot_row.items():
+        v = row.get(k, ZERO) - f * x
+        if v:
+            row[k] = v
+        else:
+            row.pop(k, None)
+
+
+def _echelon(rows):
+    """The reduced row echelon form of the rows' span, as {pivot column: row dict}."""
+    basis = {}
+    for row in rows:
+        row = {c: x for c, x in _sparse(row).items() if x}
+        # basis rows vanish at each other's pivots, so one pass clears them all
+        for c in [c for c in row if c in basis]:
+            _subtract(row, row[c], basis[c])
+        if not row:
+            continue
+        p = min(row)
+        inv = 1 / Fraction(row[p])
+        row = {k: x * inv for k, x in row.items()}
+        for other in basis.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        basis[p] = row
+    return basis
+
 
 def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    The nonzero rows come back in pivot order, as lists if the rows are
+    lists and as dicts otherwise.  The input is left alone.
+    """
     if not rows:
         return [], []
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        prow = m[r] = [x * inv for x in m[r]]
-        # the matrices met here are sparse: touch only the pivot row's support
-        support = [k for k in range(c, ncols) if prow[k]]
-        for i in range(len(m)):
-            row = m[i]
-            f = row[c]
-            if i != r and f:
-                for k in support:
-                    row[k] -= f * prow[k]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    basis = _echelon(rows)
+    pivots = sorted(basis)
+    if isinstance(rows[0], dict):
+        return [basis[p] for p in pivots], pivots
+    return [[basis[p].get(c, ZERO) for c in range(len(rows[0]))] for p in pivots], pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the matrix, one vector per free column.
 
-    Vectors are normalized with a 1 in their free coordinate and listed in
-    increasing free-column order.
+    Vectors are dense, normalized with a 1 in their free coordinate and
+    listed in increasing free-column order.
     """
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
+    red, pivots = rref([_sparse(r) for r in rows])
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
+        v = [ZERO] * ncols
         v[free] = Fraction(1)
         for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
+            v[pc] = -row.get(free, ZERO)
         basis.append(v)
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to 0, so the answer is deterministic.
-    """
-    if not rows:
-        return None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[-1]
-    return x
-
-
 def matrix_rank(rows):
-    if not rows:
-        return 0
-    red, pivots = rref(rows)
-    return len(pivots)
+    return len(rref(rows)[1])

@@ -151,6 +151,12 @@ class PolyRing:
     def extended(self, extra_parameters):
         return PolyRing(self.generators, self.parameters + tuple(extra_parameters))
 
+    def fresh_names(self, prefix, names):
+        """{name: prefix + name}, the prefix lengthened by "_" until no new name is the ring's."""
+        while any(prefix + n in self.index for n in names):
+            prefix += "_"
+        return {n: prefix + n for n in names}
+
     def __repr__(self):
         if self.parameters:
             return "PolyRing(%s; %s)" % (",".join(self.generators), ",".join(self.parameters))

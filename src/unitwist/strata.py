@@ -36,17 +36,18 @@ def _product_image_ideal(group, subgroup, factors):
     """Vanishing ideal of the closure of all products a.b.c, by elimination.
 
     Each of the three factors is a fixed point of the group, or a prefix p
-    standing for the subgroup with its parameters t renamed to p + t.  The
+    standing for the subgroup with its parameters t renamed to p + t (p takes
+    more underscores if that would reuse a name of the group's ring).  The
     product's coordinates contract the factors' coordinate maps over the
     iterated coproduct of each generator; the renamed parameters are then
     eliminated from the graph ideal.
     """
-    names = tuple(f + t for f in factors if isinstance(f, str) for t in subgroup.param_names)
+    factors = [group.ring.fresh_names(f, subgroup.param_names) if isinstance(f, str) else f
+               for f in factors]
+    names = tuple(n for f in factors if isinstance(f, dict) for n in f.values())
     work = PolyRing(names, group.ring.parameters)
-    left, mid, right = [
-        subgroup.restriction(work, {t: f + t for t in subgroup.param_names})
-        if isinstance(f, str) else f.restriction(work)
-        for f in factors]
+    left, mid, right = [subgroup.restriction(work, f) if isinstance(f, dict)
+                        else f.restriction(work) for f in factors]
     elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
     gens = []
     for gname in group.ring.generators:

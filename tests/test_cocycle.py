@@ -223,9 +223,14 @@ def quasi_frobenius_check(lie, omega, sub_basis=None):
         return False
 
     def express(v):
-        sol = linalg.solve([[basis[k][t] for k in range(d)] for t in range(lie.n)], v)
-        if sol is None:
+        # read the solution, free coordinates 0, off the rref of [basis | v]
+        red, pivots = linalg.rref([[basis[k][t] for k in range(d)] + [v[t]]
+                                   for t in range(lie.n)])
+        if d in pivots:
             raise CocycleInputError("bracket leaves the subalgebra span")
+        sol = [Fraction(0)] * d
+        for row, pc in zip(red, pivots):
+            sol[pc] = row[d]
         return sol
 
     for i in range(d):

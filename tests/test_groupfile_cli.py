@@ -391,6 +391,22 @@ def test_malformed_input_exit_codes(tmp_path, capsys, text, argv, code, message)
     assert message in err
 
 
+@pytest.mark.parametrize("name", ["c_s1", "s_s2", "t_s1", "g_X"])
+@pytest.mark.parametrize("argv", [["strata", "FILE", "--point", "X=1"], ["c0", "FILE"],
+                                  ["validate", "--strict", "FILE"]], ids=lambda a: a[0])
+def test_user_names_shaped_like_helper_variables(tmp_path, capsys, name, argv):
+    # the engine's own variables are c_<t> (coset functions), s_<t> and t_<t>
+    # (strata) and g_<X> (conjugation); a parameter of that name is renamed
+    # around and changes nothing but its own name in the output
+    runs = []
+    for text in (catalog.HEISENBERG3_TEXT, catalog.HEISENBERG3_TEXT.replace("x0", name)):
+        path = tmp_path / "input.group"
+        path.write_text(text)
+        runs.append(run_cli([str(path) if a == "FILE" else a for a in argv], capsys))
+    assert runs[0][0] == 0
+    assert runs[1] == (0, runs[0][1].replace("x0", name), runs[0][2])
+
+
 def test_rform_check_reports_each_failure(tmp_path, capsys):
     # this table is not a cocycle: its R-form fails six splitting instances
     path = tmp_path / "heis.group"

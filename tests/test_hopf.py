@@ -322,9 +322,10 @@ def _in_span(vecs_polys, p):
     from unitwist import linalg
     mons = sorted({m for q in vecs_polys + [p] for m in q.terms},
                   key=lambda m: m.exps)
-    rows = [[q.coefficient(m) for q in vecs_polys] for m in mons]
-    rhs = [p.coefficient(m) for m in mons]
-    return linalg.solve(rows, rhs) is not None
+    # p is in the span iff its column adds no pivot to the augmented matrix
+    _, pivots = linalg.rref([[q.coefficient(m) for q in vecs_polys] + [p.coefficient(m)]
+                             for m in mons])
+    return len(vecs_polys) not in pivots
 
 
 def test_coinvariants_u4_ex5(examples):
@@ -345,6 +346,52 @@ def test_coinvariants_u4_ex6(examples):
         assert _in_span(basis, parse_poly(text, R)), text
     # and X-like generators are not coset functions
     assert not _in_span(basis, R.var("F12"))
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_coinvariants_two_routes(each_example, bound, monkeypatch):
+    # Route two: f is constant on left cosets iff f(x t) = f(x) for t in T,
+    # and on right cosets iff f(t x) = f(x).  Substituting the product's
+    # coordinates into f checks each basis element; the same substitution,
+    # applied to each monomial, gives the linear system whose nullity sympy
+    # computes.  Reversing the engine's rows must not change its basis.
+    sympy = pytest.importorskip("sympy")
+    from unitwist import linalg
+    g = each_example.pres
+    T = g.named_subgroups["T"]
+    ring = g.ring.extended(T.param_names)
+    restrict = T.restriction(ring)
+
+    def lift(p):
+        return p.substitute({}, ring)
+
+    coords = {}
+    for side in ("left", "right"):
+        coords[side] = {}
+        for name in g.ring.generators:
+            acc = ring.zero
+            for (m1, m2), c in g.coproduct_monomial(g.ring.var_monomial(name)).terms.items():
+                acc = acc + (lift(m1.as_poly()) * restrict(m2) if side == "left"
+                             else restrict(m1) * lift(m2.as_poly())) * c
+            coords[side][name] = acc
+    mons = g.ring.monomials_up_to(bound)
+    moved = {side: [m.as_poly().substitute(coords[side], ring) - lift(m.as_poly()) for m in mons]
+             for side in coords}
+    nullspace = linalg.nullspace
+    for side in ("left", "right", "double"):
+        sides = ["left", "right"] if side == "double" else [side]
+        basis = g.coinvariants(T, bound, side)
+        for f in basis:
+            for s in sides:
+                assert f.substitute(coords[s], ring) == lift(f), (side, render_poly(f))
+        system = [[d.coefficient(t) for d in moved[s]]
+                  for s in sides for t in sorted({t for d in moved[s] for t in d.terms},
+                                                 key=lambda t: t.exps)]
+        assert len(basis) == len(mons) - sympy.Matrix(system).to_DM().rank(), side
+        monkeypatch.setattr(g, "_coinv", {})
+        monkeypatch.setattr(linalg, "nullspace", lambda rows, n: nullspace(rows[::-1], n))
+        assert g.coinvariants(T, bound, side) == basis, side
+        monkeypatch.undo()
 
 
 VALIDATE_PASS = ["PASS q-chain-containment", "PASS q-counit-free", "PASS coassociativity",
