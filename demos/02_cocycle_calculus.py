@@ -34,9 +34,10 @@ print("  raw exponential:", verify_cocycle_identity(raw, 3))
 print("  corrected table:", verify_cocycle_identity(build_context(ex6).right, 3))
 
 # pullback along the restriction to the embedded four-dimensional subgroup
-target = catalog.get("jordan4-minimal").load()
+ex6_expected = catalog.get("u4-ex6").expected
+target = catalog.get(ex6_expected["pullback_target"]).load()
 images = {k: parse_poly(v, target.presentation.ring)
-          for k, v in catalog.get("u4-ex6").expected["pullback_images"].items()}
+          for k, v in ex6_expected["pullback_images"].items()}
 pulled = PullbackCocycle(g6, build_context(target).right, images)
 F14, F23 = g6.ring.var("F14"), g6.ring.var("F23")
 print("  pullback value J(F14,F23) =", pulled.eval(F14, F23))

@@ -201,56 +201,45 @@ def report_lines(entry, strict=False):
     lines += header(data, default_degree_bound(pres), strict)
     mismatches = []
 
-    ok, vlines = run_validate(data, max_degree=3, strict=strict)
+    def check(label, got, want=True):
+        if got != want:
+            mismatches.append("%s: %r != %r" % (label, got, want))
+
+    _, vlines = run_validate(data, max_degree=3, strict=strict)
     lines += ["", "[validate]"] + vlines
 
     ctx = build_context(data)
-    presentation = ihoe_presentation(ctx)
-    rel_lines = presentation.lines()
+    rel_lines = ihoe_presentation(ctx).lines()
     lines += ["", "[presentation]"] + (rel_lines or ["(commutative)"])
-    if rel_lines != expected["relations"]:
-        mismatches.append("relations: %r != %r" % (rel_lines, expected["relations"]))
+    check("relations", rel_lines, expected["relations"])
 
-    for b, expect_ok in sorted(expected.get("cocycle_identity", {}).items()):
-        idrep = verify_cocycle_identity(ctx.right, b)
-        verdict = "pass" if idrep.ok else "fail"
-        lines.append("cocycle identity at bound %d: %s (recorded)" % (b, verdict))
-        if idrep.ok != expect_ok:
-            mismatches.append("cocycle identity verdict at bound %d: %s" % (b, verdict))
-    exp_expect = expected.get("exponential_identity", {})
-    if exp_expect and isinstance(ctx.right, CorrectedCocycle):
-        for b, expect_ok in sorted(exp_expect.items()):
-            idrep = verify_cocycle_identity(ctx.right.base, b)
-            verdict = "pass" if idrep.ok else "fail"
-            lines.append("raw exponential identity at bound %d: %s "
-                         "(corrected table in use)" % (b, verdict))
-            if idrep.ok != expect_ok:
-                mismatches.append("exponential identity verdict at bound %d" % b)
+    # (evaluator, manifest key, mismatch label, report line)
+    identities = [(ctx.right, "cocycle_identity", "cocycle identity",
+                   "cocycle identity at bound %d: %s (recorded)")]
+    if isinstance(ctx.right, CorrectedCocycle):
+        identities.append((ctx.right.base, "exponential_identity", "exponential identity",
+                           "raw exponential identity at bound %d: %s (corrected table in use)"))
+    for cocycle, key, label, line in identities:
+        for b, want in sorted(expected.get(key, {}).items()):
+            got = verify_cocycle_identity(cocycle, b).ok
+            lines.append(line % (b, "pass" if got else "fail"))
+            check("%s verdict at bound %d" % (label, b), got, want)
 
     gam = commutator_ideal_and_gamma(ctx)
     lines += ["", "[gamma]"] + gam.lines()
-    got_gb = [render_poly(g) for g in gam.commutator_ideal.groebner()]
-    if got_gb != expected["gamma_gb"]:
-        mismatches.append("gamma ideal: %r != %r" % (got_gb, expected["gamma_gb"]))
-    if gam.gamma_dim != expected["gamma_dim"]:
-        mismatches.append("gamma dim: %d != %d" % (gam.gamma_dim, expected["gamma_dim"]))
-    if not gam.hopf_ok:
-        mismatches.append("gamma hopf-ideal check failed")
+    check("gamma ideal", [render_poly(g) for g in gam.commutator_ideal.groebner()],
+          expected["gamma_gb"])
+    check("gamma dim", gam.gamma_dim, expected["gamma_dim"])
+    check("gamma hopf-ideal check", gam.hopf_ok)
 
     lines += ["", "[strata]"]
     for spec in expected.get("strata", []):
         stratum = run_stratum(data, "T", spec["point"])
         lines += stratum.lines()
-        got_ideal = [render_poly(g) for g in stratum.ideal.groebner()]
-        if got_ideal != spec["ideal"]:
-            mismatches.append("stratum %s ideal: %r != %r"
-                              % (spec["point"], got_ideal, spec["ideal"]))
-        if stratum.dims != spec["dims"]:
-            mismatches.append("stratum %s dims: %r != %r"
-                              % (spec["point"], stratum.dims, spec["dims"]))
-        verdicts = [l for l in stratum.flags.get("weyl", []) if l.startswith("weyl:")]
-        if verdicts and spec.get("weyl") and spec["weyl"] not in verdicts[0]:
-            mismatches.append("stratum %s weyl verdict: %r" % (spec["point"], verdicts[0]))
+        label = "stratum %s " % spec["point"]
+        check(label + "ideal", [render_poly(g) for g in stratum.ideal.groebner()], spec["ideal"])
+        check(label + "dims", stratum.dims, spec["dims"])
+        check(label + "weyl verdict", stratum.flags["weyl"][0], "weyl: " + spec["weyl"])
 
     lines += ["", "[centre]"]
     candidates = []
@@ -261,45 +250,33 @@ def report_lines(entry, strict=False):
                 candidates.append(f.normalize_sign())
     if not candidates:
         lines.append("(no nontrivial double-coset functions up to degree 2)")
-    central_renders = []
     for f in candidates:
         is_central = all(ctx.commutator(f, pres.ring.var(n)).is_zero()
                          for n in pres.ring.generators)
         lines.append("double-coset function %s: %s"
                      % (render_poly(f), "central" if is_central else "NOT CENTRAL"))
-        if not is_central:
-            mismatches.append("non-central double-coset function %s" % render_poly(f))
-        central_renders.append(render_poly(f))
+        check("non-central double-coset function %s" % render_poly(f), is_central)
+    renders = [render_poly(f) for f in candidates]
     for member in expected.get("centre_members", []):
-        if member not in central_renders:
-            mismatches.append("expected centre member %s not found" % member)
+        check("expected centre member %s" % member, member in renders)
 
     rrep = rform_axiom_check(ctx, 3)
-    lines += ["", "[checks]"]
-    lines += rrep.lines()
-    if not rrep.ok:
-        mismatches.append("r-form axioms failed at bound 3")
+    lines += ["", "[checks]"] + rrep.lines()
+    check("r-form axioms at bound 3", rrep.ok)
 
-    sj_ok = True
-    for g in pres.ring.generators:
-        x = pres.ring.var(g)
-        if twisted_antipode(ctx, twisted_antipode(ctx, x)) != x:
-            sj_ok = False
+    sj_ok = all([twisted_antipode(ctx, twisted_antipode(ctx, x)) == x
+                 for x in map(pres.ring.var, pres.ring.generators)])
     lines.append("(S^J)^2 = id on generators: %s" % ("pass" if sj_ok else "FAIL"))
-    if not sj_ok:
-        mismatches.append("(S^J)^2 != id")
+    check("(S^J)^2 = id", sj_ok)
 
     if "c0_bound" in expected:
         c0 = run_c0(data, expected["c0_bound"])
         lines.append(c0.describe())
-        if not c0.matches_gamma:
-            mismatches.append("c0 locus does not match gamma")
+        check("c0 locus matches gamma", c0.matches_gamma)
 
     if mismatches:
-        lines += ["", "MISMATCHES:"] + ["  " + m for m in mismatches]
-    else:
-        lines += ["", "manifest: all comparisons OK"]
-    return lines, mismatches
+        return lines + ["", "MISMATCHES:"] + ["  " + m for m in mismatches], mismatches
+    return lines + ["", "manifest: all comparisons OK"], mismatches
 
 
 def main(argv=None):

@@ -150,10 +150,10 @@ class WeightGrading:
         p = v[t]
         return (tuple(self.step * x - p * r for x, r in zip(v, self.rho)), p % self.step), p
 
-    def multiple(self, s, signed=False):
-        """Whether s = k rho for an integer k, with k >= 0 unless `signed`."""
+    def multiple(self, s):
+        """Whether s = k rho for an integer k >= 0."""
         k = next((x // r for x, r in zip(s, self.rho) if r), 0)
-        return (signed or k >= 0) and all(x == k * r for x, r in zip(s, self.rho))
+        return k >= 0 and all(x == k * r for x, r in zip(s, self.rho))
 
     def bounded(self, total_bound):
         """This grading for an evaluator that answers up to `total_bound` only."""
@@ -184,9 +184,9 @@ class WeightIndex:
 
     `partners(idx, end)` lists, in increasing order, the indices k < end
     for which the weight of mons[k] times the monomials indexed by `idx`
-    lies in N rho (in Z rho when `signed`).  The full list is memoized per
-    weight.  Buckets are grouped by their class modulo Z rho
-    (`WeightGrading.coset`), so an answer reads one group, not every bucket.
+    lies in N rho.  The full list is memoized per weight.  Buckets are
+    grouped by their class modulo Z rho (`WeightGrading.coset`), so an
+    answer reads one group, not every bucket.
     """
 
     def __init__(self, j, degree_bound):
@@ -206,15 +206,15 @@ class WeightIndex:
         # how many of mons have degree <= d
         return bisect.bisect_right(self._degs, d)
 
-    def partners(self, idx, end, signed=False):
+    def partners(self, idx, end):
         s = tuple(map(sum, zip(*(self._weights[k] for k in idx))))
-        hit = self._memo.get((s, signed))
+        hit = self._memo.get(s)
         if hit is None:
             multiple = self.grading.multiple
             cls = self.grading.coset(tuple(-x for x in s))[0]
-            hit = self._memo[(s, signed)] = sorted(
+            hit = self._memo[s] = sorted(
                 k for w, ks in self._classes.get(cls, {}).items()
-                if multiple(tuple(map(sum, zip(s, w))), signed) for k in ks)
+                if multiple(tuple(map(sum, zip(s, w)))) for k in ks)
         return hit[:bisect.bisect_left(hit, end)]
 
     def pairs(self):
@@ -227,10 +227,10 @@ class WeightIndex:
             for y in range(self._upto(self.bound - 1 - dx)):
                 yield x, y, self._upto(self.bound - dx - self._degs[y])
 
-    def triples(self, signed=False):
+    def triples(self):
         """The in-class (x, y, z) of the full sweep, in its order."""
         for x, y, end in self.pairs():
-            for z in self.partners((x, y), end, signed):
+            for z in self.partners((x, y), end):
                 yield x, y, z
 
 

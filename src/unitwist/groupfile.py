@@ -7,8 +7,8 @@ Sections, in any order, '#' comments allowed anywhere:
                            V = X (x) Y + 1/2 X (x) Y^2
                        using only earlier generators, and no parameters
     [lie]              optional bracket table, lines "i j k p/q" meaning the
-                       u_k coefficient of [u_i, u_j]; verified against the
-                       brackets derived from the coproducts
+                       u_k coefficient of [u_i, u_j], i != j; verified against
+                       the brackets derived from the coproducts
     [rmatrix]          lines "i j p/q": antisymmetric entries in the Lie basis
     [subgroup NAME]    params = t1 t2 ...  then   GEN = poly in the params
     [point NAME]       GEN = rational or parameter polynomial
@@ -168,8 +168,11 @@ def parse_group_file(text):
                 parts = line.split()
                 if len(parts) != 4:
                     raise GroupFileError("expected 'i j k p/q'", no)
-                i, j, k = (int(p) for p in parts[:3])
-                lie_table.setdefault((i - 1, j - 1), {})[k - 1] = _rational(parts[3], no)
+                i, j, k = (int(p) - 1 for p in parts[:3])
+                n = len(pres.ring.generators)
+                if not all(0 <= t < n for t in (i, j, k)) or i == j:
+                    raise GroupFileError("[lie] indices must lie in 1..%d with i != j" % n, no)
+                lie_table.setdefault((i, j), {})[k] = _rational(parts[3], no)
         elif head == "rmatrix":
             entries = {}
             for no, line in lines:
@@ -266,19 +269,15 @@ def verify_lie_table(data):
         return True, None
     lie = data.presentation.lie_data()
     n = lie.n
+    # both brackets are antisymmetric, so the pairs i < j decide
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             declared = [Fraction(0)] * n
-            if (i, j) in data.lie_table:
-                for k, c in data.lie_table[(i, j)].items():
-                    declared[k] += c
-            if (j, i) in data.lie_table:
-                for k, c in data.lie_table[(j, i)].items():
-                    declared[k] -= c
-            if i < j or any(declared):
-                derived = lie.bracket_basis(i, j)
-                if declared != derived:
-                    return False, (i + 1, j + 1)
+            for (a, b), sign in (((i, j), 1), ((j, i), -1)):
+                for k, c in data.lie_table.get((a, b), {}).items():
+                    declared[k] += sign * c
+            if declared != lie.bracket_basis(i, j):
+                return False, (i + 1, j + 1)
     return True, None
 
 

@@ -571,29 +571,17 @@ class GroupPresentation:
         """Structure constants on the basis dual to the generators, from q."""
         if self._lie is None:
             n = self.ring.ngens
-            names = ["u_" + g for g in self.ring.generators]
+            # the u_k coefficient of [u_a, u_b] is that of X_a (x) X_b in q(X_k)
+            # less that of X_b (x) X_a: slots of one generator and no parameter
             brackets = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    vec = [ZERO] * n
-                    for k, g in enumerate(self.ring.generators):
-                        q = self.q.get(g)
-                        if q is None:
-                            continue
-                        c = ZERO
-                        for (m1, m2), v in q.terms.items():
-                            if m1.degree == 1 and m2.degree == 1 and \
-                               m1.param_degree() == 0 and m2.param_degree() == 0:
-                                a = next(t for t in range(n) if m1.exps[t] == 1)
-                                b = next(t for t in range(n) if m2.exps[t] == 1)
-                                if (a, b) == (i, j):
-                                    c += v
-                                elif (a, b) == (j, i):
-                                    c -= v
-                        vec[k] = c
-                    if any(vec):
-                        brackets[(i, j)] = vec
-            self._lie = LieAlgebraData(names, brackets)
+            for g, q in self.q.items():
+                for (m1, m2), v in q.terms.items():
+                    if m1.total_degree() == m2.total_degree() == m1.degree == m2.degree == 1:
+                        a, b = m1.exps.index(1), m2.exps.index(1)
+                        if a != b:
+                            row = brackets.setdefault((min(a, b), max(a, b)), [ZERO] * n)
+                            row[self.ring.index[g]] += v if a < b else -v
+            self._lie = LieAlgebraData(["u_" + g for g in self.ring.generators], brackets)
         return self._lie
 
     # -- coset functions ---------------------------------------------------------

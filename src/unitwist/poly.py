@@ -445,7 +445,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
 
 
 def parse_poly(text, ring):
-    """Parse the canonical rendering (signed sums of '*'-joined factors)."""
+    """Parse the canonical rendering (sums and differences of '*'-joined factors)."""
     tokens = []
     pos = 0
     while pos < len(text):

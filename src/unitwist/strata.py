@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .groebner import Ideal, TermOrder, buchberger, eliminate, krull_dimension, normal_form
-from .poly import ONE, ZERO, Poly, PolyRing, render_poly
+from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, render_poly
 from .twist import TwistedPresentation
 
 
@@ -164,26 +164,17 @@ def weyl_detect(pres_relations, ring, variables=None):
     """
     names = list(variables if variables is not None else ring.generators)
     n = len(names)
-    mat = {}
+    bracket = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            f = pres_relations(names[i], names[j])
-            if f.is_zero():
-                mat[(i, j)] = ring.zero
-                continue
-            if f.degree() > 0:
-                return WeylReport("unrecognized", [], [], [])
-            mat[(i, j)] = f
-
+            if i != j:
+                f = bracket[(i, j)] = pres_relations(names[i], names[j])
+                if f.degree() > 0:
+                    return WeylReport("unrecognized", [], [], [])
     basis = [ring.var(nm) for nm in names]
-    bracket = {(i, j): mat[(i, j)] for i in range(n) for j in range(n) if i != j}
 
     def brk(i, j):
-        if i == j:
-            return ring.zero
-        return bracket[(i, j)]
+        return ring.zero if i == j else bracket[(i, j)]
 
     active = list(range(n))
     pairs = []
@@ -339,23 +330,12 @@ def hopf_ideal_check(group, ideal):
     """Delta(gen) must vanish in (H/I) (x) (H/I) for every basis element."""
     gb = ideal.groebner()
     order = TermOrder(group.ring)
-    for g in ideal.groebner():
-        delta = group.coproduct(g)
-        residue = {}
-        for (m1, m2), c in delta.terms.items():
-            n1 = normal_form(m1.as_poly(), gb, order)
-            n2 = normal_form(m2.as_poly(), gb, order)
-            if n1.is_zero() or n2.is_zero():
-                continue
-            for a, ca in n1.terms.items():
-                for b, cb in n2.terms.items():
-                    key = (a, b)
-                    v = residue.get(key, ZERO) + c * ca * cb
-                    if v == 0:
-                        residue.pop(key, None)
-                    else:
-                        residue[key] = v
-        if residue:
+    for g in gb:
+        residue = TensorPoly.zero(group.ring, 2)
+        for (m1, m2), c in group.coproduct(g).terms.items():
+            residue += TensorPoly.from_polys(
+                [normal_form(m1.as_poly(), gb, order), normal_form(m2.as_poly(), gb, order)], c)
+        if not residue.is_zero():
             return False
     return True
 

@@ -280,10 +280,11 @@ def rform_axiom_check(ctx, degree_bound):
     The monomials and the triples of (1) come from the one walk,
     `WeightIndex(rform, degree_bound)`, which skips what the R-form's
     grading proves 0 = 0 (with no grading that covers the bound, nothing).
-    R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.  The keys of l.g
-    have weight w(l) + w(g) - k rho with k >= 0, K and J being graded like
-    R, so both sides of a split identity on (h, l, g) are 0 unless
-    w(h) + w(l) + w(g) lies in Z rho.  Identity (2) holds terms such as h.g
+    R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.  R is 0 off
+    N rho, and the keys of l.g have weight w(l) + w(g) - k rho with k >= 0,
+    K and J being graded like R; as w(h1) + w(h2) = w(h), both sides of
+    R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0 unless
+    w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such as h.g
     itself, so it is checked on every pair.
     """
     pres = ctx.pres
@@ -323,7 +324,7 @@ def rform_axiom_check(ctx, degree_bound):
                 failures.append(("commutation", h, g))
 
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)
-    for x, y, z in index.triples(signed=True):
+    for x, y, z in index.triples():
         h, l, g = mons[x], mons[y], mons[z]
         if sum((c * R(h, k) for k, c in products(l, g).items()), ZERO) != \
                 sum((c * v * R(h2, l) for (h1, h2), c in delta(h) if (v := R(h1, g))), ZERO):

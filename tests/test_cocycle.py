@@ -330,7 +330,7 @@ def test_pullback_identity():
 
 def test_pullback_u4_ex6(examples):
     ex6 = examples("u4-ex6")
-    target = examples("jordan4-minimal")
+    target = examples(ex6.entry.expected["pullback_target"])
     g = ex6.pres
     tp = target.pres
     images = {k: parse_poly(v, tp.ring) for k, v in
@@ -861,6 +861,42 @@ def toeplitz():
     return g
 
 
+def lie_data_reference(pres):
+    """The bracket table read off q once per (i, j, k), as `lie_data` once did."""
+    n = pres.ring.ngens
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = [Fraction(0)] * n
+            for k, g in enumerate(pres.ring.generators):
+                q = pres.q.get(g)
+                if q is None:
+                    continue
+                c = Fraction(0)
+                for (m1, m2), v in q.terms.items():
+                    if m1.degree == 1 and m2.degree == 1 and \
+                       m1.param_degree() == 0 and m2.param_degree() == 0:
+                        a = next(t for t in range(n) if m1.exps[t] == 1)
+                        b = next(t for t in range(n) if m2.exps[t] == 1)
+                        if (a, b) == (i, j):
+                            c += v
+                        elif (a, b) == (j, i):
+                            c -= v
+                vec[k] = c
+            if any(vec):
+                brackets[(i, j)] = vec
+    return LieAlgebraData(["u_" + g for g in pres.ring.generators], brackets)
+
+
+def test_lie_data_matches_the_triple_loop(examples):
+    presentations = [examples(cid).pres for cid in catalog.ids()] + [toeplitz()]
+    for pres in presentations:
+        lie, ref = pres.lie_data(), lie_data_reference(pres)
+        assert (lie.basis, lie.brackets) == (ref.basis, ref.brackets), pres.name
+    # toeplitz's q(Y) = X (x) X and symmetric q(Z) bracket to 0
+    assert presentations[-1].lie_data().brackets == {}
+
+
 def test_zero_lattice_takes_the_full_sweep():
     # w_Y = 2 w_X and w_Z = 3 w_X; r_XY and r_XZ then force w_Y = w_Z, so
     # every weight and rho is 0 and there is no grading
@@ -936,26 +972,24 @@ def test_index_triples_are_the_sweep_filtered_by_class(each_example):
     assert [repr(m) for m in full.mons] == [repr(m) for m in mons]
     sweep = [(x, y, z) for x, a in enumerate(mons) for y, b in enumerate(mons)
              for z, c in enumerate(mons) if a.degree + b.degree + c.degree <= bound]
-    assert list(full.triples()) == list(full.triples(signed=True)) == sweep
+    assert list(full.triples()) == sweep
     weight = graded.grading.weight
-    for signed in (False, True):
-        in_class = [(x, y, z) for x, y, z in sweep if graded.grading.multiple(
-            weight(mons[x].mul(mons[y]).mul(mons[z])), signed)]
-        assert list(graded.triples(signed)) == in_class, signed
+    in_class = [(x, y, z) for x, y, z in sweep
+                if graded.grading.multiple(weight(mons[x].mul(mons[y]).mul(mons[z])))]
+    assert list(graded.triples()) == in_class
     assert sum(end for *_, end in full.pairs()) == len(sweep)
 
 
-def test_signed_index_takes_negative_classes():
+def test_index_skips_negative_classes():
     # no catalog triple within bound 4 lies in a negative class k rho, k < 0,
-    # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the signed walk
+    # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the k >= 0 test
     g, j = plane_cocycle()
     j.grading = WeightGrading(((1,), (-2,)), (1,), True)
     index = WeightIndex(j, 3)
     sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
-    assert list(index.triples(signed=True)) == sweep
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
-    unsigned = [t for t in sweep if sum(weight[k] for k in t) >= 0]
-    assert list(index.triples()) == unsigned != sweep
+    nonnegative = [t for t in sweep if sum(weight[k] for k in t) >= 0]
+    assert list(index.triples()) == nonnegative != sweep
 
 
 def test_exponential_pair_answers_off_class_misses_without_word_tables(each_example):
@@ -1031,8 +1065,7 @@ def test_graded_contract_skips_negative_classes():
         for b in mons:
             for leg in (0, 1):
                 graded_contract(g, a, b, leg, grading, in_class, lambda x, y: Fraction(1))
-            negative += any(grading.multiple(grading.weight(s[0].mul(t[0])), signed=True)
-                            and not in_class(s[0], t[0])
+            negative += any(grading.weight(s[0].mul(t[0]))[0] < 0 and not in_class(s[0], t[0])
                             for s in g.coproduct_monomial(a).terms
                             for t in g.coproduct_monomial(b).terms)
     assert negative

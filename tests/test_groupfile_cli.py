@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 
@@ -234,14 +235,55 @@ def test_report_determinism():
     assert not mis1 and not mis2
 
 
+# each perturbed manifest field, and the stem its mismatch message starts with
+PERTURBED = {
+    "u4-ex5": [
+        ("relations", lambda e: e.update(relations=e["relations"][1:])),
+        ("cocycle identity verdict at bound 4",
+         lambda e: e["cocycle_identity"].update({4: False})),
+        ("gamma ideal", lambda e: e.update(gamma_gb=e["gamma_gb"][::-1])),
+        ("gamma dim", lambda e: e.update(gamma_dim=e["gamma_dim"] + 1)),
+        ("stratum caseI1 ideal", lambda e: e["strata"][0].update(ideal=["F23"])),
+        ("stratum caseI1 dims", lambda e: e["strata"][0].update(dims=(2, 1, 4))),
+        ("stratum caseI1 weyl verdict", lambda e: e["strata"][0].update(weyl="A_2")),
+        ("expected centre member F12", lambda e: e["centre_members"].append("F12")),
+    ],
+    "u4-ex6": [
+        ("exponential identity verdict at bound 3",
+         lambda e: e["exponential_identity"].update({3: True})),
+    ],
+}
+
+
+@pytest.mark.parametrize("cid", sorted(PERTURBED))
+def test_report_lists_every_manifest_mismatch(monkeypatch, capsys, cid):
+    # a manifest the computation disagrees with: one message per perturbed
+    # field, a MISMATCHES section in place of the OK line, and exit 1
+    entry = catalog.get(cid)
+    expected = copy.deepcopy(entry.expected)
+    for _, perturb in PERTURBED[cid]:
+        perturb(expected)
+    monkeypatch.setattr(entry, "expected", expected)
+    lines, mismatches = report_lines(entry)
+    assert len(mismatches) == len(PERTURBED[cid])
+    for (stem, _), message in zip(PERTURBED[cid], mismatches):
+        assert message.startswith(stem), (stem, message)
+    assert lines[-len(mismatches) - 1:] == ["MISMATCHES:"] + ["  " + m for m in mismatches]
+    assert "manifest: all comparisons OK" not in lines
+    rc, out, _ = run_cli(["report", "--example", cid], capsys)
+    assert (rc, out) == (1, "\n".join(lines) + "\n")
+
+
 def test_lie_table_verified(examples):
     from unitwist.groupfile import verify_lie_table
     ok, _ = verify_lie_table(examples("jordan4-abelian").data)
     assert ok
-    text = catalog.get("heisenberg3").group_text.replace("1 2 3 1", "1 2 3 2")
-    bad = parse_group_file(text)
-    ok, where = verify_lie_table(bad)
-    assert not ok
+    text = catalog.get("heisenberg3").group_text
+    assert verify_lie_table(parse_group_file(text.replace("1 2 3 1", "1 2 3 2"))) \
+        == (False, (1, 2))
+    # [u_Y, u_X] = -u_V declares the same bracket as [u_X, u_Y] = u_V
+    assert verify_lie_table(parse_group_file(text.replace("1 2 3 1", "2 1 3 -1"))) \
+        == (True, None)
 
 
 def test_cocycle_table_section(tmp_path, capsys):
@@ -357,6 +399,13 @@ _PARAM_Q = _HEIS.replace("generators = X Y V", "generators = X Y V\nparameters =
 MALFORMED += [("parameter-in-coproduct-" + cmd, _PARAM_Q, [cmd, "FILE"], 2,
                "line 8: coproduct corrections may not involve parameters")
               for cmd in ("validate", "present", "gamma")]
+# [lie] indices name generators, and a bracket needs two different ones
+_HEIS3 = catalog.get("heisenberg3").group_text
+MALFORMED += [("lie-%s-%s" % (case, cmd), _HEIS3.replace("1 2 3 1", row), [cmd, "FILE"], 2,
+               "line 11: [lie] indices must lie in 1..3 with i != j")
+              for case, row in [("index-past-n", "1 2 9 1"), ("index-zero", "0 2 3 1"),
+                                ("equal-indices", "1 1 3 1")]
+              for cmd in ("validate", "present")]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),

@@ -333,7 +333,7 @@ def test_coinvariants_u4_ex5(examples):
     g = ex.pres
     basis = g.coinvariants(g.named_subgroups["T"], 2)
     R = g.ring
-    for text in ["F23", "F13", "F24 - F23*F34", "F14 - F13*F34"]:
+    for text in ex.entry.expected["coinvariants_deg2"]:
         assert _in_span(basis, parse_poly(text, R)), text
 
 
@@ -342,7 +342,7 @@ def test_coinvariants_u4_ex6(examples):
     g = ex.pres
     basis = g.coinvariants(g.named_subgroups["T"], 2)
     R = g.ring
-    for text in ["F34 - F23", "2*F24 - F23^2"]:
+    for text in ex.entry.expected["coinvariants_deg2"]:
         assert _in_span(basis, parse_poly(text, R)), text
     # and X-like generators are not coset functions
     assert not _in_span(basis, R.var("F12"))

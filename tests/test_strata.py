@@ -14,7 +14,7 @@ from unitwist.poly import parse_poly, render_poly
 from unitwist.groupfile import parse_group_file
 from unitwist.strata import (StratumError, c0_solver, commutator_ideal_and_gamma,
                              conjugate_subgroup_ideal, double_coset_ideal, fixed_locus_ideal,
-                             polycentral_check, stabilizer_dimension,
+                             hopf_ideal_check, polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              verify_two_sided, weyl_detect)
 from unitwist.twist import TwistedContext
@@ -124,6 +124,15 @@ def test_gamma_dim_law(each_example):
     assert rep.gamma_dim == ex.entry.expected["dim_C"] - derived
 
 
+def test_hopf_ideal_check_refuses_non_hopf_ideals(examples):
+    # on heisenberg3, <X> is the ideal of the subgroup X = 0; Delta(V)
+    # keeps X (x) Y modulo <V>, and Delta(X - 1) leaves 1 (x) 1 modulo <X - 1>
+    g = examples("heisenberg3").pres
+    assert hopf_ideal_check(g, Ideal(g.ring, [parse_poly("X", g.ring)]))
+    for text in ("V", "X - 1"):
+        assert not hopf_ideal_check(g, Ideal(g.ring, [parse_poly(text, g.ring)])), text
+
+
 def test_gamma_locus_examples(examples):
     # ex5: Gamma = N_G(T) = {I + xE12 + uE34 + zE14}
     ex5 = examples("u4-ex5")
@@ -161,6 +170,7 @@ def test_subgroup_F_examples(examples):
     # span{u_V, u_W}: third and fourth dual directions
     assert sorted(tuple(v) for v in ambient) == \
         sorted([(0, 0, 1, 0), (0, 0, 0, 1)])
+    assert sorted(lie.basis[v.index(1)] for v in ambient) == ex4.entry.expected["F_kernel"]
 
     # abelian supports: delta = 0, the kernel is everything
     for cid in ("u3", "heisenberg3", "jordan4-abelian", "u4-ex5"):
