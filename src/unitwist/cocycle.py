@@ -37,8 +37,10 @@ evaluator has None.  The identity check, the R-form check and the
 correction solver take their monomial triples from one walk, a per-call
 `WeightIndex`, which skips what the grading proves 0 = 0; with no grading
 it is the full sweep.  `contract` reads only the Delta terms whose legs J
-(in `right_product`) or K (in the deformed product) can pair nonzero; an
-exponential evaluator answers an off-class pair 0 before any word table.
+(in `right_product` and `c0_solver`), K (in the deformed product), the
+inner cocycle (in `NeumannInverse`), the left factor (in `Convolution`) or
+R (in the R-form check) can pair nonzero; an exponential evaluator answers
+an off-class pair 0 before any word table.
 Past a bounded evaluator's range (`grading_within`) the full path runs.
 """
 
@@ -49,7 +51,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .poly import ONE, ZERO, TensorPoly, grlex_key
+from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key
 
 
 class CocycleBoundError(ValueError):
@@ -340,14 +342,14 @@ class Cocycle:
 
     def eval(self, f, g):
         """Bilinear extension; returns a Poly (scalar when parameter-free)."""
-        ring = self.pres.ring
-        out = ring.zero
+        terms = {}
         for m1, c1 in f.terms.items():
             for m2, c2 in g.terms.items():
                 v = self.pair(m1.gen_part, m2.gen_part)
                 if v:
-                    out = out + m1.param_part.mul(m2.param_part).as_poly() * (c1 * c2 * v)
-        return out
+                    k = m1.param_part.mul(m2.param_part)
+                    terms[k] = terms.get(k, ZERO) + c1 * c2 * v
+        return Poly(self.pres.ring, terms)
 
     def scalar(self, f, g):
         """Evaluation that must come out parameter-free."""
@@ -358,9 +360,9 @@ class Cocycle:
             raise ValueError("cocycle value is parameter-valued: %r" % v)
         return v.counit()
 
-    def _sum(self, m1, m2, f, g):
-        """The scalar contraction sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2)."""
-        return self.pres.contract(m1, m2, f, g).get(self.pres.ring.one_monomial, ZERO)
+    def _sum(self, m1, m2, f, g, grading=None):
+        """The scalar sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2); `grading` grades f."""
+        return self.pres.contract(m1, m2, f, g, grading).get(self.pres.ring.one_monomial, ZERO)
 
     # -- derived evaluators -------------------------------------------------
     def inverse(self):
@@ -673,7 +675,8 @@ class NeumannInverse(Cocycle):
 
     def _pair(self, m1, m2):
         # J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2)
-        return -self._sum(m1, m2, self._n, self.pair)
+        return -self._sum(m1, m2, self._n, self.pair,
+                          self.inner.grading_within(m1.degree + m2.degree))
 
     def _find_grading(self):
         return self.inner.grading
@@ -753,7 +756,8 @@ class Convolution(Cocycle):
         self.right = right
 
     def _pair(self, m1, m2):
-        return self._sum(m1, m2, self.left.pair, self.right.pair)
+        return self._sum(m1, m2, self.left.pair, self.right.pair,
+                         self.left.grading_within(m1.degree + m2.degree))
 
     def _find_grading(self):
         # one lattice object: the presentation memoizes it, and a bounded

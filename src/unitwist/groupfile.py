@@ -168,7 +168,7 @@ def parse_group_file(text):
                 parts = line.split()
                 if len(parts) != 4:
                     raise GroupFileError("expected 'i j k p/q'", no)
-                i, j, k = (int(p) - 1 for p in parts[:3])
+                i, j, k = (_integer(p, no) - 1 for p in parts[:3])
                 n = len(pres.ring.generators)
                 if not all(0 <= t < n for t in (i, j, k)) or i == j:
                     raise GroupFileError("[lie] indices must lie in 1..%d with i != j" % n, no)
@@ -179,7 +179,7 @@ def parse_group_file(text):
                 parts = line.split()
                 if len(parts) != 3:
                     raise GroupFileError("expected 'i j p/q'", no)
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                i, j = _integer(parts[0], no) - 1, _integer(parts[1], no) - 1
                 n = len(pres.ring.generators)
                 if not (0 <= i < n and 0 <= j < n) or i == j:
                     raise GroupFileError("r-matrix indices out of range", no)
@@ -225,7 +225,7 @@ def parse_group_file(text):
             for no, line in lines:
                 if line.startswith("bound"):
                     _, val = line.split("=", 1)
-                    bound = int(val)
+                    bound = _integer(val, no)
                     continue
                 if "=" not in line or "," not in line.split("=", 1)[0]:
                     raise GroupFileError("expected 'MONOMIAL , MONOMIAL = p/q'", no)
@@ -245,6 +245,13 @@ def parse_group_file(text):
     if cocycle is None and rmatrix is not None:
         cocycle = ExponentialCocycle(pres, rmatrix)
     return GroupData(pres, rmatrix=rmatrix, lie_table=lie_table, cocycle=cocycle)
+
+
+def _integer(text, line_no):
+    try:
+        return int(text)
+    except ValueError:
+        raise GroupFileError("expected an integer, got %r" % text.strip(), line_no) from None
 
 
 def _rational(text, line_no):

@@ -410,13 +410,10 @@ class GroupPresentation:
 
     # -- antipode -----------------------------------------------------------
     def antipode_gen(self, name):
-        x = self.ring.var(name)
-        s = -x
         q = self.q.get(name)
-        if q is not None:
-            for (m1, m2), c in q.terms.items():
-                s = s - self.antipode_monomial(m1) * m2.as_poly() * c
-        return s
+        tail = [(self.antipode_monomial(m1) * m2.as_poly(), -c)
+                for (m1, m2), c in (q.terms.items() if q is not None else ())]
+        return self.ring.combination([(self.ring.var(name), -ONE)] + tail)
 
     def antipode_monomial(self, m):
         cached = self._antipode.get(m)
@@ -434,10 +431,7 @@ class GroupPresentation:
         return result
 
     def antipode(self, f):
-        out = self.ring.zero
-        for m, c in f.terms.items():
-            out = out + self.antipode_monomial(m) * c
-        return out
+        return self.ring.combination((self.antipode_monomial(m), c) for m, c in f.terms.items())
 
     # -- coradical degree ----------------------------------------------------
     def corad_degree_gen(self, name):
@@ -503,11 +497,9 @@ class GroupPresentation:
     def point_mul(self, p, q):
         coords = {}
         for g in self.ring.generators:
-            t = self.coproduct_gen(g)
-            acc = self.ring.zero
-            for (m1, m2), c in t.terms.items():
-                acc = acc + self.evaluate(m1.as_poly(), p) * self.evaluate(m2.as_poly(), q) * c
-            coords[g] = acc
+            coords[g] = self.ring.combination(
+                (self.evaluate(m1.as_poly(), p) * self.evaluate(m2.as_poly(), q), c)
+                for (m1, m2), c in self.coproduct_gen(g).terms.items())
         return Point(self, coords)
 
     def point_inv(self, p):
@@ -518,11 +510,10 @@ class GroupPresentation:
 
     def winding_left(self, g, f):
         """tau^l_g : f -> sum f1(g) f2."""
-        out = self.ring.zero
-        for m, c in f.terms.items():
-            for (m1, m2), c2 in self.coproduct_monomial(m).terms.items():
-                out = out + self.evaluate(m1.as_poly(), g) * m2.as_poly() * (c * c2)
-        return out
+        return self.ring.combination(
+            (self.evaluate(m1.as_poly(), g) * m2.as_poly(), c * c2)
+            for m, c in f.terms.items()
+            for (m1, m2), c2 in self.coproduct_monomial(m).terms.items())
 
     def conjugation_images(self):
         """Images of generators under conjugation by a symbolic point.
@@ -539,12 +530,11 @@ class GroupPresentation:
 
         images = {}
         for g in self.ring.generators:
-            acc = ext.zero
-            for (m1, m2, m3), c in self.iterated_coproduct_monomial(
-                    self.ring.var_monomial(g), 2).terms.items():
-                acc = acc + eval_sym(m1.as_poly()) * m2.as_poly().substitute({}, ext) \
-                    * eval_sym(self.antipode_monomial(m3)) * c
-            images[g] = acc
+            images[g] = ext.combination(
+                (eval_sym(m1.as_poly()) * m2.as_poly().substitute({}, ext)
+                 * eval_sym(self.antipode_monomial(m3)), c)
+                for (m1, m2, m3), c in self.iterated_coproduct_monomial(
+                    self.ring.var_monomial(g), 2).terms.items())
         return ext, images
 
     def adjoint_matrix(self):
@@ -558,13 +548,13 @@ class GroupPresentation:
         n = self.ring.ngens
         back = {s: self.ring.var(g) for s, g in zip(ext.parameters[-n:], self.ring.generators)}
         row = {ext.var_monomial(g): i for i, g in enumerate(self.ring.generators)}
-        ad = [[self.ring.zero] * n for _ in range(n)]
+        pairs = [[[] for _ in range(n)] for _ in range(n)]
         for j, g in enumerate(self.ring.generators):
             for m, c in images[g].terms.items():
                 i = row.get(m.gen_part)
                 if i is not None:
-                    ad[i][j] = ad[i][j] + m.param_part.as_poly().substitute(back, self.ring) * c
-        return ad
+                    pairs[i][j].append((m.param_part.as_poly().substitute(back, self.ring), c))
+        return [[self.ring.combination(cell) for cell in cells] for cells in pairs]
 
     # -- Lie data ---------------------------------------------------------------
     def lie_data(self):
@@ -619,13 +609,7 @@ class GroupPresentation:
                 row = rows.setdefault((which, m, tring.one_monomial), {})
                 row[col] = row.get(col, ZERO) - ONE
         basis = linalg.nullspace(list(rows.values()), len(mons))
-        out = []
-        for vec in basis:
-            p = self.ring.zero
-            for col, c in enumerate(vec):
-                if c:
-                    p = p + mons[col].as_poly() * c
-            out.append(p)
+        out = [Poly(self.ring, dict(zip(mons, vec))) for vec in basis]
         self._coinv[key] = out
         return list(out)
 
@@ -682,10 +666,9 @@ class GroupPresentation:
                        for slot in (1, 2))
 
         def antipode_fails(g):
-            acc = self.ring.zero
-            for (m1, m2), c in self.coproduct_gen(g).terms.items():
-                acc = acc + self.antipode_monomial(m1) * m2.as_poly() * c
-            return not acc.is_zero()
+            return not self.ring.combination(
+                (self.antipode_monomial(m1) * m2.as_poly(), c)
+                for (m1, m2), c in self.coproduct_gen(g).terms.items()).is_zero()
 
         each_generator("coassociativity", coassociativity_fails)
         each_generator("counit-axiom", counit_fails)

@@ -16,6 +16,10 @@ generator degree, whether it is 1, and its generator and parameter parts
 as precomputed slots, and the ring memoizes monomial products in a second
 table.  Both tables live and die with their ring.
 
+Every sum of many polynomials, sum c p over a list of (p, c), is added up
+by `PolyRing.combination` in one coefficient dict, with one `Poly` built at
+the end; a left fold of `+` would copy the running sum once per term.
+
 The canonical text rendering (used for golden comparisons) lists terms in
 decreasing graded-lex order, e.g. ``W*X + 1/2*Y``; `parse_poly` reads the
 same format back.
@@ -123,6 +127,16 @@ class PolyRing:
             out = [m for m in out if not m.is_one]
         out.sort(key=grlex_key)
         return out
+
+    def combination(self, pairs):
+        """The sum of c p over (p, c) pairs, p a Poly of this ring and c a rational."""
+        terms = {}
+        for p, c in pairs:
+            if p.ring is not self:
+                raise RingContextError("polynomials from different rings")
+            for m, v in p.terms.items():
+                terms[m] = terms.get(m, ZERO) + v * c
+        return Poly(self, terms)
 
     def hom(self, images, target):
         """The algebra map into `target` sending each variable per `images`.
@@ -396,10 +410,7 @@ class Poly:
         to themselves.
         """
         image = self.ring.hom(images, target)
-        result = target.zero
-        for m, c in self.terms.items():
-            result = result + image(m) * c
-        return result
+        return target.combination((image(m), c) for m, c in self.terms.items())
 
     def __repr__(self):
         return render_poly(self)
@@ -462,7 +473,7 @@ def parse_poly(text, ring):
         else:
             tokens.append(("op", m.group("op")))
 
-    result = ring.zero
+    terms = []
     i = 0
     n = len(tokens)
     if n == 0:
@@ -504,8 +515,8 @@ def parse_poly(text, ring):
                     expect_factor = True
                 else:
                     break
-        result = result + term
-    return result
+        terms.append((term, ONE))
+    return ring.combination(terms)
 
 
 # -- tensor powers --------------------------------------------------------

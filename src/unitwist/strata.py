@@ -51,7 +51,7 @@ def _product_image_ideal(group, subgroup, factors):
     elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
     gens = []
     for gname in group.ring.generators:
-        acc = work.zero
+        terms = []
         triples = group.iterated_coproduct_monomial(group.ring.var_monomial(gname), 2)
         for (m1, m2, m3), c in triples.terms.items():
             a = left(m1)
@@ -61,10 +61,9 @@ def _product_image_ideal(group, subgroup, factors):
             if b.is_zero():
                 continue
             cc = right(m3)
-            if cc.is_zero():
-                continue
-            acc = acc + a * b * cc * c
-        gens.append(elim_ring.var(gname) - acc.substitute({}, elim_ring))
+            if not cc.is_zero():
+                terms.append((a * b * cc, c))
+        gens.append(elim_ring.var(gname) - work.combination(terms).substitute({}, elim_ring))
     kept = eliminate(Ideal(elim_ring, gens), names)
     return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.groebner()])
 
@@ -207,13 +206,9 @@ def weyl_detect(pres_relations, ring, variables=None):
                     continue
                 ca = (pij, -brk(a, j), brk(a, i))
                 cb = (pij, -brk(b, j), brk(b, i))
-                vecs_a = (a, i, j)
-                vecs_b = (b, i, j)
-                val = ring.zero
-                for xa, fa in zip(vecs_a, ca):
-                    for xb, fb in zip(vecs_b, cb):
-                        val = val + fa * fb * brk(xa, xb)
-                new_bracket[(a, b)] = val
+                new_bracket[(a, b)] = ring.combination(
+                    (fa * fb * brk(xa, xb), ONE)
+                    for xa, fa in zip((a, i, j), ca) for xb, fb in zip((b, i, j), cb))
         for k in rest:
             basis[k] = new_basis[k]
         bracket = new_bracket
@@ -430,10 +425,8 @@ def fixed_locus_ideal(group, rmatrix):
     gens = []
     for i in range(ring.ngens):
         for k in range(i + 1, ring.ngens):
-            moved = ring.const(-r[i][k])
-            for a, b, v in support:
-                moved = moved + ad[a][i] * ad[b][k] * v
-            gens.append(moved)
+            gens.append(ring.combination([(ring.one, -r[i][k])]
+                                         + [(ad[a][i] * ad[b][k], v) for a, b, v in support]))
     return Ideal(ring, gens)
 
 
@@ -477,7 +470,8 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
             break
         # g's coordinates are written with the generator names
         condition = Poly(ring, j.right_product(m1, m2)) \
-            - Poly(ring, group.contract(m1, m2, j.pair, None))
+            - Poly(ring, group.contract(m1, m2, j.pair, None,
+                                       j.grading_within(m1.degree + m2.degree)))
         if condition.is_zero():
             continue
         # keep only conditions that add new constraints

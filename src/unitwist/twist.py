@@ -49,6 +49,7 @@ class TwistedContext:
         self.right_inv = right.cached_inverse()
         self.two_sided = left is right
         self._mul_cache = {}
+        self._antipode_halves = ({}, {})  # u and v of `twisted_antipode`, by monomial
         self._commutators = None
         self._gamma = None  # strata.commutator_ideal_and_gamma's report
 
@@ -89,12 +90,14 @@ class TwistedContext:
         return hit
 
     def mul(self, f, g):
-        out = self.pres.ring.zero
+        terms = {}
         for m1, c1 in f.terms.items():
             for m2, c2 in g.terms.items():
-                out = out + self.mul_monomials(m1.gen_part, m2.gen_part) \
-                    * m1.param_part.mul(m2.param_part).as_poly() * (c1 * c2)
-        return out
+                c, p = c1 * c2, m1.param_part.mul(m2.param_part)
+                for k, v in self.mul_monomials(m1.gen_part, m2.gen_part).terms.items():
+                    k = k.mul(p)
+                    terms[k] = terms.get(k, ZERO) + v * c
+        return Poly(self.pres.ring, terms)
 
     def commutator(self, f, g):
         return self.mul(f, g) - self.mul(g, f)
@@ -285,7 +288,8 @@ def rform_axiom_check(ctx, degree_bound):
     K and J being graded like R; as w(h1) + w(h2) = w(h), both sides of
     R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0 unless
     w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such as h.g
-    itself, so it is checked on every pair.
+    itself, so it is checked on every pair; its left side and (3) contract
+    only the Delta terms where R of the first legs can be nonzero.
     """
     pres = ctx.pres
     rform = ctx.rform()
@@ -308,8 +312,9 @@ def rform_axiom_check(ctx, degree_bound):
         for y, g in enumerate(mons):
             if h.degree + g.degree > degree_bound:
                 continue
+            grading = rform.grading_within(h.degree + g.degree)
             # (3) cotriangularity
-            if y in near and pres.contract(h, g, R, swapped):
+            if y in near and pres.contract(h, g, R, swapped, grading):
                 failures.append(("cotriangular", h, g))
             # (2) commutation identity; the scalar of the right side sits in
             # the second legs, so that side is summed here
@@ -320,7 +325,7 @@ def rform_axiom_check(ctx, degree_bound):
                     if v:
                         for k, w in products(g1, h1).items():
                             rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
-            if pres.contract(h, g, R, products) != {k: v for k, v in rhs.items() if v}:
+            if pres.contract(h, g, R, products, grading) != {k: v for k, v in rhs.items() if v}:
                 failures.append(("commutation", h, g))
 
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)
@@ -339,19 +344,35 @@ def rform_axiom_check(ctx, degree_bound):
 # -- twisted antipode ---------------------------------------------------------
 
 def twisted_antipode(ctx, f):
-    """S^J(a) = sum J^{-1}(a1, S(a2)) S(a3) J(S(a4), a5)."""
+    """S^J(a) = sum J^{-1}(a1, S a2) S(a3) J(S a4, a5), summed over Delta^2(a).
+
+    Coassociativity gives Delta^4 = (Delta (x) id (x) Delta) Delta^2, so the
+    sum is sum u(x) S(y) v(z) over the terms x (x) y (x) z of Delta^2(a), with
+    u(x) = sum J^{-1}(x1, S x2) and v(z) = sum J(S z1, z2), each memoized on
+    the context per monomial; v(z) is evaluated only where u(x) != 0.
+    """
     if not ctx.two_sided:
         raise ValueError("the twisted antipode belongs to the two-sided context")
     pres = ctx.pres
     ring = pres.ring
-    out = ring.zero
+    S = pres.antipode_monomial
+    u_memo, v_memo = ctx._antipode_halves
+
+    def half(memo, x, j, left):
+        val = memo.get(x)
+        if val is None:
+            val = memo[x] = ring.combination(
+                (j.eval(x1.as_poly(), S(x2)) if left else j.eval(S(x1), x2.as_poly()), c)
+                for (x1, x2), c in pres.coproduct_monomial(x).terms.items())
+        return val
+
+    terms = []
     for m, c in f.terms.items():
-        for (a1, a2, a3, a4, a5), c2 in pres.iterated_coproduct_monomial(m.gen_part, 4).terms.items():
-            head = ctx.right_inv.eval(a1.as_poly(), pres.antipode_monomial(a2))
-            if head.is_zero():
+        for (a1, a2, a3), c2 in pres.iterated_coproduct_monomial(m.gen_part, 2).terms.items():
+            u = half(u_memo, a1, ctx.right_inv, True)
+            if u.is_zero():
                 continue
-            tail = ctx.right.eval(pres.antipode_monomial(a4), a5.as_poly())
-            if tail.is_zero():
-                continue
-            out = out + head * tail * pres.antipode_monomial(a3) * (c * c2) * m.param_part.as_poly()
-    return out
+            v = half(v_memo, a3, ctx.right, False)
+            if not v.is_zero():
+                terms.append((u * S(a2) * v * m.param_part.as_poly(), c * c2))
+    return ring.combination(terms)

@@ -20,8 +20,12 @@ from unitwist.strata import (_free_variables, commutator_ideal_and_gamma,
 from unitwist.twist import (TwistedContext, rform_axiom_check,
                             twisted_antipode)
 
-ABELIAN_SUPPORT = ("u3", "heisenberg3", "jordan4-abelian", "u4-ex5")
-NONABELIAN_SUPPORT = ("jordan4-minimal", "u4-ex6")
+# read from each entry's manifest; test_support_split_matches_the_lie_data
+# checks the key against the entry's own r-matrix and Lie brackets
+ABELIAN_SUPPORT = tuple(cid for cid in catalog.ids()
+                        if catalog.get(cid).expected["abelian_support"])
+NONABELIAN_SUPPORT = tuple(cid for cid in catalog.ids()
+                           if not catalog.get(cid).expected["abelian_support"])
 
 
 def ok(msg):
@@ -84,9 +88,19 @@ def test_criterion_04_one_sided_weyl(examples):
     X, V = ex.pres.ring.var("X"), ex.pres.ring.var("V")
     assert one.mul(X, V) - one.mul(V, X) == ex.pres.ring.one
     report = weyl_detect(one.commutators().relation, ex.pres.ring)
-    assert report.verdict == "A_1"
+    assert report.verdict == ex.entry.expected["one_sided_weyl"] == "A_1"
     ok("criterion 4: one-sided twist of the planar support gives X.V - V.X "
        "= 1 and the A_1 detection fires")
+
+
+def test_support_split_matches_the_lie_data(each_example):
+    # the generators r pairs span an abelian subalgebra exactly where the
+    # manifest says so, and each split is a nonempty part of the catalog
+    lie = each_example.pres.lie_data()
+    support = [a for a, row in enumerate(each_example.data.rmatrix.matrix) if any(row)]
+    abelian = all(not any(lie.bracket_basis(a, b)) for a in support for b in support)
+    assert abelian == each_example.entry.expected["abelian_support"]
+    assert ABELIAN_SUPPORT and NONABELIAN_SUPPORT
 
 
 def test_criterion_05_cocycle_axioms(examples):

@@ -1086,3 +1086,31 @@ def test_identity_pins_at_high_bounds(examples):
     rep = verify_cocycle_identity(examples("jordan4-minimal").ctx.right, 6)
     assert rep.checked == 211
     assert repr(rep) == "cocycle identity FAIL at bound 6 on (X, W, W)"
+
+
+@pytest.mark.parametrize("kind", ["inverse", "convolution"])
+def test_graded_sums_match_rank0_sums(each_example, kind):
+    # NeumannInverse passes its inner cocycle's grading to the contraction,
+    # Convolution its left factor's; on a new load whose cocycle has grading
+    # None both take the rank-0 path, with the same value on every pair of
+    # total degree <= 5
+    cid = each_example.entry.id
+    values = []
+    for graded in (True, False):
+        j = fresh_cocycle(cid, graded)
+        ev = NeumannInverse(j) if kind == "inverse" else Convolution(NeumannInverse(j).swap(), j)
+        first = ev._n if kind == "inverse" else ev.left.pair
+        pres = j.pres
+        gradings = []
+        contract = pres.contract
+
+        def spy(m1, m2, f, g, grading=None):
+            if f == first:
+                gradings.append(grading is not None)
+            return contract(m1, m2, f, g, grading)
+
+        pres.contract = spy
+        mons = pres.ring.monomials_up_to(4, include_one=False)
+        values.append([ev.pair(a, b) for a in mons for b in mons if a.degree + b.degree <= 5])
+        assert gradings and set(gradings) == {graded}
+    assert values[0] == values[1]

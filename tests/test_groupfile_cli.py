@@ -406,6 +406,15 @@ MALFORMED += [("lie-%s-%s" % (case, cmd), _HEIS3.replace("1 2 3 1", row), [cmd, 
               for case, row in [("index-past-n", "1 2 9 1"), ("index-zero", "0 2 3 1"),
                                 ("equal-indices", "1 1 3 1")]
               for cmd in ("validate", "present")]
+# indices and the table bound are integers, and the message names the line
+MALFORMED += [
+    ("lie-non-integer-index", _HEIS3.replace("1 2 3 1", "1 2 x 1"), ["present", "FILE"], 2,
+     "line 11: expected an integer, got 'x'"),
+    ("rmatrix-non-integer-index", _HEIS3.replace("1 3 1", "1 x 1"), ["present", "FILE"], 2,
+     "line 14: expected an integer, got 'x'"),
+    ("cocycle-table-non-integer-bound", _HEIS + "[cocycle-table]\nbound = x\n",
+     ["present", "FILE"], 2, "line 9: expected an integer, got 'x'"),
+]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),

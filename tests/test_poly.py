@@ -264,3 +264,30 @@ def test_substitute_matches_sympy():
         assert sympy.expand(to_sympy(got) - want) == 0, (f, imgs)
 
     check()
+
+
+@pytest.mark.parametrize("parameters", [(), ("a", "b")], ids=["plain", "parameters"])
+def test_combination_matches_the_left_fold(parameters):
+    # one dict against the fold out = out + p * c, over few monomials so that
+    # terms collide; each drawn list is sent again with its negated pairs
+    # appended, a sum that cancels to zero
+    R = PolyRing(["X", "Y", "V"], parameters=parameters)
+    mons = R.monomials_up_to(2, names=R.names)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    poly = st.dictionaries(st.sampled_from(mons), coeff.filter(bool), max_size=4).map(
+        lambda terms: Poly(R, terms))
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(poly, coeff | st.integers(-3, 3)), max_size=6))
+    def check(pairs):
+        fold = R.zero
+        for p, c in pairs:
+            fold = fold + p * c
+        got = R.combination(pairs)
+        assert got == fold and got.ring is R
+        assert all(got.terms.values())
+        assert R.combination(pairs + [(p, -c) for p, c in pairs]) == R.zero
+
+    check()
+    with pytest.raises(RingContextError):
+        R.combination([(ring2().var("X"), 1)])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import CocycleBoundError, CounitPair, ExponentialCocycle, RMatrix
+from unitwist.cocycle import (CocycleBoundError, CounitPair, ExponentialCocycle, RMatrix,
+                              TableCocycle)
 from unitwist.poly import Poly, render_poly
-from unitwist.strata import stratum_presentation
+from unitwist.strata import stratum_presentation, weyl_detect
 from unitwist.twist import (TwistConsistencyError, TwistedContext, ihoe_presentation,
                             rform_axiom_check, twisted_antipode)
 
@@ -174,7 +175,35 @@ def test_mixed_context_associativity(examples):
         assert one.mul(one.mul(a, b), c) == one.mul(a, one.mul(b, c))
 
 
+def test_mul_matches_the_term_pair_sum(each_example):
+    # polynomials in the generators and parameters: the product's one dict
+    # against the fold of mul_monomials over the term pairs, each scaled by
+    # its parameter monomial
+    ctx = each_example.ctx
+    ring = ctx.pres.ring
+    rng = random.Random(5)
+    mons = ring.monomials_up_to(2, names=ring.names)
+    for _ in range(10):
+        f, g = (ring.combination((m.as_poly(), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                                 for m in rng.sample(mons, 4)) for _ in range(2))
+        want = ring.zero
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                want = want + ctx.mul_monomials(m1.gen_part, m2.gen_part) \
+                    * m1.param_part.mul(m2.param_part).as_poly() * (c1 * c2)
+        assert ctx.mul(f, g) == want, (f, g)
+
+
 def test_one_sided_weyl(examples):
+    # the Weyl type of the one-sided twist is the manifest's, on every entry
+    # that records one
+    named = [cid for cid in catalog.ids() if "one_sided_weyl" in catalog.get(cid).expected]
+    assert "u3" in named
+    for cid in named:
+        ex = examples(cid)
+        one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+        report = weyl_detect(one.commutators().relation, ex.pres.ring)
+        assert report.verdict == ex.entry.expected["one_sided_weyl"], cid
     ex = examples("u3")
     one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
     X, V = ex.pres.ring.var("X"), ex.pres.ring.var("V")
@@ -246,6 +275,73 @@ def test_twisted_antipode(each_example):
         if name not in g.q:
             assert s == -x
     assert twisted_antipode(ctx, g.ring.one) == g.ring.one
+
+
+def _twisted_antipode_reference(ctx, f):
+    """sum J^{-1}(a1, S a2) S(a3) J(S a4, a5), written out over Delta^4."""
+    pres = ctx.pres
+    S = pres.antipode_monomial
+    out = pres.ring.zero
+    for m, c in f.terms.items():
+        delta4 = pres.iterated_coproduct_monomial(m.gen_part, 4)
+        for (a1, a2, a3, a4, a5), c2 in delta4.terms.items():
+            head = ctx.right_inv.eval(a1.as_poly(), S(a2))
+            if head.is_zero():
+                continue
+            tail = ctx.right.eval(S(a4), a5.as_poly())
+            if tail.is_zero():
+                continue
+            out = out + head * tail * S(a3) * (c * c2) * m.param_part.as_poly()
+    return out
+
+
+def test_twisted_antipode_matches_delta4_reference(each_example):
+    # every monomial of degree <= 2 in the generators and parameters, and a
+    # sum of them, against the rank-5 formula
+    ctx = each_example.ctx
+    ring = ctx.pres.ring
+    mons = ring.monomials_up_to(2, names=ring.names)
+    for m in mons:
+        f = m.as_poly()
+        assert twisted_antipode(ctx, f) == _twisted_antipode_reference(ctx, f), m
+    f = ring.combination((m.as_poly(), Fraction(k - 3, 2)) for k, m in enumerate(mons))
+    assert twisted_antipode(ctx, f) == _twisted_antipode_reference(ctx, f)
+
+
+@pytest.mark.parametrize("cid", ["heisenberg3", "u4-ex5"])
+def test_twisted_antipode_matches_delta4_reference_on_a_random_table(cid):
+    # the Delta^2 form rests on coassociativity alone, so it holds for any
+    # unital functional: here a random table, neither a cocycle nor equal to
+    # the inverse of its swap, so J and J^{-1} cannot stand in for each other
+    pres = catalog.get(cid).load().presentation
+    rng = random.Random(3)
+    mons = pres.ring.monomials_up_to(2, include_one=False)
+    table = {(a, b): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for a in mons for b in mons}
+    ctx = TwistedContext.hopf(pres, TableCocycle(pres, table, 6))
+    for m in pres.ring.monomials_up_to(2):
+        f = m.as_poly()
+        assert twisted_antipode(ctx, f) == _twisted_antipode_reference(ctx, f), m
+
+
+def test_twisted_antipode_beyond_the_solved_degree():
+    # on u4-ex6's degree-3 monomials both routes raise the bound error on the
+    # same nine inputs and agree on the rest; the Delta^2 route evaluates in
+    # another order, so three of the nine name another pair
+    outcomes, messages = [], []
+    for route in (twisted_antipode, _twisted_antipode_reference):
+        ctx = build_context(catalog.get("u4-ex6").load())
+        outcomes.append([])
+        messages.append([])
+        for m in ctx.pres.ring.monomials_up_to(3):
+            try:
+                outcomes[-1].append(render_poly(route(ctx, m.as_poly())))
+            except CocycleBoundError as err:
+                outcomes[-1].append(CocycleBoundError)
+                messages[-1].append(str(err))
+    assert outcomes[0] == outcomes[1]
+    assert len(messages[0]) == 9
+    assert all(text.endswith("exceeds the solved total degree 6") for text in messages[0])
+    assert sum(a != b for a, b in zip(*messages)) == 3
 
 
 def test_twisted_antipode_axiom(examples):
