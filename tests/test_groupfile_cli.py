@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import os
+import shlex
 
 import pytest
 
@@ -504,9 +505,9 @@ def test_check_errors_exit_1(monkeypatch, capsys, error):
         (1, "", "error: data fails a check\n")
 
 
-# stdout and stderr digests with the exit code of the identity-check and
-# R-form commands: a change to how the checks walk their triples must
-# leave every byte as it was
+# stdout and stderr digests with the exit code of the identity-check,
+# R-form, strata and Groebner commands: a change to how the checks walk
+# their triples, or to the Groebner kernel, must leave every byte as it was
 EMPTY = hashlib.sha256(b"").hexdigest()
 CLI_PINS = {
     "validate --example heisenberg3 --max-degree 3":
@@ -580,11 +581,28 @@ CLI_PINS = {
         (0, "2bf516d9ed6d1531ed83562661afa4f3d49a871eee5f881b09cbbf01ba154ff0", EMPTY),
     "strata --example u4-ex6 --point F13=1":
         (0, "07ec7a71317e1924849a5cca3de622821626b0a6cd8dfbeed0d3e142a1e3b2d2", EMPTY),
+    # reduced bases with rational coefficients and non-unit leading
+    # coefficients, with a parameter, and the README's twisted cubic
+    'gb --vars X,Y "2/3*X - 1/5" "X*Y"':
+        (0, "9608eed148c952b640fe3dd5e3d05595079f2bb0a01f6b050114ce0fff12228a", EMPTY),
+    'eliminate --vars X,Y --drop X "2/3*X - 1/5" "X*Y"':
+        (0, "d08c5f95ebb8581ee4e5c0a2ee534d5a10d3c8e7f3a18d961adf902602bbd8a3", EMPTY),
+    'gb --vars X,Y,Z "2/7*X - 3/5*Y" "X*Z - 1/3" "Y^2 - 5/2*Z"':
+        (0, "dcd9d2ad96734e2be2196b8b72d43d9fa6bf2d5cccad852b4e220cdfc7660159", EMPTY),
+    # prints a^2 - 1 and dimension: -1
+    'gb --vars X --params a "a*X - 1" "X - a"':
+        (0, "1401d071182dfe05909024ab1e13cfb3e7a9d3ba6982f8d926ebea88bd9c8d28", EMPTY),
+    'eliminate --vars X,Y --params a --drop X "a*X - 1" "Y - a*X^2"':
+        (0, "4438a50508cdb06775c8c9bf625e770a9d7bd8ecde6842b7eb49fd9cc42de916", EMPTY),
+    'gb --vars X,Y,Z "Y - X^2" "Z - X^3"':
+        (0, "d7d643e336b444254abe8884cad0b41480b3e14063d4c9871b3bc762309e3509", EMPTY),
+    'eliminate --vars X,Y,Z --drop X "Y - X^2" "Z - X^3"':
+        (0, "3500ce885ad529518b674f94725c6f4f3f45c747eb9de30e5229b7ccc46e7726", EMPTY),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_PINS))
 def test_cli_output_pinned(capsys, argv):
-    rc, out, err = run_cli(argv.split(), capsys)
+    rc, out, err = run_cli(shlex.split(argv), capsys)
     digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
     assert (rc, *digest) == CLI_PINS[argv], (out, err)
