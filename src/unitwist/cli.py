@@ -13,7 +13,7 @@ import sys
 from . import catalog as _catalog
 from .cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle, ExponentialCocycle,
                       cybe_check, verify_cocycle_identity)
-from .groebner import Ideal, TermOrder, buchberger, eliminate as _eliminate, krull_dimension
+from .groebner import Ideal, eliminate as _eliminate, krull_dimension
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
@@ -168,12 +168,13 @@ def _ring_and_polys(args):
 
 def cmd_gb(args, out):
     ring, polys = _ring_and_polys(args)
-    basis = buchberger(polys, TermOrder(ring))
+    ideal = Ideal(ring, polys)
+    basis = ideal.groebner()
     for g in basis:
         out.write(render_poly(g) + "\n")
     if not basis:
         out.write("0\n")
-    out.write("dimension: %d\n" % krull_dimension(Ideal(ring, polys)))
+    out.write("dimension: %d\n" % krull_dimension(ideal))
     return 0
 
 

@@ -2,10 +2,19 @@
 
 Desk-scale by design (few variables, low degree), and deterministic: every
 S-pair gets its rank (lcm degree, lcm key, i, j) once, when the pair is
-created, and pairs are popped from a heap in increasing rank.  Leading
-monomials are computed once per basis element.  Reduced bases are
-inter-reduced, made monic and sorted, so a basis is a canonical artifact
+created, and pairs are popped from a heap in increasing rank.  Reduced bases
+are inter-reduced, made monic and sorted, so a basis is a canonical artifact
 suitable for golden comparisons.
+
+Inside, coefficients are integers (`{monomial: int}` dicts); only the entry
+and the exit convert.  Inputs are cleared of denominators and made
+primitive, division is pseudo-division, a remainder joining the basis is
+made primitive, and the reduced basis is made monic at the end.  Each
+integer work polynomial is a nonzero multiple of its `Fraction` counterpart,
+so leading monomials, divisor choices and the S-pair sequence (which reads
+only leading monomials) are those of a `Fraction` Buchberger, and a reduced
+basis is unique: the bytes are the same by construction.  `normal_form`
+divides by the scale it tracked and returns the exact remainder.
 
 Parameters of the ring always sort below the generators and are excluded
 from staircase dimension counts; leading monomials are taken with respect
@@ -16,24 +25,35 @@ parameter fiber.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
+from math import gcd
 
-from .poly import ONE, ZERO, Poly, render_poly
+from .poly import Poly, grlex_key, render_poly
 
 
 class TermOrder:
-    """Graded lex on the generator block, or a block elimination order."""
+    """Graded lex on the generator block, or a block elimination order.
+
+    Memoizes the elimination key per monomial (graded lex is the monomial's
+    `grlex` slot) and `divisor` per polynomial, by identity; each entry
+    holds its polynomial, so no id is reused while cached.
+    """
 
     def __init__(self, ring, eliminate=()):
         self.ring = ring
         self.eliminate = tuple(eliminate)
-        elim_idx = [ring.index[n] for n in self.eliminate]
-        self._elim = elim_idx
+        self._elim = [ring.index[n] for n in self.eliminate]
+        self._keys = {}
+        self._divisors = {}
+        if not self._elim:
+            self.key = grlex_key
 
     def key(self, m):
-        if not self._elim:
-            return m.grlex
-        block = tuple(m.exps[i] for i in self._elim)
-        return (sum(block), block[::-1]) + m.grlex
+        k = self._keys.get(m)
+        if k is None:
+            block = tuple(m.exps[i] for i in self._elim)
+            k = self._keys[m] = (sum(block), block[::-1]) + m.grlex
+        return k
 
     def leading(self, f):
         if f.is_zero():
@@ -41,38 +61,73 @@ class TermOrder:
         m = max(f.terms, key=self.key)
         return m, f.terms[m]
 
+    def divisor(self, g):
+        """g as a divisor: `_primitive` of its integral form."""
+        hit = self._divisors.get(id(g))
+        if hit is None:
+            hit = self._divisors[id(g)] = (g, _primitive(_integral(g)[0], self))
+        return hit[1]
 
-def _reduce(f, basis, order):
-    """Full multivariate division; returns the unique remainder."""
-    if f.is_zero():
-        return f
-    ring = f.ring
-    leads = [order.leading(g) + (g,) for g in basis if not g.is_zero()]
+
+def _primitive(terms, order):
+    """(leading monomial, leading coefficient, terms) of an integer polynomial
+    divided by its content, with the leading coefficient made positive."""
+    lm = max(terms, key=order.key)
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    if content != 1:
+        terms = {m: c // content for m, c in terms.items()}
+    return lm, terms[lm], terms
+
+
+def _integral(f):
+    """(terms, den): integer coefficients with f = terms / den."""
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
+
+def _reduce(work, divisors, order, den=1):
+    """Pseudo-divide work / den by the integer divisors; consumes `work`.
+
+    Returns (remainder, den), where remainder / den is the remainder of the
+    full division of the input work / den.  A term c*m against a lead
+    lc*lm, with d = gcd(c, lc), scales the work, the partial remainder and
+    den by lc/d and subtracts (c/d) (m/lm) g, which cancels the term.
+    """
     remainder = {}
-    work = dict(f.terms)
     while work:
         m = max(work, key=order.key)
         c = work[m]
-        hit = None
-        for lm, lc, g in leads:
+        for lm, lc, g in divisors:
             if lm.divides(m):
-                hit = (lm, lc, g)
                 break
-        if hit is None:
-            del work[m]
-            remainder[m] = remainder.get(m, ZERO) + c
+        else:
+            remainder[m] = work.pop(m)
             continue
-        lm, lc, g = hit
-        factor = m.divide(lm)
-        scale = c / lc
-        for gm, gc in g.terms.items():
-            mm = gm.mul(factor)
-            v = work.get(mm, ZERO) - scale * gc
-            if v == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = v
-    return Poly(ring, {m: c for m, c in remainder.items() if c != 0})
+        d = gcd(c, lc)
+        scale, c = lc // d, c // d
+        if scale != 1:
+            den *= scale
+            for k in work:
+                work[k] *= scale
+            for k in remainder:
+                remainder[k] *= scale
+        _add_multiple(work, -c, m.divide(lm), g)
+    return remainder, den
+
+
+def _add_multiple(work, c, factor, g):
+    """work += c * factor * g in place, for an integer c != 0 and a monomial factor."""
+    for gm, gc in g.items():
+        mm = gm.mul(factor)
+        v = work.get(mm, 0) + c * gc
+        if v:
+            work[mm] = v
+        else:
+            del work[mm]
 
 
 def buchberger(gens, order):
@@ -81,81 +136,65 @@ def buchberger(gens, order):
     Deterministic: pairs are handled in increasing (lcm-degree, lcm-key)
     order; the coprime and chain criteria prune the queue.
     """
-    basis = []
-    for g in gens:
-        if not g.is_zero():
-            _, lc = order.leading(g)
-            basis.append(g * (ONE / lc))
-    basis = sorted(basis, key=lambda g: order.key(order.leading(g)[0]))
+    basis = [_primitive(_integral(g)[0], order) for g in gens if not g.is_zero()]
+    basis.sort(key=lambda d: order.key(d[0]))
     if not basis:
         return []
-
-    leads = [order.leading(g)[0] for g in basis]
+    leads = [lm for lm, _, _ in basis]
     pairs = []
 
     def add_pairs(i):
         li = leads[i]
         for j in range(i):
             l = li.lcm(leads[j])
-            heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j))
+            heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j, l))
 
     for i in range(len(basis)):
         add_pairs(i)
     done = set()
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, l = heapq.heappop(pairs)
         done.add((i, j))
         li, lj = leads[i], leads[j]
-        l = li.lcm(lj)
         if li.coprime(lj):
             continue
         # Buchberger's chain criterion, conservative form: only pairs that
         # were actually treated earlier may justify skipping this one.
-        chain = False
-        for k, lk in enumerate(leads):
-            if k in (i, j):
-                continue
-            if lk.divides(l) and \
-               (max(i, k), min(i, k)) in done and (max(j, k), min(j, k)) in done:
-                chain = True
-                break
-        if chain:
+        if any(k not in (i, j) and lk.divides(l) and (max(i, k), min(i, k)) in done
+               and (max(j, k), min(j, k)) in done for k, lk in enumerate(leads)):
             continue
-        fi, fj = basis[i], basis[j]
-        s = fi * l.divide(li).as_poly() - fj * l.divide(lj).as_poly()
-        r = _reduce(s, basis, order)
-        if not r.is_zero():
-            lm, lc = order.leading(r)
-            basis.append(r * (ONE / lc))
-            leads.append(lm)
+        # S = (lc_j/d) (l/l_i) f_i - (lc_i/d) (l/l_j) f_j with d = gcd(lc_i, lc_j)
+        _, ci, fi = basis[i]
+        _, cj, fj = basis[j]
+        d = gcd(ci, cj)
+        s = {}
+        _add_multiple(s, cj // d, l.divide(li), fi)
+        _add_multiple(s, -(ci // d), l.divide(lj), fj)
+        r, _ = _reduce(s, basis, order)
+        if r:
+            basis.append(_primitive(r, order))
+            leads.append(basis[-1][0])
             add_pairs(len(basis) - 1)
 
-    # prune to a minimal basis, then inter-reduce tails
-    minimal = []
-    for i, g in enumerate(basis):
-        lg = leads[i]
-        redundant = False
-        for k, lh in enumerate(leads):
-            if k == i:
-                continue
-            if lh.divides(lg) and (lh is not lg or k < i):
-                redundant = True
-                break
-        if not redundant:
-            minimal.append(g)
+    # prune to a minimal basis, then inter-reduce tails (a lead that no
+    # other lead divides stays, so no tail reduces to 0) and make it monic
+    minimal = [basis[i] for i, lg in enumerate(leads)
+               if not any(k != i and lh.divides(lg) and (lh is not lg or k < i)
+                          for k, lh in enumerate(leads))]
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _reduce(g, others, order) if others else g
-        if not r.is_zero():
-            _, lc = order.leading(r)
-            reduced.append(r * (ONE / lc))
-    reduced.sort(key=lambda g: order.key(order.leading(g)[0]), reverse=True)
-    return reduced
+    for i, (lm, _, g) in enumerate(minimal):
+        r, _ = _reduce(dict(g), minimal[:i] + minimal[i + 1:], order)
+        reduced.append((order.key(lm), Poly(order.ring, {m: Fraction(c, r[lm])
+                                                         for m, c in r.items()})))
+    reduced.sort(key=lambda t: t[0], reverse=True)
+    return [g for _, g in reduced]
 
 
 def normal_form(f, basis, order):
-    return _reduce(f, basis, order)
+    """The exact remainder of f on division by `basis` (a list of Polys)."""
+    work, den = _integral(f)
+    r, den = _reduce(work, [order.divisor(g) for g in basis if not g.is_zero()], order, den)
+    return Poly(f.ring, {m: Fraction(c, den) for m, c in r.items()})
 
 
 class Ideal:

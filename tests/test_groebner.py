@@ -1,11 +1,18 @@
+import heapq
+import json
+import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitwist import catalog, cli, groebner, strata
 from unitwist.groebner import (Ideal, TermOrder, buchberger, eliminate,
                                krull_dimension, normal_form)
-from unitwist.poly import PolyRing, parse_poly
+from unitwist.poly import ONE, ZERO, Poly, PolyRing, parse_poly
 
 
 def R(*gens, params=()):
@@ -43,6 +50,12 @@ def test_normal_form_examples():
     gb2 = buchberger([ring2.var("F23") - ring2.var("a")], o2)
     got = normal_form(ring2.var("F13") * ring2.var("F23"), gb2, o2)
     assert got == ring2.var("a") * ring2.var("F13")
+    # the remainder itself, not a multiple: Y^2 goes to the remainder before
+    # X meets the lead 10*X of 10*X - 3 and the scale becomes 20
+    gb3 = buchberger([parse_poly("2/3*X - 1/5", ring)], order)
+    assert [str(g) for g in gb3] == ["X - 3/10"]
+    got = normal_form(parse_poly("Y^2 + 1/2*X", ring), gb3, order)
+    assert got == parse_poly("Y^2 + 3/20", ring)
 
 
 def test_eliminate_trivial_cases():
@@ -226,3 +239,210 @@ def test_eliminate_matches_sympy_product_order():
                 order="grlex", domain="QQ").exprs}
         got = eliminate(Ideal(ring, gens), ["s"]).groebner()
         assert {_to_sympy(g, symbols) for g in got} == want, k
+
+
+# -- the reference route: Buchberger and division over Fraction -------------
+
+def _normal_form_reference(f, basis, order):
+    """Full multivariate division over Fraction; the unique remainder."""
+    if f.is_zero():
+        return f
+    leads = [order.leading(g) + (g,) for g in basis if not g.is_zero()]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        hit = next(((lm, lc, g) for lm, lc, g in leads if lm.divides(m)), None)
+        if hit is None:
+            del work[m]
+            remainder[m] = remainder.get(m, ZERO) + c
+            continue
+        lm, lc, g = hit
+        factor = m.divide(lm)
+        scale = c / lc
+        for gm, gc in g.terms.items():
+            mm = gm.mul(factor)
+            v = work.get(mm, ZERO) - scale * gc
+            if v == 0:
+                work.pop(mm, None)
+            else:
+                work[mm] = v
+    return Poly(f.ring, remainder)
+
+
+def _buchberger_reference(gens, order):
+    """Reduced Groebner basis over Fraction, monic at every step."""
+    basis = [g * (ONE / order.leading(g)[1]) for g in gens if not g.is_zero()]
+    basis.sort(key=lambda g: order.key(order.leading(g)[0]))
+    leads = [order.leading(g)[0] for g in basis]
+    pairs = []
+
+    def add_pairs(i):
+        for j in range(i):
+            l = leads[i].lcm(leads[j])
+            heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    done = set()
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        li, lj = leads[i], leads[j]
+        l = li.lcm(lj)
+        if li.coprime(lj):
+            continue
+        if any(k not in (i, j) and lk.divides(l) and (max(i, k), min(i, k)) in done
+               and (max(j, k), min(j, k)) in done for k, lk in enumerate(leads)):
+            continue
+        s = basis[i] * l.divide(li).as_poly() - basis[j] * l.divide(lj).as_poly()
+        r = _normal_form_reference(s, basis, order)
+        if not r.is_zero():
+            lm, lc = order.leading(r)
+            basis.append(r * (ONE / lc))
+            leads.append(lm)
+            add_pairs(len(basis) - 1)
+    minimal = [g for i, g in enumerate(basis)
+               if not any(k != i and lh.divides(leads[i]) and (lh is not leads[i] or k < i)
+                          for k, lh in enumerate(leads))]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = _normal_form_reference(g, minimal[:i] + minimal[i + 1:], order)
+        reduced.append(r * (ONE / order.leading(r)[1]))
+    reduced.sort(key=lambda g: order.key(order.leading(g)[0]), reverse=True)
+    return reduced
+
+
+# rings and orders for the two-route tests: graded lex, a parameter below the
+# generators, and a block order eliminating s; `sympy` names the same order
+ORDERS = {
+    "grlex": (("X", "Y", "Z"), (), ()),
+    "parameter": (("X", "Y"), ("a",), ()),
+    "eliminate": (("s", "X", "Y"), (), ("s",)),
+}
+
+
+def _order(case):
+    gens, params, drop = ORDERS[case]
+    ring = R(*gens, params=params)
+    return ring, TermOrder(ring, eliminate=drop)
+
+
+def _sympy_order(case, symbols):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grlex
+    if case == "grlex":
+        return [symbols[n] for n in ("Z", "Y", "X")], "grlex"
+    if case == "parameter":
+        return [symbols[n] for n in ("Y", "X", "a")], ProductOrder(
+            (grlex, lambda m: m[:2]), (grlex, lambda m: m[2:]))
+    return [symbols[n] for n in ("s", "Y", "X")], ProductOrder(
+        (grlex, lambda m: m[:1]), (grlex, lambda m: m[1:]))
+
+
+def _polys(ring, max_terms, degree):
+    # coefficients with coprime denominators, so leading coefficients are
+    # rarely units once cleared (2/7*X - 3/5*Y)
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 7]))
+    mons = ring.monomials_up_to(degree, names=ring.names)
+    return st.dictionaries(st.sampled_from(mons), coeff, min_size=1, max_size=max_terms) \
+        .map(lambda terms: Poly(ring, terms))
+
+
+@pytest.mark.parametrize("case", sorted(ORDERS))
+def test_buchberger_matches_fraction_route(case):
+    # equal lists, in order and monic, not only equal sets
+    ring, order = _order(case)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.lists(_polys(ring, 3, 2), min_size=1, max_size=3))
+    def check(gens):
+        assert buchberger(gens, order) == _buchberger_reference(gens, order)
+
+    check()
+
+
+@pytest.mark.parametrize("case", sorted(ORDERS))
+def test_normal_form_is_the_exact_remainder(case):
+    # three routes to the remainder of f: the integer kernel, the Fraction
+    # division and sympy's reduced; a kernel that drops its scale, or scales
+    # the work without the partial remainder, returns another polynomial
+    sympy = pytest.importorskip("sympy")
+    ring, order = _order(case)
+    symbols = {n: sympy.Symbol(n) for n in ring.names}
+    variables, sympy_order = _sympy_order(case, symbols)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.lists(_polys(ring, 3, 2), min_size=1, max_size=3), _polys(ring, 6, 3))
+    def check(gens, f):
+        gb = buchberger(gens, order)
+        got = normal_form(f, gb, order)
+        assert got == _normal_form_reference(f, gb, order)
+        _, want = sympy.reduced(_to_sympy(f, symbols), [_to_sympy(g, symbols) for g in gb],
+                                *variables, order=sympy_order, domain="QQ")
+        assert _to_sympy(got, symbols) == sympy.expand(want)
+
+    check()
+
+
+def test_kernel_divisors_are_primitive(monkeypatch):
+    # every polynomial the kernel divides by, inputs and remainders that
+    # joined the basis alike, has content 1 and a positive lead: dropping
+    # the primitive part changes no output, only the size of the integers
+    seen = []
+    reduce = groebner._reduce
+
+    def spy(work, divisors, order, den=1):
+        seen.extend((order, d) for d in divisors)
+        return reduce(work, divisors, order, den)
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    for case in sorted(ORDERS):
+        ring, order = _order(case)
+
+        @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+        @given(st.lists(_polys(ring, 3, 2), min_size=2, max_size=3))
+        def check(gens):
+            # content 6 at least, so the entry has a content to remove
+            buchberger([g * 6 for g in gens], order)
+
+        check()
+    assert seen
+    for order, (lm, lc, terms) in seen:
+        assert lm == max(terms, key=order.key) and terms[lm] == lc > 0
+        assert gcd(*terms.values()) == 1
+
+
+SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs",
+                          "strata-sweep.json")
+
+
+def test_strata_graph_ideals_match_fraction_route(monkeypatch):
+    # the graph ideals the double cosets and gTg^-1 eliminate from, at the
+    # first variant of three strata-sweep slots per group: the block basis
+    # and the kept ideal's basis against the Fraction route
+    seen = []
+
+    def spy(ideal, drop_names):
+        kept = eliminate(ideal, drop_names)
+        seen.append((ideal, tuple(drop_names), kept))
+        return kept
+
+    monkeypatch.setattr(strata, "eliminate", spy)
+    with open(SWEEP_POOL) as fh:
+        pool = json.load(fh)
+    for group in ("u4-ex5", "u4-ex6"):
+        data = catalog.get(group).load()
+        pres, ctx = data.presentation, cli.build_context(data)
+        for slot in pool["groups"][group][:3]:
+            text = slot["variants"][0]["point"]
+            coords = dict(part.split("=", 1) for part in text.split(","))
+            point = pres.point({k: parse_poly(v, pres.ring) for k, v in coords.items()})
+            strata.stratum_presentation(pres, ctx, pres.named_subgroups[pool["subgroup"]],
+                                        point, name=text)
+    assert len(seen) >= 12
+    for ideal, drop, kept in seen:
+        block = TermOrder(ideal.ring, eliminate=drop)
+        assert buchberger(ideal.gens, block) == _buchberger_reference(ideal.gens, block)
+        assert kept.groebner() == _buchberger_reference(kept.gens, TermOrder(ideal.ring))
