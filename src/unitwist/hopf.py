@@ -222,6 +222,7 @@ class GroupPresentation:
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
         self._classes = {}  # _delta_classes's memo, keyed by lattice, then monomial
+        self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -320,28 +321,39 @@ class GroupPresentation:
         contraction's result, whose keys then key its terms.  A None slot
         stands for the monomial product of its two arguments, and that
         product keys the result.  Each factor is tested for zero before
-        coefficients are multiplied.
+        coefficients are multiplied.  Delta's integral coefficients come as
+        ints (`_delta_terms`); a value is multiplied by c c' only when that is
+        not 1, and a key's first value is stored as it is, not added to 0.
 
         `grading` grades the first scalar slot (f, or g when f is None): it is
         0 on (x, y) unless w(x) + w(y) lies in N rho, so only the term pairs
         where it can be nonzero are read.  None is the rank-0 grading.
         """
         out = {}
+        get = out.get
         for d1, d2 in self._graded_terms(m1, m2, f is not None, grading):
             if f is None:
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:
                         v = g(a2, b2)
                         if v:
+                            c = c1 * c2
+                            if c != 1:
+                                v = v * c
                             k = a1.mul(b1)
-                            out[k] = out.get(k, ZERO) + c1 * c2 * v
+                            o = get(k)
+                            out[k] = v if o is None else o + v
             elif g is None:
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:
                         v = f(a1, b1)
                         if v:
+                            c = c1 * c2
+                            if c != 1:
+                                v = v * c
                             k = a2.mul(b2)
-                            out[k] = out.get(k, ZERO) + c1 * c2 * v
+                            o = get(k)
+                            out[k] = v if o is None else o + v
             else:
                 one = self.ring.one_monomial
                 for (a1, a2), c1 in d1:
@@ -352,12 +364,18 @@ class GroupPresentation:
                         w = g(a2, b2)
                         if not w:
                             continue
+                        c = c1 * c2
+                        if c != 1:
+                            v = v * c
                         if w.__class__ is dict:
-                            c = c1 * c2 * v
                             for k, cw in w.items():
-                                out[k] = out.get(k, ZERO) + c * cw
+                                cw = cw * v
+                                o = get(k)
+                                out[k] = cw if o is None else o + cw
                         else:
-                            out[one] = out.get(one, ZERO) + c1 * c2 * v * w
+                            v = v * w
+                            o = get(one)
+                            out[one] = v if o is None else o + v
         return {k: c for k, c in out.items() if c}
 
     def _graded_terms(self, m1, m2, first, grading):
@@ -365,8 +383,7 @@ class GroupPresentation:
         # may be nonzero: the first legs' weights sum to k rho when `first`,
         # else to w(m1) + w(m2) - k rho, for some k >= 0
         if grading is None:  # the rank-0 grading: one class holds every term
-            yield (self.coproduct_monomial(m1).terms.items(),
-                   self.coproduct_monomial(m2).terms.items())
+            yield self._delta_terms(m1), self._delta_terms(m2)
             return
         l1, p1, classes1 = self._delta_classes(m1, grading)
         l2, p2, classes2 = self._delta_classes(m2, grading)
@@ -389,11 +406,19 @@ class GroupPresentation:
         hit = memo.get(m)
         if hit is None:
             classes = {}
-            for t in self.coproduct_monomial(m).terms.items():
+            for t in self._delta_terms(m):
                 c, p = grading.coset(grading.weight(t[0][0]))
                 classes.setdefault(c, {}).setdefault(p, []).append(t)
             (line, _), p = grading.coset(grading.weight(m))
             hit = memo[m] = (line, p, classes)
+        return hit
+
+    def _delta_terms(self, m):
+        # Delta(m)'s terms as a list, each coefficient an int when it is integral
+        hit = self._terms.get(m)
+        if hit is None:
+            hit = self._terms[m] = [(k, c.numerator if c.denominator == 1 else c)
+                                    for k, c in self.coproduct_monomial(m).terms.items()]
         return hit
 
     def iterated_coproduct_monomial(self, m, k):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -180,27 +181,21 @@ class PolyRing:
 class Monomial:
     """A power product, stored densely over the ring's variable list.
 
-    Built only by `PolyRing.monomial`, which keeps one instance per
-    exponent tuple; equality is the default identity comparison.  The
-    slots `degree` (generator degree, parameters count 0), `is_one`,
-    `grlex` (the `grlex_key` tuple), `gen_part` and `param_part` are fixed
-    at construction.
+    Built only by `PolyRing.monomial`, which keeps one instance per exponent
+    tuple, so equality and hash are the default identity ones.  The slots
+    `degree` (generator degree, parameters count 0), `is_one`, `grlex` (the
+    `grlex_key` tuple), `gen_part` and `param_part` are fixed at construction.
     """
 
-    __slots__ = ("ring", "exps", "_hash", "degree", "is_one", "grlex", "gen_part",
-                 "param_part")
+    __slots__ = ("ring", "exps", "degree", "is_one", "grlex", "gen_part", "param_part")
 
     def __init__(self, ring, exps):
         self.ring = ring
         self.exps = exps
-        self._hash = hash(exps)
         g, p = exps[:ring.ngens], exps[ring.ngens:]
         self.degree = sum(g)
         self.is_one = not any(exps)
         self.grlex = (self.degree, g[::-1], sum(p), p[::-1])
-
-    def __hash__(self):
-        return self._hash
 
     def param_degree(self):
         return sum(self.exps[self.ring.ngens:])
@@ -218,7 +213,7 @@ class Monomial:
         return m
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def divide(self, other):
         """self / other, assuming other divides self."""
@@ -586,7 +581,9 @@ class TensorPoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(a.mul(b) for a, b in zip(k1, k2))
-                terms[key] = terms.get(key, ZERO) + c1 * c2
+                c = c1 * c2
+                o = terms.get(key)
+                terms[key] = c if o is None else o + c
         return TensorPoly(self.ring, self.rank, terms)
 
     def apply_linear_slot(self, slot, phi):

@@ -96,7 +96,9 @@ class TwistedContext:
                 c, p = c1 * c2, m1.param_part.mul(m2.param_part)
                 for k, v in self.mul_monomials(m1.gen_part, m2.gen_part).terms.items():
                     k = k.mul(p)
-                    terms[k] = terms.get(k, ZERO) + v * c
+                    v = v * c
+                    o = terms.get(k)
+                    terms[k] = v if o is None else o + v
         return Poly(self.pres.ring, terms)
 
     def commutator(self, f, g):

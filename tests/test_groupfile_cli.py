@@ -307,23 +307,27 @@ V , X = -1/2
 
 
 def test_report_independent_of_hash_seed():
-    # identity equality of monomials must not let hash order reach the output
+    # monomials hash by identity, so a set or dict of monomials hashes by
+    # memory address: neither that layout nor the string hash seed, both of
+    # which differ between the two processes, may reach the output
     import subprocess
     import sys
 
     import unitwist
     src = os.path.dirname(os.path.dirname(os.path.abspath(unitwist.__file__)))
-    for eid in ("heisenberg3", "u3"):
+    for argv in (["report", "--example", "heisenberg3"], ["report", "--example", "u3"],
+                 ["report", "--example", "u4-ex6"],
+                 ["strata", "--example", "u4-ex5", "--point", "F14=1,F23=1/3"]):
         outs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-m", "unitwist.cli", "report",
-                                   "--example", eid], capture_output=True, text=True,
-                                  env=env, timeout=60)
+            proc = subprocess.run([sys.executable, "-m", "unitwist.cli"] + argv,
+                                  capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 0, proc.stderr
-            assert "manifest: all comparisons OK" in proc.stdout
             outs.append(proc.stdout)
-        assert outs[0] == outs[1]
+        if argv[0] == "report":
+            assert "manifest: all comparisons OK" in outs[0]
+        assert outs[0] == outs[1], argv
 
 
 _HEIS = """

@@ -518,8 +518,9 @@ def _values(seed, sign):
     return f
 
 
-def _naive_contract(pres, m1, m2, f, g):
-    """sum c c' F(a1,b1) G(a2,b2): each slot value as a polynomial, None = x*y."""
+def _contract_reference(pres, m1, m2, f, g):
+    """sum c c' F(a1,b1) G(a2,b2) as a plain Fraction loop over the terms of
+    Delta(m1) and Delta(m2): each slot value as a polynomial, None = x*y."""
     one = pres.ring.one_monomial
 
     def slot(h, x, y):
@@ -534,14 +535,24 @@ def _naive_contract(pres, m1, m2, f, g):
             for k1, v1 in slot(f, a1, b1).items():
                 for k2, v2 in slot(g, a2, b2).items():
                     k = k1.mul(k2)
-                    out[k] = out.get(k, 0) + c1 * c2 * v1 * v2
+                    out[k] = out.get(k, Fraction(0)) + c1 * c2 * v1 * v2
     return {k: v for k, v in out.items() if v}
 
 
-@pytest.mark.parametrize("cid", ["u4-ex6", "jordan4-minimal"])
-def test_contract_matches_naive_double_sum(examples, cid):
-    pres = examples(cid).pres
+def test_contract_matches_naive_double_sum(each_example):
+    # all four slot shapes, rank-0 and graded; the graded slot (f, or g when
+    # f is None) is masked to 0 off the grading's classes, as a graded pair is
+    pres = each_example.pres
     mons = pres.ring.monomials_up_to(3)
+    grading = each_example.ctx.right.grading_within(6)
+    assert grading is not None
+    fractional = [c for m in mons for c in pres.coproduct_monomial(m).terms.values()
+                  if c.denominator != 1]
+    assert bool(fractional) == each_example.entry.id.startswith("jordan4")
+
+    def graded_values(seed, sign):
+        h = _values(seed, sign)
+        return lambda x, y: h(x, y) if grading.multiple(grading.weight(x.mul(y))) else Fraction(0)
 
     def dict_valued(x, y):
         # a dict-valued second slot: its keys key the result
@@ -552,7 +563,12 @@ def test_contract_matches_naive_double_sum(examples, cid):
     @given(st.sampled_from(mons), st.sampled_from(mons), st.integers(0, 10 ** 6))
     def check(m1, m2, seed):
         f, g = _values(seed, 0), _values(seed, 1)
-        for slots in ((None, g), (f, None), (f, g), (f, dict_valued)):
-            assert pres.contract(m1, m2, *slots) == _naive_contract(pres, m1, m2, *slots)
+        gf, gg = graded_values(seed, 0), graded_values(seed, 1)
+        for slots, graded in (((None, g), (None, gg)), ((f, None), (gf, None)),
+                              ((f, g), (gf, g)), ((f, dict_valued), (gf, dict_valued))):
+            for got, shape in ((pres.contract(m1, m2, *slots), slots),
+                               (pres.contract(m1, m2, *graded, grading), graded)):
+                assert got == _contract_reference(pres, m1, m2, *shape), (m1, m2, shape)
+                assert all(type(v) is Fraction for v in got.values())
 
     check()
