@@ -351,15 +351,6 @@ class Cocycle:
                     terms[k] = terms.get(k, ZERO) + c1 * c2 * v
         return Poly(self.pres.ring, terms)
 
-    def scalar(self, f, g):
-        """Evaluation that must come out parameter-free."""
-        v = self.eval(f, g)
-        if v.is_zero():
-            return ZERO
-        if v.degree() > 0 or len(v.terms) != 1 or not next(iter(v.terms)).is_one:
-            raise ValueError("cocycle value is parameter-valued: %r" % v)
-        return v.counit()
-
     def _sum(self, m1, m2, f, g, grading=None):
         """The scalar sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2); `grading` grades f."""
         return self.pres.contract(m1, m2, f, g, grading).get(self.pres.ring.one_monomial, ZERO)

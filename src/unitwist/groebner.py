@@ -198,22 +198,29 @@ def normal_form(f, basis, order):
 
 
 class Ideal:
-    """An ideal with cached reduced bases per term order."""
+    """An ideal of a ring, with the graded-lex `TermOrder` it owns (`order`).
+
+    The reduced basis under that order is computed once; `reduce` is the
+    normal form against it.
+    """
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = [g for g in gens if not g.is_zero()]
-        self._gb = {}
+        self.order = TermOrder(ring)
+        self._gb = None
 
-    def groebner(self, order=None):
-        order = order or TermOrder(self.ring)
-        key = (order.eliminate,)
-        if key not in self._gb:
-            self._gb[key] = buchberger(self.gens, order)
-        return self._gb[key]
+    def groebner(self):
+        if self._gb is None:
+            self._gb = buchberger(self.gens, self.order)
+        return self._gb
+
+    def reduce(self, f):
+        """The normal form of f against the reduced basis."""
+        return normal_form(f, self.groebner(), self.order)
 
     def contains(self, f):
-        return normal_form(f, self.groebner(), TermOrder(self.ring)).is_zero()
+        return self.reduce(f).is_zero()
 
     def is_zero(self):
         return not self.gens
@@ -253,11 +260,9 @@ def krull_dimension(ideal):
     -1 (empty variety).
     """
     ring = ideal.ring
-    gb = ideal.groebner()
     lead_supports = []
-    order = TermOrder(ring)
-    for g in gb:
-        m, _ = order.leading(g)
+    for g in ideal.groebner():
+        m, _ = ideal.order.leading(g)
         support = frozenset(i for i in range(ring.ngens) if m.exps[i] > 0)
         if not support:
             return -1

@@ -114,8 +114,7 @@ def parse_tensor(text, ring, line_no=None):
         left, right = term.split("(x)", 1)
         if "(x)" in right:
             raise GroupFileError("only rank-2 tensors are accepted here", line_no)
-        lp = parse_poly(left, ring)
-        rp = parse_poly(right, ring)
+        lp, rp = _poly(left, ring, line_no), _poly(right, ring, line_no)
         total = total + TensorPoly.from_polys([lp, rp], Fraction(sign))
     return total
 
@@ -205,7 +204,7 @@ def parse_group_file(text):
                 no, val = kv[key]
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
-                coords[key] = parse_poly(val, tring)
+                coords[key] = _poly(val, tring, no)
             pres.add_subgroup(sub_name, params, coords)
         elif head.startswith("point"):
             pt_name = head[len("point"):].strip()
@@ -217,13 +216,15 @@ def parse_group_file(text):
                 no, val = kv[key]
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
-                coords[key] = parse_poly(val, pres.ring)
+                coords[key] = _poly(val, pres.ring, no)
             pres.add_point(pt_name, coords)
         elif head == "cocycle-table":
             bound = None
             table = {}
             for no, line in lines:
                 if line.startswith("bound"):
+                    if "=" not in line:
+                        raise GroupFileError("expected 'bound = d'", no)
                     _, val = line.split("=", 1)
                     bound = _integer(val, no)
                     continue
@@ -231,8 +232,8 @@ def parse_group_file(text):
                     raise GroupFileError("expected 'MONOMIAL , MONOMIAL = p/q'", no)
                 lhs, val = line.split("=", 1)
                 m1txt, m2txt = lhs.split(",", 1)
-                m1 = _as_monomial(parse_poly(m1txt, pres.ring), no)
-                m2 = _as_monomial(parse_poly(m2txt, pres.ring), no)
+                m1 = _as_monomial(_poly(m1txt, pres.ring, no), no)
+                m2 = _as_monomial(_poly(m2txt, pres.ring, no), no)
                 table[(m1, m2)] = _rational(val, no)
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
@@ -257,6 +258,13 @@ def _integer(text, line_no):
 def _rational(text, line_no):
     try:
         return parse_rational(text)
+    except ValueError as e:
+        raise GroupFileError(str(e), line_no) from None
+
+
+def _poly(text, ring, line_no):
+    try:
+        return parse_poly(text, ring)
     except ValueError as e:
         raise GroupFileError(str(e), line_no) from None
 

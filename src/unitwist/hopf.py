@@ -8,7 +8,9 @@ its coordinate ring together with the coproduct corrections
 where q(Xi) is a rank-2 tensor with zero counit in each slot involving
 only X1..X_{i-1}.  Everything else (iterated coproducts, the antipode,
 the group law on points, Lie structure constants, coset-function spaces)
-is computed from that single piece of data.
+is computed from that single piece of data.  The group law, like the
+winding maps and conjugation, is a convolution (`convolve`): the
+coordinates of p.q are sum p(x1) q(x2) over Delta(x).
 
 All operations are pure; the per-presentation caches only memoize values
 that are uniquely determined, so results are identical with or without
@@ -18,11 +20,12 @@ caching.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from . import linalg
-from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, render_poly
+from .poly import ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly, render_poly
 
 
 class PresentationError(ValueError):
@@ -433,6 +436,27 @@ class GroupPresentation:
             self._iter[key] = cached
         return cached
 
+    def convolve(self, maps, f, target):
+        """The convolution sum c phi1(f1) ... phik(fk) over the terms of Delta^{k-1}(f).
+
+        `maps` holds k >= 2 maps, each taking a monomial to a Poly of
+        `target`.  The factors of a term are read left to right and the term
+        is dropped at its first zero factor, before any product is formed.
+        Parameters of f ride on the first leg, as in `coproduct_monomial`.
+        """
+        terms = []
+        for m, c in f.terms.items():
+            for legs, c2 in self.iterated_coproduct_monomial(m, len(maps) - 1).terms.items():
+                factors = []
+                for phi, leg in zip(maps, legs):
+                    v = phi(leg)
+                    if v.is_zero():
+                        break
+                    factors.append(v)
+                else:
+                    terms.append((reduce(mul, factors), c * c2))
+        return target.combination(terms)
+
     # -- antipode -----------------------------------------------------------
     def antipode_gen(self, name):
         q = self.q.get(name)
@@ -520,12 +544,10 @@ class GroupPresentation:
         return out
 
     def point_mul(self, p, q):
-        coords = {}
-        for g in self.ring.generators:
-            coords[g] = self.ring.combination(
-                (self.evaluate(m1.as_poly(), p) * self.evaluate(m2.as_poly(), q), c)
-                for (m1, m2), c in self.coproduct_gen(g).terms.items())
-        return Point(self, coords)
+        ring = self.ring
+        left, right = p.restriction(ring), q.restriction(ring)
+        return Point(self, {g: self.convolve((left, right), ring.var(g), ring)
+                            for g in ring.generators})
 
     def point_inv(self, p):
         coords = {}
@@ -535,10 +557,7 @@ class GroupPresentation:
 
     def winding_left(self, g, f):
         """tau^l_g : f -> sum f1(g) f2."""
-        return self.ring.combination(
-            (self.evaluate(m1.as_poly(), g) * m2.as_poly(), c * c2)
-            for m, c in f.terms.items()
-            for (m1, m2), c2 in self.coproduct_monomial(m).terms.items())
+        return self.convolve((g.restriction(self.ring), Monomial.as_poly), f, self.ring)
 
     def conjugation_images(self):
         """Images of generators under conjugation by a symbolic point.
@@ -547,20 +566,16 @@ class GroupPresentation:
         sum f1(g) f2 S(f3)(g) written with symbolic coordinates g_<name>, the
         extended ring's last parameters (with more underscores if a name is taken).
         """
-        sym = self.ring.fresh_names("g_", self.ring.generators)
-        ext = self.ring.extended(sym.values())
+        ring = self.ring
+        sym = ring.fresh_names("g_", ring.generators)
+        ext = ring.extended(sym.values())
+        at_g = ring.hom({g: ext.var(s) for g, s in sym.items()}, ext)
 
-        def eval_sym(poly):
-            return poly.substitute({g: ext.var(s) for g, s in sym.items()}, ext)
+        def antipode_at_g(m):
+            return ext.combination((at_g(a), c) for a, c in self.antipode_monomial(m).terms.items())
 
-        images = {}
-        for g in self.ring.generators:
-            images[g] = ext.combination(
-                (eval_sym(m1.as_poly()) * m2.as_poly().substitute({}, ext)
-                 * eval_sym(self.antipode_monomial(m3)), c)
-                for (m1, m2, m3), c in self.iterated_coproduct_monomial(
-                    self.ring.var_monomial(g), 2).terms.items())
-        return ext, images
+        maps = (at_g, ring.hom({}, ext), antipode_at_g)
+        return ext, {g: self.convolve(maps, ring.var(g), ext) for g in ring.generators}
 
     def adjoint_matrix(self):
         """Ad(g) on the Lie basis, symbolic in g with coordinates named by the generators.
@@ -691,9 +706,8 @@ class GroupPresentation:
                        for slot in (1, 2))
 
         def antipode_fails(g):
-            return not self.ring.combination(
-                (self.antipode_monomial(m1) * m2.as_poly(), c)
-                for (m1, m2), c in self.coproduct_gen(g).terms.items()).is_zero()
+            maps = (self.antipode_monomial, Monomial.as_poly)
+            return not self.convolve(maps, self.ring.var(g), self.ring).is_zero()
 
         each_generator("coassociativity", coassociativity_fails)
         each_generator("counit-axiom", counit_fails)
@@ -736,12 +750,6 @@ class ValidationReport:
     @property
     def ok(self):
         return all(c.ok for c in self.checks)
-
-    def first_failure(self):
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
 
     def lines(self):
         return [repr(c) for c in self.checks]

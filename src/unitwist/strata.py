@@ -4,7 +4,7 @@ The stratum attached to a point g is the closure of T.g.T; its vanishing
 ideal is computed by eliminating the parametrization parameters from the
 graph ideal of (s, t) -> s g t.  Everything downstream — two-sidedness in
 the deformed algebra, polycentrality, quotient presentations, dimension
-counts — reduces to Groebner normal forms against that ideal.
+counts — reduces to normal forms against that ideal (`Ideal.reduce`).
 
 Dimension bookkeeping is deliberately two-route: the stratum dimension is
 read off the staircase of its ideal, while dim(T cap gTg^{-1}) comes from
@@ -38,32 +38,20 @@ def _product_image_ideal(group, subgroup, factors):
     Each of the three factors is a fixed point of the group, or a prefix p
     standing for the subgroup with its parameters t renamed to p + t (p takes
     more underscores if that would reuse a name of the group's ring).  The
-    product's coordinates contract the factors' coordinate maps over the
-    iterated coproduct of each generator; the renamed parameters are then
+    product's coordinates are the convolutions of the factors' coordinate
+    maps (`GroupPresentation.convolve`); the renamed parameters are then
     eliminated from the graph ideal.
     """
     factors = [group.ring.fresh_names(f, subgroup.param_names) if isinstance(f, str) else f
                for f in factors]
     names = tuple(n for f in factors if isinstance(f, dict) for n in f.values())
     work = PolyRing(names, group.ring.parameters)
-    left, mid, right = [subgroup.restriction(work, f) if isinstance(f, dict)
-                        else f.restriction(work) for f in factors]
+    maps = [subgroup.restriction(work, f) if isinstance(f, dict) else f.restriction(work)
+            for f in factors]
     elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
-    gens = []
-    for gname in group.ring.generators:
-        terms = []
-        triples = group.iterated_coproduct_monomial(group.ring.var_monomial(gname), 2)
-        for (m1, m2, m3), c in triples.terms.items():
-            a = left(m1)
-            if a.is_zero():
-                continue
-            b = mid(m2)
-            if b.is_zero():
-                continue
-            cc = right(m3)
-            if not cc.is_zero():
-                terms.append((a * b * cc, c))
-        gens.append(elim_ring.var(gname) - work.combination(terms).substitute({}, elim_ring))
+    gens = [elim_ring.var(g)
+            - group.convolve(maps, group.ring.var(g), work).substitute({}, elim_ring)
+            for g in group.ring.generators]
     kept = eliminate(Ideal(elim_ring, gens), names)
     return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.groebner()])
 
@@ -96,14 +84,10 @@ def stabilizer_dimension(group, subgroup, point):
 def verify_two_sided(ideal, ctx):
     """Both deformed products of each ideal generator with each algebra
     generator must reduce to 0 against the ideal."""
-    gb = ideal.groebner()
-    order = TermOrder(ideal.ring)
     for p in ideal.gens:
         for gname in ctx.pres.ring.generators:
             x = ctx.pres.ring.var(gname)
-            if not normal_form(ctx.mul(x, p), gb, order).is_zero():
-                return False
-            if not normal_form(ctx.mul(p, x), gb, order).is_zero():
+            if not ideal.contains(ctx.mul(x, p)) or not ideal.contains(ctx.mul(p, x)):
                 return False
     return True
 
@@ -114,14 +98,10 @@ def polycentral_check(sequence, ctx):
     Returns (ok, first_failing_index) with 1-based indexing.
     """
     ring = ctx.pres.ring
-    order = TermOrder(ring)
     for k, y in enumerate(sequence):
         prefix = Ideal(ring, list(sequence[:k]))
-        gb = prefix.groebner()
         for gname in ring.generators:
-            x = ring.var(gname)
-            c = ctx.commutator(y, x)
-            if not normal_form(c, gb, order).is_zero():
+            if not prefix.contains(ctx.commutator(y, ring.var(gname))):
                 return False, k + 1
     return True, None
 
@@ -256,10 +236,8 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum"):
     ideal = double_coset_ideal(group, subgroup, point)
     if not verify_two_sided(ideal, ctx):
         raise StratumError("double-coset ideal is not two-sided: invalid cocycle data")
-    gb = ideal.groebner()
-    order = TermOrder(group.ring)
     quotient = TwistedPresentation(group, {
-        key: normal_form(f, gb, order) for key, f in ctx.commutators().relations.items()})
+        key: ideal.reduce(f) for key, f in ctx.commutators().relations.items()})
     dim_t = subgroup.dim
     dim_tg = stabilizer_dimension(group, subgroup, point)
     dim_q = krull_dimension(ideal)
@@ -285,10 +263,9 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum"):
 def _free_variables(ideal):
     """Generators not eliminated by a linear leading term of the basis."""
     ring = ideal.ring
-    order = TermOrder(ring)
     eliminated = set()
     for g in ideal.groebner():
-        m, _ = order.leading(g)
+        m, _ = ideal.order.leading(g)
         if m.degree == 1:
             for i in range(ring.ngens):
                 if m.exps[i] == 1:
@@ -323,13 +300,11 @@ def commutator_ideal_and_gamma(ctx):
 
 def hopf_ideal_check(group, ideal):
     """Delta(gen) must vanish in (H/I) (x) (H/I) for every basis element."""
-    gb = ideal.groebner()
-    order = TermOrder(group.ring)
-    for g in gb:
+    for g in ideal.groebner():
         residue = TensorPoly.zero(group.ring, 2)
         for (m1, m2), c in group.coproduct(g).terms.items():
             residue += TensorPoly.from_polys(
-                [normal_form(m1.as_poly(), gb, order), normal_form(m2.as_poly(), gb, order)], c)
+                [ideal.reduce(m1.as_poly()), ideal.reduce(m2.as_poly())], c)
         if not residue.is_zero():
             return False
     return True
@@ -462,7 +437,7 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
              for d1 in sorted(by_degree) for d2 in sorted(by_degree) if d1 + d2 <= degree_bound
              for m1 in by_degree[d1] for m2 in by_degree[d2])
     order = TermOrder(ring)
-    target = None if exact is None else exact.groebner(order)
+    target = None if exact is None else exact.groebner()
     kept = []
     basis = []
     for m1, m2 in pairs:

@@ -213,9 +213,6 @@ class TwistedPresentation:
     def lines(self):
         return ["[%s,%s] = %s" % (a, b, render_poly(f)) for a, b, f in self.nonzero()]
 
-    def is_commutative(self):
-        return not self.nonzero()
-
 
 def ihoe_presentation(ctx):
     """The derivation-type Ore presentation of the two-sided deformation.
@@ -349,7 +346,7 @@ def twisted_antipode(ctx, f):
     """S^J(a) = sum J^{-1}(a1, S a2) S(a3) J(S a4, a5), summed over Delta^2(a).
 
     Coassociativity gives Delta^4 = (Delta (x) id (x) Delta) Delta^2, so the
-    sum is sum u(x) S(y) v(z) over the terms x (x) y (x) z of Delta^2(a), with
+    sum is the convolution of u, S and v over Delta^2(a), with
     u(x) = sum J^{-1}(x1, S x2) and v(z) = sum J(S z1, z2), each memoized on
     the context per monomial; v(z) is evaluated only where u(x) != 0.
     """
@@ -358,23 +355,17 @@ def twisted_antipode(ctx, f):
     pres = ctx.pres
     ring = pres.ring
     S = pres.antipode_monomial
+
+    def half(memo, j, left):
+        def value(x):
+            val = memo.get(x)
+            if val is None:
+                val = memo[x] = ring.combination(
+                    (j.eval(x1.as_poly(), S(x2)) if left else j.eval(S(x1), x2.as_poly()), c)
+                    for (x1, x2), c in pres.coproduct_monomial(x).terms.items())
+            return val
+        return value
+
     u_memo, v_memo = ctx._antipode_halves
-
-    def half(memo, x, j, left):
-        val = memo.get(x)
-        if val is None:
-            val = memo[x] = ring.combination(
-                (j.eval(x1.as_poly(), S(x2)) if left else j.eval(S(x1), x2.as_poly()), c)
-                for (x1, x2), c in pres.coproduct_monomial(x).terms.items())
-        return val
-
-    terms = []
-    for m, c in f.terms.items():
-        for (a1, a2, a3), c2 in pres.iterated_coproduct_monomial(m.gen_part, 2).terms.items():
-            u = half(u_memo, a1, ctx.right_inv, True)
-            if u.is_zero():
-                continue
-            v = half(v_memo, a3, ctx.right, False)
-            if not v.is_zero():
-                terms.append((u * S(a2) * v * m.param_part.as_poly(), c * c2))
-    return ring.combination(terms)
+    return pres.convolve((half(u_memo, ctx.right_inv, True), S, half(v_memo, ctx.right, False)),
+                         f, ring)

@@ -195,7 +195,7 @@ def test_criterion_09_strata(examples):
     T3 = g3.named_subgroups["T"]
     s_norm = stratum_presentation(g3, ex3.ctx, T3, g3.named_points["normalizing"])
     assert gb_strings(s_norm.ideal) == ["W - w0", "Y"]
-    assert s_norm.quotient.is_commutative()
+    assert not s_norm.quotient.nonzero()
     assert s_norm.dims == (2, 2, 2)
     s_off = stratum_presentation(g3, ex3.ctx, T3, g3.named_points["offchain"])
     weyl = s_off.flags["weyl"]
@@ -212,7 +212,7 @@ def test_criterion_09_strata(examples):
     okp, _ = polycentral_check(seq, ex5.ctx)
     assert okp
     s_ii = stratum_presentation(g5, ex5.ctx, T5, g5.named_points["caseII"])
-    assert s_ii.quotient.is_commutative()
+    assert not s_ii.quotient.nonzero()
     assert _free_variables(s_ii.ideal) == ["F12", "F34"]
     ok("criterion 9: stratum ideals, the A_1-with-centre factor, the "
        "polycentral order, and the two-variable polynomial quotient")

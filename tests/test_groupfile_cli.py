@@ -303,7 +303,7 @@ V , X = -1/2
     X = data.presentation.ring.var("X")
     V = data.presentation.ring.var("V")
     from fractions import Fraction
-    assert data.cocycle.scalar(X, V) == Fraction(1, 2)
+    assert data.cocycle.eval(X, V) == Fraction(1, 2)
 
 
 def test_report_independent_of_hash_seed():
@@ -419,6 +419,17 @@ MALFORMED += [
      "line 14: expected an integer, got 'x'"),
     ("cocycle-table-non-integer-bound", _HEIS + "[cocycle-table]\nbound = x\n",
      ["present", "FILE"], 2, "line 9: expected an integer, got 'x'"),
+]
+# polynomial fields name their line too
+MALFORMED += [
+    ("coproduct-dangling-power", _HEIS.replace("V = X (x) Y", "V = X (x) Y^"),
+     ["present", "FILE"], 2, "line 7: expected factor in ' Y^'"),
+    ("point-line-zero-denominator", _HEIS + "[point p]\nY = 1/0\n", ["present", "FILE"], 2,
+     "line 9: zero denominator in '1/0'"),
+    ("subgroup-unknown-parameter", _HEIS + "[subgroup T]\nparams = s\nV = q\n",
+     ["present", "FILE"], 2, "line 10: unknown variable 'q'"),
+    ("cocycle-table-bound-without-equals", _HEIS + "[cocycle-table]\nbound 3\n",
+     ["present", "FILE"], 2, "line 9: expected 'bound = d'"),
 ]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,

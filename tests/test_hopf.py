@@ -401,7 +401,7 @@ VALIDATE_PASS = ["PASS q-chain-containment", "PASS q-counit-free", "PASS coassoc
 
 def test_validate_catalog(each_example):
     rep = each_example.pres.validate()
-    assert rep.ok, rep.first_failure()
+    assert rep.ok, rep.lines()
     rep = each_example.pres.validate(strict=True)
     assert rep.lines() == VALIDATE_PASS + ["PASS strict-central-chain"]
 
@@ -572,3 +572,50 @@ def test_contract_matches_naive_double_sum(each_example):
                 assert all(type(v) is Fraction for v in got.values())
 
     check()
+
+
+# -- the convolution kernel against a written-out sum over Delta^{k-1} --------
+
+def _leg_map(seed, slot):
+    """m -> v m, with an integer v that is 0 on about 1 in 5 monomials."""
+    def phi(m):
+        return m.as_poly() * (zlib.crc32(repr((seed, slot, m.exps)).encode()) % 5 - 2)
+    return phi
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_convolve_matches_naive_sum(each_example, k):
+    # the sum, and how often each map is read: a term stops at its first zero factor
+    pres = each_example.pres
+    ring = pres.ring
+    mons = ring.monomials_up_to(3)
+    dropped = 0
+    for seed, m in enumerate(mons):
+        maps = [_leg_map(seed, i) for i in range(k)]
+        want, want_calls = ring.zero, [0] * k
+        for legs, c in pres.iterated_coproduct_monomial(m, k - 1).terms.items():
+            values = [phi(leg) for phi, leg in zip(maps, legs)]
+            read = next((i + 1 for i, v in enumerate(values) if v.is_zero()), k)
+            dropped += read < k
+            want_calls = [n + (i < read) for i, n in enumerate(want_calls)]
+            prod = ring.one
+            for v in values:
+                prod = prod * v
+            want = want + prod * c
+        calls = [0] * k
+
+        def counted(i):
+            def phi(leg):
+                calls[i] += 1
+                return maps[i](leg)
+            return phi
+
+        f = m.as_poly() * Fraction(3, 2)
+        assert pres.convolve([counted(i) for i in range(k)], f, ring) == want * Fraction(3, 2), m
+        assert calls == want_calls, m
+    # linear in f
+    f = ring.combination((m.as_poly(), Fraction(i + 1, 3)) for i, m in enumerate(mons))
+    maps = [_leg_map(0, i) for i in range(k)]
+    assert pres.convolve(maps, f, ring) == ring.combination(
+        (pres.convolve(maps, m.as_poly(), ring), Fraction(i + 1, 3)) for i, m in enumerate(mons))
+    assert dropped  # some term stopped before its last factor

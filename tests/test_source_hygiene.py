@@ -1,0 +1,97 @@
+"""Static checks on the package source: no unused import and no unnamed definition.
+
+Both read the abstract syntax tree, so comments and docstrings never count
+as a use.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "unitwist"
+READERS = ("src", "tests", "demos", "perfbench")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _docstrings(tree):
+    """The string constants that are docstrings, by identity."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                    and isinstance(body[0].value.value, str):
+                out.add(id(body[0].value))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(n for n in bound if n not in used) == []
+
+
+def _references():
+    """Every identifier the readers name, with the definition nodes it sits in.
+
+    A name counts where it is a variable, an attribute, an imported name or a
+    word of a string that is not a docstring (a traced boundary, a getattr).
+    """
+    refs = {}
+    for top in READERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = _tree(path)
+            docs = _docstrings(tree)
+
+            def visit(node, inside):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inside = inside | {(path, node.lineno)}
+                words = ()
+                if isinstance(node, ast.Name):
+                    words = (node.id,)
+                elif isinstance(node, ast.Attribute):
+                    words = (node.attr,)
+                elif isinstance(node, ast.alias):
+                    words = (node.name.split(".")[-1],)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and id(node) not in docs:
+                    words = re.findall(r"[A-Za-z_][A-Za-z_0-9]*", node.value)
+                for w in words:
+                    refs.setdefault(w, []).append(inside)
+                for child in ast.iter_child_nodes(node):
+                    visit(child, inside)
+
+            visit(tree, frozenset())
+    return refs
+
+
+def test_every_definition_is_named_elsewhere():
+    refs = _references()
+    unnamed = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # a recursive call inside the definition itself does not count
+            if not any((path, node.lineno) not in inside for inside in refs.get(name, ())):
+                unnamed.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, name))
+    assert unnamed == []

@@ -92,6 +92,19 @@ def test_stratum_reports_match_manifests(each_example):
             assert _free_variables(stratum.ideal) == spec["free_vars"]
 
 
+def test_ideal_reduce_is_normal_form_under_a_fresh_order(each_example):
+    # on every catalog stratum ideal, against the monomials of degree <= 3
+    # and the commutator relations the quotient presentation reduces
+    g = each_example.pres
+    fs = [m.as_poly() for m in g.ring.monomials_up_to(3)] \
+        + list(each_example.ctx.commutators().relations.values())
+    for point in g.named_points.values():
+        ideal = double_coset_ideal(g, g.named_subgroups["T"], point)
+        for f in fs:
+            want = normal_form(f, ideal.groebner(), TermOrder(g.ring))
+            assert ideal.reduce(f) == want, (point, f)
+
+
 def test_stabilizer_dimensions_independent_route(examples):
     # dim T_g via I(T) + I(gTg^-1), already covered by the dims tuples, is
     # exercised here directly on the off-chain stratum of the abelian case

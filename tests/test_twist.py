@@ -91,7 +91,7 @@ def test_ihoe_trivial_cocycle(examples):
     ex = examples("jordan4-minimal")
     ctx = TwistedContext.hopf(ex.pres, CounitPair(ex.pres))
     pres = ihoe_presentation(ctx)
-    assert pres.is_commutative()
+    assert not pres.nonzero()
 
 
 def test_ihoe_chain_containment(each_example):
@@ -215,8 +215,8 @@ def test_rform_values(examples):
     r = ex.ctx.rform()
     R = ex.pres.ring
     X, V = R.var("X"), R.var("V")
-    assert r.scalar(X, V) == 1
-    assert r.scalar(V, X) == -1
+    assert r.eval(X, V) == 1
+    assert r.eval(V, X) == -1
     augmentation = X * V - 2 * X
     assert r.eval(augmentation, R.one).is_zero()
     assert r.eval(R.one, augmentation).is_zero()
