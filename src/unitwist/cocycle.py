@@ -51,7 +51,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key
+from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key, rational
 
 
 class CocycleBoundError(ValueError):
@@ -324,8 +324,7 @@ class Cocycle:
         key = (m1, m2)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._pair(m1, m2)
-            self._cache[key] = hit
+            hit = self._cache[key] = rational(self._pair(m1, m2))
         return hit
 
     def right_product(self, x, y):

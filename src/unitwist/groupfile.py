@@ -24,8 +24,6 @@ wraps that J_r in a `CorrectedCocycle` when it is loaded.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cocycle import ExponentialCocycle, RMatrix, TableCocycle
 from .hopf import GroupPresentation
 from .poly import PolyRing, TensorPoly, parse_poly, parse_rational
@@ -114,8 +112,8 @@ def parse_tensor(text, ring, line_no=None):
         left, right = term.split("(x)", 1)
         if "(x)" in right:
             raise GroupFileError("only rank-2 tensors are accepted here", line_no)
-        lp, rp = _poly(left, ring, line_no), _poly(right, ring, line_no)
-        total = total + TensorPoly.from_polys([lp, rp], Fraction(sign))
+        lp, rp = _at(line_no, parse_poly, left, ring), _at(line_no, parse_poly, right, ring)
+        total = total + TensorPoly.from_polys([lp, rp], sign)
     return total
 
 
@@ -126,7 +124,6 @@ def parse_group_file(text):
         raise GroupFileError("missing [group] section")
 
     name = None
-    generators = None
     parameters = ()
     for head, hno, lines in sections:
         if head != "group":
@@ -136,10 +133,13 @@ def parse_group_file(text):
             name = kv["name"][1]
         if "generators" not in kv:
             raise GroupFileError("[group] must declare generators", hno)
-        generators = tuple(kv["generators"][1].replace(",", " ").split())
-        if "parameters" in kv:
-            parameters = tuple(kv["parameters"][1].replace(",", " ").split())
-    pres = GroupPresentation(name or "group", generators, parameters=parameters)
+        gno, text = kv["generators"]
+        generators = tuple(text.replace(",", " ").split())
+        pno, text = kv.get("parameters", (gno, ""))
+        parameters = tuple(text.replace(",", " ").split())
+    # a repeated name is on the generators line, or else on the parameters line
+    pres = _at(gno if len(set(generators)) < len(generators) else pno,
+               GroupPresentation, name or "group", generators, parameters)
 
     rmatrix = None
     lie_table = None
@@ -171,7 +171,7 @@ def parse_group_file(text):
                 n = len(pres.ring.generators)
                 if not all(0 <= t < n for t in (i, j, k)) or i == j:
                     raise GroupFileError("[lie] indices must lie in 1..%d with i != j" % n, no)
-                lie_table.setdefault((i, j), {})[k] = _rational(parts[3], no)
+                lie_table.setdefault((i, j), {})[k] = _at(no, parse_rational, parts[3])
         elif head == "rmatrix":
             entries = {}
             for no, line in lines:
@@ -186,7 +186,7 @@ def parse_group_file(text):
                     raise GroupFileError(
                         "pair (%d,%d) declared twice; entries are antisymmetric "
                         "and must be given once" % (i + 1, j + 1), no)
-                entries[(i, j)] = _rational(parts[2], no)
+                entries[(i, j)] = _at(no, parse_rational, parts[2])
             rmatrix = RMatrix(len(pres.ring.generators), entries)
         elif head.startswith("subgroup"):
             sub_name = head[len("subgroup"):].strip()
@@ -196,7 +196,7 @@ def parse_group_file(text):
             if "params" not in kv:
                 raise GroupFileError("[subgroup %s] must declare params" % sub_name, hno)
             params = tuple(kv["params"][1].replace(",", " ").split())
-            tring = PolyRing(params)
+            tring = _at(kv["params"][0], PolyRing, params)
             coords = {}
             for key in order:
                 if key == "params":
@@ -204,8 +204,8 @@ def parse_group_file(text):
                 no, val = kv[key]
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
-                coords[key] = _poly(val, tring, no)
-            pres.add_subgroup(sub_name, params, coords)
+                coords[key] = _at(no, parse_poly, val, tring)
+            _at(hno, pres.add_subgroup, sub_name, params, coords)
         elif head.startswith("point"):
             pt_name = head[len("point"):].strip()
             if not pt_name:
@@ -216,8 +216,8 @@ def parse_group_file(text):
                 no, val = kv[key]
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
-                coords[key] = _poly(val, pres.ring, no)
-            pres.add_point(pt_name, coords)
+                coords[key] = _at(no, parse_poly, val, pres.ring)
+            _at(hno, pres.add_point, pt_name, coords)
         elif head == "cocycle-table":
             bound = None
             table = {}
@@ -232,9 +232,9 @@ def parse_group_file(text):
                     raise GroupFileError("expected 'MONOMIAL , MONOMIAL = p/q'", no)
                 lhs, val = line.split("=", 1)
                 m1txt, m2txt = lhs.split(",", 1)
-                m1 = _as_monomial(_poly(m1txt, pres.ring, no), no)
-                m2 = _as_monomial(_poly(m2txt, pres.ring, no), no)
-                table[(m1, m2)] = _rational(val, no)
+                m1 = _as_monomial(_at(no, parse_poly, m1txt, pres.ring), no)
+                m2 = _as_monomial(_at(no, parse_poly, m2txt, pres.ring), no)
+                table[(m1, m2)] = _at(no, parse_rational, val)
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
             cocycle = TableCocycle(pres, table, bound)
@@ -255,16 +255,10 @@ def _integer(text, line_no):
         raise GroupFileError("expected an integer, got %r" % text.strip(), line_no) from None
 
 
-def _rational(text, line_no):
+def _at(line_no, fn, *args):
+    """fn(*args), with a ValueError it raises re-raised as a GroupFileError naming the line."""
     try:
-        return parse_rational(text)
-    except ValueError as e:
-        raise GroupFileError(str(e), line_no) from None
-
-
-def _poly(text, ring, line_no):
-    try:
-        return parse_poly(text, ring)
+        return fn(*args)
     except ValueError as e:
         raise GroupFileError(str(e), line_no) from None
 
@@ -287,7 +281,7 @@ def verify_lie_table(data):
     # both brackets are antisymmetric, so the pairs i < j decide
     for i in range(n):
         for j in range(i + 1, n):
-            declared = [Fraction(0)] * n
+            declared = [0] * n
             for (a, b), sign in (((i, j), 1), ((j, i), -1)):
                 for k, c in data.lie_table.get((a, b), {}).items():
                     declared[k] += sign * c

@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from types import MappingProxyType
 
 from . import linalg
-from .poly import ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly, render_poly
+from .poly import ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly, rational, render_poly
 
 
 class PresentationError(ValueError):
@@ -324,9 +324,10 @@ class GroupPresentation:
         contraction's result, whose keys then key its terms.  A None slot
         stands for the monomial product of its two arguments, and that
         product keys the result.  Each factor is tested for zero before
-        coefficients are multiplied.  Delta's integral coefficients come as
-        ints (`_delta_terms`); a value is multiplied by c c' only when that is
-        not 1, and a key's first value is stored as it is, not added to 0.
+        coefficients are multiplied.  Delta's integral coefficients are ints,
+        as every stored coefficient is (`rational`); a value is multiplied by
+        c c' only when that is not 1, a key's first value is stored as it is,
+        not added to 0, and each result value goes through `rational`.
 
         `grading` grades the first scalar slot (f, or g when f is None): it is
         0 on (x, y) unless w(x) + w(y) lies in N rho, so only the term pairs
@@ -379,7 +380,7 @@ class GroupPresentation:
                             v = v * w
                             o = get(one)
                             out[one] = v if o is None else o + v
-        return {k: c for k, c in out.items() if c}
+        return {k: rational(c) for k, c in out.items() if c}
 
     def _graded_terms(self, m1, m2, first, grading):
         # pairs of term lists of Delta(m1) and Delta(m2) where the graded slot
@@ -417,11 +418,10 @@ class GroupPresentation:
         return hit
 
     def _delta_terms(self, m):
-        # Delta(m)'s terms as a list, each coefficient an int when it is integral
+        # Delta(m)'s terms as a list
         hit = self._terms.get(m)
         if hit is None:
-            hit = self._terms[m] = [(k, c.numerator if c.denominator == 1 else c)
-                                    for k, c in self.coproduct_monomial(m).terms.items()]
+            hit = self._terms[m] = list(self.coproduct_monomial(m).terms.items())
         return hit
 
     def iterated_coproduct_monomial(self, m, k):
@@ -506,7 +506,7 @@ class GroupPresentation:
     def word_table(self, m, k):
         """Coefficients of X_{i1} (x) ... (x) X_{ik} in Delta^{k-1}(monomial).
 
-        Returns a dict word-tuple (0-based generator indices) -> Fraction.
+        Returns a dict word-tuple (0-based generator indices) -> int or Fraction.
         """
         key = (m, k)
         hit = self._words.get(key)

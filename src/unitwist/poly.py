@@ -4,17 +4,22 @@ A `PolyRing` fixes an ordered list of generator variables followed by an
 optional list of parameter variables.  Parameters are ordinary commuting
 central variables, but they are excluded from the notion of *degree* used
 for all truncation decisions and they sort below every generator in the
-term order.  Coefficients are `fractions.Fraction`; no floating point
-arithmetic occurs anywhere.
+term order.  A stored coefficient is an `int` when it is integral and a
+`fractions.Fraction` otherwise.  `rational` is the one switch; `Poly`,
+`TensorPoly`, `GroupPresentation.contract` and `Cocycle.pair` call it where
+they store a value.  The two types compare, hash and print alike.  No
+floating point arithmetic occurs anywhere, yet `int / int` is a float, so
+each of the four value divisions has a `Fraction` operand: the content in
+`Poly.normalize_sign` and `Poly.scale_down`, the pivot in `linalg`'s
+elimination and the power of 1/2 in `ExponentialCocycle._pair`.
 
 Monomials are canonical: `PolyRing.monomial(exps)` is the only place a
 `Monomial` is built, and it returns one instance per exponent tuple, kept
-in a table owned by the ring.  Monomial equality is therefore identity
-(equal exponents in two rings are different monomials), while the hash
-stays the hash of the exponent tuple.  Each monomial carries its
-generator degree, whether it is 1, and its generator and parameter parts
-as precomputed slots, and the ring memoizes monomial products in a second
-table.  Both tables live and die with their ring.
+in a table owned by the ring.  Monomial equality and hash are therefore
+identity (equal exponents in two rings are different monomials).  Each
+monomial carries its generator degree, whether it is 1, and its generator
+and parameter parts as precomputed slots, and the ring memoizes monomial
+products in a second table.  Both tables live and die with their ring.
 
 Every sum of many polynomials, sum c p over a list of (p, c), is added up
 by `PolyRing.combination` in one coefficient dict, with one `Poly` built at
@@ -32,8 +37,13 @@ from fractions import Fraction
 from math import gcd
 from operator import le
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def rational(x):
+    """x as an int when it is integral, else as it is (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class RingContextError(ValueError):
@@ -255,13 +265,13 @@ def grlex_key(m):
 
 
 class Poly:
-    """Immutable sparse polynomial: mapping monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: mapping monomial -> nonzero int or Fraction."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: rational(c) for m, c in terms.items() if c}
 
     # -- ring sanity ------------------------------------------------------
     def _coerce(self, other):
@@ -292,10 +302,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return self.ring.zero
-            return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
+            return Poly(self.ring, {m: v * other for m, v in self.terms.items()})
         other = self._coerce(other)
         terms = {}
         for m1, c1 in self.terms.items():
@@ -366,8 +375,8 @@ class Poly:
     def content(self):
         """(rational content, least parameter exponents over the terms).
 
-        The rational content is gcd(numerators) / lcm(denominators); the
-        zero polynomial has content 0 and no exponents.
+        The rational content is the `Fraction` gcd(numerators) /
+        lcm(denominators); the zero polynomial has content 0 and no exponents.
         """
         nums, dens, low = 0, 1, None
         for m, c in self.terms.items():
@@ -381,7 +390,7 @@ class Poly:
         """Divide by the rational content, keeping monomials; leading sign +."""
         if not self.terms:
             return self
-        return (self * (ONE / self.content()[0]))._lead_positive()
+        return (self * (1 / self.content()[0]))._lead_positive()
 
     def scale_down(self):
         """Divide by the content, parameter monomial included; leading sign +."""
@@ -519,8 +528,8 @@ def parse_poly(text, ring):
 class TensorPoly:
     """Element of a k-fold tensor power, normalized to monomial slots.
 
-    Stored as a mapping tuple-of-monomials -> Fraction.  All slot
-    operations are linear and preserve the normal form.
+    Stored as a mapping tuple-of-monomials -> nonzero int or Fraction.  All
+    slot operations are linear and preserve the normal form.
     """
 
     __slots__ = ("ring", "rank", "terms")
@@ -528,7 +537,7 @@ class TensorPoly:
     def __init__(self, ring, rank, terms):
         self.ring = ring
         self.rank = rank
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = {k: rational(c) for k, c in terms.items() if c}
 
     @classmethod
     def zero(cls, ring, rank):
@@ -541,7 +550,7 @@ class TensorPoly:
         for p in polys:
             if p.ring is not ring:
                 raise RingContextError("tensor slots from different rings")
-        terms = {(): Fraction(coeff)}
+        terms = {(): rational(coeff)}
         for p in polys:
             new = {}
             for key, c in terms.items():
@@ -563,7 +572,7 @@ class TensorPoly:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return TensorPoly(self.ring, self.rank, {k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):

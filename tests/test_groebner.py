@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from unitwist import catalog, cli, groebner, strata
 from unitwist.groebner import (Ideal, TermOrder, buchberger, eliminate,
                                krull_dimension, normal_form)
-from unitwist.poly import ONE, ZERO, Poly, PolyRing, parse_poly
+from unitwist.poly import ZERO, Poly, PolyRing, parse_poly
 
 
 def R(*gens, params=()):
@@ -260,7 +260,7 @@ def _normal_form_reference(f, basis, order):
             continue
         lm, lc, g = hit
         factor = m.divide(lm)
-        scale = c / lc
+        scale = Fraction(c, lc)
         for gm, gc in g.terms.items():
             mm = gm.mul(factor)
             v = work.get(mm, ZERO) - scale * gc
@@ -273,7 +273,7 @@ def _normal_form_reference(f, basis, order):
 
 def _buchberger_reference(gens, order):
     """Reduced Groebner basis over Fraction, monic at every step."""
-    basis = [g * (ONE / order.leading(g)[1]) for g in gens if not g.is_zero()]
+    basis = [g * Fraction(1, order.leading(g)[1]) for g in gens if not g.is_zero()]
     basis.sort(key=lambda g: order.key(order.leading(g)[0]))
     leads = [order.leading(g)[0] for g in basis]
     pairs = []
@@ -300,7 +300,7 @@ def _buchberger_reference(gens, order):
         r = _normal_form_reference(s, basis, order)
         if not r.is_zero():
             lm, lc = order.leading(r)
-            basis.append(r * (ONE / lc))
+            basis.append(r * Fraction(1, lc))
             leads.append(lm)
             add_pairs(len(basis) - 1)
     minimal = [g for i, g in enumerate(basis)
@@ -309,7 +309,7 @@ def _buchberger_reference(gens, order):
     reduced = []
     for i, g in enumerate(minimal):
         r = _normal_form_reference(g, minimal[:i] + minimal[i + 1:], order)
-        reduced.append(r * (ONE / order.leading(r)[1]))
+        reduced.append(r * Fraction(1, order.leading(r)[1]))
     reduced.sort(key=lambda g: order.key(order.leading(g)[0]), reverse=True)
     return reduced
 

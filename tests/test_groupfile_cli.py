@@ -431,6 +431,20 @@ MALFORMED += [
     ("cocycle-table-bound-without-equals", _HEIS + "[cocycle-table]\nbound 3\n",
      ["present", "FILE"], 2, "line 9: expected 'bound = d'"),
 ]
+# names the engine refuses name their line too: a point or subgroup error names
+# its section header, and the message names the coordinate
+MALFORMED += [
+    ("group-duplicate-generator", _HEIS3.replace("generators = X Y V", "generators = X X V"),
+     ["present", "FILE"], 2, "line 4: duplicate variable names: ('X', 'X', 'V', "),
+    ("group-parameter-named-like-a-generator", _HEIS3.replace("x0 v0", "x0 V"),
+     ["present", "FILE"], 2, "line 5: duplicate variable names: "),
+    ("subgroup-duplicate-parameter", _HEIS3.replace("params = s1 s2", "params = s1 s1"),
+     ["present", "FILE"], 2, "line 17: duplicate variable names: ('s1', 's1')"),
+    ("subgroup-off-the-identity", _HEIS3.replace("X = s1", "X = s1 + 1"), ["present", "FILE"], 2,
+     "line 16: parametrization of 'X' does not pass through the identity"),
+    ("point-coordinate-with-generator", _HEIS3.replace("X = x0", "X = Y"), ["present", "FILE"], 2,
+     "line 21: point coordinate 'X' must be generator-free"),
+]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),

@@ -569,7 +569,9 @@ def test_contract_matches_naive_double_sum(each_example):
             for got, shape in ((pres.contract(m1, m2, *slots), slots),
                                (pres.contract(m1, m2, *graded, grading), graded)):
                 assert got == _contract_reference(pres, m1, m2, *shape), (m1, m2, shape)
-                assert all(type(v) is Fraction for v in got.values())
+                # an int exactly when integral, never a float or an integral Fraction
+                assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
+                           for v in got.values())
 
     check()
 

@@ -1,0 +1,153 @@
+"""Coefficients are ints when integral and Fractions otherwise, never floats.
+
+`poly.rational` is the one switch between the two representations.  Patched
+to return `Fraction(x)`, it makes every stored coefficient a `Fraction`, the
+all-`Fraction` route; the tests below compare that route with the normal one
+and walk the structures a report leaves behind.
+"""
+
+import random
+import types
+from fractions import Fraction
+
+import pytest
+
+from unitwist import catalog, cli, cocycle, hopf, poly
+from unitwist.cli import build_context, report_lines
+from unitwist.groebner import TermOrder
+from unitwist.poly import Monomial, render_poly
+from unitwist.twist import TwistedContext, rform_axiom_check
+
+
+def canonical(c):
+    """An int, or a Fraction that is not integral; a float or an integral Fraction is not."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _is_key(k):
+    # a Poly, contraction or pair-cache key: a monomial or a tuple of them
+    return type(k) is Monomial or (type(k) is tuple and k != () and
+                                   all(type(m) is Monomial for m in k))
+
+
+# a TermOrder caches the Groebner kernel's own primitive integer polynomials
+_SKIP = (type, types.ModuleType, types.FunctionType, types.MethodType,
+         types.BuiltinFunctionType, str, bytes, TermOrder)
+
+
+def _walk(roots):
+    """(coefficients, floats) reachable from the roots.
+
+    A coefficient is a number stored under a monomial key, or beside a tuple
+    of monomials in a (key, number) pair: the terms of every Poly and
+    TensorPoly, Delta's term lists, contraction results, `Cocycle.pair`
+    caches, correction tables.  Floats count wherever they sit.
+    """
+    seen, stack, coeffs, floats = set(), list(roots), [], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, _SKIP):
+            continue
+        seen.add(id(x))
+        if isinstance(x, float):
+            floats.append(x)
+        elif isinstance(x, dict):
+            for k, v in x.items():
+                if _is_key(k) and isinstance(v, (int, float, Fraction)):
+                    coeffs.append(v)
+                stack += (k, v)
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            if type(x) is tuple and len(x) == 2 and type(x[0]) is tuple and _is_key(x[0]) \
+                    and isinstance(x[1], (int, float, Fraction)):
+                coeffs.append(x[1])
+            stack += x
+        else:
+            stack += getattr(x, "__dict__", {}).values()
+            for cls in type(x).__mro__:
+                stack += (getattr(x, s) for s in getattr(cls, "__slots__", ())
+                          if hasattr(x, s))
+    return coeffs, floats
+
+
+def _all_fraction_route(monkeypatch):
+    # every module that stores through `rational` holds its own name for it
+    for module in (poly, hopf, cocycle):
+        monkeypatch.setattr(module, "rational", Fraction)
+
+
+class _Recorder:
+    """Keeps what a report builds and drops: loaded data, strata, c0, R-forms."""
+
+    def __init__(self, monkeypatch):
+        self.roots = []
+        load, stratum, c0 = catalog.CatalogEntry.load, cli.run_stratum, cli.run_c0
+        rform = TwistedContext.rform
+        monkeypatch.setattr(catalog.CatalogEntry, "load", lambda e: self.keep(load(e)))
+        monkeypatch.setattr(cli, "run_stratum", lambda *a, **k: self.keep(stratum(*a, **k)))
+        monkeypatch.setattr(cli, "run_c0", lambda *a: self.keep(c0(*a)))
+        monkeypatch.setattr(TwistedContext, "rform", lambda ctx: self.keep(rform(ctx)))
+
+    def keep(self, x):
+        self.roots.append(x)
+        return x
+
+
+def _exps(d):
+    """A dict keyed by monomials or monomial tuples, rekeyed by exponent tuples."""
+    return {tuple(m.exps for m in k) if type(k) is tuple else k.exps:
+            _exps(v) if type(v) is dict else v for k, v in d.items()}
+
+
+def _route(cid, monkeypatch, all_fraction):
+    """The report, drawn products and the R-form check at 4 on fresh data, on one route."""
+    with monkeypatch.context() as mp:
+        if all_fraction:
+            _all_fraction_route(mp)
+        rec = _Recorder(mp)
+        lines, _ = report_lines(catalog.get(cid))
+        data = rec.roots[0]
+        ctx = build_context(catalog.get(cid).load())
+        rrep = rform_axiom_check(ctx, 4)
+        mons = ctx.pres.ring.monomials_up_to(3, include_one=False)
+        rng = random.Random(22)
+        pairs = [(rng.choice(mons), rng.choice(mons)) for _ in range(40)]
+        products = [ctx.mul_monomials(a, b) for a, b in pairs]
+    out = {
+        "lines": "\n".join(lines + rrep.lines()),
+        "products": [_exps(p.terms) for p in products],
+        "rendered": [render_poly(p) for p in products],
+        "pairs": [_exps(j._cache) for j in (data.context.right, data.context.right_inv)],
+        "rform": [_exps(r._cache) for r in rec.roots if isinstance(r, cocycle.Convolution)],
+        "right_products": _exps(data.context.right._products),
+    }
+    return out, _walk(rec.roots)
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_int_route_matches_all_fraction_route(monkeypatch, cid):
+    got, (coeffs, _) = _route(cid, monkeypatch, False)
+    want, (ref_coeffs, _) = _route(cid, monkeypatch, True)
+    # the patch reaches every store site, and the normal route stores ints
+    assert ref_coeffs and all(type(c) is Fraction for c in ref_coeffs)
+    assert any(type(c) is int for c in coeffs)
+    for key in want:
+        assert got[key] == want[key], key
+    assert got["lines"].encode() == want["lines"].encode()
+    if cid in ("u4-ex5", "u4-ex6"):
+        assert any(p for p in got["products"])
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_report_coefficients_are_canonical(monkeypatch, cid):
+    # presentation, Gamma, strata, corrections, products and the pair caches
+    # of J, J^-1 and the R-form, as the report leaves them
+    rec = _Recorder(monkeypatch)
+    _, mismatches = report_lines(catalog.get(cid))
+    assert mismatches == []
+    coeffs, floats = _walk(rec.roots)
+    assert floats == []
+    assert len(coeffs) > 100
+    assert [c for c in coeffs if not canonical(c)] == []
+    if cid == "u4-ex6":
+        corrections = rec.roots[0].cocycle.corrections
+        assert corrections and all(map(canonical, corrections.values()))

@@ -1,6 +1,6 @@
-"""Static checks on the package source: no unused import and no unnamed definition.
+"""Static checks on the source: no unused import, no unnamed definition, no int division.
 
-Both read the abstract syntax tree, so comments and docstrings never count
+All read the abstract syntax tree, so comments and docstrings never count
 as a use.
 """
 
@@ -95,3 +95,17 @@ def test_every_definition_is_named_elsewhere():
             if not any((path, node.lineno) not in inside for inside in refs.get(name, ())):
                 unnamed.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, name))
     assert unnamed == []
+
+
+@pytest.mark.parametrize("top", ["src", "tests"])
+def test_no_division_of_the_int_constants(top):
+    # poly.ONE and poly.ZERO are ints, so ONE / x is a float division when x is an int
+    found = []
+    for path in sorted((ROOT / top).rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                left = node.left
+                name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", None)
+                if name in ("ONE", "ZERO"):
+                    found.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
+    assert found == []
