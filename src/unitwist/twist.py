@@ -25,16 +25,16 @@ the recursion ends; it is the argument that makes `NeumannInverse` end.
 Where K and J are graded (see the cocycle module), each sum reads only the
 terms with w(a1) + w(b1) (for K) or w(a2) + w(b2) (for J) in N rho.
 
-Generator products and commutators are computed twice, through the
-deformed product and through the closed-form expansion in the q-tensors
-(the closed commutator is the antisymmetrised closed product), and the
-routes are compared exactly before a presentation is returned.
+Generator products are computed twice, through the deformed product and
+through the definition summed over Delta^2 of both generators from `pair`
+values alone, and compared exactly in both orders of each pair (so the
+commutators agree too) before a presentation is returned.
 """
 
 from __future__ import annotations
 
 from .cocycle import Convolution, CounitPair, WeightIndex
-from .poly import ONE, ZERO, Poly, render_poly
+from .poly import ZERO, Poly, render_poly
 
 
 class TwistConsistencyError(AssertionError):
@@ -118,68 +118,38 @@ class TwistedContext:
         return self._commutators
 
     # -- closed forms on generator pairs ------------------------------------
-    def _q_terms(self, gen):
-        q = self.pres.q.get(gen)
-        return list(q.terms.items()) if q is not None else []
-
-    def _q_expanded(self, gen):
-        """(id (x) Delta) q(X) as monomial triples with coefficients."""
-        out = []
-        for (m1, m2), c in self._q_terms(gen):
-            for (n1, n2), c2 in self.pres.coproduct_monomial(m2).terms.items():
-                out.append(((m1, n1, n2), c * c2))
-        return out
-
     def generator_product_formula(self, gi, gj):
-        """Closed-form Xi . Xj for the two-sided context."""
+        """Closed-form Xi . Xj for the two-sided context, from the definition.
+
+        sum J^{-1}(a1,b1) a2 b2 J(a3,b3) over the terms of Delta^2(Xi) and
+        Delta^2(Xj), read from `pair` values alone.  It never calls
+        `right_product` or `mul_monomials`: with K = J the direct route is
+        J^{-1} applied to the one-sided product, so a closed form built on
+        that product would agree with a wrong one.
+        """
         if not self.two_sided:
             raise ValueError("closed form applies to the two-sided context")
-        ring = self.pres.ring
+        pres = self.pres
         j = self.right.pair
         jinv = self.right_inv.pair
-        xi = ring.var_monomial(gi)
-        xj = ring.var_monomial(gj)
-        out = {xi.mul(xj): ONE}
-
-        def add(m, v):
-            out[m] = out.get(m, ZERO) + v
-
-        for (m1, m2), c in self._q_terms(gj):
-            add(m2, jinv(xi, m1) * c)
-            add(m1, j(xi, m2) * c)
-        for (m1, m2), c in self._q_terms(gi):
-            add(m1, j(m2, xj) * c)
-            add(m2, jinv(m1, xj) * c)
-            for (n1, n2), c2 in self._q_terms(gj):
-                add(m1.mul(n1), j(m2, n2) * (c * c2))
-        for (a1, a21, a22), c in self._q_expanded(gi):
-            for (b1, b21, b22), c2 in self._q_expanded(gj):
-                if a21.is_one and b21.is_one:
-                    continue
+        di, dj = (pres.iterated_coproduct_monomial(pres.ring.var_monomial(g), 2).terms.items()
+                  for g in (gi, gj))
+        out = {}
+        for (a1, a2, a3), c1 in di:
+            for (b1, b2, b3), c2 in dj:
                 head = jinv(a1, b1)
-                if not head:
-                    continue
-                tail = j(a22, b22)
-                if tail:
-                    add(a21.mul(b21), head * tail * (c * c2))
-        return Poly(ring, out)
-
-    def generator_commutator_formula(self, gi, gj):
-        """Closed-form [Xi, Xj]: the antisymmetrised closed-form product."""
-        return self.generator_product_formula(gi, gj) - self.generator_product_formula(gj, gi)
+                if head:
+                    tail = j(a3, b3)
+                    if tail:
+                        k = a2.mul(b2)
+                        out[k] = out.get(k, ZERO) + head * tail * c1 * c2
+        return Poly(pres.ring, out)
 
     def pairing_identity_defect(self, gi, gj):
-        """J(Xi,Xj) + J^{-1}(Xi,Xj) + sum J(x^i_1,x^j_1) J^{-1}(x^i_2,x^j_2)."""
+        """(J * J^{-1})(Xi, Xj), which is eps(Xi) eps(Xj) = 0 for a valid inverse."""
         ring = self.pres.ring
-        j = self.right.pair
-        jinv = self.right_inv.pair
-        xi = ring.var_monomial(gi)
-        xj = ring.var_monomial(gj)
-        total = j(xi, xj) + jinv(xi, xj)
-        for (m1, m2), c in self._q_terms(gi):
-            for (n1, n2), c2 in self._q_terms(gj):
-                total += j(m1, n1) * jinv(m2, n2) * (c * c2)
-        return ring.const(total)
+        return Poly(ring, self.pres.contract(ring.var_monomial(gi), ring.var_monomial(gj),
+                                             self.right.pair, self.right_inv.pair))
 
     def rform(self):
         """R^J = (J21)^{-1} * J, the cotriangular form of the deformation."""
@@ -217,12 +187,12 @@ class TwistedPresentation:
 def ihoe_presentation(ctx):
     """The derivation-type Ore presentation of the two-sided deformation.
 
-    Cross-checks the direct commutators against the closed-form expansion,
-    verifies the pairing identity on every generator pair, checks that each
-    f_ij only involves generators strictly below max(i,j) with zero constant
-    term, and that primitive generators commute.  Any failure raises
-    TwistConsistencyError: it indicates invalid cocycle data.  The checked
-    table is the context's own `commutators()`.
+    Cross-checks each generator product, in both orders, against the Delta^2
+    closed form, verifies the pairing identity on every generator pair,
+    checks that each f_ij only involves generators strictly below max(i,j)
+    with zero constant term, and that primitive generators commute.  Any
+    failure raises TwistConsistencyError: it indicates invalid cocycle data.
+    The checked table is the context's own `commutators()`.
     """
     if not ctx.two_sided:
         raise ValueError("ihoe presentation requires the two-sided context")
@@ -230,16 +200,9 @@ def ihoe_presentation(ctx):
     table = ctx.commutators()
     rel = table.relations
     for (gi, gj), direct in rel.items():
-        closed = ctx.generator_commutator_formula(gi, gj)
-        if direct != closed:
-            raise TwistConsistencyError(
-                "commutator routes disagree on [%s,%s]: %s vs %s"
-                % (gi, gj, render_poly(direct), render_poly(closed)))
-        prod_direct = ctx.mul(pres.ring.var(gi), pres.ring.var(gj))
-        prod_closed = ctx.generator_product_formula(gi, gj)
-        if prod_direct != prod_closed:
-            raise TwistConsistencyError(
-                "product routes disagree on %s.%s" % (gi, gj))
+        for a, b in ((gi, gj), (gj, gi)):
+            if ctx.mul(pres.ring.var(a), pres.ring.var(b)) != ctx.generator_product_formula(a, b):
+                raise TwistConsistencyError("product routes disagree on %s.%s" % (a, b))
         if not ctx.pairing_identity_defect(gi, gj).is_zero():
             raise TwistConsistencyError(
                 "pairing identity fails on (%s,%s)" % (gi, gj))

@@ -1,4 +1,5 @@
-"""Static checks on the source: no unused import, no unnamed definition, no int division.
+"""Static checks on the source: no unused import, no unnamed definition, no int
+division, no Groebner kernel called outside `groebner.py`.
 
 All read the abstract syntax tree, so comments and docstrings never count
 as a use.
@@ -108,4 +109,19 @@ def test_no_division_of_the_int_constants(top):
                 name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", None)
                 if name in ("ONE", "ZERO"):
                     found.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
+    assert found == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "groebner.py"), ids=lambda p: p.name)
+def test_ideal_work_goes_through_ideal(path):
+    # an ideal's reduced basis and normal forms come from `Ideal` (or
+    # `eliminate`), which computes the basis once under the order it owns
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("buchberger", "normal_form"):
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []

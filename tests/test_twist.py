@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import (CocycleBoundError, CounitPair, ExponentialCocycle, RMatrix,
-                              TableCocycle)
+from unitwist.cocycle import (Cocycle, CocycleBoundError, CounitPair, ExponentialCocycle,
+                              RMatrix, TableCocycle)
 from unitwist.poly import Poly, render_poly
 from unitwist.strata import stratum_presentation, weyl_detect
 from unitwist.twist import (TwistConsistencyError, TwistedContext, ihoe_presentation,
@@ -129,7 +129,8 @@ def test_formula_vs_direct(each_example):
         for b in gens:
             xa, xb = ctx.pres.ring.var(a), ctx.pres.ring.var(b)
             assert ctx.generator_product_formula(a, b) == ctx.mul(xa, xb)
-            assert ctx.generator_commutator_formula(a, b) == ctx.commutator(xa, xb)
+            assert ctx.generator_product_formula(a, b) - ctx.generator_product_formula(b, a) \
+                == ctx.commutator(xa, xb)
 
 
 @pytest.mark.parametrize("pair", [("F14", "F12"), ("F12", "F14")], ids=["F14.F12", "F12.F14"])
@@ -146,6 +147,42 @@ def test_closed_product_route_guard(examples, monkeypatch, pair):
     monkeypatch.setattr(TwistedContext, "generator_product_formula", tampered)
     with pytest.raises(TwistConsistencyError):
         ihoe_presentation(ctx)
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_closed_product_is_independent_of_the_one_sided_product(monkeypatch, cid):
+    # with K = J the direct route is J^{-1} applied to whatever one-sided
+    # product it is given, so a closed route built on that product would
+    # agree with a wrong one; each half loads the entry afresh, so no cache
+    # carries a product across
+    ctx = build_context(catalog.get(cid).load())
+    ring = ctx.pres.ring
+    pairs = [(a, b) for a in ring.generators for b in ring.generators]
+    direct = {(a, b): render_poly(ctx.mul(ring.var(a), ring.var(b))) for a, b in pairs}
+
+    def forbidden(*args):
+        raise AssertionError("the closed route read a deformed or one-sided product")
+
+    fresh = build_context(catalog.get(cid).load())
+    monkeypatch.setattr(Cocycle, "right_product", forbidden)
+    monkeypatch.setattr(TwistedContext, "mul_monomials", forbidden)
+    assert {(a, b): render_poly(fresh.generator_product_formula(a, b))
+            for a, b in pairs} == direct
+    monkeypatch.undo()
+
+    right_product = Cocycle.right_product
+
+    def perturbed(self, x, y):
+        out = right_product(self, x, y)
+        if x.degree == y.degree == 1:
+            out = dict(out)
+            out[x.mul(y)] = out.get(x.mul(y), 0) + 1
+        return out
+
+    fresh = build_context(catalog.get(cid).load())
+    monkeypatch.setattr(Cocycle, "right_product", perturbed)
+    with pytest.raises(TwistConsistencyError):
+        ihoe_presentation(fresh)
 
 
 def test_associativity_generators(each_example):
