@@ -141,6 +141,26 @@ def test_neumann_inverse_matches_exponential_inverse(examples):
             assert fast.pair(m1, m2) == slow.pair(m1, m2)
 
 
+def cybe_brute_force(lie, r):
+    """[r12,r13] + [r12,r23] + [r13,r23] expanded over every index quadruple,
+    by basis triple, zero entries dropped."""
+    n = lie.n
+    total = {}
+    m = r.matrix
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        coef = m[a][b] * m[c][d]
+        if coef == 0:
+            continue
+        for e in range(n):
+            br = lie.bracket_basis(a, c)
+            total[(e, b, d)] = total.get((e, b, d), 0) + coef * br[e]
+            br = lie.bracket_basis(b, c)
+            total[(a, e, d)] = total.get((a, e, d), 0) + coef * br[e]
+            br = lie.bracket_basis(b, d)
+            total[(a, c, e)] = total.get((a, c, e), 0) + coef * br[e]
+    return {k: v for k, v in total.items() if v}
+
+
 def test_cybe_examples(examples):
     # abelian support: everything brackets to zero
     abelian = LieAlgebraData(["a", "c"], {})
@@ -152,25 +172,23 @@ def test_cybe_examples(examples):
     heis = examples("heisenberg3").pres.lie_data()
     bad = RMatrix(3, {(0, 1): 1})
     assert not cybe_check(heis, bad)
-    # independent brute-force expansion of the failing case
-    n = 3
-    total = {}
-    m = bad.matrix
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    coef = m[a][b] * m[c][d]
-                    if coef == 0:
-                        continue
-                    for e in range(n):
-                        br = heis.bracket_basis(a, c)
-                        total[(e, b, d)] = total.get((e, b, d), 0) + coef * br[e]
-                        br = heis.bracket_basis(b, c)
-                        total[(a, e, d)] = total.get((a, e, d), 0) + coef * br[e]
-                        br = heis.bracket_basis(b, d)
-                        total[(a, c, e)] = total.get((a, c, e), 0) + coef * br[e]
-    assert any(v != 0 for v in total.values())
+    assert cybe_brute_force(heis, bad)
+
+
+def test_cybe_check_matches_brute_force(examples):
+    # every catalog r and every single-pair r of every catalog Lie algebra,
+    # which include the failing r = u_X ^ u_Y on the Heisenberg algebra
+    verdicts = set()
+    for cid in catalog.ids():
+        ex = examples(cid)
+        lie = ex.pres.lie_data()
+        rs = [ex.data.rmatrix] + [RMatrix(lie.n, {pair: 1})
+                                  for pair in itertools.combinations(range(lie.n), 2)]
+        for r in rs:
+            ok = cybe_check(lie, r)
+            assert ok == (not cybe_brute_force(lie, r)), (cid, r.matrix)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def _permuted(r, perm):

@@ -635,3 +635,32 @@ def test_cli_output_pinned(capsys, argv):
     rc, out, err = run_cli(shlex.split(argv), capsys)
     digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
     assert (rc, *digest) == CLI_PINS[argv], (out, err)
+
+
+# heisenberg3 with data that fails its own Lie checks: r = u_X ^ u_Y does not
+# solve the classical Yang-Baxter equation, and a declared [lie] row that
+# disagrees with q; each command must exit 1 with the same bytes
+FAILING_LIE_PINS = {
+    ("cybe", "validate"):
+        (1, "85a26aedc513d6b657adb83038ed42c6f4285721a5897024380b093a822304f9", EMPTY),
+    ("cybe", "rform-check"):
+        (1, "a8147adb94f5a762d8889039ba7e2e02ad02686f61c4a15f1ead1624e589e9d7", EMPTY),
+    ("lie", "validate"):
+        (1, "b26a0d774b629e580ca7d09de28809ec4ba3875df19ee64f3b96a5f1b138b548", EMPTY),
+}
+FAILING_LIE_TEXT = {"cybe": _HEIS3.replace("[rmatrix]\n1 3 1", "[rmatrix]\n1 2 1"),
+                    "lie": _HEIS3.replace("1 2 3 1", "1 2 3 2")}
+
+
+@pytest.mark.parametrize("case, cmd", sorted(FAILING_LIE_PINS))
+def test_failing_lie_checks_pinned(tmp_path, capsys, case, cmd):
+    assert FAILING_LIE_TEXT[case] != _HEIS3
+    path = tmp_path / "heis.group"
+    path.write_text(FAILING_LIE_TEXT[case])
+    rc, out, err = run_cli([cmd, str(path)], capsys)
+    digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+    assert (rc, *digest) == FAILING_LIE_PINS[(case, cmd)], (out, err)
+    if case == "lie":
+        assert "declared lie table: FAIL at (1, 2)" in out.splitlines()
+    elif cmd == "validate":
+        assert "classical Yang-Baxter equation: FAIL" in out.splitlines()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitwist
+from unitwist import linalg
 from unitwist.cocycle import ExponentialCocycle, RMatrix, WeightGrading
 from unitwist.groupfile import default_degree_bound
 from unitwist.hopf import GroupPresentation, PresentationError, SubgroupParam
@@ -470,6 +471,46 @@ def test_lie_data_derivation():
     assert lie.bracket_basis(0, 2) == [0, 0, 0]
     ok, _ = lie.check_jacobi()
     assert ok and lie.check_nilpotent()
+
+
+def is_subalgebra_per_pair(lie, vectors):
+    """Whether the span of `vectors` is bracket-closed, one rank test per bracket."""
+    red, _ = linalg.rref(vectors)
+    for i, v in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            b = lie.bracket(v, w)
+            if any(b) and linalg.matrix_rank(red + [b]) > len(red):
+                return False
+    return True
+
+
+def derived_dim_per_pair(lie, vectors):
+    """dim of the span of the brackets of two of `vectors`."""
+    brs = []
+    for i, v in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            b = lie.bracket(v, w)
+            if any(b):
+                brs.append(b)
+    return linalg.matrix_rank(brs)
+
+
+def test_subalgebra_and_derived_dim_match_the_per_pair_routes(each_example):
+    lie = each_example.pres.lie_data()
+    vector = st.lists(st.integers(-2, 2), min_size=lie.n, max_size=lie.n)
+    closed = set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(vector, min_size=1, max_size=3))
+    def check(vectors):
+        got = lie.is_subalgebra(vectors)
+        assert got == is_subalgebra_per_pair(lie, vectors), vectors
+        assert lie.derived_dim(sub_basis=vectors) == derived_dim_per_pair(lie, vectors), vectors
+        closed.add(got)
+
+    check()
+    # a span in an abelian algebra is always closed
+    assert closed == ({True, False} if lie.brackets else {True})
 
 
 def test_winding_examples():
