@@ -65,17 +65,22 @@ class CocycleInputError(ValueError):
 class RMatrix:
     """Antisymmetric rational matrix over the Lie basis dual to the generators.
 
-    Represents r = sum_{k<l} r[k][l] (u_k (x) u_l - u_l (x) u_k).
+    Represents r = sum_{k<l} r[k][l] (u_k (x) u_l - u_l (x) u_k).  The
+    constructor builds both stored forms once: `matrix`, every entry through
+    `rational`, and `support`, the (a, b, r[a][b]) with r[a][b] != 0 in row
+    order.  Every consumer reads them as they are, so no caller may change
+    either.
     """
 
     def __init__(self, n, entries):
         self.n = n
         mat = [[ZERO] * n for _ in range(n)]
         for (i, j), val in entries.items():
-            val = Fraction(val)
             mat[i][j] += val
             mat[j][i] -= val
-        self.matrix = mat
+        self.matrix = [[rational(v) for v in row] for row in mat]
+        self.support = [(a, b, v) for a, row in enumerate(self.matrix)
+                        for b, v in enumerate(row) if v]
 
 
 class WeightGrading:
@@ -116,10 +121,9 @@ class WeightGrading:
                 row = dict(enumerate(a + b for a, b in zip(m1.exps[:n], m2.exps[:n])))
                 row[i] -= 1
                 rows.append(row)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rmatrix.matrix[a][b]:
-                    rows.append({a: 1, b: 1, n: -1})
+        for a, b, _ in rmatrix.support:
+            if a < b:
+                rows.append({a: 1, b: 1, n: -1})
         basis = linalg.nullspace(rows, n + 1)
         grading = None
         if basis:
@@ -237,34 +241,24 @@ class WeightIndex:
 
 
 def cybe_check(lie, r):
-    """True iff [r12,r13] + [r12,r23] + [r13,r23] = 0 exactly."""
-    n = lie.n
+    """True iff [r12,r13] + [r12,r23] + [r13,r23] = 0 exactly.
+
+    Each pair of terms r_ab u_a (x) u_b and r_cd u_c (x) u_d of r adds its
+    three brackets, read from the Lie table, by basis triple.
+    """
+    table = lie.table
     total = {}
 
-    def add(i, j, k, c):
-        total[(i, j, k)] = total.get((i, j, k), ZERO) + c
+    def add(key, c):
+        total[key] = total.get(key, ZERO) + c
 
-    m = r.matrix
-    for a in range(n):
-        for b in range(n):
-            rab = m[a][b]
-            if rab == 0:
-                continue
-            for c in range(n):
-                for d in range(n):
-                    rcd = m[c][d]
-                    if rcd == 0:
-                        continue
-                    coef = rab * rcd
-                    br = lie.bracket_basis(a, c)
-                    for e in range(n):
-                        add(e, b, d, coef * br[e])
-                    br = lie.bracket_basis(b, c)
-                    for e in range(n):
-                        add(a, e, d, coef * br[e])
-                    br = lie.bracket_basis(b, d)
-                    for e in range(n):
-                        add(a, c, e, coef * br[e])
+    for a, b, rab in r.support:
+        for c, d, rcd in r.support:
+            coef = rab * rcd
+            for e, (ac, bc, bd) in enumerate(zip(table[a][c], table[b][c], table[b][d])):
+                add((e, b, d), coef * ac)
+                add((a, e, d), coef * bc)
+                add((a, c, e), coef * bd)
     return not any(total.values())
 
 
@@ -284,7 +278,6 @@ class Cocycle:
         self.pres = pres
         self._cache = {}
         self._products = {}
-        self._inv_memo = None
         self._grading = _UNSOLVED
 
     @property
@@ -305,11 +298,6 @@ class Cocycle:
         """`grading` where it covers `degree_bound` (`WeightGrading.covers`), else None."""
         g = self.grading
         return g if g is not None and g.covers(degree_bound) else None
-
-    def cached_inverse(self):
-        if self._inv_memo is None:
-            self._inv_memo = self.inverse()
-        return self._inv_memo
 
     # -- core -------------------------------------------------------------
     def _pair(self, m1, m2):

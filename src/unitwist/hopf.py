@@ -19,8 +19,8 @@ caching.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -119,29 +119,33 @@ class SubgroupParam:
 
 
 class LieAlgebraData:
-    """Structure constants for the Lie algebra dual to the generators."""
+    """Structure constants for the Lie algebra dual to the generators.
+
+    `brackets` keeps the nonzero rows as given, {(i, j): coordinates of
+    [u_i, u_j]}, each pair i != j at most once.  The constructor builds the
+    stored forms once: the full antisymmetric `table`, table[i][j] the row
+    of [u_i, u_j], and the unit vectors `units`.  Rows hold `rational`
+    coefficients and are shared, `bracket_basis` returns a table row
+    itself, so no caller may change one.
+    """
 
     def __init__(self, basis, brackets):
         self.basis = tuple(basis)
-        n = len(self.basis)
-        table = {}
+        n = self.n = len(self.basis)
+        zero = [ZERO] * n
+        self.table = [[zero] * n for _ in range(n)]
+        self.brackets = {}
         for (i, j), vec in brackets.items():
-            row = [Fraction(x) for x in vec]
+            row = [rational(x) for x in vec]
             if len(row) != n:
                 raise ValueError("bracket vector has wrong length")
             if any(row):
-                table[(i, j)] = row
-        self.brackets = table
-        self.n = n
+                self.brackets[(i, j)] = self.table[i][j] = row
+                self.table[j][i] = [-c for c in row]
+        self.units = [[ONE if k == a else ZERO for k in range(n)] for a in range(n)]
 
     def bracket_basis(self, i, j):
-        if i == j:
-            return [ZERO] * self.n
-        if (i, j) in self.brackets:
-            return list(self.brackets[(i, j)])
-        if (j, i) in self.brackets:
-            return [-c for c in self.brackets[(j, i)]]
-        return [ZERO] * self.n
+        return self.table[i][j]
 
     def bracket(self, v, w):
         out = [ZERO] * self.n
@@ -151,59 +155,44 @@ class LieAlgebraData:
             for j, b in enumerate(w):
                 if b == 0:
                     continue
-                bb = self.bracket_basis(i, j)
-                for k in range(self.n):
-                    out[k] += a * b * bb[k]
+                ab = a * b
+                for k, c in enumerate(self.table[i][j]):
+                    out[k] += ab * c
         return out
+
+    def _pair_brackets(self, vectors):
+        return [self.bracket(v, w) for i, v in enumerate(vectors) for w in vectors[i + 1:]]
 
     def is_subalgebra(self, vectors):
         """Whether the span of `vectors` is closed under the bracket."""
-        red, _ = linalg.rref(vectors)
-        for i, v in enumerate(vectors):
-            for w in vectors[i + 1:]:
-                b = self.bracket(v, w)
-                if any(b) and linalg.matrix_rank(red + [b]) > len(red):
-                    return False
-        return True
+        return linalg.matrix_rank(vectors + self._pair_brackets(vectors)) \
+            == linalg.matrix_rank(vectors)
 
     def check_jacobi(self):
-        n = self.n
-        basis = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = [ZERO] * n
-                    for (a, b, c) in ((i, j, k), (k, i, j), (j, k, i)):
-                        v = self.bracket(self.bracket(basis[a], basis[b]), basis[c])
-                        s = [x + y for x, y in zip(s, v)]
-                    if any(s):
-                        return False, (i, j, k)
+        n, units = self.n, self.units
+        for i, j, k in combinations(range(n), 3):
+            s = [ZERO] * n
+            for (a, b, c) in ((i, j, k), (k, i, j), (j, k, i)):
+                v = self.bracket(self.table[a][b], units[c])
+                s = [x + y for x, y in zip(s, v)]
+            if any(s):
+                return False, (i, j, k)
         return True, None
 
     def check_nilpotent(self):
         """Lower central series reaches 0."""
-        n = self.n
-        basis = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-        layer = basis
-        for _ in range(n + 1):
-            nxt = [self.bracket(v, w) for v in layer for w in basis]
+        layer = self.units
+        for _ in range(self.n + 1):
+            nxt = [self.bracket(v, w) for v in layer for w in self.units]
             nxt = [v for v in nxt if any(v)]
             if not nxt:
                 return True
             layer, _ = linalg.rref(nxt)
         return False
 
-    def derived_dim(self, sub_basis=None):
-        """dim of the span of all brackets (optionally of a sub-basis)."""
-        vecs = sub_basis if sub_basis is not None else \
-            [[ONE if i == k else ZERO for k in range(self.n)] for i in range(self.n)]
-        brs = []
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                b = self.bracket(vecs[i], vecs[j])
-                if any(b):
-                    brs.append(b)
-        return linalg.matrix_rank(brs)
+    def derived_dim(self, sub_basis):
+        """dim of the span of the brackets of two vectors of `sub_basis`."""
+        return linalg.matrix_rank(self._pair_brackets(sub_basis))
 
 
 class GroupPresentation:
@@ -321,9 +310,9 @@ class GroupPresentation:
         terms c a1 (x) a2 of m1 and c' b1 (x) b2 of m2, zero entries dropped.
         f and g take two parameter-free monomials to a scalar, keyed by 1;
         g may instead return a {monomial: coefficient} dict, such as another
-        contraction's result, whose keys then key its terms.  A None slot
-        stands for the monomial product of its two arguments, and that
-        product keys the result.  Each factor is tested for zero before
+        contraction's result, whose keys then key its terms.  Only f may be
+        None: it then stands for the monomial product of its two arguments,
+        and that product keys the result.  Each factor is tested for zero before
         coefficients are multiplied.  Delta's integral coefficients are ints,
         as every stored coefficient is (`rational`); a value is multiplied by
         c c' only when that is not 1, a key's first value is stored as it is,
@@ -345,17 +334,6 @@ class GroupPresentation:
                             if c != 1:
                                 v = v * c
                             k = a1.mul(b1)
-                            o = get(k)
-                            out[k] = v if o is None else o + v
-            elif g is None:
-                for (a1, a2), c1 in d1:
-                    for (b1, b2), c2 in d2:
-                        v = f(a1, b1)
-                        if v:
-                            c = c1 * c2
-                            if c != 1:
-                                v = v * c
-                            k = a2.mul(b2)
                             o = get(k)
                             out[k] = v if o is None else o + v
             else:
@@ -478,9 +456,6 @@ class GroupPresentation:
                 result = self.antipode_monomial(rest) * self.antipode_gen(name)
         self._antipode[m] = result
         return result
-
-    def antipode(self, f):
-        return self.ring.combination((self.antipode_monomial(m), c) for m, c in f.terms.items())
 
     # -- coradical degree ----------------------------------------------------
     def corad_degree_gen(self, name):

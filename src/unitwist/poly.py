@@ -6,12 +6,13 @@ central variables, but they are excluded from the notion of *degree* used
 for all truncation decisions and they sort below every generator in the
 term order.  A stored coefficient is an `int` when it is integral and a
 `fractions.Fraction` otherwise.  `rational` is the one switch; `Poly`,
-`TensorPoly`, `GroupPresentation.contract` and `Cocycle.pair` call it where
-they store a value.  The two types compare, hash and print alike.  No
-floating point arithmetic occurs anywhere, yet `int / int` is a float, so
-each of the four value divisions has a `Fraction` operand: the content in
-`Poly.normalize_sign` and `Poly.scale_down`, the pivot in `linalg`'s
-elimination and the power of 1/2 in `ExponentialCocycle._pair`.
+`TensorPoly`, `GroupPresentation.contract`, `Cocycle.pair`, `RMatrix` and
+`LieAlgebraData` call it where they store a value.  The two types compare,
+hash and print alike.  No floating point arithmetic occurs anywhere, yet
+`int / int` is a float, so each of the four value divisions has a
+`Fraction` operand: the content in `Poly.normalize_sign` and
+`Poly.scale_down`, the pivot in `linalg`'s elimination and the power of
+1/2 in `ExponentialCocycle._pair`.
 
 Monomials are canonical: `PolyRing.monomial(exps)` is the only place a
 `Monomial` is built, and it returns one instance per exponent tuple, kept
@@ -231,9 +232,6 @@ class Monomial:
 
     def lcm(self, other):
         return self.ring.monomial([max(a, b) for a, b in zip(self.exps, other.exps)])
-
-    def gcd(self, other):
-        return self.ring.monomial([min(a, b) for a, b in zip(self.exps, other.exps)])
 
     def coprime(self, other):
         return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))

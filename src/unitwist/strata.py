@@ -335,10 +335,9 @@ class CobracketData:
         """
         n = self.lie.n
         r = self.r
-        units = [[ONE if k == a else ZERO for k in range(n)] for a in range(n)]
         cols = []
         for x in self.basis:
-            ad = [self.lie.bracket(x, u) for u in units]  # ad[a] = [x, u_a]
+            ad = [self.lie.bracket(x, u) for u in self.lie.units]  # ad[a] = [x, u_a]
             cols.append([sum((ad[a][e] * r[a][b] + r[e][a] * ad[a][b] for a in range(n)), ZERO)
                          for e in range(n) for b in range(n)])
         return [list(row) for row in zip(*cols)]
@@ -362,7 +361,7 @@ def subgroup_F(lie, tangent_basis, rmatrix):
     """ker(delta) with its sanity checks; returns (CobracketData, kernel)."""
     data = CobracketData(lie, tangent_basis, rmatrix)
     ker = data.kernel()
-    expected = data.dim - lie.derived_dim(sub_basis=data.basis)
+    expected = data.dim - lie.derived_dim(data.basis)
     if len(ker) != expected:
         raise StratumError("dim ker(delta) = %d but dim(t/[t,t]) = %d"
                            % (len(ker), expected))
@@ -396,12 +395,12 @@ def fixed_locus_ideal(group, rmatrix):
     ring = group.ring
     ad = group.adjoint_matrix()
     r = rmatrix.matrix
-    support = [(a, b, v) for a, row in enumerate(r) for b, v in enumerate(row) if v]
     gens = []
     for i in range(ring.ngens):
         for k in range(i + 1, ring.ngens):
-            gens.append(ring.combination([(ring.one, -r[i][k])]
-                                         + [(ad[a][i] * ad[b][k], v) for a, b, v in support]))
+            gens.append(ring.combination(
+                [(ring.one, -r[i][k])]
+                + [(ad[a][i] * ad[b][k], v) for a, b, v in rmatrix.support]))
     return Ideal(ring, gens)
 
 
@@ -443,7 +442,7 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
             break
         # g's coordinates are written with the generator names
         condition = Poly(ring, j.right_product(m1, m2)) \
-            - Poly(ring, group.contract(m1, m2, j.pair, None,
+            - Poly(ring, group.contract(m1, m2, j.pair, lambda a, b: {a.mul(b): ONE},
                                        j.grading_within(m1.degree + m2.degree)))
         if condition.is_zero():
             continue

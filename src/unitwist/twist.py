@@ -46,7 +46,7 @@ class TwistedContext:
         self.pres = pres
         self.left = left
         self.right = right
-        self.right_inv = right.cached_inverse()
+        self.right_inv = right.inverse()
         self.two_sided = left is right
         self._mul_cache = {}
         self._antipode_halves = ({}, {})  # u and v of `twisted_antipode`, by monomial

@@ -151,3 +151,16 @@ def test_report_coefficients_are_canonical(monkeypatch, cid):
     if cid == "u4-ex6":
         corrections = rec.roots[0].cocycle.corrections
         assert corrections and all(map(canonical, corrections.values()))
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_rmatrix_and_lie_table_are_canonical(cid):
+    # the stored forms every Lie check reads: r's matrix and support, and
+    # the bracket rows as given and as the full table
+    data = catalog.get(cid).load()
+    r, lie = data.rmatrix, data.presentation.lie_data()
+    assert r.support and len(lie.table) == lie.n
+    coeffs = [c for row in r.matrix for c in row] + [v for _, _, v in r.support]
+    coeffs += [c for row in lie.brackets.values() for c in row]
+    coeffs += [c for rows in lie.table for row in rows for c in row]
+    assert [c for c in coeffs if not canonical(c)] == []
