@@ -1137,3 +1137,29 @@ def test_graded_sums_match_rank0_sums(each_example, kind):
         values.append([ev.pair(a, b) for a in mons for b in mons if a.degree + b.degree <= 5])
         assert gradings and set(gradings) == {graded}
     assert values[0] == values[1]
+
+
+def test_graded_terms_hold_every_nonzero_leg_pair(each_example):
+    # every Delta term pair where J of the second legs, or K of the first
+    # legs, is nonzero lies in one of the groups the graded walk returns
+    # for that side, on every pair of total degree <= 5; the walk leaves
+    # some pairs out
+    ex = each_example
+    pres, j, k = ex.pres, ex.ctx.right, ex.ctx.left
+    mons = pres.ring.monomials_up_to(4, include_one=False)
+    left_out = 0
+    for m1 in mons:
+        for m2 in mons:
+            if m1.degree + m2.degree > 5:
+                continue
+            for first, c, slot in ((False, j, 1), (True, k, 0)):
+                grading = c.grading_within(m1.degree + m2.degree)
+                read = {(s, t) for d1, d2 in pres._graded_terms(m1, m2, first, grading)
+                        for s, _ in d1 for t, _ in d2}
+                for s in pres.coproduct_monomial(m1).terms:
+                    for t in pres.coproduct_monomial(m2).terms:
+                        if c.pair(s[slot], t[slot]):
+                            assert (s, t) in read, (m1, m2, first, s, t)
+                left_out += len(pres.coproduct_monomial(m1).terms) \
+                    * len(pres.coproduct_monomial(m2).terms) - len(read)
+    assert left_out > 0

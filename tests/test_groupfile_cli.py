@@ -592,8 +592,17 @@ CLI_PINS = {
     "rform-check --example u4-ex6":
         (0, "373ec19e620665e1b90cf9c191baa418f937f44975c1c945dd77bbf230f0930d", EMPTY),
     # an explicit --max-degree above 3 is honoured, not lowered to 3
+    "rform-check --example heisenberg3 --max-degree 4":
+        (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
+    "rform-check --example jordan4-abelian --max-degree 4":
+        (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
+    "rform-check --example u3 --max-degree 4":
+        (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
+    "rform-check --example u4-ex6 --max-degree 4":
+        (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
     "rform-check --example u4-ex5 --max-degree 4":
         (0, "2ea2d15876dd28a3215e5999459657a1412c34fd8849d6292fdcc85283870560", EMPTY),
+    # 18 split failures: jordan4-minimal's J_r is not a cocycle
     "rform-check --example jordan4-minimal --max-degree 4":
         (1, "3e1cb02c524e7a236919c7c7ba2b85d7360fab48be550dd3f26d28975b3e8e69", EMPTY),
     # a point normalizing T, so the stratum is checked against the left coset

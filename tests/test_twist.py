@@ -12,7 +12,7 @@ from unitwist import catalog
 from unitwist.cli import build_context
 from unitwist.cocycle import (Cocycle, CocycleBoundError, CounitPair, ExponentialCocycle,
                               RMatrix, TableCocycle)
-from unitwist.poly import Poly, render_poly
+from unitwist.poly import Monomial, Poly, render_poly
 from unitwist.strata import stratum_presentation, weyl_detect
 from unitwist.twist import (TwistConsistencyError, TwistedContext, ihoe_presentation,
                             rform_axiom_check, twisted_antipode)
@@ -646,6 +646,46 @@ def rform_failures(cid, graded, r_entries=None):
     return repr(rform_axiom_check(ctx, 4).failures)
 
 
+def commutation_right_side(ctx, R, groups):
+    """Identity (2)'s right side sum R(h2,g2) g1.h1 over the given groups of Delta terms."""
+    rhs = {}
+    for d1, d2 in groups:
+        for (h1, h2), c1 in d1:
+            for (g1, g2), c2 in d2:
+                v = R(h2, g2)
+                if v:
+                    for k, w in ctx.mul_monomials(g1, h1).terms.items():
+                        rhs[k] = rhs.get(k, 0) + c1 * c2 * v * w
+    return {k: v for k, v in rhs.items() if v}
+
+
+@pytest.mark.parametrize("cid,r_entries,bound",
+                         [(cid, None, 5) for cid in catalog.ids()]
+                         + [("heisenberg3", {(0, 1): 1}, 4), ("u4-ex5", {(0, 1): 1}, 4)])
+def test_rform_right_side_graded_matches_every_term(cid, r_entries, bound):
+    # the right side of identity (2) summed over the graded walk's groups
+    # for R of the second legs equals the sum over all of Delta(h) x Delta(g)
+    data = catalog.get(cid).load()
+    pres, j = data.presentation, data.cocycle
+    if r_entries is not None:
+        j = ExponentialCocycle(pres, RMatrix(data.rmatrix.n, r_entries))
+    ctx = TwistedContext.hopf(pres, j)
+    rform = ctx.rform()
+    mons = pres.ring.monomials_up_to(bound - 1, include_one=False)
+    skipped = 0
+    for h in mons:
+        for g in mons:
+            if h.degree + g.degree > bound:
+                continue
+            full = [(pres.coproduct_monomial(h).terms.items(),
+                     pres.coproduct_monomial(g).terms.items())]
+            groups = list(pres._graded_terms(h, g, False, rform.grading_within(h.degree + g.degree)))
+            assert commutation_right_side(ctx, rform.pair, groups) \
+                == commutation_right_side(ctx, rform.pair, full), (h, g)
+            skipped += len(full[0][0]) * len(full[0][1]) - sum(len(a) * len(b) for a, b in groups)
+    assert skipped > 0
+
+
 @pytest.mark.parametrize("cid,r_entries", [(cid, None) for cid in catalog.ids()]
                          + [("heisenberg3", {(0, 1): 1}), ("u4-ex5", {(0, 1): 1})])
 def test_rform_check_graded_route_matches_full_route(cid, r_entries):
@@ -655,3 +695,33 @@ def test_rform_check_graded_route_matches_full_route(cid, r_entries):
     got = [rform_failures(cid, graded, r_entries) for graded in (True, False)]
     assert got[0] == got[1]
     assert (got[0] != "[]") == (r_entries is not None or cid == "jordan4-minimal")
+
+
+def _memo_monomials(obj):
+    # the monomial keys of obj's dict attributes, and of the dicts they hold
+    out = set()
+    for memo in vars(obj).values():
+        if isinstance(memo, dict):
+            for key, val in memo.items():
+                out.update(x for x in (key, *(key if isinstance(key, tuple) else ()))
+                           if isinstance(x, Monomial))
+                if isinstance(val, dict):
+                    out.update(x for x in val if isinstance(x, Monomial))
+    return out
+
+
+def test_grading_memos_stay_with_their_presentation():
+    # two fresh loads of u4-ex6 multiply alike, and no memo of one load's
+    # grading, or of the presentation it belongs to, holds a monomial of the
+    # other load's ring
+    loads = [build_context(catalog.get("u4-ex6").load()) for _ in range(2)]
+    renders = []
+    for ctx in loads:
+        fs = rnd_polys(ctx.pres.ring, random.Random(25), 12, degree=3)
+        renders.append([render_poly(ctx.mul(f, g)) for f in fs for g in fs[:4]])
+    assert renders[0] == renders[1]
+    gradings = [ctx.right.grading for ctx in loads]
+    assert gradings[0] is not gradings[1] and None not in gradings
+    for ctx, grading in zip(loads, gradings):
+        seen = _memo_monomials(grading) | _memo_monomials(ctx.pres)
+        assert seen and all(m.ring is ctx.pres.ring for m in seen)
