@@ -66,10 +66,10 @@ class RMatrix:
     """Antisymmetric rational matrix over the Lie basis dual to the generators.
 
     Represents r = sum_{k<l} r[k][l] (u_k (x) u_l - u_l (x) u_k).  The
-    constructor builds both stored forms once: `matrix`, every entry through
-    `rational`, and `support`, the (a, b, r[a][b]) with r[a][b] != 0 in row
-    order.  Every consumer reads them as they are, so no caller may change
-    either.
+    constructor builds the stored forms once: `matrix`, every entry through
+    `rational`; its sparse `rows`, row a listing the (b, r[a][b]) with
+    r[a][b] != 0; and `support`, the (a, b, r[a][b]) of `rows` in row order.
+    Every consumer reads them as they are, so no caller may change any.
     """
 
     def __init__(self, n, entries):
@@ -79,8 +79,8 @@ class RMatrix:
             mat[i][j] += val
             mat[j][i] -= val
         self.matrix = [[rational(v) for v in row] for row in mat]
-        self.support = [(a, b, v) for a, row in enumerate(self.matrix)
-                        for b, v in enumerate(row) if v]
+        self.rows = [[(b, v) for b, v in enumerate(row) if v] for row in self.matrix]
+        self.support = [(a, b, v) for a, row in enumerate(self.rows) for b, v in row]
 
 
 class WeightGrading:
@@ -90,6 +90,10 @@ class WeightGrading:
     the weight lattice.  An evaluator with this grading is 0 on (a, b)
     unless w(a) + w(b) lies in N rho.  A bounded evaluator's grading also
     carries its `total_bound`, beyond which it raises instead of answering.
+
+    A grading belongs to one presentation: it memoizes `weight` and
+    `GroupPresentation._delta_classes` per monomial of that presentation's
+    ring, and `opposite` per class; `bounded` copies share the memos.
     """
 
     def __init__(self, weights, rho, unit_legs, total_bound=None):
@@ -100,6 +104,9 @@ class WeightGrading:
         self.total_bound = total_bound
         self.pivot = next((t for t, r in enumerate(rho) if r), None)
         self.step = 1 if self.pivot is None else rho[self.pivot]
+        self._weight_memo = {}
+        self._opposites = {}
+        self.class_memos = ({}, {})  # GroupPresentation._delta_classes's, by leg
 
     @classmethod
     def of(cls, pres, rmatrix):
@@ -135,12 +142,15 @@ class WeightGrading:
         return grading
 
     def weight(self, m):
-        out = [0] * len(self.rho)
-        for e, w in zip(m.exps, self.weights):
-            if e:
-                for t, x in enumerate(w):
-                    out[t] += e * x
-        return tuple(out)
+        hit = self._weight_memo.get(m)
+        if hit is None:
+            out = [0] * len(self.rho)
+            for e, w in zip(m.exps, self.weights):
+                if e:
+                    for t, x in enumerate(w):
+                        out[t] += e * x
+            hit = self._weight_memo[m] = tuple(out)
+        return hit
 
     def coset(self, v):
         """(c, p): the class c of the weight v modulo Z rho, and v's pivot coordinate p.
@@ -156,16 +166,26 @@ class WeightGrading:
         p = v[t]
         return (tuple(self.step * x - p * r for x, r in zip(v, self.rho)), p % self.step), p
 
+    def opposite(self, c):
+        """(c, d): the class c, one object per class, and the class d of -v for v in c."""
+        hit = self._opposites.get(c)
+        if hit is None:
+            line, r = c
+            hit = self._opposites[c] = (c, (tuple(-x for x in line), -r % self.step))
+        return hit
+
     def multiple(self, s):
         """Whether s = k rho for an integer k >= 0."""
         k = next((x // r for x, r in zip(s, self.rho) if r), 0)
         return k >= 0 and all(x == k * r for x, r in zip(s, self.rho))
 
     def bounded(self, total_bound):
-        """This grading for an evaluator that answers up to `total_bound` only."""
+        """This grading for an evaluator that answers up to `total_bound` only; shares the memos."""
         if self.total_bound is not None:
             total_bound = min(total_bound, self.total_bound)
-        return WeightGrading(self.weights, self.rho, self.unit_legs, total_bound)
+        out = object.__new__(WeightGrading)
+        out.__dict__.update(vars(self), total_bound=total_bound)
+        return out
 
     def covers(self, degree_bound):
         """Whether a check within `degree_bound` stays inside the evaluator's bound.
@@ -376,8 +396,6 @@ class ExponentialCocycle(Cocycle):
         super().__init__(pres)
         self.rmatrix = rmatrix
         self.negate = negate
-        # sparse rows of r: row a lists the (b, r[a][b]) with r[a][b] != 0
-        self._rows = [[(b, v) for b, v in enumerate(row) if v] for row in rmatrix.matrix]
 
     def _pair(self, m1, m2):
         # The sum truncates at the coradical degree: length-k words pair as
@@ -410,7 +428,7 @@ class ExponentialCocycle(Cocycle):
         Each left word is pushed through the sparse rows of r one letter at
         a time, keeping only images that are prefixes of some right word.
         """
-        rows = self._rows
+        rows = self.rmatrix.rows
         prefixes = {w[:i] for w in right for i in range(1, len(w))}
         total = ZERO
         for w, cw in left.items():

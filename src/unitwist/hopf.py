@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import add, mul, sub
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -213,7 +213,6 @@ class GroupPresentation:
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
-        self._classes = {}  # _delta_classes's memo, keyed by lattice, then monomial
         self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
 
@@ -320,10 +319,13 @@ class GroupPresentation:
 
         `grading` grades the first scalar slot (f, or g when f is None): it is
         0 on (x, y) unless w(x) + w(y) lies in N rho, so only the term pairs
-        where it can be nonzero are read.  None is the rank-0 grading.
+        where it can be nonzero are read.  `_graded_terms` lists them as pairs
+        of Delta term groups, from the grading's per-monomial memo.  None is
+        the rank-0 grading: one pair, every term.
         """
         out = {}
         get = out.get
+        one = self.ring.one_monomial
         for d1, d2 in self._graded_terms(m1, m2, f is not None, grading):
             if f is None:
                 for (a1, a2), c1 in d1:
@@ -337,7 +339,6 @@ class GroupPresentation:
                             o = get(k)
                             out[k] = v if o is None else o + v
             else:
-                one = self.ring.one_monomial
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:
                         v = f(a1, b1)
@@ -361,38 +362,39 @@ class GroupPresentation:
         return {k: rational(c) for k, c in out.items() if c}
 
     def _graded_terms(self, m1, m2, first, grading):
-        # pairs of term lists of Delta(m1) and Delta(m2) where the graded slot
-        # may be nonzero: the first legs' weights sum to k rho when `first`,
-        # else to w(m1) + w(m2) - k rho, for some k >= 0
-        if grading is None:  # the rank-0 grading: one class holds every term
-            yield self._delta_terms(m1), self._delta_terms(m2)
-            return
-        l1, p1, classes1 = self._delta_classes(m1, grading)
-        l2, p2, classes2 = self._delta_classes(m2, grading)
+        # the list of (term list, term list) pairs of Delta(m1) and Delta(m2) where the
+        # graded slot may be nonzero: the weights of the first legs (when `first`) or of
+        # the second legs sum to k rho, k >= 0, so their classes modulo Z rho are
+        # opposite and their pivot coordinates sum to k step; the rank-0 grading (None)
+        # gives one pair, all of Delta(m1) and all of Delta(m2)
+        if grading is None:
+            return [(self._delta_terms(m1), self._delta_terms(m2))]
+        leg = 0 if first else 1
+        classes = self._delta_classes(m2, grading, leg)
         step = grading.step
-        lu, pu, sign = ((0,) * len(l1), 0, step) if first else (tuple(map(add, l1, l2)),
-                                                                   p1 + p2, -step)
-        for (la, ra), groups in classes1.items():
-            partner = classes2.get((tuple(map(sub, lu, la)), (pu - ra) % step))
-            if partner is None:
-                continue
-            for pa, ta in groups.items():
-                for pb, tb in partner.items():
-                    if (pa + pb - pu) * sign >= 0:
-                        yield ta, tb
+        out = []
+        for opposite, groups in self._delta_classes(m1, grading, leg).values():
+            partner = classes.get(opposite)
+            if partner is not None:
+                out += [(ta, tb) for pa, ta in groups for pb, tb in partner[1]
+                        if (pa + pb) * step >= 0]
+        return out
 
-    def _delta_classes(self, m, grading):
-        # (line, p, classes): `WeightGrading.coset` of w(m), and Delta(m)'s terms by the
-        # class, then the pivot coordinate, of the first leg's weight; memoized per lattice
-        memo = self._classes.setdefault((grading.weights, grading.rho), {})
+    def _delta_classes(self, m, grading, leg):
+        # Delta(m)'s terms by the class (`WeightGrading.coset`) of the weight of their
+        # leg `leg`: {class: (opposite class, ((pivot coordinate, terms), ...))};
+        # memoized on the grading
+        memo = grading.class_memos[leg]
         hit = memo.get(m)
         if hit is None:
             classes = {}
             for t in self._delta_terms(m):
-                c, p = grading.coset(grading.weight(t[0][0]))
+                c, p = grading.coset(grading.weight(t[0][leg]))
                 classes.setdefault(c, {}).setdefault(p, []).append(t)
-            (line, _), p = grading.coset(grading.weight(m))
-            hit = memo[m] = (line, p, classes)
+            hit = memo[m] = {}
+            for c, groups in classes.items():
+                c, opposite = grading.opposite(c)
+                hit[c] = (opposite, tuple(groups.items()))
         return hit
 
     def _delta_terms(self, m):

@@ -20,7 +20,8 @@ in a table owned by the ring.  Monomial equality and hash are therefore
 identity (equal exponents in two rings are different monomials).  Each
 monomial carries its generator degree, whether it is 1, and its generator
 and parameter parts as precomputed slots, and the ring memoizes monomial
-products in a second table.  Both tables live and die with their ring.
+products in a second table and `monomials_up_to` in a third.  The tables
+live and die with their ring.
 
 Every sum of many polynomials, sum c p over a list of (p, c), is added up
 by `PolyRing.combination` in one coefficient dict, with one `Poly` built at
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 from operator import le
 
@@ -79,6 +81,7 @@ class PolyRing:
         self.index = {name: i for i, name in enumerate(names)}
         self._monomials = {}
         self._products = {}
+        self._upto = {}  # monomials_up_to's memo
         self.one_monomial = self.monomial((0,) * len(names))
         self.zero = Poly(self, {})
         self.one = Poly(self, {self.one_monomial: ONE})
@@ -118,27 +121,21 @@ class PolyRing:
     def monomials_up_to(self, bound, include_one=True, names=None):
         """All monomials in the given variables with generator-degree <= bound.
 
-        Deterministic: listed in increasing graded-lex order.
+        Deterministic: listed in increasing graded-lex order.  Memoized on
+        the ring; each call returns a new list.
         """
-        if names is None:
-            names = self.generators
-        idxs = [self.index[n] for n in names]
-        out = []
-
-        def rec(pos, budget, exps):
-            if pos == len(idxs):
-                out.append(self.monomial(exps))
-                return
-            for e in range(budget + 1):
-                exps[idxs[pos]] = e
-                rec(pos + 1, budget - e, exps)
-            exps[idxs[pos]] = 0
-
-        rec(0, bound, [0] * len(self.names))
-        if not include_one:
-            out = [m for m in out if not m.is_one]
-        out.sort(key=grlex_key)
-        return out
+        names = self.generators if names is None else tuple(names)
+        key = (bound, include_one, names)
+        if key not in self._upto:
+            out = []
+            for d in range(0 if include_one else 1, bound + 1):
+                for combo in combinations_with_replacement([self.index[n] for n in names], d):
+                    exps = [0] * len(self.names)
+                    for i in combo:
+                        exps[i] += 1
+                    out.append(self.monomial(exps))
+            self._upto[key] = sorted(out, key=grlex_key)
+        return list(self._upto[key])
 
     def combination(self, pairs):
         """The sum of c p over (p, c) pairs, p a Poly of this ring and c a rational."""

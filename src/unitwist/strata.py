@@ -20,11 +20,9 @@ The generator commutator table is the context's own, computed once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .groebner import Ideal, buchberger, eliminate, krull_dimension
-from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, render_poly
+from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, rational, render_poly
 from .twist import TwistedPresentation
 
 _TRACED_ALIAS = buchberger  # not called here; perfbench/smoke.py reads `strata.buchberger`
@@ -317,7 +315,7 @@ class CobracketData:
 
     def __init__(self, lie, tangent_basis, rmatrix):
         self.lie = lie
-        self.basis = [list(map(Fraction, v)) for v in tangent_basis]
+        self.basis = [list(map(rational, v)) for v in tangent_basis]
         self.dim = len(self.basis)
         self.r = rmatrix.matrix
         # r lies in t (x) t, hence in t /\ t, iff every row of its

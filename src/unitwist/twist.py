@@ -251,7 +251,9 @@ def rform_axiom_check(ctx, degree_bound):
     R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0 unless
     w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such as h.g
     itself, so it is checked on every pair; its left side and (3) contract
-    only the Delta terms where R of the first legs can be nonzero.
+    only the Delta terms where R of the first legs can be nonzero, and its
+    right side reads only those where R of the second legs can be
+    (`GroupPresentation._graded_terms`).
     """
     pres = ctx.pres
     rform = ctx.rform()
@@ -279,14 +281,15 @@ def rform_axiom_check(ctx, degree_bound):
             if y in near and pres.contract(h, g, R, swapped, grading):
                 failures.append(("cotriangular", h, g))
             # (2) commutation identity; the scalar of the right side sits in
-            # the second legs, so that side is summed here
+            # the second legs, so that side is summed here over their classes
             rhs = {}
-            for (h1, h2), c1 in delta(h):
-                for (g1, g2), c2 in delta(g):
-                    v = R(h2, g2)
-                    if v:
-                        for k, w in products(g1, h1).items():
-                            rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
+            for d1, d2 in pres._graded_terms(h, g, False, grading):
+                for (h1, h2), c1 in d1:
+                    for (g1, g2), c2 in d2:
+                        v = R(h2, g2)
+                        if v:
+                            for k, w in products(g1, h1).items():
+                                rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
             if pres.contract(h, g, R, products, grading) != {k: v for k, v in rhs.items() if v}:
                 failures.append(("commutation", h, g))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitwist import catalog
-from unitwist.poly import (Monomial, Poly, PolyRing, RingContextError, TensorPoly, parse_poly,
-                           render_poly)
+from unitwist.poly import (Monomial, Poly, PolyRing, RingContextError, TensorPoly, grlex_key,
+                           parse_poly, render_poly)
 
 
 def ring2():
@@ -292,3 +293,25 @@ def test_combination_matches_the_left_fold(parameters):
     check()
     with pytest.raises(RingContextError):
         R.combination([(ring2().var("X"), 1)])
+
+
+def test_monomials_up_to_matches_every_exponent_vector():
+    # against a filter of every exponent vector, on a ring with a parameter;
+    # each call returns a new list, so a caller's change does not reach the
+    # next call
+    R = PolyRing(["X", "Y", "Z"], ["a"])
+    for names in (None, ("Z", "X"), R.names):
+        idxs = [R.index[n] for n in (R.generators if names is None else names)]
+        for bound in range(4):
+            for include_one in (True, False):
+                want = []
+                for e in itertools.product(range(bound + 1), repeat=len(idxs)):
+                    exps = [0] * len(R.names)
+                    for i, x in zip(idxs, e):
+                        exps[i] = x
+                    if sum(e) <= bound and (include_one or any(e)):
+                        want.append(R.monomial(exps))
+                got = R.monomials_up_to(bound, include_one, names)
+                assert got == sorted(want, key=grlex_key)
+                got.append(R.one_monomial)
+                assert R.monomials_up_to(bound, include_one, names) == sorted(want, key=grlex_key)

@@ -16,6 +16,7 @@ from unitwist import catalog, cli, cocycle, hopf, poly
 from unitwist.cli import build_context, report_lines
 from unitwist.groebner import TermOrder
 from unitwist.poly import Monomial, render_poly
+from unitwist.strata import subgroup_F
 from unitwist.twist import TwistedContext, rform_axiom_check
 
 
@@ -155,12 +156,24 @@ def test_report_coefficients_are_canonical(monkeypatch, cid):
 
 @pytest.mark.parametrize("cid", catalog.ids())
 def test_rmatrix_and_lie_table_are_canonical(cid):
-    # the stored forms every Lie check reads: r's matrix and support, and
-    # the bracket rows as given and as the full table
+    # the stored forms every Lie check reads: r's matrix, sparse rows and
+    # support, and the bracket rows as given and as the full table
     data = catalog.get(cid).load()
     r, lie = data.rmatrix, data.presentation.lie_data()
     assert r.support and len(lie.table) == lie.n
+    assert r.rows == [[(b, v) for b, v in enumerate(row) if v] for row in r.matrix]
     coeffs = [c for row in r.matrix for c in row] + [v for _, _, v in r.support]
+    coeffs += [v for row in r.rows for _, v in row]
     coeffs += [c for row in lie.brackets.values() for c in row]
     coeffs += [c for rows in lie.table for row in rows for c in row]
     assert [c for c in coeffs if not canonical(c)] == []
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_cobracket_basis_is_canonical(cid):
+    # the tangent basis of T that the cobracket and its bracket checks read
+    data = catalog.get(cid).load()
+    pres = data.presentation
+    cob, _ = subgroup_F(pres.lie_data(), pres.named_subgroups["T"].tangent_vectors(),
+                        data.rmatrix)
+    assert [c for v in cob.basis for c in v if not canonical(c)] == []

@@ -698,10 +698,13 @@ def test_rform_check_graded_route_matches_full_route(cid, r_entries):
 
 
 def _memo_monomials(obj):
-    # the monomial keys of obj's dict attributes, and of the dicts they hold
+    # the monomial keys of obj's dict attributes (or tuples of dicts), and of
+    # the dicts they hold
     out = set()
-    for memo in vars(obj).values():
-        if isinstance(memo, dict):
+    for attr in vars(obj).values():
+        for memo in (attr if isinstance(attr, tuple) else (attr,)):
+            if not isinstance(memo, dict):
+                continue
             for key, val in memo.items():
                 out.update(x for x in (key, *(key if isinstance(key, tuple) else ()))
                            if isinstance(x, Monomial))
@@ -723,5 +726,6 @@ def test_grading_memos_stay_with_their_presentation():
     gradings = [ctx.right.grading for ctx in loads]
     assert gradings[0] is not gradings[1] and None not in gradings
     for ctx, grading in zip(loads, gradings):
-        seen = _memo_monomials(grading) | _memo_monomials(ctx.pres)
-        assert seen and all(m.ring is ctx.pres.ring for m in seen)
+        own = _memo_monomials(grading)
+        seen = own | _memo_monomials(ctx.pres)
+        assert own and all(m.ring is ctx.pres.ring for m in seen)
