@@ -24,12 +24,24 @@ Delta(a) x Delta(b) goes through `GroupPresentation.contract`.
 Zeros known ahead of time.  Give each generator X_i an integer weight
 vector w_i, and say w(m) for the weight of a monomial.  If every term
 m1 (x) m2 of q(X_i) has w(m1) + w(m2) = w_i, Delta is homogeneous, and so
-is every word table.  If also w_a + w_b = rho for every nonzero r_ab, the
-k-th term of exp(r/2) pairs a (x) b to 0 unless w(a) + w(b) = k rho, so
-J_r(a, b) != 0 only if w(a) + w(b) lies in N rho.  Convolution, the Neumann
-inverse and the swap keep that class, so J^{-1}, J21 and the R-form
-(J21)^{-1} * J have the same zeros.  `WeightGrading.of` finds such
-weights.  An evaluator's `grading` is set only where this proof holds:
+is every word table: X_{u1} ... X_{uk} has a nonzero coefficient in the
+table of m only if w_{u1} + ... + w_{uk} = w(m).  The k-th term of
+exp(r/2) on a (x) b sums c(u) c'(v) r_{u1 v1} ... r_{uk vk} over the words
+u of a's table and v of b's, and a product is nonzero only if every
+r_{ui vi} is.  Then (w(a), w(b)) = sum_i (w_{ui}, w_{vi}) lies in S_k, the
+set of sums of k letters (w_u, w_v) with r_uv != 0.  So the exponential
+evaluator reads only the lengths k whose S_k holds (w(a), w(b)), and a
+pair with none is 0 before any word table (`LetterSums`, with weights from
+Delta alone and no rho; a rank-0 lattice makes every weight () and skips
+nothing).  This is the support of J on the subgroup T whose Lie algebra
+the letters of r span, read on weights.
+
+The walks use the coarser sum.  If also w_a + w_b = rho for every nonzero
+r_ab, every sum in S_k adds up to k rho, so J_r(a, b) != 0 only if
+w(a) + w(b) lies in N rho.  Convolution, the Neumann inverse and the swap
+keep that class, so J^{-1}, J21 and the R-form (J21)^{-1} * J have the
+same zeros.  `WeightGrading.of` finds such weights.  An evaluator's
+`grading` is set only where this proof holds:
 `ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
 a `Convolution` of two evaluators with the same grading, and a
 `CorrectedCocycle` whose correction keys are all in class.  Every other
@@ -39,9 +51,8 @@ correction solver take their monomial triples from one walk, a per-call
 it is the full sweep.  `contract` reads only the Delta terms whose legs J
 (in `right_product` and `c0_solver`), K (in the deformed product), the
 inner cocycle (in `NeumannInverse`), the left factor (in `Convolution`) or
-R (in the R-form check) can pair nonzero; an exponential evaluator answers
-an off-class pair 0 before any word table.
-Past a bounded evaluator's range (`grading_within`) the full path runs.
+R (in the R-form check) can pair nonzero.  Past a bounded evaluator's
+range (`grading_within`) the full path runs.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key, rational
@@ -83,6 +95,93 @@ class RMatrix:
         self.support = [(a, b, v) for a, row in enumerate(self.rows) for b, v in row]
 
 
+def _homogeneity_rows(pres):
+    """The equations w(m1) + w(m2) - w_i = 0 in the generator weights, one per term of q(X_i)."""
+    n = pres.ring.ngens
+    rows = []
+    for i, gen in enumerate(pres.ring.generators):
+        q = pres.q.get(gen)
+        for m1, m2 in (q.terms if q is not None else ()):
+            row = dict(enumerate(a + b for a, b in zip(m1.exps[:n], m2.exps[:n])))
+            row[i] -= 1
+            rows.append(row)
+    return rows
+
+
+def _integral_nullspace(rows, ncols):
+    """A basis of the rational nullspace of `rows`, each vector scaled to integers."""
+    return [[int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+            for v in linalg.nullspace(rows, ncols)]
+
+
+def _weigh(m, weights, rank):
+    # the weight of a monomial: its exponents times the generator weights
+    out = [0] * rank
+    for e, w in zip(m.exps, weights):
+        if e:
+            for t, x in enumerate(w):
+                out[t] += e * x
+    return tuple(out)
+
+
+class LetterSums:
+    """The bi-weights at which the k-th term of exp(r/2) can pair nonzero.
+
+    `weights[i]` is an integer tuple for X_i with w(m1) + w(m2) = w_i for
+    every term m1 (x) m2 of q(X_i): Delta alone grades them, with no rho.
+    Each (a, b, r_ab) of `rmatrix.support` gives a letter (w_a, w_b), a
+    concatenated tuple, and S_k is the set of sums of k letters.  The k-th
+    term of exp(r/2) pairs a (x) b to 0 unless (w(a), w(b)) lies in S_k
+    (the module docstring has the proof).
+
+    One object per presentation and r-matrix (`of`); it memoizes weights
+    per monomial, builds S_k as far as a query needs, and memoizes
+    `lengths` per pair of weights.
+    """
+
+    def __init__(self, weights, rmatrix):
+        self.weights = weights
+        self.rank = len(weights[0]) if weights else 0
+        self.letters = sorted({weights[a] + weights[b] for a, b, _ in rmatrix.support})
+        self._sums = [{(0,) * (2 * self.rank)}]  # S_0, S_1, ...
+        self._weight_memo = {}
+        self._lengths = {}
+
+    @classmethod
+    def of(cls, pres, rmatrix):
+        """The letter sums of `rmatrix` on `pres`, memoized on the presentation.
+
+        The weights depend on q only: they are solved once per presentation,
+        on first use, as the integral nullspace of the homogeneity equations.
+        """
+        memo = pres._letter_sums
+        hit = memo.get(rmatrix)
+        if hit is None:
+            if pres._delta_weights is None:
+                n = pres.ring.ngens
+                basis = _integral_nullspace(_homogeneity_rows(pres), n)
+                pres._delta_weights = tuple(tuple(v[i] for v in basis) for i in range(n))
+            hit = memo[rmatrix] = cls(pres._delta_weights, rmatrix)
+        return hit
+
+    def weight(self, m):
+        hit = self._weight_memo.get(m)
+        if hit is None:
+            hit = self._weight_memo[m] = _weigh(m, self.weights, self.rank)
+        return hit
+
+    def lengths(self, m1, m2, kmax):
+        """The k in 1..kmax with (w(m1), w(m2)) in S_k, increasing."""
+        key = (self.weight(m1) + self.weight(m2), kmax)
+        hit = self._lengths.get(key)
+        if hit is None:
+            sums = self._sums
+            while len(sums) <= kmax:
+                sums.append({tuple(map(add, s, g)) for s in sums[-1] for g in self.letters})
+            hit = self._lengths[key] = tuple(k for k in range(1, kmax + 1) if key[0] in sums[k])
+        return hit
+
+
 class WeightGrading:
     """Integer weights on the generators and rho, grading the zeros of J_r.
 
@@ -93,7 +192,9 @@ class WeightGrading:
 
     A grading belongs to one presentation: it memoizes `weight` and
     `GroupPresentation._delta_classes` per monomial of that presentation's
-    ring, and `opposite` per class; `bounded` copies share the memos.
+    ring, one memo per leg, the second leg's built from the first's with
+    the same term lists; and `opposite` per class.  `bounded` copies share
+    the memos.
     """
 
     def __init__(self, weights, rho, unit_legs, total_bound=None):
@@ -121,20 +222,13 @@ class WeightGrading:
         if rmatrix in memo:
             return memo[rmatrix]
         n = pres.ring.ngens
-        rows = []
-        for i, gen in enumerate(pres.ring.generators):
-            q = pres.q.get(gen)
-            for m1, m2 in (q.terms if q is not None else ()):
-                row = dict(enumerate(a + b for a, b in zip(m1.exps[:n], m2.exps[:n])))
-                row[i] -= 1
-                rows.append(row)
+        rows = _homogeneity_rows(pres)
         for a, b, _ in rmatrix.support:
             if a < b:
                 rows.append({a: 1, b: 1, n: -1})
-        basis = linalg.nullspace(rows, n + 1)
+        basis = _integral_nullspace(rows, n + 1)
         grading = None
         if basis:
-            basis = [[int(x * math.lcm(*(y.denominator for y in v))) for x in v] for v in basis]
             unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
             grading = cls(tuple(tuple(v[i] for v in basis) for i in range(n)),
                           tuple(v[n] for v in basis), unit_legs)
@@ -144,12 +238,7 @@ class WeightGrading:
     def weight(self, m):
         hit = self._weight_memo.get(m)
         if hit is None:
-            out = [0] * len(self.rho)
-            for e, w in zip(m.exps, self.weights):
-                if e:
-                    for t, x in enumerate(w):
-                        out[t] += e * x
-            hit = self._weight_memo[m] = tuple(out)
+            hit = self._weight_memo[m] = _weigh(m, self.weights, len(self.rho))
         return hit
 
     def coset(self, v):
@@ -388,7 +477,17 @@ class CounitPair(Cocycle):
 
 
 class ExponentialCocycle(Cocycle):
-    """J = (eps (x) eps) o exp(r/2) through iterated-coproduct word pairing."""
+    """J = (eps (x) eps) o exp(r/2) through iterated-coproduct word pairing.
+
+    The k-th term pairs the length-k word tables of its arguments through
+    r, for k up to their coradical degree.  A miss reads only the lengths k
+    whose letter sums S_k hold the pair of weights (`LetterSums.lengths`,
+    proof in the module docstring), and is 0 before any word table when
+    there is none.  J and J^{-1} = exp(-r/2) share one `LetterSums` through
+    the presentation's memo, and so do the evaluators built on them: the
+    R-form's factors and a `CorrectedCocycle`'s base.  `grading`, the
+    coarser N rho class, serves the contraction walks.
+    """
 
     kind = "exponential"
 
@@ -400,17 +499,13 @@ class ExponentialCocycle(Cocycle):
     def _pair(self, m1, m2):
         # The sum truncates at the coradical degree: length-k words pair as
         # degree-k distributions, which kill the k-th coradical filtration
-        # layer.
-        g = self.grading
-        if g is not None and not g.multiple(g.weight(m1.mul(m2))):
-            return ZERO
+        # layer.  Of the lengths up to there, only those whose letter sums
+        # hold the pair's weights are read.
         pres = self.pres
         kmax = min(pres.corad_degree_monomial(m1), pres.corad_degree_monomial(m2))
         total = ZERO
         scale_base = Fraction(-1, 2) if self.negate else Fraction(1, 2)
-        fact = ONE
-        for k in range(1, kmax + 1):
-            fact *= k
+        for k in LetterSums.of(pres, self.rmatrix).lengths(m1, m2, kmax):
             left = pres.word_table(m1, k)
             if not left:
                 continue
@@ -419,7 +514,7 @@ class ExponentialCocycle(Cocycle):
                 continue
             contrib = self._contract(left, right)
             if contrib:
-                total += contrib * scale_base ** k / fact
+                total += contrib * scale_base ** k / math.factorial(k)
         return total
 
     def _contract(self, left, right):

@@ -213,6 +213,8 @@ class GroupPresentation:
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
+        self._letter_sums = {}  # cocycle.LetterSums.of's memo, keyed by RMatrix
+        self._delta_weights = None  # cocycle.LetterSums.of's weights, solved on first use
         self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
 
@@ -383,18 +385,28 @@ class GroupPresentation:
     def _delta_classes(self, m, grading, leg):
         # Delta(m)'s terms by the class (`WeightGrading.coset`) of the weight of their
         # leg `leg`: {class: (opposite class, ((pivot coordinate, terms), ...))};
-        # memoized on the grading
+        # memoized on the grading.  The two legs' weights sum to w(m), so leg 1's
+        # classes and pivots are w(m)'s less leg 0's: its groups are leg 0's term
+        # lists, in the same order
         memo = grading.class_memos[leg]
         hit = memo.get(m)
         if hit is None:
-            classes = {}
-            for t in self._delta_terms(m):
-                c, p = grading.coset(grading.weight(t[0][leg]))
-                classes.setdefault(c, {}).setdefault(p, []).append(t)
-            hit = memo[m] = {}
-            for c, groups in classes.items():
-                c, opposite = grading.opposite(c)
-                hit[c] = (opposite, tuple(groups.items()))
+            hit = {}
+            if leg:
+                (line, r), p = grading.coset(grading.weight(m))
+                for (line0, r0), (_, groups) in self._delta_classes(m, grading, 0).items():
+                    c, opposite = grading.opposite(
+                        (tuple(x - y for x, y in zip(line, line0)), (r - r0) % grading.step))
+                    hit[c] = (opposite, tuple((p - p0, terms) for p0, terms in groups))
+            else:
+                classes = {}
+                for t in self._delta_terms(m):
+                    c, p = grading.coset(grading.weight(t[0][0]))
+                    classes.setdefault(c, {}).setdefault(p, []).append(t)
+                for c, groups in classes.items():
+                    c, opposite = grading.opposite(c)
+                    hit[c] = (opposite, tuple(groups.items()))
+            memo[m] = hit
         return hit
 
     def _delta_terms(self, m):

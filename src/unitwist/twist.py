@@ -33,7 +33,7 @@ commutators agree too) before a presentation is returned.
 
 from __future__ import annotations
 
-from .cocycle import Convolution, CounitPair, WeightIndex
+from .cocycle import Convolution, WeightIndex
 from .poly import ZERO, Poly, render_poly
 
 
@@ -57,10 +57,6 @@ class TwistedContext:
     def hopf(cls, pres, j):
         """The two-sided context; the result is again a Hopf algebra."""
         return cls(pres, j, j)
-
-    @classmethod
-    def one_sided_right(cls, pres, j):
-        return cls(pres, CounitPair(pres), j)
 
     # -- products ----------------------------------------------------------
     def _left_reduced(self, a, b):

@@ -2,7 +2,8 @@ import pytest
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.twist import ihoe_presentation
+from unitwist.cocycle import CounitPair
+from unitwist.twist import TwistedContext, ihoe_presentation
 
 
 class Loaded:
@@ -37,3 +38,11 @@ def examples():
 @pytest.fixture(scope="session", params=catalog.ids())
 def each_example(request):
     return load(request.param)
+
+
+@pytest.fixture(scope="session")
+def one_sided_right():
+    """Builds the one-sided context of a cocycle J: K = eps.eps, so only J twists."""
+    def build(pres, j):
+        return TwistedContext(pres, CounitPair(pres), j)
+    return build

@@ -17,8 +17,7 @@ from unitwist.strata import (_free_variables, commutator_ideal_and_gamma,
                              hopf_ideal_check, polycentral_check,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              weyl_detect)
-from unitwist.twist import (TwistedContext, rform_axiom_check,
-                            twisted_antipode)
+from unitwist.twist import rform_axiom_check, twisted_antipode
 
 # read from each entry's manifest; test_support_split_matches_the_lie_data
 # checks the key against the entry's own r-matrix and Lie brackets
@@ -82,9 +81,9 @@ def test_criterion_03_u4_presentations(examples):
        "relations and no others")
 
 
-def test_criterion_04_one_sided_weyl(examples):
+def test_criterion_04_one_sided_weyl(examples, one_sided_right):
     ex = examples("u3")
-    one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+    one = one_sided_right(ex.pres, ex.ctx.right)
     X, V = ex.pres.ring.var("X"), ex.pres.ring.var("V")
     assert one.mul(X, V) - one.mul(V, X) == ex.pres.ring.one
     report = weyl_detect(one.commutators().relation, ex.pres.ring)

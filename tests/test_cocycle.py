@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from unitwist import catalog, linalg
 from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, Convolution,
                               CorrectedCocycle, CounitPair, ExponentialCocycle, GaugeCocycle,
-                              NeumannInverse, PointFunctional, PullbackCocycle, RMatrix,
-                              TableCocycle, WeightGrading, WeightIndex, cybe_check,
+                              LetterSums, NeumannInverse, PointFunctional, PullbackCocycle,
+                              RMatrix, TableCocycle, WeightGrading, WeightIndex, cybe_check,
                               solve_cocycle_corrections, verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData, PresentationError
 from unitwist.poly import TensorPoly, parse_poly, render_poly
@@ -928,6 +928,23 @@ def test_zero_lattice_takes_the_full_sweep():
     assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 4)
 
 
+def test_letter_sums_of_a_rank0_lattice_skip_nothing():
+    # q(Y) = X (x) X gives w_Y = 2 w_X, and q(Z) = X (x) Y + X (x) X gives
+    # w_Z = 3 w_X = 2 w_X, so every weight is 0: every key is () and no
+    # length is skipped.  Only the weights are read, not Delta's axioms
+    g = GroupPresentation("flat", ["X", "Y", "Z"])
+    X, Y = g.ring.var("X"), g.ring.var("Y")
+    g.set_q("Y", TensorPoly.from_polys([X, X]))
+    g.set_q("Z", TensorPoly.from_polys([X, Y]) + TensorPoly.from_polys([X, X]))
+    sums = LetterSums.of(g, RMatrix(3, {(0, 1): 1}))
+    assert sums.weights == ((), (), ())
+    mons = g.ring.monomials_up_to(3, include_one=False)
+    assert all(sums.lengths(a, b, kmax) == tuple(range(1, kmax + 1))
+               for a in mons for b in mons for kmax in range(4))
+    # with r = 0 there is no letter: exp(0) pairs nonconstant monomials to 0
+    assert LetterSums.of(g, RMatrix(3, {})).lengths(mons[0], mons[0], 3) == ()
+
+
 def test_grading_only_where_the_proof_holds(examples):
     ex = examples("u4-ex5")
     pres, j = ex.pres, ex.ctx.right
@@ -1205,8 +1222,20 @@ def test_exponential_pair_is_the_unskipped_word_loop(cid, r_entries):
     # every nonconstant pair within total degree 6, on a fresh load: the
     # catalog r (u4-ex6's uncorrected), or an r-matrix that fails CYBE
     data = catalog.get(cid).load()
+    pres = data.presentation
     r = data.rmatrix if r_entries is None else RMatrix(data.rmatrix.n, r_entries)
-    assert_pair_is_the_word_loop(ExponentialCocycle(data.presentation, r), 6)
+    assert_pair_is_the_word_loop(ExponentialCocycle(pres, r), 6)
+    if (cid, r_entries) == ("u4-ex6", None):
+        # the rule is not vacuous: at every length some pair with word tables
+        # of that length on both sides is left out by the letter sums
+        sums = LetterSums.of(pres, r)
+        skipped, kmaxes = set(), set()
+        for a, b in pairs_within(pres, 6):
+            kmax = min(pres.corad_degree_monomial(a), pres.corad_degree_monomial(b))
+            kmaxes.add(kmax)
+            skipped.update(k for k in range(1, kmax + 1) if k not in sums.lengths(a, b, kmax)
+                           and pres.word_table(a, k) and pres.word_table(b, k))
+        assert skipped == set(range(1, max(kmaxes) + 1))
 
 
 @pytest.mark.parametrize("cid", catalog.ids())

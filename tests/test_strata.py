@@ -17,7 +17,6 @@ from unitwist.strata import (StratumError, c0_solver, commutator_ideal_and_gamma
                              hopf_ideal_check, polycentral_check, stabilizer_dimension,
                              stratum_presentation, subgroup_F, subgroup_ideal,
                              verify_two_sided, weyl_detect)
-from unitwist.twist import TwistedContext
 
 
 def ideal_gb_strings(ideal):
@@ -406,9 +405,9 @@ def test_stratum_inline_point(examples):
     assert stratum.dims == (2, 1, 3)
 
 
-def test_weyl_detect_shapes(examples):
+def test_weyl_detect_shapes(examples, one_sided_right):
     ex = examples("u3")
-    one_sided = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+    one_sided = one_sided_right(ex.pres, ex.ctx.right)
     pres = one_sided.commutators()
     report = weyl_detect(pres.relation, ex.pres.ring)
     assert report.verdict == "A_1"

@@ -203,10 +203,10 @@ def test_associativity_random(each_example):
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
 
 
-def test_mixed_context_associativity(examples):
+def test_mixed_context_associativity(examples, one_sided_right):
     # the one-sided deformation of the abelian plane is associative
     ex = examples("u3")
-    one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+    one = one_sided_right(ex.pres, ex.ctx.right)
     rng = random.Random(11)
     for _ in range(20):
         a, b, c = rnd_polys(ex.pres.ring, rng, 3)
@@ -232,18 +232,18 @@ def test_mul_matches_the_term_pair_sum(each_example):
         assert ctx.mul(f, g) == want, (f, g)
 
 
-def test_one_sided_weyl(examples):
+def test_one_sided_weyl(examples, one_sided_right):
     # the Weyl type of the one-sided twist is the manifest's, on every entry
     # that records one
     named = [cid for cid in catalog.ids() if "one_sided_weyl" in catalog.get(cid).expected]
     assert "u3" in named
     for cid in named:
         ex = examples(cid)
-        one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+        one = one_sided_right(ex.pres, ex.ctx.right)
         report = weyl_detect(one.commutators().relation, ex.pres.ring)
         assert report.verdict == ex.entry.expected["one_sided_weyl"], cid
     ex = examples("u3")
-    one = TwistedContext.one_sided_right(ex.pres, ex.ctx.right)
+    one = one_sided_right(ex.pres, ex.ctx.right)
     X, V = ex.pres.ring.var("X"), ex.pres.ring.var("V")
     assert one.mul(X, V) - one.mul(V, X) == ex.pres.ring.one
 
@@ -554,13 +554,13 @@ MIXED_POINTS = {
 
 @pytest.mark.parametrize("side", ["one-sided", "mixed"])
 @pytest.mark.parametrize("cid", sorted(MIXED_POINTS))
-def test_mul_monomials_reference_one_sided_and_mixed(examples, cid, side):
+def test_mul_monomials_reference_one_sided_and_mixed(examples, cid, side, one_sided_right):
     # K = eps.eps (one-sided) and K = J^g (mixed) against the Delta^2
     # reference, on every pair of monomials up to total degree 3
     ex = examples(cid)
     g, j = ex.pres, ex.ctx.right
     if side == "one-sided":
-        ctx = TwistedContext.one_sided_right(g, j)
+        ctx = one_sided_right(g, j)
     else:
         ctx = TwistedContext(g, j.conjugate(g.point(MIXED_POINTS[cid])), j)
     mons = g.ring.monomials_up_to(3)
@@ -736,7 +736,8 @@ def doubled(r):
     return RMatrix(r.n, {(a, b): 2 * v for a, b, v in r.support if a < b})
 
 
-def assert_rform_is_exp_r(pres, r, bound):
+def rform_against_exp_r(pres, r, bound):
+    """Asserts that R and exp(r) agree within total degree `bound`; the number of nonzero values."""
     rform = TwistedContext.hopf(pres, ExponentialCocycle(pres, r)).rform()
     closed = ExponentialCocycle(pres, doubled(r))
     mons = pres.ring.monomials_up_to(bound - 1, include_one=False)
@@ -753,7 +754,7 @@ def test_rform_is_the_exponential_of_r(cid, r_entries):
     # u4-ex6's corrections have no closed form and are left out
     data = catalog.get(cid).load()
     r = data.rmatrix if r_entries is None else RMatrix(data.rmatrix.n, r_entries)
-    assert assert_rform_is_exp_r(data.presentation, r, 6)
+    assert rform_against_exp_r(data.presentation, r, 6)
 
 
 @pytest.mark.parametrize("cid", catalog.ids())
@@ -764,4 +765,4 @@ def test_rform_is_the_exponential_of_each_single_pair_r(cid):
     n = pres.ring.ngens
     for a in range(n):
         for b in range(a + 1, n):
-            assert assert_rform_is_exp_r(pres, RMatrix(n, {(a, b): 1}), 4)
+            assert rform_against_exp_r(pres, RMatrix(n, {(a, b): 1}), 4)
