@@ -928,6 +928,95 @@ def test_zero_lattice_takes_the_full_sweep():
     assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 4)
 
 
+def direct_lattice(pres, rmatrix):
+    """The N rho lattice solved in one system: the integral nullspace of the
+    homogeneity rows and w_a + w_b = rho for each nonzero r_ab, in the n + 1
+    unknowns (w_1..w_n, rho); (weights, rho), or None when it is {0}."""
+    n = pres.ring.ngens
+    rows = []
+    for i, gen in enumerate(pres.ring.generators):
+        q = pres.q.get(gen)
+        for m1, m2 in (q.terms if q is not None else ()):
+            row = dict(enumerate(a + b for a, b in zip(m1.exps[:n], m2.exps[:n])))
+            row[i] -= 1
+            rows.append(row)
+    rows += [{a: 1, b: 1, n: -1} for a, b, _ in rmatrix.support if a < b]
+    basis = [[int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+             for v in linalg.nullspace(rows, n + 1)]
+    if not basis:
+        return None
+    return tuple(tuple(v[i] for v in basis) for i in range(n)), tuple(v[n] for v in basis)
+
+
+def lattice_rows(grading, pres):
+    """The basis of a grading's N rho lattice as vectors (w_1..w_n, rho)."""
+    if grading is None:
+        return []
+    ring = pres.ring
+    weights = [grading.weight(ring.var_monomial(x)) for x in ring.generators]
+    return [[w[k] for w in weights] + [grading.rho[k]] for k in range(len(grading.rho))]
+
+
+def direct_grading(pres, rmatrix):
+    """A grading with the direct solve's weights and rho, or None."""
+    lattice = direct_lattice(pres, rmatrix)
+    if lattice is None:
+        return None
+    unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
+    return WeightGrading(*lattice, unit_legs)
+
+
+def lattice_cases(cid):
+    """(name, presentation, r-matrix): an entry's r, every single-pair r of its
+    Lie algebra and its r off CYBE, if any; or toeplitz's."""
+    if cid == "toeplitz":
+        g = toeplitz()
+        return [(e, g, RMatrix(3, e))
+                for e in ({(0, 1): 1, (0, 2): 1}, {(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1})]
+    data = catalog.get(cid).load()
+    pres, n = data.presentation, data.rmatrix.n
+    return ([(cid, pres, data.rmatrix)]
+            + [(pair, pres, RMatrix(n, {pair: 1})) for pair in itertools.combinations(range(n), 2)]
+            + [("off CYBE", pres, RMatrix(n, e)) for c, e in OFF_CYBE if c == cid])
+
+
+@pytest.mark.parametrize("cid", catalog.ids() + ["toeplitz"])
+def test_lattice_matches_the_direct_solve(cid):
+    # the engine's N rho lattice spans the rational space of the direct
+    # solve's; the walks give the same Delta groups, in order, for every
+    # (m1, m2, side) within total degree 5, and WeightIndex(., 5) the same
+    # triples, on the engine's grading and on one with the direct weights
+    ranks = {}
+    for name, pres, r in lattice_cases(cid):
+        engine, direct = WeightGrading.of(pres, r), direct_grading(pres, r)
+        ours, theirs = lattice_rows(engine, pres), lattice_rows(direct, pres)
+        rank = linalg.matrix_rank(ours) if ours else 0
+        assert rank == len(ours) == len(theirs), name
+        assert (linalg.matrix_rank(ours + theirs) if ours else 0) == rank, name
+        ranks[repr(name)] = rank
+        if engine is None:
+            assert direct is None, name
+            continue
+        mons = pres.ring.monomials_up_to(4)
+        for m1 in mons:
+            for m2 in mons:
+                if m1.degree + m2.degree <= 5:
+                    for first in (True, False):
+                        assert pres._graded_terms(m1, m2, first, engine) \
+                            == pres._graded_terms(m1, m2, first, direct), (name, m1, m2, first)
+        triples = []
+        for grading in (engine, direct):
+            j = ExponentialCocycle(pres, r)
+            j.grading = grading
+            triples.append(list(WeightIndex(j, 5).triples()))
+        assert triples[0] == triples[1], name
+    # the catalog's rank, or a toeplitz r with lattice {0}
+    if cid == "toeplitz":
+        assert ranks[repr({(0, 1): 1, (0, 2): 1})] == 0
+    else:
+        assert ranks[repr(cid)] == LATTICE_RANKS[cid]
+
+
 def test_letter_sums_of_a_rank0_lattice_skip_nothing():
     # q(Y) = X (x) X gives w_Y = 2 w_X, and q(Z) = X (x) Y + X (x) X gives
     # w_Z = 3 w_X = 2 w_X, so every weight is 0: every key is () and no

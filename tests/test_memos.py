@@ -4,8 +4,9 @@ The engine memoizes values on presentations, rings, cocycles, contexts and
 gradings, and several memos hand out shared dicts and lists that callers
 must not change.  For each catalog entry, on one load, the test runs a
 report, the R-form check, drawn products and twisted antipodes, snapshots
-by value every memo it can reach, runs the same work again, and asserts
-that every stored entry still holds its value.  The memos are found by
+by value every memo it can reach, runs the same work again with other
+commands (validate, gamma, c0 and the manifest's strata), and asserts that
+every stored entry still holds its value.  The memos are found by
 walking the attributes of engine objects, so a new memo is covered without
 editing this file.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from unitwist import catalog, cli
 from unitwist.poly import Monomial, Poly, TensorPoly
+from unitwist.strata import commutator_ideal_and_gamma, stratum_presentation
 from unitwist.twist import rform_axiom_check, twisted_antipode
 
 VALUES = (Monomial, Poly, TensorPoly)  # engine objects compared by value, not walked
@@ -123,6 +125,20 @@ def work(entry):
     return out
 
 
+def other_commands(entry):
+    """validate and c0 at 3, gamma, and a stratum at each point the manifest names."""
+    data = entry.data
+    ctx = cli.build_context(data)
+    pres = data.presentation
+    out = cli.run_validate(data, 3, False)[1]
+    out += commutator_ideal_and_gamma(ctx).lines()
+    out.append(cli.run_c0(data, 3).describe())
+    for spec in entry.expected.get("strata", []):
+        out += stratum_presentation(pres, ctx, pres.named_subgroups["T"],
+                                    pres.named_points[spec["point"]], name=spec["point"]).lines()
+    return out
+
+
 @pytest.mark.parametrize("cid", catalog.ids())
 def test_no_memo_entry_changes_once_stored(cid):
     entry = OneLoad(catalog.get(cid))
@@ -138,4 +154,5 @@ def test_no_memo_entry_changes_once_stored(cid):
                  ctx._mul_cache, *ctx.right.grading.class_memos):
         assert memo and id(memo) in memos
     assert work(entry) == first
+    assert other_commands(entry) == other_commands(OneLoad(catalog.get(cid)))
     assert changed_entries(memos, snapshot) == []
