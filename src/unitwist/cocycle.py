@@ -22,37 +22,39 @@ terminating geometric series of (eps (x) eps) - J.  Every sum over
 Delta(a) x Delta(b) goes through `GroupPresentation.contract`.
 
 Zeros known ahead of time.  Give each generator X_i an integer weight
-vector w_i, and say w(m) for the weight of a monomial.  If every term
-m1 (x) m2 of q(X_i) has w(m1) + w(m2) = w_i, Delta is homogeneous, and so
-is every word table: X_{u1} ... X_{uk} has a nonzero coefficient in the
-table of m only if w_{u1} + ... + w_{uk} = w(m).  The k-th term of
-exp(r/2) on a (x) b sums c(u) c'(v) r_{u1 v1} ... r_{uk vk} over the words
-u of a's table and v of b's, and a product is nonzero only if every
-r_{ui vi} is.  Then (w(a), w(b)) = sum_i (w_{ui}, w_{vi}) lies in S_k, the
-set of sums of k letters (w_u, w_v) with r_uv != 0.  So the exponential
-evaluator reads only the lengths k whose S_k holds (w(a), w(b)), and a
-pair with none is 0 before any word table (`LetterSums`, with weights from
-Delta alone and no rho; a rank-0 lattice makes every weight () and skips
-nothing).  This is the support of J on the subgroup T whose Lie algebra
-the letters of r span, read on weights.
+vector w_i with w(m1) + w(m2) = w_i on every term m1 (x) m2 of q(X_i), and
+say w(m) for the weight of a monomial.  Delta is then homogeneous, and so is
+every word table: X_{u1} ... X_{uk} has a nonzero coefficient in the table
+of m only if w_{u1} + ... + w_{uk} = w(m).  `WeightGrading.of` holds such
+weights, solved from Delta alone, for one presentation and r-matrix, and
+states two rules on them:
 
-The walks use the coarser sum.  If also w_a + w_b = rho for every nonzero
-r_ab, every sum in S_k adds up to k rho, so J_r(a, b) != 0 only if
-w(a) + w(b) lies in N rho.  Convolution, the Neumann inverse and the swap
-keep that class, so J^{-1}, J21 and the R-form (J21)^{-1} * J have the
-same zeros.  `WeightGrading.of` finds such weights.  An evaluator's
-`grading` is set only where this proof holds:
-`ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
-a `Convolution` of two evaluators with the same grading, and a
-`CorrectedCocycle` whose correction keys are all in class.  Every other
-evaluator has None.  The identity check, the R-form check and the
-correction solver take their monomial triples from one walk, a per-call
-`WeightIndex`, which skips what the grading proves 0 = 0; with no grading
-it is the full sweep.  `contract` reads only the Delta terms whose legs J
-(in `right_product` and `c0_solver`), K (in the deformed product), the
-inner cocycle (in `NeumannInverse`), the left factor (in `Convolution`) or
-R (in the R-form check) can pair nonzero.  Past a bounded evaluator's
-range (`grading_within`) the full path runs.
+  * `lengths`.  The k-th term of exp(r/2) on a (x) b sums
+    c(u) c'(v) r_{u1 v1} ... r_{uk vk} over the words u of a's table and v
+    of b's, and a product is nonzero only if every r_{ui vi} is.  So it is 0
+    unless (w(a), w(b)) lies in S_k, the set of sums of k letters
+    (w_u, w_v) with r_uv != 0.  The exponential evaluator reads
+    only those lengths.  This is the support of J on the subgroup T whose
+    Lie algebra the letters of r span, read on weights.
+  * `multiple`, its coarser sum.  Through a linear map c with
+    c(w_a + w_b) = rho on every letter (the N rho lattice), every sum in
+    S_k reads k rho, so J_r(a, b) != 0 only if w(a) + w(b) lies in N rho.
+    Convolution, the Neumann inverse and the swap keep that class, so
+    J^{-1}, J21 and the R-form (J21)^{-1} * J have the same zeros.
+
+The walks read the coarser rule.  An evaluator's `grading` is set only where
+its proof holds and the lattice is not {0}: `ExponentialCocycle` and its
+inverse, `NeumannInverse`, `SwappedCocycle`, a `Convolution` of two
+evaluators with the same grading, and a `CorrectedCocycle` whose correction
+keys are all in class.  Every other evaluator has None.  The identity
+check, the R-form check and the correction solver take their monomial
+triples from one walk, a per-call `WeightIndex`, which skips what the
+grading proves 0 = 0; with no grading it is the full sweep.  `contract`
+reads only the Delta terms whose legs J (in `right_product` and
+`c0_solver`), K (in the deformed product), the inner cocycle (in
+`NeumannInverse`), the left factor (in `Convolution`) or R (in the R-form
+check) can pair nonzero (`WeightGrading.term_pairs`).  Past a bounded
+evaluator's range (`grading_within`) the full path runs.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key, rational
@@ -114,60 +116,86 @@ def _integral_nullspace(rows, ncols):
             for v in linalg.nullspace(rows, ncols)]
 
 
-def _weigh(m, weights, rank):
-    # the weight of a monomial: its exponents times the generator weights
-    out = [0] * rank
-    for e, w in zip(m.exps, weights):
-        if e:
-            for t, x in enumerate(w):
-                out[t] += e * x
-    return tuple(out)
+class WeightGrading:
+    """Integer weights on the generators, and the zeros they prove for one r-matrix.
 
+    `weights[i]` is X_i's weight from Delta alone; `weight` memoizes w(m).
+    The two rules of the module docstring read it: `lengths`, from the
+    `letters` (w_a, w_b), one per entry of r's support, with S_k built as
+    far as a query needs; and `multiple`, from the N rho lattice, whose
+    vectors (c, rho_t) have c . (w_a + w_b) = rho_t on every letter:
+    `grades` holds the c, `rho` the rho_t, and `grade(v)` reads a weight in
+    the lattice.  A bounded evaluator's grading also carries its
+    `total_bound`, beyond which it raises instead of answering.
 
-class LetterSums:
-    """The bi-weights at which the k-th term of exp(r/2) can pair nonzero.
-
-    `weights[i]` is an integer tuple for X_i with w(m1) + w(m2) = w_i for
-    every term m1 (x) m2 of q(X_i): Delta alone grades them, with no rho.
-    Each (a, b, r_ab) of `rmatrix.support` gives a letter (w_a, w_b), a
-    concatenated tuple, and S_k is the set of sums of k letters.  The k-th
-    term of exp(r/2) pairs a (x) b to 0 unless (w(a), w(b)) lies in S_k
-    (the module docstring has the proof).
-
-    One object per presentation and r-matrix (`of`); it memoizes weights
-    per monomial, builds S_k as far as a query needs, and memoizes
-    `lengths` per pair of weights.
+    `term_pairs`, the walk, lists the pairs of Delta term groups where a
+    graded slot can be nonzero, from Delta(m)'s terms grouped by the class
+    modulo Z rho (`coset`) of one leg's weight (`_delta_classes`).  A
+    grading belongs to one presentation.  It memoizes `weight` and
+    `_delta_classes` per monomial of its ring (one class memo per leg, the
+    second built from the first with the same term groups), `lengths` per
+    pair of weights and kmax, `coset` per weight and `opposite` per class;
+    `bounded` copies share the memos.
     """
 
-    def __init__(self, weights, rmatrix):
+    def __init__(self, weights, lattice, unit_legs, letters=()):
+        rank = len(weights[0])
         self.weights = weights
-        self.rank = len(weights[0]) if weights else 0
-        self.letters = sorted({weights[a] + weights[b] for a, b, _ in rmatrix.support})
-        self._sums = [{(0,) * (2 * self.rank)}]  # S_0, S_1, ...
+        self.rank = rank
+        self.letters = letters
+        self.grades = tuple(tuple(v[:rank]) for v in lattice)
+        self.rho = tuple(v[rank] for v in lattice)
+        # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
+        self.unit_legs = unit_legs
+        self.total_bound = None
+        self.pivot = next((t for t, r in enumerate(self.rho) if r), None)
+        self.step = 1 if self.pivot is None else self.rho[self.pivot]
         self._weight_memo = {}
+        self._sums = [{(0,) * (2 * rank)}]  # S_0, S_1, ...
         self._lengths = {}
+        self._cosets = {}
+        self._opposites = {}
+        self.class_memos = ({}, {})  # _delta_classes's, by leg
 
     @classmethod
     def of(cls, pres, rmatrix):
-        """The letter sums of `rmatrix` on `pres`, memoized on the presentation.
+        """The grading of `rmatrix` on `pres`, memoized on the presentation.
 
-        The weights depend on q only: they are solved once per presentation,
-        on first use, as the integral nullspace of the homogeneity equations.
+        The weights depend on q only: a presentation's first grading solves
+        them, as the integral nullspace of the homogeneity equations, and the
+        others take them from it.  The lattice is solved over them from the
+        letters alone: the integral (c, rho_t) with c . (w_a + w_b) = rho_t for
+        each letter, in rank + 1 unknowns.  Where it is {0}, `rho` is ().
         """
-        memo = pres._letter_sums
+        memo = pres._gradings
         hit = memo.get(rmatrix)
         if hit is None:
-            if pres._delta_weights is None:
+            known = next(iter(memo.values()), None)
+            if known is None:
                 n = pres.ring.ngens
                 basis = _integral_nullspace(_homogeneity_rows(pres), n)
-                pres._delta_weights = tuple(tuple(v[i] for v in basis) for i in range(n))
-            hit = memo[rmatrix] = cls(pres._delta_weights, rmatrix)
+                weights = tuple(tuple(v[i] for v in basis) for i in range(n))
+                unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms
+                                for m in key)
+            else:
+                weights, unit_legs = known.weights, known.unit_legs
+            rank = len(weights[0])
+            letters = sorted({weights[a] + weights[b] for a, b, _ in rmatrix.support})
+            rows = [dict(enumerate(map(add, ab[:rank], ab[rank:]))) | {rank: -1} for ab in letters]
+            hit = memo[rmatrix] = cls(weights, _integral_nullspace(rows, rank + 1), unit_legs,
+                                      letters)
         return hit
 
     def weight(self, m):
         hit = self._weight_memo.get(m)
         if hit is None:
-            hit = self._weight_memo[m] = _weigh(m, self.weights, self.rank)
+            # the exponents of m times the generator weights
+            out = [0] * self.rank
+            for e, w in zip(m.exps, self.weights):
+                if e:
+                    for t, x in enumerate(w):
+                        out[t] += e * x
+            hit = self._weight_memo[m] = tuple(out)
         return hit
 
     def lengths(self, m1, m2, kmax):
@@ -181,79 +209,33 @@ class LetterSums:
             hit = self._lengths[key] = tuple(k for k in range(1, kmax + 1) if key[0] in sums[k])
         return hit
 
+    def grade(self, v):
+        """The weight v read in the lattice: c . v for each of its vectors."""
+        return tuple(sum(map(mul, c, v)) for c in self.grades)
 
-class WeightGrading:
-    """Integer weights on the generators and rho, grading the zeros of J_r.
-
-    `weights[i]` and `rho` are integer tuples, one entry per basis vector of
-    the weight lattice.  An evaluator with this grading is 0 on (a, b)
-    unless w(a) + w(b) lies in N rho.  A bounded evaluator's grading also
-    carries its `total_bound`, beyond which it raises instead of answering.
-
-    A grading belongs to one presentation: it memoizes `weight` and
-    `GroupPresentation._delta_classes` per monomial of that presentation's
-    ring, one memo per leg, the second leg's built from the first's with
-    the same term lists; and `opposite` per class.  `bounded` copies share
-    the memos.
-    """
-
-    def __init__(self, weights, rho, unit_legs, total_bound=None):
-        self.weights = weights
-        self.rho = rho
-        # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
-        self.unit_legs = unit_legs
-        self.total_bound = total_bound
-        self.pivot = next((t for t, r in enumerate(rho) if r), None)
-        self.step = 1 if self.pivot is None else rho[self.pivot]
-        self._weight_memo = {}
-        self._opposites = {}
-        self.class_memos = ({}, {})  # GroupPresentation._delta_classes's, by leg
-
-    @classmethod
-    def of(cls, pres, rmatrix):
-        """The weight lattice of a presentation and an r-matrix, or None when it is {0}.
-
-        It is the rational nullspace of the equations in (w_1..w_n, rho)
-        w(m1) + w(m2) = w_i for each term of q(X_i), and w_a + w_b = rho for
-        each nonzero r_ab, with each basis vector scaled to integers.
-        Memoized on the presentation.
-        """
-        memo = pres._gradings
-        if rmatrix in memo:
-            return memo[rmatrix]
-        n = pres.ring.ngens
-        rows = _homogeneity_rows(pres)
-        for a, b, _ in rmatrix.support:
-            if a < b:
-                rows.append({a: 1, b: 1, n: -1})
-        basis = _integral_nullspace(rows, n + 1)
-        grading = None
-        if basis:
-            unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
-            grading = cls(tuple(tuple(v[i] for v in basis) for i in range(n)),
-                          tuple(v[n] for v in basis), unit_legs)
-        memo[rmatrix] = grading
-        return grading
-
-    def weight(self, m):
-        hit = self._weight_memo.get(m)
-        if hit is None:
-            hit = self._weight_memo[m] = _weigh(m, self.weights, len(self.rho))
-        return hit
+    def multiple(self, s):
+        """Whether the weight s reads k rho in the lattice, for an integer k >= 0."""
+        u = self.grade(s)
+        k = next((x // r for x, r in zip(u, self.rho) if r), 0)
+        return k >= 0 and all(x == k * r for x, r in zip(u, self.rho))
 
     def coset(self, v):
         """(c, p): the class c of the weight v modulo Z rho, and v's pivot coordinate p.
 
-        With t the first coordinate where rho_t != 0 and `step` = rho_t, c is
-        (step v - p rho, p mod step).  Its first part is linear in v and 0
-        exactly on Q rho, so v = k rho exactly when it is 0 and p = k step.
-        With no pivot (rho = 0, or rank 0), c is (v, 0) and p is 0.
+        With u = `grade(v)`, t the first coordinate where rho_t != 0 and
+        `step` = rho_t, c is (step u - p rho, p mod step) for p = u_t.  Its
+        first part is linear in u and 0 exactly on Q rho, so u = k rho exactly
+        when it is 0 and p = k step.  With no pivot (rho = 0, or the lattice
+        {0}), c is (u, 0) and p is 0.  Memoized per weight.
         """
-        t = self.pivot
-        if t is None:
-            return (v, 0), 0
-        p = v[t]
-        return (tuple(self.step * x - p * r for x, r in zip(v, self.rho)), p % self.step), p
+        hit = self._cosets.get(v)
+        if hit is None:
+            u = self.grade(v)
+            t = self.pivot
+            p = 0 if t is None else u[t]
+            line = u if t is None else tuple(self.step * x - p * r for x, r in zip(u, self.rho))
+            hit = self._cosets[v] = (line, p % self.step), p
+        return hit
 
     def opposite(self, c):
         """(c, d): the class c, one object per class, and the class d of -v for v in c."""
@@ -263,10 +245,51 @@ class WeightGrading:
             hit = self._opposites[c] = (c, (tuple(-x for x in line), -r % self.step))
         return hit
 
-    def multiple(self, s):
-        """Whether s = k rho for an integer k >= 0."""
-        k = next((x // r for x, r in zip(s, self.rho) if r), 0)
-        return k >= 0 and all(x == k * r for x, r in zip(s, self.rho))
+    def term_pairs(self, pres, m1, m2, first):
+        """The (term group, term group) pairs of Delta(m1) and Delta(m2) where a
+        slot graded by this grading can be nonzero.
+
+        The slot reads the first legs when `first`, else the second legs.
+        Their weights must sum to k rho, k >= 0, so their classes modulo Z rho
+        are opposite and their pivot coordinates sum to k step.  The list is
+        new on each call; the groups are the memo's.
+        """
+        leg = 0 if first else 1
+        classes = self._delta_classes(pres, m2, leg)
+        step = self.step
+        out = []
+        for opposite, groups in self._delta_classes(pres, m1, leg).values():
+            partner = classes.get(opposite)
+            if partner is not None:
+                out += [(ta, tb) for pa, ta in groups for pb, tb in partner[1]
+                        if (pa + pb) * step >= 0]
+        return out
+
+    def _delta_classes(self, pres, m, leg):
+        # Delta(m)'s terms by the class (`coset`) of the weight of their leg `leg`:
+        # {class: (opposite class, ((pivot coordinate, terms), ...))}.  The two legs'
+        # weights sum to w(m), so leg 1's classes and pivots are w(m)'s less leg 0's:
+        # its groups are leg 0's term tuples, in the same order
+        memo = self.class_memos[leg]
+        hit = memo.get(m)
+        if hit is None:
+            hit = {}
+            if leg:
+                (line, r), p = self.coset(self.weight(m))
+                for (line0, r0), (_, groups) in self._delta_classes(pres, m, 0).items():
+                    c, opposite = self.opposite(
+                        (tuple(x - y for x, y in zip(line, line0)), (r - r0) % self.step))
+                    hit[c] = (opposite, tuple((p - p0, terms) for p0, terms in groups))
+            else:
+                classes = {}
+                for t in pres._delta_terms(m):
+                    c, p = self.coset(self.weight(t[0][0]))
+                    classes.setdefault(c, {}).setdefault(p, []).append(t)
+                for c, groups in classes.items():
+                    c, opposite = self.opposite(c)
+                    hit[c] = (opposite, tuple((p, tuple(terms)) for p, terms in groups.items()))
+            memo[m] = hit
+        return hit
 
     def bounded(self, total_bound):
         """This grading for an evaluator that answers up to `total_bound` only; shares the memos."""
@@ -299,9 +322,12 @@ class WeightIndex:
 
     `partners(idx, end)` lists, in increasing order, the indices k < end
     for which the weight of mons[k] times the monomials indexed by `idx`
-    lies in N rho.  The full list is memoized per weight.  Buckets are
-    grouped by their class modulo Z rho (`WeightGrading.coset`), so an
-    answer reads one group, not every bucket.
+    lies in N rho: its class modulo Z rho (`WeightGrading.coset`) is
+    opposite to theirs, and the pivot coordinates sum to k step with k >= 0,
+    as in `WeightGrading.term_pairs`.  Class lines and pivot coordinates add
+    like weights.  The monomials are bucketed by class and pivot, so an
+    answer reads one class, and the full list is memoized per class line and
+    pivot of the sum.
     """
 
     def __init__(self, j, degree_bound):
@@ -311,10 +337,12 @@ class WeightIndex:
         self.bound = degree_bound
         self.mons = j.pres.ring.monomials_up_to(degree_bound, include_one=False)
         self._degs = [m.degree for m in self.mons]
-        self._weights = [grading.weight(m) for m in self.mons]
+        self._lines = []  # (class line, pivot coordinate) per monomial
         self._classes = {}
-        for k, w in enumerate(self._weights):
-            self._classes.setdefault(grading.coset(w)[0], {}).setdefault(w, []).append(k)
+        for k, m in enumerate(self.mons):
+            c, p = grading.coset(grading.weight(m))
+            self._lines.append((c[0], p))
+            self._classes.setdefault(c, {}).setdefault(p, []).append(k)
         self._memo = {}
 
     def _upto(self, d):
@@ -322,14 +350,15 @@ class WeightIndex:
         return bisect.bisect_right(self._degs, d)
 
     def partners(self, idx, end):
-        s = tuple(map(sum, zip(*(self._weights[k] for k in idx))))
-        hit = self._memo.get(s)
+        line = tuple(map(sum, zip(*(self._lines[k][0] for k in idx))))
+        p = sum(self._lines[k][1] for k in idx)
+        hit = self._memo.get((line, p))
         if hit is None:
-            multiple = self.grading.multiple
-            cls = self.grading.coset(tuple(-x for x in s))[0]
-            hit = self._memo[s] = sorted(
-                k for w, ks in self._classes.get(cls, {}).items()
-                if multiple(tuple(map(sum, zip(s, w)))) for k in ks)
+            step = self.grading.step
+            _, opposite = self.grading.opposite((line, p % step))
+            hit = self._memo[(line, p)] = sorted(
+                k for q, ks in self._classes.get(opposite, {}).items()
+                if (p + q) * step >= 0 for k in ks)
         return hit[:bisect.bisect_left(hit, end)]
 
     def pairs(self):
@@ -481,12 +510,13 @@ class ExponentialCocycle(Cocycle):
 
     The k-th term pairs the length-k word tables of its arguments through
     r, for k up to their coradical degree.  A miss reads only the lengths k
-    whose letter sums S_k hold the pair of weights (`LetterSums.lengths`,
+    whose letter sums S_k hold the pair of weights (`WeightGrading.lengths`,
     proof in the module docstring), and is 0 before any word table when
-    there is none.  J and J^{-1} = exp(-r/2) share one `LetterSums` through
-    the presentation's memo, and so do the evaluators built on them: the
-    R-form's factors and a `CorrectedCocycle`'s base.  `grading`, the
-    coarser N rho class, serves the contraction walks.
+    there is none.  J and J^{-1} = exp(-r/2) share one `WeightGrading`
+    through the presentation's memo, and so do the evaluators built on
+    them: the R-form's factors and a `CorrectedCocycle`'s base.  `grading`
+    is that object where its lattice is not {0}; its coarser N rho rule
+    serves the contraction walks.
     """
 
     kind = "exponential"
@@ -505,7 +535,7 @@ class ExponentialCocycle(Cocycle):
         kmax = min(pres.corad_degree_monomial(m1), pres.corad_degree_monomial(m2))
         total = ZERO
         scale_base = Fraction(-1, 2) if self.negate else Fraction(1, 2)
-        for k in LetterSums.of(pres, self.rmatrix).lengths(m1, m2, kmax):
+        for k in WeightGrading.of(pres, self.rmatrix).lengths(m1, m2, kmax):
             left = pres.word_table(m1, k)
             if not left:
                 continue
@@ -549,8 +579,10 @@ class ExponentialCocycle(Cocycle):
         return total
 
     def _find_grading(self):
-        # shared with the inverse through the presentation's memo
-        return WeightGrading.of(self.pres, self.rmatrix)
+        # shared with the inverse through the presentation's memo; a lattice
+        # {0} proves nothing zero for the walks
+        g = WeightGrading.of(self.pres, self.rmatrix)
+        return g if g.rho else None
 
     def inverse(self):
         return ExponentialCocycle(self.pres, self.rmatrix, not self.negate)

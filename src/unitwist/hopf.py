@@ -213,8 +213,6 @@ class GroupPresentation:
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
-        self._letter_sums = {}  # cocycle.LetterSums.of's memo, keyed by RMatrix
-        self._delta_weights = None  # cocycle.LetterSums.of's weights, solved on first use
         self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
 
@@ -320,15 +318,16 @@ class GroupPresentation:
         not added to 0, and each result value goes through `rational`.
 
         `grading` grades the first scalar slot (f, or g when f is None): it is
-        0 on (x, y) unless w(x) + w(y) lies in N rho, so only the term pairs
-        where it can be nonzero are read.  `_graded_terms` lists them as pairs
-        of Delta term groups, from the grading's per-monomial memo.  None is
-        the rank-0 grading: one pair, every term.
+        0 on (x, y) unless w(x) + w(y) reads k rho, k >= 0, in the grading's
+        lattice, so only the term pairs where it can be nonzero are read.
+        `WeightGrading.term_pairs` lists them as pairs of Delta term groups.
+        None is the rank-0 grading: one pair, every term.
         """
         out = {}
         get = out.get
         one = self.ring.one_monomial
-        for d1, d2 in self._graded_terms(m1, m2, f is not None, grading):
+        for d1, d2 in (((self._delta_terms(m1), self._delta_terms(m2)),) if grading is None
+                       else grading.term_pairs(self, m1, m2, f is not None)):
             if f is None:
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:
@@ -363,57 +362,11 @@ class GroupPresentation:
                             out[one] = v if o is None else o + v
         return {k: rational(c) for k, c in out.items() if c}
 
-    def _graded_terms(self, m1, m2, first, grading):
-        # the list of (term list, term list) pairs of Delta(m1) and Delta(m2) where the
-        # graded slot may be nonzero: the weights of the first legs (when `first`) or of
-        # the second legs sum to k rho, k >= 0, so their classes modulo Z rho are
-        # opposite and their pivot coordinates sum to k step; the rank-0 grading (None)
-        # gives one pair, all of Delta(m1) and all of Delta(m2)
-        if grading is None:
-            return [(self._delta_terms(m1), self._delta_terms(m2))]
-        leg = 0 if first else 1
-        classes = self._delta_classes(m2, grading, leg)
-        step = grading.step
-        out = []
-        for opposite, groups in self._delta_classes(m1, grading, leg).values():
-            partner = classes.get(opposite)
-            if partner is not None:
-                out += [(ta, tb) for pa, ta in groups for pb, tb in partner[1]
-                        if (pa + pb) * step >= 0]
-        return out
-
-    def _delta_classes(self, m, grading, leg):
-        # Delta(m)'s terms by the class (`WeightGrading.coset`) of the weight of their
-        # leg `leg`: {class: (opposite class, ((pivot coordinate, terms), ...))};
-        # memoized on the grading.  The two legs' weights sum to w(m), so leg 1's
-        # classes and pivots are w(m)'s less leg 0's: its groups are leg 0's term
-        # lists, in the same order
-        memo = grading.class_memos[leg]
-        hit = memo.get(m)
-        if hit is None:
-            hit = {}
-            if leg:
-                (line, r), p = grading.coset(grading.weight(m))
-                for (line0, r0), (_, groups) in self._delta_classes(m, grading, 0).items():
-                    c, opposite = grading.opposite(
-                        (tuple(x - y for x, y in zip(line, line0)), (r - r0) % grading.step))
-                    hit[c] = (opposite, tuple((p - p0, terms) for p0, terms in groups))
-            else:
-                classes = {}
-                for t in self._delta_terms(m):
-                    c, p = grading.coset(grading.weight(t[0][0]))
-                    classes.setdefault(c, {}).setdefault(p, []).append(t)
-                for c, groups in classes.items():
-                    c, opposite = grading.opposite(c)
-                    hit[c] = (opposite, tuple(groups.items()))
-            memo[m] = hit
-        return hit
-
     def _delta_terms(self, m):
-        # Delta(m)'s terms as a list
+        # Delta(m)'s terms as a tuple
         hit = self._terms.get(m)
         if hit is None:
-            hit = self._terms[m] = list(self.coproduct_monomial(m).terms.items())
+            hit = self._terms[m] = tuple(self.coproduct_monomial(m).terms.items())
         return hit
 
     def iterated_coproduct_monomial(self, m, k):

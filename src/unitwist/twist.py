@@ -249,7 +249,7 @@ def rform_axiom_check(ctx, degree_bound):
     itself, so it is checked on every pair; its left side and (3) contract
     only the Delta terms where R of the first legs can be nonzero, and its
     right side reads only those where R of the second legs can be
-    (`GroupPresentation._graded_terms`).
+    (`WeightGrading.term_pairs`).
     """
     pres = ctx.pres
     rform = ctx.rform()
@@ -279,7 +279,8 @@ def rform_axiom_check(ctx, degree_bound):
             # (2) commutation identity; the scalar of the right side sits in
             # the second legs, so that side is summed here over their classes
             rhs = {}
-            for d1, d2 in pres._graded_terms(h, g, False, grading):
+            for d1, d2 in ([(delta(h), delta(g))] if grading is None
+                           else grading.term_pairs(pres, h, g, False)):
                 for (h1, h2), c1 in d1:
                     for (g1, g2), c2 in d2:
                         v = R(h2, g2)

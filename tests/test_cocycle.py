@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from unitwist import catalog, linalg
 from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, Convolution,
                               CorrectedCocycle, CounitPair, ExponentialCocycle, GaugeCocycle,
-                              LetterSums, NeumannInverse, PointFunctional, PullbackCocycle,
+                              NeumannInverse, PointFunctional, PullbackCocycle,
                               RMatrix, TableCocycle, WeightGrading, WeightIndex, cybe_check,
                               solve_cocycle_corrections, verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData, PresentationError
@@ -921,7 +921,10 @@ def test_zero_lattice_takes_the_full_sweep():
     g = toeplitz()
     assert g.validate().ok
     j = ExponentialCocycle(g, RMatrix(3, {(0, 1): 1, (0, 2): 1}))
-    assert WeightGrading.of(g, j.rmatrix) is None and j.grading is None
+    assert WeightGrading.of(g, j.rmatrix).rho == () and j.grading is None
+    # the letters still skip lengths: w_X = 1, so (X, X) lies in no S_k
+    X = g.ring.var_monomial("X")
+    assert WeightGrading.of(g, j.rmatrix).lengths(X, X, 3) == ()
     assert ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).grading is not None
     assert WeightIndex(j, 4).grading.rho == ()
     rep = verify_cocycle_identity(j, 4)
@@ -953,7 +956,7 @@ def lattice_rows(grading, pres):
     if grading is None:
         return []
     ring = pres.ring
-    weights = [grading.weight(ring.var_monomial(x)) for x in ring.generators]
+    weights = [grading.grade(grading.weight(ring.var_monomial(x))) for x in ring.generators]
     return [[w[k] for w in weights] + [grading.rho[k]] for k in range(len(grading.rho))]
 
 
@@ -963,7 +966,10 @@ def direct_grading(pres, rmatrix):
     if lattice is None:
         return None
     unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
-    return WeightGrading(*lattice, unit_legs)
+    weights, rho = lattice
+    # the direct weights as the grading's own, read in the lattice as they are
+    return WeightGrading(weights, [[int(s == t) for s in range(len(rho))] + [r]
+                                   for t, r in enumerate(rho)], unit_legs)
 
 
 def lattice_cases(cid):
@@ -988,7 +994,7 @@ def test_lattice_matches_the_direct_solve(cid):
     # triples, on the engine's grading and on one with the direct weights
     ranks = {}
     for name, pres, r in lattice_cases(cid):
-        engine, direct = WeightGrading.of(pres, r), direct_grading(pres, r)
+        engine, direct = ExponentialCocycle(pres, r).grading, direct_grading(pres, r)
         ours, theirs = lattice_rows(engine, pres), lattice_rows(direct, pres)
         rank = linalg.matrix_rank(ours) if ours else 0
         assert rank == len(ours) == len(theirs), name
@@ -1002,8 +1008,8 @@ def test_lattice_matches_the_direct_solve(cid):
             for m2 in mons:
                 if m1.degree + m2.degree <= 5:
                     for first in (True, False):
-                        assert pres._graded_terms(m1, m2, first, engine) \
-                            == pres._graded_terms(m1, m2, first, direct), (name, m1, m2, first)
+                        assert engine.term_pairs(pres, m1, m2, first) \
+                            == direct.term_pairs(pres, m1, m2, first), (name, m1, m2, first)
         triples = []
         for grading in (engine, direct):
             j = ExponentialCocycle(pres, r)
@@ -1025,13 +1031,13 @@ def test_letter_sums_of_a_rank0_lattice_skip_nothing():
     X, Y = g.ring.var("X"), g.ring.var("Y")
     g.set_q("Y", TensorPoly.from_polys([X, X]))
     g.set_q("Z", TensorPoly.from_polys([X, Y]) + TensorPoly.from_polys([X, X]))
-    sums = LetterSums.of(g, RMatrix(3, {(0, 1): 1}))
+    sums = WeightGrading.of(g, RMatrix(3, {(0, 1): 1}))
     assert sums.weights == ((), (), ())
     mons = g.ring.monomials_up_to(3, include_one=False)
     assert all(sums.lengths(a, b, kmax) == tuple(range(1, kmax + 1))
                for a in mons for b in mons for kmax in range(4))
     # with r = 0 there is no letter: exp(0) pairs nonconstant monomials to 0
-    assert LetterSums.of(g, RMatrix(3, {})).lengths(mons[0], mons[0], 3) == ()
+    assert WeightGrading.of(g, RMatrix(3, {})).lengths(mons[0], mons[0], 3) == ()
 
 
 def test_grading_only_where_the_proof_holds(examples):
@@ -1108,7 +1114,7 @@ def test_index_skips_negative_classes():
     # no catalog triple within bound 4 lies in a negative class k rho, k < 0,
     # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the k >= 0 test
     g, j = plane_cocycle()
-    j.grading = WeightGrading(((1,), (-2,)), (1,), True)
+    j.grading = WeightGrading(((1,), (-2,)), ((1, 1),), True)
     index = WeightIndex(j, 3)
     sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
@@ -1183,7 +1189,7 @@ def test_graded_contract_skips_negative_classes():
     # k rho, k < 0, so a made-up grading w_X = 1, w_V = -2, rho = 1 shows
     # the k >= 0 test on both legs
     g, _ = plane_cocycle()
-    grading = WeightGrading(((1,), (-2,)), (1,), True)
+    grading = WeightGrading(((1,), (-2,)), ((1, 1),), True)
 
     def in_class(x, y):
         return grading.multiple(grading.weight(x.mul(y)))
@@ -1260,7 +1266,7 @@ def test_graded_terms_hold_every_nonzero_leg_pair(each_example):
                 continue
             for first, c, slot in ((False, j, 1), (True, k, 0)):
                 grading = c.grading_within(m1.degree + m2.degree)
-                read = {(s, t) for d1, d2 in pres._graded_terms(m1, m2, first, grading)
+                read = {(s, t) for d1, d2 in grading.term_pairs(pres, m1, m2, first)
                         for s, _ in d1 for t, _ in d2}
                 for s in pres.coproduct_monomial(m1).terms:
                     for t in pres.coproduct_monomial(m2).terms:
@@ -1317,7 +1323,7 @@ def test_exponential_pair_is_the_unskipped_word_loop(cid, r_entries):
     if (cid, r_entries) == ("u4-ex6", None):
         # the rule is not vacuous: at every length some pair with word tables
         # of that length on both sides is left out by the letter sums
-        sums = LetterSums.of(pres, r)
+        sums = WeightGrading.of(pres, r)
         skipped, kmaxes = set(), set()
         for a, b in pairs_within(pres, 6):
             kmax = min(pres.corad_degree_monomial(a), pres.corad_degree_monomial(b))

@@ -242,6 +242,7 @@ SEALING_READS = {
     "coinvariants": lambda g, V: g.coinvariants(heis_subgroup(g, "axis"), 2),
     "validate": lambda g, V: g.validate(),
     "point_inv": lambda g, V: g.point_inv(g.point({"X": 1, "Y": 1})),
+    # the Delta weights, read by both of the grading's rules, are solved from q
     "WeightGrading.of": lambda g, V: WeightGrading.of(g, RMatrix(3, {(0, 1): 1})),
     "Cocycle.conjugate": lambda g, V: ExponentialCocycle(g, RMatrix(3, {(0, 2): 1}))
     .conjugate(g.point({"X": 1})),

@@ -149,9 +149,10 @@ def test_no_memo_entry_changes_once_stored(cid):
     snapshot = {key: frozen(memo) for key, memo in memos.items()}
     # the walk reaches the memos of the presentation, the ring, the cocycles,
     # the context and the grading
-    pres = entry.data.presentation
+    pres, grading = entry.data.presentation, ctx.right.grading
     for memo in (pres._words, pres._terms, pres.ring._monomials, ctx.right._cache,
-                 ctx._mul_cache, *ctx.right.grading.class_memos):
+                 ctx._mul_cache, grading._weight_memo, grading._lengths, grading._sums,
+                 grading._cosets, grading._opposites, *grading.class_memos):
         assert memo and id(memo) in memos
     assert work(entry) == first
     assert other_commands(entry) == other_commands(OneLoad(catalog.get(cid)))

@@ -1,5 +1,6 @@
 """Static checks on the source: no unused import, no unnamed definition, no int
-division, no Groebner kernel called outside `groebner.py`.
+division, no Groebner kernel called outside `groebner.py`, no weight class
+internals named outside `cocycle.py`.
 
 All read the abstract syntax tree, so comments and docstrings never count
 as a use.
@@ -124,4 +125,28 @@ def test_ideal_work_goes_through_ideal(path):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in ("buchberger", "normal_form"):
                 found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
+# the Delta-class walk and its class arithmetic, behind `WeightGrading`
+GRADING_INTERNALS = {"coset", "opposite", "class_memos", "_delta_classes", "_graded_terms",
+                     "pivot", "step"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "cocycle.py"), ids=lambda p: p.name)
+def test_grading_internals_stay_in_cocycle(path):
+    # other modules read a grading through its methods (`term_pairs`,
+    # `weight`, `multiple`, `lengths`), never its class keys, pivots, steps or
+    # memos, and define no walk of their own under those names
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in GRADING_INTERNALS:
+            found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []

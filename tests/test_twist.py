@@ -679,7 +679,7 @@ def test_rform_right_side_graded_matches_every_term(cid, r_entries, bound):
                 continue
             full = [(pres.coproduct_monomial(h).terms.items(),
                      pres.coproduct_monomial(g).terms.items())]
-            groups = list(pres._graded_terms(h, g, False, rform.grading_within(h.degree + g.degree)))
+            groups = rform.grading_within(h.degree + g.degree).term_pairs(pres, h, g, False)
             assert commutation_right_side(ctx, rform.pair, groups) \
                 == commutation_right_side(ctx, rform.pair, full), (h, g)
             skipped += len(full[0][0]) * len(full[0][1]) - sum(len(a) * len(b) for a, b in groups)
