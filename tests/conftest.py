@@ -1,8 +1,12 @@
+import functools
+from fractions import Fraction
+from operator import add
+
 import pytest
 
 from unitwist import catalog
 from unitwist.cli import build_context
-from unitwist.cocycle import CounitPair
+from unitwist.cocycle import CounitPair, WeightGrading
 from unitwist.twist import TwistedContext, ihoe_presentation
 
 
@@ -41,8 +45,78 @@ def each_example(request):
 
 
 @pytest.fixture(scope="session")
+def support_of():
+    """Builds `leg_support` of an evaluator."""
+    return leg_support
+
+
+@pytest.fixture(scope="session")
 def one_sided_right():
     """Builds the one-sided context of a cocycle J: K = eps.eps, so only J twists."""
     def build(pres, j):
         return TwistedContext(pres, CounitPair(pres), j)
     return build
+
+
+def _support_generators(j):
+    """(grading, gens, keys) of the evaluator j: its leg-weight support is the
+    sums of gens, (0, 0) included, together with keys.
+
+    The exponential kind has r's letters (w_a, w_b), r_ab != 0, as gens.  A
+    corrected J = J_r + table adds its keys' pairs as keys, not gens: the
+    table is not convolved.  The swap reverses every pair.  The Neumann
+    inverse and a convolution sum their factors' values over Delta, so their
+    gens are all of their factors' gens and keys.
+    """
+    if j.kind == "exponential":
+        g = WeightGrading.of(j.pres, j.rmatrix)
+        w = [g.weight(j.pres.ring.var_monomial(x)) for x in j.pres.ring.generators]
+        return g, {(w[a], w[b]) for a, b, _ in j.rmatrix.support}, set()
+    if j.kind == "corrected":
+        g, gens, keys = _support_generators(j.base)
+        return g, gens, keys | {(g.weight(a), g.weight(b)) for a, b in j.corrections}
+    if j.kind == "swap":
+        g, gens, keys = _support_generators(j.inner)
+        return g, {(v, u) for u, v in gens}, {(v, u) for u, v in keys}
+    found = [_support_generators(p) for p in ([j.inner] if j.kind == "inverse"
+                                               else [j.left, j.right])]
+    return found[0][0], set().union(*(gens | keys for _, gens, keys in found)), set()
+
+
+def leg_support(j):
+    """Whether (x, y) lies in the support of the evaluator j: (w(x), w(y)) is a
+    sum of its gens or one of its keys (`_support_generators`).
+
+    Built here by level, with no engine walk: a pair's level is the pivot
+    coordinate of w(x) + w(y) in the N rho lattice over rho's, 1 on each
+    letter, and the sums of level l are those of level l - l(g) plus a
+    generator g.  Every generator must have a positive integral level.
+    """
+    g, gens, keys = _support_generators(j)
+    t = next(t for t, r in enumerate(g.rho) if r)
+    zero = (0,) * g.rank
+
+    def level(u, v):
+        return Fraction(g.grade(u)[t] + g.grade(v)[t], g.rho[t])
+
+    by_level = {}
+    for u, v in gens:
+        by_level.setdefault(level(u, v), set()).add((u, v))
+    assert all(lv >= 1 and lv.denominator == 1 for lv in by_level), by_level
+    sums = [{(zero, zero)}]
+
+    @functools.cache
+    def member(u, v):
+        if (u, v) in keys:
+            return True
+        lv = level(u, v)
+        if lv < 0 or lv.denominator != 1:
+            return False
+        while len(sums) <= lv:
+            k = len(sums)
+            sums.append({(tuple(map(add, a, gu)), tuple(map(add, b, gv)))
+                         for gl, pairs in by_level.items() if gl <= k
+                         for a, b in sums[k - int(gl)] for gu, gv in pairs})
+        return (u, v) in sums[int(lv)]
+
+    return lambda x, y: member(g.weight(x), g.weight(y))

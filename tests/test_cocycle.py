@@ -17,6 +17,7 @@ from unitwist.cocycle import (Cocycle, CocycleBoundError, CocycleInputError, Con
                               solve_cocycle_corrections, verify_cocycle_identity)
 from unitwist.hopf import GroupPresentation, LieAlgebraData, PresentationError
 from unitwist.poly import TensorPoly, parse_poly, render_poly
+from unitwist.twist import TwistedContext
 
 
 # -- independent oracle for the 2-variable primitive case ---------------------
@@ -1341,3 +1342,28 @@ def test_exponential_pair_is_the_unskipped_word_loop_on_single_pairs(cid):
     n = pres.ring.ngens
     for a, b in itertools.combinations(range(n), 2):
         assert_pair_is_the_word_loop(ExponentialCocycle(pres, RMatrix(n, {(a, b): 1})), 4)
+
+
+# -- every nonzero value lies in its kind's leg-weight support ----------------------
+
+@pytest.mark.parametrize("cid,r_entries", [(cid, None) for cid in catalog.ids()] + OFF_CYBE)
+def test_nonzero_values_lie_in_their_kinds_support(cid, r_entries, support_of):
+    # J, J^-1, J21 and R are 0 on every nonconstant pair within total degree
+    # 6 whose leg weights lie outside the support of their kind, built by
+    # level in `conftest.leg_support`; each support leaves some pair out
+    data = catalog.get(cid).load()
+    pres = data.presentation
+    j = data.cocycle
+    if r_entries is not None:
+        j = ExponentialCocycle(pres, RMatrix(data.rmatrix.n, r_entries))
+    ctx = TwistedContext.hopf(pres, j)
+    pairs = pairs_within(pres, 6)
+    for ev in (j, ctx.right_inv, j.swap(), ctx.rform()):
+        inside = support_of(ev)
+        outside = [(a, b) for a, b in pairs if not inside(a, b)]
+        assert outside and not any(ev.pair(a, b) for a, b in outside), ev.kind
+    if isinstance(j, CorrectedCocycle):
+        # J_c = J_r + table lies in the letters' sums and the keys themselves,
+        # which leave out pairs of the monoid they generate
+        monoid = support_of(NeumannInverse(j))
+        assert any(monoid(a, b) and not support_of(j)(a, b) for a, b in pairs)
