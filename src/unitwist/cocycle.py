@@ -26,35 +26,38 @@ vector w_i with w(m1) + w(m2) = w_i on every term m1 (x) m2 of q(X_i), and
 say w(m) for the weight of a monomial.  Delta is then homogeneous, and so is
 every word table: X_{u1} ... X_{uk} has a nonzero coefficient in the table
 of m only if w_{u1} + ... + w_{uk} = w(m).  `WeightGrading.of` holds such
-weights, solved from Delta alone, for one presentation and r-matrix, and
-states two rules on them:
+weights, solved from Delta alone, for one presentation and r-matrix.
 
-  * `lengths`.  The k-th term of exp(r/2) on a (x) b sums
-    c(u) c'(v) r_{u1 v1} ... r_{uk vk} over the words u of a's table and v
-    of b's, and a product is nonzero only if every r_{ui vi} is.  So it is 0
-    unless (w(a), w(b)) lies in S_k, the set of sums of k letters
-    (w_u, w_v) with r_uv != 0.  The exponential evaluator reads
-    only those lengths.  This is the support of J on the subgroup T whose
-    Lie algebra the letters of r span, read on weights.
-  * `multiple`, its coarser sum.  Through a linear map c with
-    c(w_a + w_b) = rho on every letter (the N rho lattice), every sum in
-    S_k reads k rho, so J_r(a, b) != 0 only if w(a) + w(b) lies in N rho.
-    Convolution, the Neumann inverse and the swap keep that class, so
-    J^{-1}, J21 and the R-form (J21)^{-1} * J have the same zeros.
+The k-th term of exp(r/2) on a (x) b sums c(u) c'(v) r_{u1 v1} ... r_{uk vk}
+over the words u of a's table and v of b's, and a product is nonzero only if
+every r_{ui vi} is.  So it is 0 unless (w(a), w(b)) lies in S_k, the set of
+sums of k letters (w_u, w_v) with r_uv != 0: the support of J on the
+subgroup T whose Lie algebra the letters of r span, read on weights.  The
+exponential evaluator reads only the lengths k whose S_k holds the pair.
 
-The walks read the coarser rule.  An evaluator's `grading` is set only where
-its proof holds and the lattice is not {0}: `ExponentialCocycle` and its
-inverse, `NeumannInverse`, `SwappedCocycle`, a `Convolution` of two
-evaluators with the same grading, and a `CorrectedCocycle` whose correction
-keys are all in class.  Every other evaluator has None.  The identity
-check, the R-form check and the correction solver take their monomial
-triples from one walk, a per-call `WeightIndex`, which skips what the
-grading proves 0 = 0; with no grading it is the full sweep.  `contract`
-reads only the Delta terms whose legs J (in `right_product` and
-`c0_solver`), K (in the deformed product), the inner cocycle (in
-`NeumannInverse`), the left factor (in `Convolution`) or R (in the R-form
-check) can pair nonzero (`WeightGrading.term_pairs`).  Past a bounded
-evaluator's range (`grading_within`) the full path runs.
+Each evaluator kind has its `Support`, the weight pairs where it can be
+nonzero.  J_r, its inverse exp(-r/2) and its swap have M_r, the monoid of
+the letters, S_0 = {(0, 0)} included (J(1, 1) = 1); r is antisymmetric, so
+the letters come in both orientations.  A corrected J = J_r + table adds its
+keys' pairs: a union, not a monoid.  The swap reverses every pair.
+(F * G)(a, b) sums F(a1, b1) G(a2, b2), so a convolution, and the Neumann
+inverse, a sum of convolution powers, lie in the monoid of their factors'
+pairs.  Through a linear map c with c(w_a + w_b) = rho on every letter (the
+N rho lattice), every such pair reads k rho on w(x) + w(y), k >= 0.
+
+An evaluator's `support` is set only where this proof holds, the lattice
+has a pivot and every correction key reads k rho with k >= 1:
+`ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`, a
+`Convolution` of two supports on one grading, and `CorrectedCocycle`.
+Every other evaluator has None.  The identity check, the R-form check and
+the correction solver take their monomial triples from one walk, a per-call
+`WeightIndex`, which skips what the N rho rule proves 0 = 0; with no
+support it is the full sweep.  `contract` reads only the Delta term pairs
+whose legs J (in `right_product` and `c0_solver`), K (in the deformed
+product), the inner cocycle (in `NeumannInverse`), the left factor (in
+`Convolution`) or R (in the R-form check) can pair nonzero
+(`Support.term_pairs`).  Past a bounded evaluator's range
+(`support_within`) the full path runs.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from operator import add, mul
+from functools import cached_property
+from operator import add, mul, sub
 
 from . import linalg
 from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key, rational
@@ -120,42 +124,32 @@ class WeightGrading:
     """Integer weights on the generators, and the zeros they prove for one r-matrix.
 
     `weights[i]` is X_i's weight from Delta alone; `weight` memoizes w(m).
-    The two rules of the module docstring read it: `lengths`, from the
-    `letters` (w_a, w_b), one per entry of r's support, with S_k built as
-    far as a query needs; and `multiple`, from the N rho lattice, whose
-    vectors (c, rho_t) have c . (w_a + w_b) = rho_t on every letter:
+    `monoid` is the `Support` of r's `letters` (w_a, w_b), one per entry of
+    r's support, and `lengths` reads its S_k.  The N rho lattice has vectors
+    (c, rho_t), rho_t >= 0, with c . (w_a + w_b) = rho_t on every letter:
     `grades` holds the c, `rho` the rho_t, and `grade(v)` reads a weight in
-    the lattice.  A bounded evaluator's grading also carries its
-    `total_bound`, beyond which it raises instead of answering.
-
-    `term_pairs`, the walk, lists the pairs of Delta term groups where a
-    graded slot can be nonzero, from Delta(m)'s terms grouped by the class
-    modulo Z rho (`coset`) of one leg's weight (`_delta_classes`).  A
-    grading belongs to one presentation.  It memoizes `weight` and
-    `_delta_classes` per monomial of its ring (one class memo per leg, the
-    second built from the first with the same term groups), `lengths` per
-    pair of weights and kmax, `coset` per weight and `opposite` per class;
-    `bounded` copies share the memos.
+    the lattice.  The `pivot` is the first t with rho_t != 0, `step` that
+    rho_t, and `height(v)` the pivot coordinate of v.  A grading belongs to
+    one presentation.  It memoizes `weight` and `leg_groups` per monomial of
+    its ring, `coset` per weight and `opposite` per class.
     """
 
     def __init__(self, weights, lattice, unit_legs, letters=()):
         rank = len(weights[0])
+        lattice = [v if v[rank] >= 0 else [-x for x in v] for v in lattice]
         self.weights = weights
         self.rank = rank
-        self.letters = letters
         self.grades = tuple(tuple(v[:rank]) for v in lattice)
         self.rho = tuple(v[rank] for v in lattice)
         # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
         self.unit_legs = unit_legs
-        self.total_bound = None
         self.pivot = next((t for t, r in enumerate(self.rho) if r), None)
         self.step = 1 if self.pivot is None else self.rho[self.pivot]
         self._weight_memo = {}
-        self._sums = [{(0,) * (2 * rank)}]  # S_0, S_1, ...
-        self._lengths = {}
         self._cosets = {}
         self._opposites = {}
-        self.class_memos = ({}, {})  # _delta_classes's, by leg
+        self._groups = ({}, {})  # leg_groups's, by leg
+        self.monoid = Support(self, frozenset((1, u, v) for u, v in letters))
 
     @classmethod
     def of(cls, pres, rmatrix):
@@ -180,8 +174,8 @@ class WeightGrading:
             else:
                 weights, unit_legs = known.weights, known.unit_legs
             rank = len(weights[0])
-            letters = sorted({weights[a] + weights[b] for a, b, _ in rmatrix.support})
-            rows = [dict(enumerate(map(add, ab[:rank], ab[rank:]))) | {rank: -1} for ab in letters]
+            letters = sorted({(weights[a], weights[b]) for a, b, _ in rmatrix.support})
+            rows = [dict(enumerate(map(add, u, v))) | {rank: -1} for u, v in letters]
             hit = memo[rmatrix] = cls(weights, _integral_nullspace(rows, rank + 1), unit_legs,
                                       letters)
         return hit
@@ -200,18 +194,15 @@ class WeightGrading:
 
     def lengths(self, m1, m2, kmax):
         """The k in 1..kmax with (w(m1), w(m2)) in S_k, increasing."""
-        key = (self.weight(m1) + self.weight(m2), kmax)
-        hit = self._lengths.get(key)
-        if hit is None:
-            sums = self._sums
-            while len(sums) <= kmax:
-                sums.append({tuple(map(add, s, g)) for s in sums[-1] for g in self.letters})
-            hit = self._lengths[key] = tuple(k for k in range(1, kmax + 1) if key[0] in sums[k])
-        return hit
+        u, v = self.weight(m1), self.weight(m2)
+        return tuple(k for k in range(1, kmax + 1) if v in self.monoid.level(k).get(u, ()))
 
     def grade(self, v):
         """The weight v read in the lattice: c . v for each of its vectors."""
         return tuple(sum(map(mul, c, v)) for c in self.grades)
+
+    def height(self, v):
+        return sum(map(mul, self.grades[self.pivot], v))
 
     def multiple(self, s):
         """Whether the weight s reads k rho in the lattice, for an integer k >= 0."""
@@ -222,11 +213,11 @@ class WeightGrading:
     def coset(self, v):
         """(c, p): the class c of the weight v modulo Z rho, and v's pivot coordinate p.
 
-        With u = `grade(v)`, t the first coordinate where rho_t != 0 and
-        `step` = rho_t, c is (step u - p rho, p mod step) for p = u_t.  Its
-        first part is linear in u and 0 exactly on Q rho, so u = k rho exactly
-        when it is 0 and p = k step.  With no pivot (rho = 0, or the lattice
-        {0}), c is (u, 0) and p is 0.  Memoized per weight.
+        With u = `grade(v)`, t the pivot and `step` = rho_t, c is
+        (step u - p rho, p mod step) for p = u_t.  Its first part is linear in
+        u and 0 exactly on Q rho, so u = k rho exactly when it is 0 and
+        p = k step.  With no pivot (rho = 0, or the lattice {0}), c is (u, 0)
+        and p is 0.  Memoized per weight.
         """
         hit = self._cosets.get(v)
         if hit is None:
@@ -245,69 +236,114 @@ class WeightGrading:
             hit = self._opposites[c] = (c, (tuple(-x for x in line), -r % self.step))
         return hit
 
-    def term_pairs(self, pres, m1, m2, first):
-        """The (term group, term group) pairs of Delta(m1) and Delta(m2) where a
-        slot graded by this grading can be nonzero.
+    def leg_groups(self, pres, m, leg):
+        """(top, groups): Delta(m)'s terms as {weight of leg `leg`: terms}, and
+        the largest `height` of those weights.
 
-        The slot reads the first legs when `first`, else the second legs.
-        Their weights must sum to k rho, k >= 0, so their classes modulo Z rho
-        are opposite and their pivot coordinates sum to k step.  The list is
-        new on each call; the groups are the memo's.
+        The two legs' weights sum to w(m), so leg 1's groups are leg 0's term
+        tuples, in the same order, under w(m) less leg 0's weights.
         """
-        leg = 0 if first else 1
-        classes = self._delta_classes(pres, m2, leg)
-        step = self.step
-        out = []
-        for opposite, groups in self._delta_classes(pres, m1, leg).values():
-            partner = classes.get(opposite)
-            if partner is not None:
-                out += [(ta, tb) for pa, ta in groups for pb, tb in partner[1]
-                        if (pa + pb) * step >= 0]
-        return out
-
-    def _delta_classes(self, pres, m, leg):
-        # Delta(m)'s terms by the class (`coset`) of the weight of their leg `leg`:
-        # {class: (opposite class, ((pivot coordinate, terms), ...))}.  The two legs'
-        # weights sum to w(m), so leg 1's classes and pivots are w(m)'s less leg 0's:
-        # its groups are leg 0's term tuples, in the same order
-        memo = self.class_memos[leg]
+        memo = self._groups[leg]
         hit = memo.get(m)
         if hit is None:
-            hit = {}
             if leg:
-                (line, r), p = self.coset(self.weight(m))
-                for (line0, r0), (_, groups) in self._delta_classes(pres, m, 0).items():
-                    c, opposite = self.opposite(
-                        (tuple(x - y for x, y in zip(line, line0)), (r - r0) % self.step))
-                    hit[c] = (opposite, tuple((p - p0, terms) for p0, terms in groups))
+                w = self.weight(m)
+                groups = {tuple(map(sub, w, u)): terms
+                          for u, terms in self.leg_groups(pres, m, 0)[1].items()}
             else:
-                classes = {}
+                groups = {}
                 for t in pres._delta_terms(m):
-                    c, p = self.coset(self.weight(t[0][0]))
-                    classes.setdefault(c, {}).setdefault(p, []).append(t)
-                for c, groups in classes.items():
-                    c, opposite = self.opposite(c)
-                    hit[c] = (opposite, tuple((p, tuple(terms)) for p, terms in groups.items()))
-            memo[m] = hit
+                    groups.setdefault(self.weight(t[0][0]), []).append(t)
+                groups = {u: tuple(terms) for u, terms in groups.items()}
+            hit = memo[m] = (max(map(self.height, groups)), groups)
         return hit
 
-    def bounded(self, total_bound):
-        """This grading for an evaluator that answers up to `total_bound` only; shares the memos."""
-        if self.total_bound is not None:
-            total_bound = min(total_bound, self.total_bound)
-        out = object.__new__(WeightGrading)
-        out.__dict__.update(vars(self), total_bound=total_bound)
-        return out
 
-    def covers(self, degree_bound):
-        """Whether a check within `degree_bound` stays inside the evaluator's bound.
+class Support:
+    """The weight pairs (w(x), w(y)) where one evaluator can be nonzero.
 
-        With unit legs, every pair the checks ask for, directly or through
-        coproduct legs, has total degree at most `degree_bound`.  Decided
-        from the bound alone, so a check that could meet the bound error
-        takes its full path and reports the error the full path reports.
+    They are the sums of `gens`, the empty sum (0, 0) included, and the
+    `keys`, each a set of (level, w(x), w(y)).  A pair's level is the
+    `height` of w(x) + w(y) over `step` in `grading`: 1 on a letter (the
+    letters' monoid counts letters even with no pivot).  Every generator has
+    a level >= 1, so `level(k)`, the pairs of level k as {w(x): {w(y)}}, are
+    those of level k - l plus a generator of level l.  The levels are built
+    bottom-up on first use, dropping each generator that lower levels'
+    sums already reach.  `term_pairs` memoizes the partners of a left
+    weight up to a level cap.  A bounded evaluator's support also carries
+    its `total_bound`, beyond which it raises instead of answering.
+    """
+
+    def __init__(self, grading, gens, keys=frozenset(), total_bound=None):
+        self.grading = grading
+        self.gens = gens
+        self.keys = keys
+        self.total_bound = total_bound
+        zero = (0,) * grading.rank
+        self._levels = [{zero: {zero}}]
+        self._found = []  # the gens that no sum of lower levels reaches
+        self._partners = {}
+
+    def level(self, k):
+        levels = self._levels
+        while len(levels) <= k:
+            n = len(levels)
+            out = {}
+            for lg, gu, gv in self._found:
+                for u, vs in levels[n - lg].items():
+                    out.setdefault(tuple(map(add, u, gu)), set()).update(
+                        tuple(map(add, v, gv)) for v in vs)
+            for lg, u, v in self.gens:
+                if lg == n and v not in out.get(u, ()):
+                    out.setdefault(u, set()).add(v)
+                    self._found.append((lg, u, v))
+            levels.append(out)
+        return levels[k]
+
+    def swapped(self):
+        """The swap's support: every pair reversed."""
+        gens, keys = (frozenset((k, v, u) for k, u, v in s) for s in (self.gens, self.keys))
+        if (gens, keys) == (self.gens, self.keys):
+            return self
+        return Support(self.grading, gens, keys, self.total_bound)
+
+    def closure(self, *others):
+        """The monoid of this support's pairs and `others`': a convolution's or
+        an inverse's.  `others` have this support's grading and bound."""
+        gens = self.gens.union(self.keys, *(s.gens | s.keys for s in others))
+        if gens == self.gens and not self.keys:
+            return self
+        return Support(self.grading, gens, total_bound=self.total_bound)
+
+    def term_pairs(self, pres, m1, m2, first):
+        """The (term group, term group) pairs of Delta(m1) and Delta(m2) where a
+        slot with this support can be nonzero.
+
+        The slot reads the first legs when `first`, else the second legs.
+        Their weights (x, y) lie in the support at a level at most
+        (top(m1) + top(m2)) // step, top(m) being the largest `height` of a
+        leg weight of Delta(m) (`WeightGrading.leg_groups`).  The list is new
+        on each call; the groups are the memo's.
         """
-        return self.total_bound is None or (self.unit_legs and degree_bound <= self.total_bound)
+        leg = 0 if first else 1
+        grading = self.grading
+        top1, groups1 = grading.leg_groups(pres, m1, leg)
+        top2, groups2 = grading.leg_groups(pres, m2, leg)
+        cap = (top1 + top2) // grading.step
+        memo = self._partners.setdefault(cap, {})
+        get = groups2.get
+        out = []
+        for u, ta in groups1.items():
+            partners = memo.get(u)
+            if partners is None:
+                found = {v for k in range(cap + 1) for v in self.level(k).get(u, ())}
+                found.update(v for k, x, v in self.keys if x == u and k <= cap)
+                partners = memo[u] = tuple(found)
+            for v in partners:
+                tb = get(v)
+                if tb is not None:
+                    out.append((ta, tb))
+        return out
 
 
 class WeightIndex:
@@ -315,24 +351,25 @@ class WeightIndex:
 
     This is the one walk of the identity check, the R-form check and the
     correction solver.  `mons` lists the monomials in grlex order, which
-    sorts them by degree.  The index reads the grading of the evaluator
-    `j`; where it has none, or one that does not cover the bound, the index
-    takes the rank-0 grading, the lattice {0}, which proves nothing zero:
-    every monomial is then a partner, and `triples()` is the full sweep.
+    sorts them by degree.  The index reads the grading of the support of
+    the evaluator `j`; where it has none, or one that does not cover the
+    bound, the index takes the rank-0 grading, the lattice {0}, which proves
+    nothing zero: every monomial is then a partner, and `triples()` is the
+    full sweep.
 
     `partners(idx, end)` lists, in increasing order, the indices k < end
     for which the weight of mons[k] times the monomials indexed by `idx`
     lies in N rho: its class modulo Z rho (`WeightGrading.coset`) is
-    opposite to theirs, and the pivot coordinates sum to k step with k >= 0,
-    as in `WeightGrading.term_pairs`.  Class lines and pivot coordinates add
-    like weights.  The monomials are bucketed by class and pivot, so an
-    answer reads one class, and the full list is memoized per class line and
-    pivot of the sum.
+    opposite to theirs, and the pivot coordinates sum to k step with k >= 0.
+    Class lines and pivot coordinates add like weights.  The monomials are
+    bucketed by class and pivot, so an answer reads one class, and the full
+    list is memoized per class line and pivot of the sum.
     """
 
     def __init__(self, j, degree_bound):
-        grading = (j.grading_within(degree_bound)
-                   or WeightGrading(((),) * j.pres.ring.ngens, (), True))
+        support = j.support_within(degree_bound)
+        grading = (WeightGrading(((),) * j.pres.ring.ngens, (), True) if support is None
+                   else support.grading)
         self.grading = grading
         self.bound = degree_bound
         self.mons = j.pres.ring.monomials_up_to(degree_bound, include_one=False)
@@ -400,42 +437,34 @@ def cybe_check(lie, r):
     return not any(total.values())
 
 
-_UNSOLVED = object()  # a grading not looked for yet; None means there is none
-
-
 class Cocycle:
     """Base evaluator.  Subclasses implement `_pair` on generator monomials.
 
-    Subclasses where the proof in the module docstring holds implement
-    `_find_grading`.
+    `support` is the `Support` of the evaluator's zeros, or None.  Kinds
+    where the proof in the module docstring holds find it on first use.
     """
 
     kind = "abstract"
+    support = None
 
     def __init__(self, pres):
         self.pres = pres
         self._cache = {}
         self._products = {}
-        self._grading = _UNSOLVED
 
-    @property
-    def grading(self):
-        """The `WeightGrading` of this evaluator's zeros, or None; found on first use."""
-        if self._grading is _UNSOLVED:
-            self._grading = self._find_grading()
-        return self._grading
+    def support_within(self, degree_bound):
+        """`support` where a check within `degree_bound` stays inside the
+        evaluator's bound, else None: what `contract` and `WeightIndex` read.
 
-    @grading.setter
-    def grading(self, value):
-        self._grading = value
-
-    def _find_grading(self):
-        return None
-
-    def grading_within(self, degree_bound):
-        """`grading` where it covers `degree_bound` (`WeightGrading.covers`), else None."""
-        g = self.grading
-        return g if g is not None and g.covers(degree_bound) else None
+        With unit legs, every pair the checks ask for, directly or through
+        coproduct legs, has total degree at most `degree_bound`.  Decided
+        from the bound alone, so a check that could meet the bound error
+        takes its full path and reports the error the full path reports.
+        """
+        s = self.support
+        if s is None or s.total_bound is None:
+            return s
+        return s if s.grading.unit_legs and degree_bound <= s.total_bound else None
 
     # -- core -------------------------------------------------------------
     def _pair(self, m1, m2):
@@ -462,7 +491,7 @@ class Cocycle:
         hit = self._products.get((x, y))
         if hit is None:
             hit = self._products[(x, y)] = self.pres.contract(
-                x, y, None, self.pair, self.grading_within(x.degree + y.degree))
+                x, y, None, self.pair, self.support_within(x.degree + y.degree))
         return hit
 
     def eval(self, f, g):
@@ -476,9 +505,9 @@ class Cocycle:
                     terms[k] = terms.get(k, ZERO) + c1 * c2 * v
         return Poly(self.pres.ring, terms)
 
-    def _sum(self, m1, m2, f, g, grading=None):
-        """The scalar sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2); `grading` grades f."""
-        return self.pres.contract(m1, m2, f, g, grading).get(self.pres.ring.one_monomial, ZERO)
+    def _sum(self, m1, m2, f, g, support=None):
+        """The scalar sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2); f has `support`."""
+        return self.pres.contract(m1, m2, f, g, support).get(self.pres.ring.one_monomial, ZERO)
 
     # -- derived evaluators -------------------------------------------------
     def inverse(self):
@@ -514,9 +543,9 @@ class ExponentialCocycle(Cocycle):
     proof in the module docstring), and is 0 before any word table when
     there is none.  J and J^{-1} = exp(-r/2) share one `WeightGrading`
     through the presentation's memo, and so do the evaluators built on
-    them: the R-form's factors and a `CorrectedCocycle`'s base.  `grading`
-    is that object where its lattice is not {0}; its coarser N rho rule
-    serves the contraction walks.
+    them: the R-form's factors and a `CorrectedCocycle`'s base.  Where its
+    lattice has a pivot, `support` is its letters' monoid, whose S_k
+    `lengths` reads.
     """
 
     kind = "exponential"
@@ -578,11 +607,12 @@ class ExponentialCocycle(Cocycle):
                     break
         return total
 
-    def _find_grading(self):
+    @cached_property
+    def support(self):
         # shared with the inverse through the presentation's memo; a lattice
-        # {0} proves nothing zero for the walks
+        # with no pivot, {0} among them, bounds no walk
         g = WeightGrading.of(self.pres, self.rmatrix)
-        return g if g.rho else None
+        return None if g.pivot is None else g.monoid
 
     def inverse(self):
         return ExponentialCocycle(self.pres, self.rmatrix, not self.negate)
@@ -675,11 +705,22 @@ class CorrectedCocycle(Cocycle):
                 % (m1, m2, self.total_bound))
         return self.base.pair(m1, m2) + self.corrections.get((m1, m2), ZERO)
 
-    def _find_grading(self):
-        g = self.base.grading
-        if g is None or not all(g.multiple(g.weight(m1.mul(m2))) for m1, m2 in self.corrections):
+    @cached_property
+    def support(self):
+        # J_r + table: the base's pairs and the keys' own, each at its level k,
+        # where it reads k rho with k >= 1
+        base = self.base.support
+        if base is None:
             return None
-        return g.bounded(self.total_bound)
+        g = base.grading
+        keys = frozenset(((g.height(u) + g.height(v)) // g.step, u, v) for u, v in
+                         ((g.weight(a), g.weight(b)) for a, b in self.corrections))
+        if not all(g.multiple(tuple(map(add, u, v))) and k >= 1 for k, u, v in keys):
+            return None
+        bound = self.total_bound
+        if base.total_bound is not None:
+            bound = min(bound, base.total_bound)
+        return Support(g, base.gens, base.keys | keys, bound)
 
 
 def solve_cocycle_corrections(pres, base, total_bound):
@@ -696,7 +737,7 @@ def solve_cocycle_corrections(pres, base, total_bound):
 
     u = (ab, c) and v = (a, bc) have the same weight, so the constraint
     graph splits by the class of w(a) + w(b) + w(c).  Where `base` has a
-    grading, a class outside N rho has only zero defects (the corrections
+    support, a class outside N rho has only zero defects (the corrections
     found so far lie in class), its roots assign 0, and it is skipped: the
     instances are the one walk's triples, `WeightIndex(base, total_bound)`.
     """
@@ -768,8 +809,10 @@ class SwappedCocycle(Cocycle):
     def _pair(self, m1, m2):
         return self.inner.pair(m2, m1)
 
-    def _find_grading(self):
-        return self.inner.grading
+    @cached_property
+    def support(self):
+        s = self.inner.support
+        return None if s is None else s.swapped()
 
     def inverse(self):
         return SwappedCocycle(self.inner.inverse())
@@ -799,10 +842,12 @@ class NeumannInverse(Cocycle):
     def _pair(self, m1, m2):
         # J^{-1}(a,b) = eps(a)eps(b) + sum N(a1,b1) J^{-1}(a2,b2)
         return -self._sum(m1, m2, self._n, self.pair,
-                          self.inner.grading_within(m1.degree + m2.degree))
+                          self.inner.support_within(m1.degree + m2.degree))
 
-    def _find_grading(self):
-        return self.inner.grading
+    @cached_property
+    def support(self):
+        s = self.inner.support
+        return None if s is None else s.closure()
 
     def inverse(self):
         return self.inner
@@ -880,13 +925,16 @@ class Convolution(Cocycle):
 
     def _pair(self, m1, m2):
         return self._sum(m1, m2, self.left.pair, self.right.pair,
-                         self.left.grading_within(m1.degree + m2.degree))
+                         self.left.support_within(m1.degree + m2.degree))
 
-    def _find_grading(self):
-        # one lattice object: the presentation memoizes it, and a bounded
-        # cocycle's derived evaluators read its own
-        g = self.left.grading
-        return g if g is self.right.grading else None
+    @cached_property
+    def support(self):
+        # one lattice object (the presentation memoizes it) and one bound
+        left, right = self.left.support, self.right.support
+        if left is None or right is None or (left.grading, left.total_bound) != (
+                right.grading, right.total_bound):
+            return None
+        return left.closure(right)
 
 
 class CocycleIdentityReport:
@@ -924,12 +972,12 @@ def verify_cocycle_identity(j, degree_bound):
     in N rho; so both sides are 0 unless w(a) + w(b) + w(c) lies in N rho
     (the module docstring has the grading), and the walk visits just the
     in-class c of each (a, b).  A pair with none never builds R(a, b).  An
-    evaluator with no grading that covers the bound is walked over every
+    evaluator with no support that covers the bound is walked over every
     triple.
 
     `checked` counts triples in the full sweep's order (grlex in each
     slot): all on success, else up to the first failing one, `failure`.
-    A grading that does not cover the bound gives way to the full sweep up
+    A support that does not cover the bound gives way to the full sweep up
     front, so a bounded evaluator that leaves its range reports what the
     full sweep meets first: a failing triple, or the bound error it raises.
     """

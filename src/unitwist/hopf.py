@@ -302,7 +302,7 @@ class GroupPresentation:
             out = out + self.coproduct_monomial(m).scale(c)
         return out
 
-    def contract(self, m1, m2, f, g, grading=None):
+    def contract(self, m1, m2, f, g, support=None):
         """The rank-2 convolution sum over Delta(m1) x Delta(m2), by monomial.
 
         Returns {monomial: sum c c' f(a1,b1) g(a2,b2)} over the coproduct
@@ -317,17 +317,27 @@ class GroupPresentation:
         c c' only when that is not 1, a key's first value is stored as it is,
         not added to 0, and each result value goes through `rational`.
 
-        `grading` grades the first scalar slot (f, or g when f is None): it is
-        0 on (x, y) unless w(x) + w(y) reads k rho, k >= 0, in the grading's
-        lattice, so only the term pairs where it can be nonzero are read.
-        `WeightGrading.term_pairs` lists them as pairs of Delta term groups.
-        None is the rank-0 grading: one pair, every term.
+        `support` is the `Support` of the first scalar slot (f, or g when f
+        is None): the slot is 0 on (x, y) unless (w(x), w(y)) lies in it, so
+        only the term pairs where it can be nonzero are read (`term_groups`).
         """
+        return self.contract_groups(self.term_groups(m1, m2, support, f is not None), f, g)
+
+    def term_groups(self, m1, m2, support, first):
+        """The pairs of Delta term groups of m1 and m2 where a slot with
+        `support` on the first legs (`first`) or the second can be nonzero:
+        `Support.term_pairs`, or one pair of every term where `support` is None.
+        """
+        if support is None:
+            return ((self._delta_terms(m1), self._delta_terms(m2)),)
+        return support.term_pairs(self, m1, m2, first)
+
+    def contract_groups(self, groups, f, g):
+        """`contract` over the given pairs of Delta term groups."""
         out = {}
         get = out.get
         one = self.ring.one_monomial
-        for d1, d2 in (((self._delta_terms(m1), self._delta_terms(m2)),) if grading is None
-                       else grading.term_pairs(self, m1, m2, f is not None)):
+        for d1, d2 in groups:
             if f is None:
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:

@@ -441,7 +441,7 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
         # g's coordinates are written with the generator names
         condition = Poly(ring, j.right_product(m1, m2)) \
             - Poly(ring, group.contract(m1, m2, j.pair, lambda a, b: {a.mul(b): ONE},
-                                       j.grading_within(m1.degree + m2.degree)))
+                                       j.support_within(m1.degree + m2.degree)))
         if condition.is_zero():
             continue
         # keep only conditions that add new constraints

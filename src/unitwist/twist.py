@@ -22,8 +22,8 @@ the one-sided product.  On monomials K(a1,b1) is 1 when a1 and b1 are both
 
 Each a2 beside an a1 != 1 has strictly lower coradical degree than a, so
 the recursion ends; it is the argument that makes `NeumannInverse` end.
-Where K and J are graded (see the cocycle module), each sum reads only the
-terms with w(a1) + w(b1) (for K) or w(a2) + w(b2) (for J) in N rho.
+Where K and J have supports (see the cocycle module), each sum reads only
+the terms with (w(a1), w(b1)) in K's support or (w(a2), w(b2)) in J's.
 
 Generator products are computed twice, through the deformed product and
 through the definition summed over Delta^2 of both generators from `pair`
@@ -77,10 +77,10 @@ class TwistedContext:
         hit = self._mul_cache.get(key)
         if hit is None:
             terms = dict(self.right.right_product(m1, m2))
-            grading = self.left.grading_within(m1.degree + m2.degree)
+            support = self.left.support_within(m1.degree + m2.degree)
             for k, c in self.pres.contract(m1, m2, self._left_reduced,
                                            lambda a, b: self.mul_monomials(a, b).terms,
-                                           grading).items():
+                                           support).items():
                 terms[k] = terms.get(k, ZERO) - c
             hit = self._mul_cache[key] = Poly(self.pres.ring, terms)
         return hit
@@ -239,17 +239,17 @@ def rform_axiom_check(ctx, degree_bound):
     (3) cotriangularity: R * R21 = eps.eps.
 
     The monomials and the triples of (1) come from the one walk,
-    `WeightIndex(rform, degree_bound)`, which skips what the R-form's
-    grading proves 0 = 0 (with no grading that covers the bound, nothing).
-    R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.  R is 0 off
-    N rho, and the keys of l.g have weight w(l) + w(g) - k rho with k >= 0,
-    K and J being graded like R; as w(h1) + w(h2) = w(h), both sides of
-    R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0 unless
-    w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such as h.g
-    itself, so it is checked on every pair; its left side and (3) contract
-    only the Delta terms where R of the first legs can be nonzero, and its
-    right side reads only those where R of the second legs can be
-    (`WeightGrading.term_pairs`).
+    `WeightIndex(rform, degree_bound)`, which skips what the N rho rule of
+    the R-form's grading proves 0 = 0 (with no support that covers the
+    bound, nothing).  R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.
+    R is 0 off N rho, and the keys of l.g have weight w(l) + w(g) - k rho
+    with k >= 0, K and J being graded like R; as w(h1) + w(h2) = w(h), both
+    sides of R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0
+    unless w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such
+    as h.g itself, so it is checked on every pair.  Its left side and (3)
+    read R of the first legs and share one walk of R's support
+    (`Support.term_pairs`), built once per pair; its right side reads the
+    walk of the second legs.
     """
     pres = ctx.pres
     rform = ctx.rform()
@@ -272,22 +272,22 @@ def rform_axiom_check(ctx, degree_bound):
         for y, g in enumerate(mons):
             if h.degree + g.degree > degree_bound:
                 continue
-            grading = rform.grading_within(h.degree + g.degree)
-            # (3) cotriangularity
-            if y in near and pres.contract(h, g, R, swapped, grading):
+            support = rform.support_within(h.degree + g.degree)
+            # (3) cotriangularity and (2)'s left side read R of the first legs
+            first = pres.term_groups(h, g, support, True)
+            if y in near and pres.contract_groups(first, R, swapped):
                 failures.append(("cotriangular", h, g))
             # (2) commutation identity; the scalar of the right side sits in
-            # the second legs, so that side is summed here over their classes
+            # the second legs, so that side is summed here over their groups
             rhs = {}
-            for d1, d2 in ([(delta(h), delta(g))] if grading is None
-                           else grading.term_pairs(pres, h, g, False)):
+            for d1, d2 in pres.term_groups(h, g, support, False):
                 for (h1, h2), c1 in d1:
                     for (g1, g2), c2 in d2:
                         v = R(h2, g2)
                         if v:
                             for k, w in products(g1, h1).items():
                                 rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
-            if pres.contract(h, g, R, products, grading) != {k: v for k, v in rhs.items() if v}:
+            if pres.contract_groups(first, R, products) != {k: v for k, v in rhs.items() if v}:
                 failures.append(("commutation", h, g))
 
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)

@@ -675,7 +675,7 @@ def test_corrected_cocycle_rederivation(examples):
     got = {(render_monomial(k[0]), render_monomial(k[1])): v
            for k, v in solved.items()}
     assert got == frozen
-    assert len(solved) == 83 and base.grading is not None
+    assert len(solved) == 83 and base.support is not None
     # corrections never touch generator pairs: the displayed values persist
     for (m1, m2) in solved:
         assert m1.degree > 1 or m2.degree > 1
@@ -788,7 +788,7 @@ def test_cocycle_and_context_memos_seal_q():
         # monomials of two rings never compare equal, so products are rendered
         return (j.pair(V, XY), ctx.right_inv.pair(V, XY),
                 sorted((repr(k), v) for k, v in j.right_product(X, Y).items()),
-                j.grading.weights, render_poly(ctx.mul_monomials(V, X)),
+                j.support.grading.weights, render_poly(ctx.mul_monomials(V, X)),
                 ctx.commutators().lines(), commutator_ideal_and_gamma(ctx).lines())
 
     def fresh(q_factors):
@@ -835,11 +835,11 @@ def test_grading_holds_on_nonzero_values(each_example):
     # corrected cocycle inside its solved range (and the u4-ex5 pass short)
     ex = each_example
     j, ctx = ex.ctx.right, ex.ctx
-    grading = j.grading
+    grading = j.support.grading
     assert len(grading.rho) == LATTICE_RANKS[ex.entry.id]
-    assert grading is ctx.right_inv.grading is ctx.rform().grading
+    assert grading is ctx.right_inv.support.grading is ctx.rform().support.grading
     if isinstance(j, CorrectedCocycle):
-        assert grading.total_bound == 6 and j.corrections
+        assert j.support.total_bound == 6 and j.corrections
     mons = ex.pres.ring.monomials_up_to(4, include_one=False)
     nonzero = 0
     for ev in (j, ctx.right_inv, ctx.rform()):
@@ -922,11 +922,11 @@ def test_zero_lattice_takes_the_full_sweep():
     g = toeplitz()
     assert g.validate().ok
     j = ExponentialCocycle(g, RMatrix(3, {(0, 1): 1, (0, 2): 1}))
-    assert WeightGrading.of(g, j.rmatrix).rho == () and j.grading is None
+    assert WeightGrading.of(g, j.rmatrix).rho == () and j.support is None
     # the letters still skip lengths: w_X = 1, so (X, X) lies in no S_k
     X = g.ring.var_monomial("X")
     assert WeightGrading.of(g, j.rmatrix).lengths(X, X, 3) == ()
-    assert ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).grading is not None
+    assert ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).support is not None
     assert WeightIndex(j, 4).grading.rho == ()
     rep = verify_cocycle_identity(j, 4)
     assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 4)
@@ -962,15 +962,42 @@ def lattice_rows(grading, pres):
 
 
 def direct_grading(pres, rmatrix):
-    """A grading with the direct solve's weights and rho, or None."""
+    """A grading with the direct solve's weights, rho and letters, or None."""
     lattice = direct_lattice(pres, rmatrix)
     if lattice is None:
         return None
     unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
     weights, rho = lattice
+    letters = sorted({(weights[a], weights[b]) for a, b, _ in rmatrix.support})
     # the direct weights as the grading's own, read in the lattice as they are
     return WeightGrading(weights, [[int(s == t) for s in range(len(rho))] + [r]
-                                   for t, r in enumerate(rho)], unit_legs)
+                                   for t, r in enumerate(rho)], unit_legs, letters)
+
+
+def read_pairs(pres, m1, m2, support, first):
+    """The (term, term) pairs of Delta(m1) x Delta(m2) that the walk of
+    `support` reads on the first legs (`first`) or the second."""
+    return {(s, t) for d1, d2 in pres.term_groups(m1, m2, support, first)
+            for s, _ in d1 for t, _ in d2}
+
+
+@functools.cache
+def in_class_rule(grading, u, v):
+    """Whether the weights u and v sum to k rho, k >= 0: the N rho class rule
+    that the walks read before they read the supports."""
+    return grading.multiple(tuple(x + y for x, y in zip(u, v)))
+
+
+def class_rule_pairs(pres, grading, m1, m2, first):
+    """The (term, term) pairs of Delta(m1) x Delta(m2) whose legs on the
+    side `first` are in the class rule."""
+    leg = 0 if first else 1
+    groups = ({}, {})
+    for m, by in zip((m1, m2), groups):
+        for t in pres.coproduct_monomial(m).terms:
+            by.setdefault(grading.weight(t[leg]), []).append(t)
+    return {(s, t) for u, ss in groups[0].items() for v, ts in groups[1].items()
+            if in_class_rule(grading, u, v) for s in ss for t in ts}
 
 
 def lattice_cases(cid):
@@ -990,12 +1017,15 @@ def lattice_cases(cid):
 @pytest.mark.parametrize("cid", catalog.ids() + ["toeplitz"])
 def test_lattice_matches_the_direct_solve(cid):
     # the engine's N rho lattice spans the rational space of the direct
-    # solve's; the walks give the same Delta groups, in order, for every
-    # (m1, m2, side) within total degree 5, and WeightIndex(., 5) the same
-    # triples, on the engine's grading and on one with the direct weights
+    # solve's, and WeightIndex(., 5) gives the same triples on the engine's
+    # grading and on one with the direct weights.  For every (m1, m2, side)
+    # within total degree 5 the letters' walk reads, on the engine's Delta
+    # weights, a part of what it reads on the direct weights (their image in
+    # the lattice), and that lies in the N rho class rule
     ranks = {}
     for name, pres, r in lattice_cases(cid):
-        engine, direct = ExponentialCocycle(pres, r).grading, direct_grading(pres, r)
+        engine, direct = WeightGrading.of(pres, r), direct_grading(pres, r)
+        engine = engine if engine.rho else None
         ours, theirs = lattice_rows(engine, pres), lattice_rows(direct, pres)
         rank = linalg.matrix_rank(ours) if ours else 0
         assert rank == len(ours) == len(theirs), name
@@ -1005,16 +1035,22 @@ def test_lattice_matches_the_direct_solve(cid):
             assert direct is None, name
             continue
         mons = pres.ring.monomials_up_to(4)
+        supports = [g.monoid if g.pivot is not None else None for g in (engine, direct)]
+        assert (supports[0] is None) == (supports[1] is None), name
+        w = engine.weight
         for m1 in mons:
             for m2 in mons:
-                if m1.degree + m2.degree <= 5:
+                if m1.degree + m2.degree <= 5 and supports[0] is not None:
                     for first in (True, False):
-                        assert engine.term_pairs(pres, m1, m2, first) \
-                            == direct.term_pairs(pres, m1, m2, first), (name, m1, m2, first)
+                        leg = 0 if first else 1
+                        ours, theirs = (read_pairs(pres, m1, m2, s, first) for s in supports)
+                        assert ours <= theirs, (name, m1, m2, first)
+                        assert all(in_class_rule(engine, w(s[leg]), w(t[leg]))
+                                   for s, t in theirs), (name, m1, m2, first)
         triples = []
         for grading in (engine, direct):
             j = ExponentialCocycle(pres, r)
-            j.grading = grading
+            j.support = grading.monoid
             triples.append(list(WeightIndex(j, 5).triples()))
         assert triples[0] == triples[1], name
     # the catalog's rank, or a toeplitz r with lattice {0}
@@ -1044,10 +1080,12 @@ def test_letter_sums_of_a_rank0_lattice_skip_nothing():
 def test_grading_only_where_the_proof_holds(examples):
     ex = examples("u4-ex5")
     pres, j = ex.pres, ex.ctx.right
-    grading = j.grading
-    assert grading is not None and grading.total_bound is None
+    support = j.support
+    grading = support.grading
+    assert support.total_bound is None
+    # J_r's letters come in both orientations, so its kin share its support
     for graded in (j.inverse(), NeumannInverse(j), j.swap(), Convolution(j.inverse().swap(), j)):
-        assert graded.grading is grading, graded.kind
+        assert graded.support is support, graded.kind
     mons = pres.ring.monomials_up_to(2, include_one=False)
     table = {(a, b): j.pair(a, b) for a in mons for b in mons}
     plane_g, plane_j = plane_cocycle()
@@ -1056,27 +1094,28 @@ def test_grading_only_where_the_proof_holds(examples):
                 j.conjugate(pres.identity_point()),
                 PullbackCocycle(plane_g, plane_j, images),
                 Convolution(j, TableCocycle(pres, table, 2))]
-    assert all(k.grading is None for k in ungraded), [k.kind for k in ungraded]
-    # a corrected cocycle is graded, within its bound, only if every key is in class
+    assert all(k.support is None for k in ungraded), [k.kind for k in ungraded]
+    # a corrected cocycle has a support, within its bound, only if every key is in class
     inside = next((a, b) for a in mons for b in mons if grading.multiple(grading.weight(a.mul(b))))
     outside = next((a, b) for a in mons for b in mons
                    if not grading.multiple(grading.weight(a.mul(b))))
     kept = CorrectedCocycle(j, {inside: Fraction(1)}, 5)
-    assert (kept.grading.weights, kept.grading.rho) == (grading.weights, grading.rho)
-    assert kept.grading.total_bound == 5 and kept.grading.covers(5)
-    assert not kept.grading.covers(6)
-    assert Convolution(kept.inverse().swap(), kept).grading is kept.grading
-    assert CorrectedCocycle(j, {inside: Fraction(1), outside: Fraction(1)}, 5).grading is None
+    assert kept.support.grading is grading
+    assert kept.support.total_bound == 5 and kept.support_within(5) is kept.support
+    assert kept.support_within(6) is None
+    rform = Convolution(kept.inverse().swap(), kept)
+    assert rform.support.grading is grading and rform.support.total_bound == 5
+    assert CorrectedCocycle(j, {inside: Fraction(1), outside: Fraction(1)}, 5).support is None
 
 
 def fresh_cocycle(cid, graded, raw=False):
-    """The cocycle of a new load of a catalog entry, with its grading or with None."""
+    """The cocycle of a new load of a catalog entry, with its support or with None."""
     data = catalog.get(cid).load()
     j = ExponentialCocycle(data.presentation, data.rmatrix) if raw else data.cocycle
     if graded:
-        assert j.grading is not None
+        assert j.support is not None
     else:
-        j.grading = None
+        j.support = None
     return j
 
 
@@ -1115,7 +1154,7 @@ def test_index_skips_negative_classes():
     # no catalog triple within bound 4 lies in a negative class k rho, k < 0,
     # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the k >= 0 test
     g, j = plane_cocycle()
-    j.grading = WeightGrading(((1,), (-2,)), ((1, 1),), True)
+    j.support = WeightGrading(((1,), (-2,)), ((1, 1),), True).monoid
     index = WeightIndex(j, 3)
     sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
@@ -1125,10 +1164,10 @@ def test_index_skips_negative_classes():
 
 def test_exponential_pair_answers_off_class_misses_without_word_tables(each_example):
     # an off-class miss is 0 before any word table is built, and every value
-    # on pairs of total degree <= 4 is that of a fresh evaluator with no grading
+    # on pairs of total degree <= 4 is that of a fresh evaluator with no support
     cid = each_example.entry.id
     graded, full = fresh_cocycle(cid, True, raw=True), fresh_cocycle(cid, False, raw=True)
-    grading = graded.grading
+    grading = graded.support.grading
     mons = graded.pres.ring.monomials_up_to(4, include_one=False)
     pairs = [(x, y) for x, a in enumerate(mons) for y, b in enumerate(mons)
              if a.degree + b.degree <= 4]
@@ -1147,64 +1186,76 @@ def product(x, y):
     return {x.mul(y): 1}
 
 
-def graded_contract(pres, a, b, leg, grading, in_class, value):
+def graded_contract(pres, a, b, leg, support, in_class, value):
     """contract(a, b) with `value` in the graded slot, f with g the product
     (leg 0) or g with f None (leg 1), after checking that the slot reads
-    exactly the in-class leg pairs: w(a1) + w(b1), or w(a2) + w(b2), in N rho."""
+    exactly the leg pairs in the support: in_class(a1, b1), or (a2, b2)."""
     read = []
 
     def slot(x, y):
         read.append((x, y))
         return value(x, y)
 
-    got = pres.contract(a, b, *((slot, product) if leg == 0 else (None, slot)), grading)
+    got = pres.contract(a, b, *((slot, product) if leg == 0 else (None, slot)), support)
     want = [(s[leg], t[leg]) for s in pres.coproduct_monomial(a).terms
             for t in pres.coproduct_monomial(b).terms if in_class(s[leg], t[leg])]
     assert collections.Counter(read) == collections.Counter(want), (a, b, leg)
     return got
 
 
-def test_graded_contract_reads_the_class_and_matches_rank0(each_example):
-    # in both shapes the graded contraction reads only the in-class leg
-    # pairs, and equals the rank-0 one on every pair of total degree <= 5
-    ex = each_example
-    pres, j = ex.pres, ex.ctx.right
-    grading = j.grading_within(5)
-    assert grading is not None
+def test_graded_contract_reads_the_class_and_matches_rank0(each_example, support_of):
+    # in both shapes the graded contraction of J reads exactly the leg pairs
+    # in its kind's support, as `conftest.leg_support` builds it, and equals
+    # the rank-0 one on every pair of total degree <= 5
+    assert_contract_reads_the_support(each_example.pres, each_example.ctx.right, support_of)
 
-    @functools.cache
-    def in_class(x, y):
-        return grading.multiple(grading.weight(x.mul(y)))
 
+def test_graded_contract_of_the_rform_reads_its_support(each_example, support_of):
+    # the same for R = (J21)^-1 * J, whose support is the monoid of all its
+    # factors' pairs
+    assert_contract_reads_the_support(each_example.pres, each_example.ctx.rform(), support_of)
+
+
+def assert_contract_reads_the_support(pres, j, support_of):
+    """Both shapes of j's graded contraction read exactly the leg pairs in
+    j's support and equal the rank-0 ones, within total degree 5."""
+    support = j.support_within(5)
+    assert support is not None
+    in_class = support_of(j)
     mons = pres.ring.monomials_up_to(5)
     for a in mons:
         for b in mons:
             if a.degree + b.degree <= 5:
                 for leg, shape in ((0, (j.pair, product)), (1, (None, j.pair))):
-                    got = graded_contract(pres, a, b, leg, grading, in_class, j.pair)
+                    got = graded_contract(pres, a, b, leg, support, in_class, j.pair)
                     assert got == pres.contract(a, b, *shape), (a, b, leg)
 
 
 def test_graded_contract_skips_negative_classes():
     # no catalog leg pair within total degree 5 lies in a negative class
     # k rho, k < 0, so a made-up grading w_X = 1, w_V = -2, rho = 1 shows
-    # the k >= 0 test on both legs
+    # the level test on both legs.  Its letters (1, 0) and (0, 1) have the
+    # monoid N^2: the walk also leaves out pairs of level >= 0, such as
+    # (X^2, V), with a leg of weight < 0
     g, _ = plane_cocycle()
-    grading = WeightGrading(((1,), (-2,)), ((1, 1),), True)
+    grading = WeightGrading(((1,), (-2,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))])
 
     def in_class(x, y):
-        return grading.multiple(grading.weight(x.mul(y)))
+        return grading.weight(x)[0] >= 0 and grading.weight(y)[0] >= 0
 
     mons = g.ring.monomials_up_to(4)
-    negative = 0
+    negative = nonnegative = 0
     for a in mons:
         for b in mons:
             for leg in (0, 1):
-                graded_contract(g, a, b, leg, grading, in_class, lambda x, y: Fraction(1))
-            negative += any(grading.weight(s[0].mul(t[0]))[0] < 0 and not in_class(s[0], t[0])
-                            for s in g.coproduct_monomial(a).terms
-                            for t in g.coproduct_monomial(b).terms)
-    assert negative
+                graded_contract(g, a, b, leg, grading.monoid, in_class, lambda x, y: Fraction(1))
+            for s in g.coproduct_monomial(a).terms:
+                for t in g.coproduct_monomial(b).terms:
+                    if not in_class(s[0], t[0]):
+                        level = grading.weight(s[0].mul(t[0]))[0]
+                        negative += level < 0
+                        nonnegative += level >= 0
+    assert negative and nonnegative
 
 
 def test_corrections_graded_route_matches_full_route():
@@ -1226,8 +1277,8 @@ def test_identity_pins_at_high_bounds(examples):
 
 @pytest.mark.parametrize("kind", ["inverse", "convolution"])
 def test_graded_sums_match_rank0_sums(each_example, kind):
-    # NeumannInverse passes its inner cocycle's grading to the contraction,
-    # Convolution its left factor's; on a new load whose cocycle has grading
+    # NeumannInverse passes its inner cocycle's support to the contraction,
+    # Convolution its left factor's; on a new load whose cocycle has support
     # None both take the rank-0 path, with the same value on every pair of
     # total degree <= 5
     cid = each_example.entry.id
@@ -1235,40 +1286,41 @@ def test_graded_sums_match_rank0_sums(each_example, kind):
     for graded in (True, False):
         j = fresh_cocycle(cid, graded)
         ev = NeumannInverse(j) if kind == "inverse" else Convolution(NeumannInverse(j).swap(), j)
-        first = ev._n if kind == "inverse" else ev.left.pair
+        first, graded_by = (ev._n, j) if kind == "inverse" else (ev.left.pair, ev.left)
         pres = j.pres
-        gradings = []
+        supports = []
         contract = pres.contract
 
-        def spy(m1, m2, f, g, grading=None):
+        def spy(m1, m2, f, g, support=None):
             if f == first:
-                gradings.append(grading is not None)
-            return contract(m1, m2, f, g, grading)
+                supports.append(support)
+            return contract(m1, m2, f, g, support)
 
         pres.contract = spy
         mons = pres.ring.monomials_up_to(4, include_one=False)
         values.append([ev.pair(a, b) for a in mons for b in mons if a.degree + b.degree <= 5])
-        assert gradings and set(gradings) == {graded}
+        want = graded_by.support if graded else None
+        assert supports and all(s is want for s in supports)
+        assert (want is None) != graded
     assert values[0] == values[1]
 
 
 def test_graded_terms_hold_every_nonzero_leg_pair(each_example):
-    # every Delta term pair where J of the second legs, or K of the first
-    # legs, is nonzero lies in one of the groups the graded walk returns
-    # for that side, on every pair of total degree <= 5; the walk leaves
-    # some pairs out
+    # every Delta term pair where J of the second legs, K of the first legs,
+    # or R of either, is nonzero lies in one of the groups the graded walk
+    # of its support returns for that side, on every pair of total degree
+    # <= 5; the walk leaves some pairs out
     ex = each_example
-    pres, j, k = ex.pres, ex.ctx.right, ex.ctx.left
+    pres, j, k, rform = ex.pres, ex.ctx.right, ex.ctx.left, ex.ctx.rform()
     mons = pres.ring.monomials_up_to(4, include_one=False)
     left_out = 0
     for m1 in mons:
         for m2 in mons:
             if m1.degree + m2.degree > 5:
                 continue
-            for first, c, slot in ((False, j, 1), (True, k, 0)):
-                grading = c.grading_within(m1.degree + m2.degree)
-                read = {(s, t) for d1, d2 in grading.term_pairs(pres, m1, m2, first)
-                        for s, _ in d1 for t, _ in d2}
+            for first, c, slot in ((False, j, 1), (True, k, 0), (True, rform, 0),
+                                   (False, rform, 1)):
+                read = read_pairs(pres, m1, m2, c.support_within(m1.degree + m2.degree), first)
                 for s in pres.coproduct_monomial(m1).terms:
                     for t in pres.coproduct_monomial(m2).terms:
                         if c.pair(s[slot], t[slot]):
@@ -1367,3 +1419,76 @@ def test_nonzero_values_lie_in_their_kinds_support(cid, r_entries, support_of):
         # which leave out pairs of the monoid they generate
         monoid = support_of(NeumannInverse(j))
         assert any(monoid(a, b) and not support_of(j)(a, b) for a, b in pairs)
+
+
+def test_walk_reads_fewer_term_pairs_than_the_class_rule(examples):
+    # on u4-ex6 within total degree 5, the walks of J's support (J_r and its
+    # keys) and of R's (the monoid of the letters and both orientations of
+    # the keys) read a part of the N rho class rule's term pairs, and
+    # strictly fewer of them in all
+    ex = examples("u4-ex6")
+    pres = ex.pres
+    for ev in (ex.ctx.right, ex.ctx.rform()):
+        support = ev.support_within(5)
+        grading = support.grading
+        walk = rule = 0
+        for a, b in pairs_within(pres, 5):
+            for first in (True, False):
+                read = read_pairs(pres, a, b, support, first)
+                ruled = class_rule_pairs(pres, grading, a, b, first)
+                assert read <= ruled, (ev.kind, a, b, first)
+                walk, rule = walk + len(read), rule + len(ruled)
+        assert walk < rule, ev.kind
+
+
+def values_within(j, bound):
+    """J, J^-1 and R of the evaluator j, and J's one-sided products, on the
+    nonconstant pairs within total degree `bound`, rendered."""
+    rform = Convolution(j.inverse().swap(), j)
+    pairs = pairs_within(j.pres, bound)
+    return [repr((j.pair(a, b), j.inverse().pair(a, b), rform.pair(a, b),
+                  sorted(map(repr, j.right_product(a, b).items())))) for a, b in pairs]
+
+
+def test_no_pivot_takes_the_rank0_walk():
+    # q(Y) = q(W) = X (x) V give w_Y = w_W = w_X + w_V, so the letters of
+    # r = u_X ^ u_V + u_Y ^ u_W sum to w_X + w_V and to twice that: every
+    # lattice vector has rho_t = 0.  With no pivot there is no support, and
+    # every walk reads every term; the letters' S_k still skip lengths.  J
+    # is the unskipped word loop, and R = (J21)^-1 * J is exp(r)
+    g = GroupPresentation("doubled", ["X", "V", "Y", "W"])
+    X, V = g.ring.var("X"), g.ring.var("V")
+    for name in ("Y", "W"):
+        g.set_q(name, TensorPoly.from_polys([X, V]))
+    r = RMatrix(4, {(0, 1): 1, (2, 3): 1})
+    j = ExponentialCocycle(g, r)
+    grading = WeightGrading.of(g, r)
+    assert grading.rho and grading.pivot is None
+    assert j.support is None and Convolution(j.inverse().swap(), j).support is None
+    assert WeightIndex(j, 4).grading.rho == ()
+    x = g.ring.var_monomial("X")
+    assert grading.lengths(x, x, 3) == ()
+    assert_pair_is_the_word_loop(j, 5)
+    rform, closed = Convolution(j.inverse().swap(), j), ExponentialCocycle(g, RMatrix(4, {
+        (0, 1): 2, (2, 3): 2}))
+    pairs = pairs_within(g, 5)
+    assert [rform.pair(a, b) for a, b in pairs] == [closed.pair(a, b) for a, b in pairs]
+    assert any(closed.pair(a, b) for a, b in pairs)
+
+
+def test_level0_key_takes_the_rank0_walk():
+    # w_X = 1, w_V = 0 grade the plane, with letters (1, 0) and (0, 1) and
+    # rho = 1; the key (V, V) reads 0 rho, in class at level 0, so the
+    # corrected cocycle, its inverse and its R-form have no support, and
+    # their walks read every term, as those of one whose base has none do
+    g, j = plane_cocycle()
+    j.support = WeightGrading(((1,), (0,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))]).monoid
+    V = g.ring.var_monomial("V")
+    kept = CorrectedCocycle(j, {(V, V): Fraction(1)}, 6)
+    assert kept.support is None and NeumannInverse(kept).support is None
+    assert CorrectedCocycle(j, {(V, g.ring.var_monomial("X")): Fraction(1)}, 6).support
+    _, full = plane_cocycle()
+    full.support = None
+    V = full.pres.ring.var_monomial("V")
+    unsupported = CorrectedCocycle(full, {(V, V): Fraction(1)}, 6)
+    assert values_within(kept, 5) == values_within(unsupported, 5)

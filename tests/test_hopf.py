@@ -581,20 +581,22 @@ def _contract_reference(pres, m1, m2, f, g):
     return {k: v for k, v in out.items() if v}
 
 
-def test_contract_matches_naive_double_sum(each_example):
+def test_contract_matches_naive_double_sum(each_example, support_of):
     # all three slot shapes, rank-0 and graded; the graded slot (f, or g when
-    # f is None) is masked to 0 off the grading's classes, as a graded pair is
+    # f is None) is masked to 0 off J's support (`conftest.leg_support`), as
+    # a slot with that support is
     pres = each_example.pres
     mons = pres.ring.monomials_up_to(3)
-    grading = each_example.ctx.right.grading_within(6)
-    assert grading is not None
+    support = each_example.ctx.right.support_within(6)
+    assert support is not None
+    inside = support_of(each_example.ctx.right)
     fractional = [c for m in mons for c in pres.coproduct_monomial(m).terms.values()
                   if c.denominator != 1]
     assert bool(fractional) == each_example.entry.id.startswith("jordan4")
 
     def graded_values(seed, sign):
         h = _values(seed, sign)
-        return lambda x, y: h(x, y) if grading.multiple(grading.weight(x.mul(y))) else Fraction(0)
+        return lambda x, y: h(x, y) if inside(x, y) else Fraction(0)
 
     def dict_valued(x, y):
         # a dict-valued second slot: its keys key the result
@@ -609,7 +611,7 @@ def test_contract_matches_naive_double_sum(each_example):
         for slots, graded in (((None, g), (None, gg)), ((f, g), (gf, g)),
                               ((f, dict_valued), (gf, dict_valued))):
             for got, shape in ((pres.contract(m1, m2, *slots), slots),
-                               (pres.contract(m1, m2, *graded, grading), graded)):
+                               (pres.contract(m1, m2, *graded, support), graded)):
                 assert got == _contract_reference(pres, m1, m2, *shape), (m1, m2, shape)
                 # an int exactly when integral, never a float or an integral Fraction
                 assert all(type(v) is int or type(v) is Fraction and v.denominator != 1

@@ -148,11 +148,13 @@ def test_no_memo_entry_changes_once_stored(cid):
     memos = reachable_memos(roots)
     snapshot = {key: frozen(memo) for key, memo in memos.items()}
     # the walk reaches the memos of the presentation, the ring, the cocycles,
-    # the context and the grading
-    pres, grading = entry.data.presentation, ctx.right.grading
+    # the context, the grading, and the supports of J and of the letters
+    pres, grading = entry.data.presentation, ctx.right.support.grading
+    supports = (ctx.right.support, grading.monoid)
     for memo in (pres._words, pres._terms, pres.ring._monomials, ctx.right._cache,
-                 ctx._mul_cache, grading._weight_memo, grading._lengths, grading._sums,
-                 grading._cosets, grading._opposites, *grading.class_memos):
+                 ctx._mul_cache, grading._weight_memo, grading._cosets, grading._opposites,
+                 *grading._groups,
+                 *(m for s in supports for m in (s._levels, s._found, s._partners))):
         assert memo and id(memo) in memos
     assert work(entry) == first
     assert other_commands(entry) == other_commands(OneLoad(catalog.get(cid)))

@@ -128,17 +128,20 @@ def test_ideal_work_goes_through_ideal(path):
     assert found == []
 
 
-# the Delta-class walk and its class arithmetic, behind `WeightGrading`
+# the class arithmetic of `WeightIndex` and the support walk's tables, behind
+# `WeightGrading` and `Support`
 GRADING_INTERNALS = {"coset", "opposite", "class_memos", "_delta_classes", "_graded_terms",
-                     "pivot", "step"}
+                     "pivot", "step", "height", "leg_groups", "_groups", "level", "_levels",
+                     "_found", "_extra", "_partners", "monoid", "closure"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "cocycle.py"), ids=lambda p: p.name)
 def test_grading_internals_stay_in_cocycle(path):
-    # other modules read a grading through its methods (`term_pairs`,
-    # `weight`, `multiple`, `lengths`), never its class keys, pivots, steps or
-    # memos, and define no walk of their own under those names
+    # other modules read a grading and a support through their methods
+    # (`weight`, `multiple`, `lengths`, `term_pairs`), never their class keys,
+    # pivots, steps, levels, tables or memos, and define no walk of their own
+    # under those names
     found = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Attribute):

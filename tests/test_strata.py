@@ -468,15 +468,15 @@ def test_strata_sweep_pool_on_shared_presentations():
 @pytest.mark.parametrize("cid", catalog.ids())
 def test_c0_graded_route_matches_rank0_route(cid):
     # c0's (g (x) g) * J reads only the in-class Delta terms of J; a new load
-    # whose cocycle has grading None reads them all and keeps the same
+    # whose cocycle has support None reads them all and keeps the same
     # conditions, in the same order, to bound 5
     kept = []
     for graded in (True, False):
         data = catalog.get(cid).load()
         j = data.cocycle
         if not graded:
-            j.grading = None
-        assert (j.grading_within(5) is not None) == graded
+            j.support = None
+        assert (j.support_within(5) is not None) == graded
         rep = c0_solver(data.presentation, j, 5)
         kept.append(([render_poly(p) for p in rep.ideal.gens], rep.describe()))
     assert kept[0] == kept[1]

@@ -606,15 +606,15 @@ def test_products_never_evaluate_the_left_inverse():
 
 def test_graded_product_matches_ungraded_product():
     # u4-ex6's product reads only the in-class Delta terms of its cocycle K;
-    # a new load whose cocycle has no grading reads them all, with the same
+    # a new load whose cocycle has no support reads them all, with the same
     # products on every pair of monomials of degree <= 3 (total degree <= 6)
     products = []
     for graded in (True, False):
         data = catalog.get("u4-ex6").load()
         if not graded:
-            data.cocycle.grading = None
+            data.cocycle.support = None
         ctx = build_context(data)
-        assert (ctx.left.grading_within(6) is not None) == graded
+        assert (ctx.left.support_within(6) is not None) == graded
         mons = ctx.pres.ring.monomials_up_to(3, include_one=False)
         products.append([render_poly(ctx.mul_monomials(a, b)) for a in mons for b in mons])
     assert products[0] == products[1]
@@ -640,9 +640,9 @@ def rform_failures(cid, graded, r_entries=None):
     if r_entries is not None:
         j = ExponentialCocycle(data.presentation, RMatrix(data.rmatrix.n, r_entries))
     if not graded:
-        j.grading = None
+        j.support = None
     ctx = TwistedContext.hopf(data.presentation, j)
-    assert (ctx.rform().grading is not None) == graded
+    assert (ctx.rform().support is not None) == graded
     return repr(rform_axiom_check(ctx, 4).failures)
 
 
@@ -679,7 +679,7 @@ def test_rform_right_side_graded_matches_every_term(cid, r_entries, bound):
                 continue
             full = [(pres.coproduct_monomial(h).terms.items(),
                      pres.coproduct_monomial(g).terms.items())]
-            groups = rform.grading_within(h.degree + g.degree).term_pairs(pres, h, g, False)
+            groups = pres.term_groups(h, g, rform.support_within(h.degree + g.degree), False)
             assert commutation_right_side(ctx, rform.pair, groups) \
                 == commutation_right_side(ctx, rform.pair, full), (h, g)
             skipped += len(full[0][0]) * len(full[0][1]) - sum(len(a) * len(b) for a, b in groups)
@@ -723,7 +723,7 @@ def test_grading_memos_stay_with_their_presentation():
         fs = rnd_polys(ctx.pres.ring, random.Random(25), 12, degree=3)
         renders.append([render_poly(ctx.mul(f, g)) for f in fs for g in fs[:4]])
     assert renders[0] == renders[1]
-    gradings = [ctx.right.grading for ctx in loads]
+    gradings = [ctx.right.support.grading for ctx in loads]
     assert gradings[0] is not gradings[1] and None not in gradings
     for ctx, grading in zip(loads, gradings):
         own = _memo_monomials(grading)
