@@ -132,7 +132,7 @@ def test_ideal_work_goes_through_ideal(path):
 # `WeightGrading` and `Support`
 GRADING_INTERNALS = {"coset", "opposite", "class_memos", "_delta_classes", "_graded_terms",
                      "pivot", "step", "height", "leg_groups", "_groups", "level", "_levels",
-                     "_found", "_extra", "_partners", "monoid", "closure"}
+                     "_found", "_partners", "monoid", "closure"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
