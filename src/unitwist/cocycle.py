@@ -47,8 +47,8 @@ N rho lattice), every such pair reads k rho on w(x) + w(y), k >= 0.
 
 An evaluator's `support` is set only where this proof holds, the lattice
 has a pivot and every correction key reads k rho with k >= 1:
-`ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`, a
-`Convolution` of two supports on one grading, and `CorrectedCocycle`.
+`ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
+`CorrectedCocycle`, and a `Convolution` whose factors share grading and bound.
 Every other evaluator has None.  The identity check, the R-form check and
 the correction solver take their monomial triples from one walk, a per-call
 `WeightIndex`, which skips what the N rho rule proves 0 = 0; with no
