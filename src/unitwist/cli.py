@@ -13,7 +13,7 @@ import sys
 from . import catalog as _catalog
 from .cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle, ExponentialCocycle,
                       cybe_check, verify_cocycle_identity)
-from .groebner import Ideal, eliminate as _eliminate, krull_dimension
+from .groebner import Ideal, TermOrder, eliminate as _eliminate, krull_dimension
 from .groupfile import GroupFileError, default_degree_bound, parse_group_file, verify_lie_table
 from .hopf import PresentationError
 from .poly import PolyRing, parse_poly, render_poly
@@ -184,7 +184,7 @@ def cmd_eliminate(args, out):
     unknown = [n for n in drop if n not in ring.index]
     if unknown:
         raise InputError("unknown variable %r in --drop" % unknown[0])
-    kept = _eliminate(Ideal(ring, polys), drop)
+    kept = _eliminate(Ideal(ring, polys), TermOrder(ring, eliminate=drop))
     gb = kept.groebner()
     for g in gb:
         out.write(render_poly(g) + "\n")

@@ -2,9 +2,11 @@
 
 Desk-scale by design (few variables, low degree), and deterministic: every
 S-pair gets its rank (lcm degree, lcm key, i, j) once, when the pair is
-created, and pairs are popped from a heap in increasing rank.  Reduced bases
-are inter-reduced, made monic and sorted, so a basis is a canonical artifact
-suitable for golden comparisons.
+created, and pairs are popped from a heap in increasing rank.  A pair with
+coprime leading monomials is settled when it is created (Buchberger's
+product criterion): it never enters the heap, and its lcm is never formed.
+Reduced bases are inter-reduced, made monic and sorted, so a basis is a
+canonical artifact suitable for golden comparisons.
 
 Inside, coefficients are integers (`{monomial: int}` dicts); only the entry
 and the exit convert.  Inputs are cleared of denominators and made
@@ -134,7 +136,8 @@ def buchberger(gens, order):
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading term).
 
     Deterministic: pairs are handled in increasing (lcm-degree, lcm-key)
-    order; the coprime and chain criteria prune the queue.
+    order.  A pair with coprime leads is settled when it is made and never
+    queued; the chain criterion prunes the queue.
     """
     basis = [_primitive(_integral(g)[0], order) for g in gens if not g.is_zero()]
     basis.sort(key=lambda d: order.key(d[0]))
@@ -142,24 +145,26 @@ def buchberger(gens, order):
         return []
     leads = [lm for lm, _, _ in basis]
     pairs = []
+    done = set()
 
     def add_pairs(i):
         li = leads[i]
         for j in range(i):
-            l = li.lcm(leads[j])
-            heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j, l))
+            lj = leads[j]
+            if li.coprime(lj):  # the product criterion: S(f_i, f_j) reduces to 0
+                done.add((i, j))
+            else:
+                l = li.lcm(lj)
+                heapq.heappush(pairs, (l.total_degree(), order.key(l), i, j, l))
 
     for i in range(len(basis)):
         add_pairs(i)
-    done = set()
     while pairs:
         _, _, i, j, l = heapq.heappop(pairs)
         done.add((i, j))
         li, lj = leads[i], leads[j]
-        if li.coprime(lj):
-            continue
-        # Buchberger's chain criterion, conservative form: only pairs that
-        # were actually treated earlier may justify skipping this one.
+        # Buchberger's chain criterion, conservative form: only pairs already
+        # settled (treated earlier, or coprime) may justify skipping this one.
         if any(k not in (i, j) and lk.divides(l) and (max(i, k), min(i, k)) in done
                and (max(j, k), min(j, k)) in done for k, lk in enumerate(leads)):
             continue
@@ -240,15 +245,13 @@ class Ideal:
         return "<" + ", ".join(render_poly(g) for g in gb) + ">"
 
 
-def eliminate(ideal, drop_names):
-    """Intersection with the subring omitting `drop_names`, via a block order."""
-    drop = tuple(drop_names)
-    if not drop:
+def eliminate(ideal, order):
+    """Intersection with the subring omitting `order.eliminate`, for a block
+    `TermOrder` of the ideal's ring (whose key memo serves every call given it)."""
+    if not order.eliminate:
         return Ideal(ideal.ring, list(ideal.gens))
-    order = TermOrder(ideal.ring, eliminate=drop)
     gb = buchberger(ideal.gens, order)
-    drop_idx = [ideal.ring.index[n] for n in drop]
-    kept = [g for g in gb if all(all(m.exps[i] == 0 for i in drop_idx) for m in g.terms)]
+    kept = [g for g in gb if all(all(m.exps[i] == 0 for i in order._elim) for m in g.terms)]
     return Ideal(ideal.ring, kept)
 
 

@@ -8,9 +8,9 @@ its coordinate ring together with the coproduct corrections
 where q(Xi) is a rank-2 tensor with zero counit in each slot involving
 only X1..X_{i-1}.  Everything else (iterated coproducts, the antipode,
 the group law on points, Lie structure constants, coset-function spaces)
-is computed from that single piece of data.  The group law, like the
-winding maps and conjugation, is a convolution (`convolve`): the
-coordinates of p.q are sum p(x1) q(x2) over Delta(x).
+is computed from that single piece of data.  Conjugation, like the
+product maps of the strata, is a convolution (`convolve`): the
+coordinates of g.h are sum g(x1) h(x2) over Delta(x).
 
 All operations are pure; the per-presentation caches only memoize values
 that are uniquely determined, so results are identical with or without
@@ -212,6 +212,7 @@ class GroupPresentation:
         self._words = {}
         self._coinv = {}
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
+        self._product_maps = {}  # strata's generic product maps, keyed by (SubgroupParam, shape)
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
         self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
@@ -495,39 +496,39 @@ class GroupPresentation:
         out = f.substitute(images, self.ring)
         return out
 
-    def point_mul(self, p, q):
-        ring = self.ring
-        left, right = p.restriction(ring), q.restriction(ring)
-        return Point(self, {g: self.convolve((left, right), ring.var(g), ring)
-                            for g in ring.generators})
-
     def point_inv(self, p):
         coords = {}
         for g in self.ring.generators:
             coords[g] = self.evaluate(self.antipode_gen(g), p)
         return Point(self, coords)
 
-    def winding_left(self, g, f):
-        """tau^l_g : f -> sum f1(g) f2."""
-        return self.convolve((g.restriction(self.ring), Monomial.as_poly), f, self.ring)
+    def symbolic_point(self, generators=()):
+        """(ring, at_g, at_g_inverse): evaluation at a symbolic point g and at g^-1.
+
+        `ring` has `generators` before the group's generators, and the
+        coordinates of g, g_<X> (more underscores if a name is taken), after
+        its parameters.  g^-1's coordinates are S(X)(g).  Both maps take a
+        monomial to a Poly of `ring`.
+        """
+        ring = self.ring
+        sym = ring.fresh_names("g_", ring.generators)
+        ext = PolyRing(tuple(generators) + ring.generators, ring.parameters + tuple(sym.values()))
+        at_g = ring.hom({g: ext.var(s) for g, s in sym.items()}, ext)
+
+        def at_g_inverse(m):
+            return ext.combination((at_g(a), c) for a, c in self.antipode_monomial(m).terms.items())
+
+        return ext, at_g, at_g_inverse
 
     def conjugation_images(self):
         """Images of generators under conjugation by a symbolic point.
 
         Returns (extended_ring, images) where images[name] is
-        sum f1(g) f2 S(f3)(g) written with symbolic coordinates g_<name>, the
-        extended ring's last parameters (with more underscores if a name is taken).
+        sum f1(g) f2 S(f3)(g) in the coordinates g_<name> of `symbolic_point`.
         """
-        ring = self.ring
-        sym = ring.fresh_names("g_", ring.generators)
-        ext = ring.extended(sym.values())
-        at_g = ring.hom({g: ext.var(s) for g, s in sym.items()}, ext)
-
-        def antipode_at_g(m):
-            return ext.combination((at_g(a), c) for a, c in self.antipode_monomial(m).terms.items())
-
-        maps = (at_g, ring.hom({}, ext), antipode_at_g)
-        return ext, {g: self.convolve(maps, ring.var(g), ext) for g in ring.generators}
+        ext, at_g, at_g_inverse = self.symbolic_point()
+        maps = (at_g, self.ring.hom({}, ext), at_g_inverse)
+        return ext, {g: self.convolve(maps, self.ring.var(g), ext) for g in self.ring.generators}
 
     def adjoint_matrix(self):
         """Ad(g) on the Lie basis, symbolic in g with coordinates named by the generators.

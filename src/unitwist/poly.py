@@ -171,9 +171,6 @@ class PolyRing:
 
         return image
 
-    def extended(self, extra_parameters):
-        return PolyRing(self.generators, self.parameters + tuple(extra_parameters))
-
     def fresh_names(self, prefix, names):
         """{name: prefix + name}, the prefix lengthened by "_" until no new name is the ring's."""
         while any(prefix + n in self.index for n in names):

@@ -12,17 +12,20 @@ a separate elimination (the ideal of gTg^{-1} plus the ideal of T), so
 the dimension law 2 dim T - dim T_g is a genuine cross-check rather than
 a definition.
 
-A sweep over many points of one group redoes only point-dependent work:
-the ideal of T and the coset-function basis of the normalizing case are
-memoized on the GroupPresentation per SubgroupParam object.
-The generator commutator table is the context's own, computed once.
+A sweep over many points of one group redoes only point-dependent work.
+Memoized on the GroupPresentation per subgroup are the ideal of T, the
+coset-function basis of the normalizing case and, per factor shape (T g T
+and g T g^{-1}), the elimination ring, its block order and the graph
+generators at a symbolic point with coordinates g_<X>; a point substitutes
+its coordinates for the g_<X> and eliminates.  The generator commutator
+table is the context's own, computed once.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .groebner import Ideal, buchberger, eliminate, krull_dimension
-from .poly import ONE, ZERO, Poly, PolyRing, TensorPoly, rational, render_poly
+from .groebner import Ideal, TermOrder, buchberger, eliminate, krull_dimension
+from .poly import ONE, ZERO, Poly, TensorPoly, rational, render_poly
 from .twist import TwistedPresentation
 
 _TRACED_ALIAS = buchberger  # not called here; perfbench/smoke.py reads `strata.buchberger`
@@ -32,36 +35,56 @@ class StratumError(ValueError):
     pass
 
 
-def _product_image_ideal(group, subgroup, factors):
-    """Vanishing ideal of the closure of all products a.b.c, by elimination.
+def _product_map(group, subgroup, shape):
+    """(order, gens) for the image of (a, b, c) -> a.b.c, memoized on the group.
 
-    Each of the three factors is a fixed point of the group, or a prefix p
-    standing for the subgroup with its parameters t renamed to p + t (p takes
-    more underscores if that would reuse a name of the group's ring).  The
-    product's coordinates are the convolutions of the factors' coordinate
-    maps (`GroupPresentation.convolve`); the renamed parameters are then
-    eliminated from the graph ideal.
+    A factor of `shape` is a prefix p, for the subgroup with its parameters t
+    renamed to p + t (p takes more underscores if that would reuse a name of
+    the group's ring), or 1 or -1, for the symbolic point g of
+    `GroupPresentation.symbolic_point` or for g^-1.  gens are the graph
+    generators X - (a.b.c)_X, convolutions of the factors' coordinate maps
+    (`GroupPresentation.convolve`); order is the block order that eliminates
+    the renamed parameters.
     """
-    factors = [group.ring.fresh_names(f, subgroup.param_names) if isinstance(f, str) else f
-               for f in factors]
-    names = tuple(n for f in factors if isinstance(f, dict) for n in f.values())
-    elim_ring = PolyRing(names + group.ring.generators, group.ring.parameters)
-    maps = [subgroup.restriction(elim_ring, f) if isinstance(f, dict) else f.restriction(elim_ring)
-            for f in factors]
-    gens = [elim_ring.var(g) - group.convolve(maps, group.ring.var(g), elim_ring)
-            for g in group.ring.generators]
-    kept = eliminate(Ideal(elim_ring, gens), names)
-    return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.groebner()])
+    key = (subgroup, shape)
+    hit = group._product_maps.get(key)
+    if hit is None:
+        renames = {f: group.ring.fresh_names(f, subgroup.param_names)
+                   for f in shape if isinstance(f, str)}
+        names = tuple(n for rename in renames.values() for n in rename.values())
+        ring, at_g, at_g_inverse = group.symbolic_point(names)
+        maps = [subgroup.restriction(ring, renames[f]) if f in renames
+                else {1: at_g, -1: at_g_inverse}[f] for f in shape]
+        gens = [ring.var(x) - group.convolve(maps, group.ring.var(x), ring)
+                for x in group.ring.generators]
+        hit = group._product_maps[key] = (TermOrder(ring, eliminate=names), gens)
+    return hit
+
+
+def _product_image_ideal(group, subgroup, shape, point):
+    """Vanishing ideal of the closure of all a.b.c at `point`, by elimination.
+
+    One map sends each g_<X> in `_product_map`'s generators to the point's X
+    coordinate.  Once a parameter is eliminated, what `eliminate` keeps is
+    already the reduced basis under graded lex, so it is not computed again.
+    """
+    order, gens = _product_map(group, subgroup, shape)
+    ring, n = order.ring, group.ring.ngens
+    at_point = ring.hom({s: point.coord(x).substitute({}, ring)
+                         for s, x in zip(ring.parameters[-n:], group.ring.generators)}, ring)
+    graph = [ring.combination((at_point(m), c) for m, c in f.terms.items()) for f in gens]
+    kept = eliminate(Ideal(ring, graph), order)
+    return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.gens])
 
 
 def double_coset_ideal(group, subgroup, point):
     """Vanishing ideal of the closure of T.g.T, in the group ring."""
-    return _product_image_ideal(group, subgroup, ("s_", point, "t_"))
+    return _product_image_ideal(group, subgroup, ("s_", 1, "t_"), point)
 
 
 def conjugate_subgroup_ideal(group, subgroup, point):
     """Vanishing ideal of g T g^{-1} by elimination."""
-    return _product_image_ideal(group, subgroup, (point, "t_", group.point_inv(point)))
+    return _product_image_ideal(group, subgroup, (1, "t_", -1), point)
 
 
 def subgroup_ideal(group, subgroup):

@@ -51,6 +51,7 @@ class TwistedContext:
         self._mul_cache = {}
         self._antipode_halves = ({}, {})  # u and v of `twisted_antipode`, by monomial
         self._commutators = None
+        self._rform = None
         self._gamma = None  # strata.commutator_ideal_and_gamma's report
 
     @classmethod
@@ -148,10 +149,12 @@ class TwistedContext:
                                              self.right.pair, self.right_inv.pair))
 
     def rform(self):
-        """R^J = (J21)^{-1} * J, the cotriangular form of the deformation."""
+        """R^J = (J21)^{-1} * J, the cotriangular form of the deformation, built once."""
         if not self.two_sided:
             raise ValueError("the R-form belongs to the two-sided context")
-        return Convolution(self.right_inv.swap(), self.right)
+        if self._rform is None:
+            self._rform = Convolution(self.right_inv.swap(), self.right)
+        return self._rform
 
 
 class TwistedPresentation:

@@ -7,6 +7,7 @@ import pytest
 from unitwist import catalog
 from unitwist.cli import build_context
 from unitwist.cocycle import CounitPair, WeightGrading
+from unitwist.poly import Monomial
 from unitwist.twist import TwistedContext, ihoe_presentation
 
 
@@ -48,6 +49,25 @@ def each_example(request):
 def support_of():
     """Builds `leg_support` of an evaluator."""
     return leg_support
+
+
+@pytest.fixture(scope="session")
+def point_mul():
+    """The group law on points: the coordinates of p.q in the group g are
+    sum p(x1) q(x2) over Delta(x)."""
+    def mul(g, p, q):
+        ring = g.ring
+        left, right = p.restriction(ring), q.restriction(ring)
+        return g.point({x: g.convolve((left, right), ring.var(x), ring) for x in ring.generators})
+    return mul
+
+
+@pytest.fixture(scope="session")
+def winding_left():
+    """The left winding map tau^l_p : f -> sum f1(p) f2 of the group g."""
+    def wind(g, p, f):
+        return g.convolve((p.restriction(g.ring), Monomial.as_poly), f, g.ring)
+    return wind
 
 
 @pytest.fixture(scope="session")

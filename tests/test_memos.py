@@ -158,4 +158,8 @@ def test_no_memo_entry_changes_once_stored(cid):
         assert memo and id(memo) in memos
     assert work(entry) == first
     assert other_commands(entry) == other_commands(OneLoad(catalog.get(cid)))
+    # the strata's shared product maps (rings, block orders and graph
+    # generators) are reached too, and the rerun read them
+    assert id(pres._product_maps) in memos
+    assert bool(pres._product_maps) == bool(entry.expected.get("strata"))
     assert changed_entries(memos, snapshot) == []

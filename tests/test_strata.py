@@ -9,8 +9,9 @@ import pytest
 
 from unitwist import catalog, cli
 from unitwist.cocycle import ExponentialCocycle, RMatrix
-from unitwist.groebner import Ideal, TermOrder, normal_form
-from unitwist.poly import parse_poly, render_poly
+from unitwist.groebner import Ideal, TermOrder, eliminate, normal_form
+from unitwist.hopf import GroupPresentation
+from unitwist.poly import PolyRing, parse_poly, render_poly
 from unitwist.groupfile import parse_group_file
 from unitwist.strata import (StratumError, c0_solver, commutator_ideal_and_gamma,
                              conjugate_subgroup_ideal, double_coset_ideal, fixed_locus_ideal,
@@ -307,7 +308,7 @@ def test_run_c0_exit_only_for_the_files_rmatrix(monkeypatch, source, exits):
         assert exact == fixed_locus_ideal(data.presentation, data.rmatrix)
 
 
-def test_winding_consistency_c0_point(examples):
+def test_winding_consistency_c0_point(examples, winding_left):
     # for a point of the fixed-cocycle group, the left winding map carries
     # the coset stratum ideal onto the subgroup ideal
     ex6 = examples("u4-ex6")
@@ -316,11 +317,11 @@ def test_winding_consistency_c0_point(examples):
     gamma_pt = g.point({"F12": 1, "F24": 1})
     ideal_g = double_coset_ideal(g, T, gamma_pt)
     ideal_t = subgroup_ideal(g, T)
-    moved = Ideal(g.ring, [g.winding_left(gamma_pt, p) for p in ideal_g.gens])
+    moved = Ideal(g.ring, [winding_left(g, gamma_pt, p) for p in ideal_g.gens])
     assert moved == ideal_t
 
 
-def test_winding_stratum_relations_match(examples):
+def test_winding_stratum_relations_match(examples, winding_left):
     # Case II stratum of the second U(4) example: its relations match the
     # deformed subgroup algebra through the winding map
     ex6 = examples("u4-ex6")
@@ -333,12 +334,12 @@ def test_winding_stratum_relations_match(examples):
     it = subgroup_ideal(g, T)
     gbt = it.groebner()
     # tau maps the stratum ideal onto I(T)
-    moved = Ideal(g.ring, [g.winding_left(pt, p) for p in stratum.ideal.gens])
+    moved = Ideal(g.ring, [winding_left(g, pt, p) for p in stratum.ideal.gens])
     assert moved == it
     # and intertwines the quotient relations: tau([Xi,Xj] - f_ij) dies mod I(T)
     for (a, b), f in stratum.quotient.relations.items():
         xa, xb = g.ring.var(a), g.ring.var(b)
-        lhs = g.winding_left(pt, ex6.ctx.commutator(xa, xb) - f)
+        lhs = winding_left(g, pt, ex6.ctx.commutator(xa, xb) - f)
         assert normal_form(lhs, gbt, order).is_zero()
 
 
@@ -448,6 +449,83 @@ SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "re
                           "strata-sweep.json")
 
 
+def pool_point(pres, text):
+    """The point a strata-sweep variant names, as "X=1/2,Y=3"."""
+    coords = dict(part.split("=", 1) for part in text.split(","))
+    return pres.point({k: parse_poly(v, pres.ring) for k, v in coords.items()})
+
+
+def per_point_product_ideal(group, subgroup, factors):
+    """The ideal of the closure of all a.b.c, built for one point alone.
+
+    Each factor is a point or a prefix p, standing for the subgroup with its
+    parameters renamed to p + t.  The elimination ring, the restriction maps,
+    the convolutions at the point's own coordinates and the block order are
+    all built afresh, as the strata built them before their product maps
+    were shared between points.
+    """
+    factors = [group.ring.fresh_names(f, subgroup.param_names) if isinstance(f, str) else f
+               for f in factors]
+    names = tuple(n for f in factors if isinstance(f, dict) for n in f.values())
+    ring = PolyRing(names + group.ring.generators, group.ring.parameters)
+    maps = [subgroup.restriction(ring, f) if isinstance(f, dict) else f.restriction(ring)
+            for f in factors]
+    gens = [ring.var(x) - group.convolve(maps, group.ring.var(x), ring)
+            for x in group.ring.generators]
+    kept = eliminate(Ideal(ring, gens), TermOrder(ring, eliminate=names))
+    return Ideal(group.ring, [g.substitute({}, group.ring) for g in kept.groebner()])
+
+
+def test_shared_product_maps_match_the_per_point_route():
+    # T g T and g T g^-1 through the maps shared between points and through
+    # the per-point route, at every named point of every entry (some with
+    # parameters in their coordinates), the identity and the first variant
+    # of each strata-sweep slot, all on one presentation per entry
+    with open(SWEEP_POOL) as fh:
+        pool = json.load(fh)
+    with_parameter = 0
+    for cid in catalog.ids():
+        pres = catalog.get(cid).load().presentation
+        T = pres.named_subgroups["T"]
+        points = list(pres.named_points.values()) + [pres.identity_point()] \
+            + [pool_point(pres, slot["variants"][0]["point"])
+               for slot in pool["groups"].get(cid, [])]
+        for point in points:
+            with_parameter += any(m.param_degree() for c in point.coords.values() for m in c.terms)
+            assert double_coset_ideal(pres, T, point).groebner() \
+                == per_point_product_ideal(pres, T, ("s_", point, "t_")).groebner(), (cid, point)
+            assert conjugate_subgroup_ideal(pres, T, point).groebner() \
+                == per_point_product_ideal(pres, T, (point, "t_", pres.point_inv(point))) \
+                .groebner(), (cid, point)
+    assert with_parameter
+
+
+def test_second_stratum_builds_no_ring_and_no_convolution(monkeypatch):
+    # the elimination rings and the graph generators are built once per
+    # subgroup and shape: a second stratum on the same presentation (neither
+    # point normalizes T, so no coset functions are solved) only substitutes
+    # its point and eliminates
+    data = catalog.get("u4-ex5").load()
+    pres, ctx = data.presentation, cli.build_context(data)
+    T = pres.named_subgroups["T"]
+    counts = collections.Counter()
+
+    def counted(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(PolyRing, "__init__", counted("ring", PolyRing.__init__))
+    monkeypatch.setattr(GroupPresentation, "convolve",
+                        counted("convolve", GroupPresentation.convolve))
+    stratum_presentation(pres, ctx, T, pres.named_points["caseI1"], "caseI1")
+    assert counts["ring"] and counts["convolve"]
+    counts.clear()
+    stratum_presentation(pres, ctx, T, pres.named_points["caseI2"], "caseI2")
+    assert counts == {}
+
+
 def test_strata_sweep_pool_on_shared_presentations():
     # every recorded variant, run through one presentation and context per
     # group in pool order and then reversed, matches its recorded output
@@ -459,9 +537,8 @@ def test_strata_sweep_pool_on_shared_presentations():
         subgroup = pres.named_subgroups[pool["subgroup"]]
         variants = [v for slot in slots for v in slot["variants"]]
         for v in variants + variants[::-1]:
-            coords = dict(part.split("=", 1) for part in v["point"].split(","))
-            point = pres.point({k: parse_poly(val, pres.ring) for k, val in coords.items()})
-            stratum = stratum_presentation(pres, ctx, subgroup, point, name=v["point"])
+            stratum = stratum_presentation(pres, ctx, subgroup, pool_point(pres, v["point"]),
+                                           name=v["point"])
             assert "\n".join(stratum.lines()) + "\n" == v["expect"], (group, v["point"])
 
 
