@@ -42,18 +42,19 @@ the letters come in both orientations.  A corrected J = J_r + table adds its
 keys' pairs: a union, not a monoid.  The swap reverses every pair.
 (F * G)(a, b) sums F(a1, b1) G(a2, b2), so a convolution, and the Neumann
 inverse, a sum of convolution powers, lie in the monoid of their factors'
-pairs.  Through a linear map c with c(w_a + w_b) = rho on every letter (the
-N rho lattice), every such pair reads k rho on w(x) + w(y), k >= 0.
+pairs.  The pivot form, a linear map c with c(w_a + w_b) = step > 0 on
+every letter, gives each pair its level c(w(x) + w(y)) / step.
 
-An evaluator's `support` is set only where this proof holds, the lattice
-has a pivot and every correction key reads k rho with k >= 1:
+An evaluator's `support` is set only where this proof holds, a pivot form
+exists and every correction key has an integral level k >= 1:
 `ExponentialCocycle` and its inverse, `NeumannInverse`, `SwappedCocycle`,
 `CorrectedCocycle`, and a `Convolution` whose factors share grading and bound.
 Every other evaluator has None.  The identity check, the R-form check and
 the correction solver take their monomial triples from one walk, a per-call
-`WeightIndex`, which skips what the N rho rule proves 0 = 0; with no
-support it is the full sweep.  `contract` reads only the Delta term pairs
-whose legs J (in `right_product` and `c0_solver`), K (in the deformed
+`WeightIndex`, which skips a triple unless its weights sum into the sum
+monoid of a support, the sums w(x) + w(y) of its pairs (`Support.sums`);
+with no support it is the full sweep.  `contract` reads only the Delta term
+pairs whose legs J (in `right_product` and `c0_solver`), K (in the deformed
 product), the inner cocycle (in `NeumannInverse`), the left factor (in
 `Convolution`) or R (in the R-form check) can pair nonzero
 (`Support.term_pairs`).  Past a bounded evaluator's range
@@ -87,7 +88,7 @@ class RMatrix:
     constructor builds the stored forms once: `matrix`, every entry through
     `rational`; its sparse `rows`, row a listing the (b, r[a][b]) with
     r[a][b] != 0; and `support`, the (a, b, r[a][b]) of `rows` in row order.
-    Every consumer reads them as they are, so no caller may change any.
+    They are tuples, shared by every consumer, so none can change them.
     """
 
     def __init__(self, n, entries):
@@ -96,9 +97,9 @@ class RMatrix:
         for (i, j), val in entries.items():
             mat[i][j] += val
             mat[j][i] -= val
-        self.matrix = [[rational(v) for v in row] for row in mat]
-        self.rows = [[(b, v) for b, v in enumerate(row) if v] for row in self.matrix]
-        self.support = [(a, b, v) for a, row in enumerate(self.rows) for b, v in row]
+        self.matrix = tuple(tuple(rational(v) for v in row) for row in mat)
+        self.rows = tuple(tuple((b, v) for b, v in enumerate(row) if v) for row in self.matrix)
+        self.support = tuple((a, b, v) for a, row in enumerate(self.rows) for b, v in row)
 
 
 def _homogeneity_rows(pres):
@@ -125,29 +126,23 @@ class WeightGrading:
 
     `weights[i]` is X_i's weight from Delta alone; `weight` memoizes w(m).
     `monoid` is the `Support` of r's `letters` (w_a, w_b), one per entry of
-    r's support, and `lengths` reads its S_k.  The N rho lattice has vectors
-    (c, rho_t), rho_t >= 0, with c . (w_a + w_b) = rho_t on every letter:
-    `grades` holds the c, `rho` the rho_t, and `grade(v)` reads a weight in
-    the lattice.  The `pivot` is the first t with rho_t != 0, `step` that
-    rho_t, and `height(v)` the pivot coordinate of v.  A grading belongs to
-    one presentation.  It memoizes `weight` and `leg_groups` per monomial of
-    its ring, `coset` per weight and `opposite` per class.
+    r's support, and `lengths` reads its S_k.  The pivot `form` c, or None,
+    has c . (w_a + w_b) = `step` > 0 on every letter; a support's levels
+    read `height(v)` = c . v.  A grading belongs to one presentation.  It
+    memoizes `weight` and `leg_groups` per monomial of its ring.
     """
 
     def __init__(self, weights, lattice, unit_legs, letters=()):
         rank = len(weights[0])
-        lattice = [v if v[rank] >= 0 else [-x for x in v] for v in lattice]
+        # the first basis vector (c, s) with s != 0, signed so that s > 0
+        v = next((v if v[rank] > 0 else [-x for x in v] for v in lattice if v[rank]), None)
         self.weights = weights
         self.rank = rank
-        self.grades = tuple(tuple(v[:rank]) for v in lattice)
-        self.rho = tuple(v[rank] for v in lattice)
         # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
         self.unit_legs = unit_legs
-        self.pivot = next((t for t, r in enumerate(self.rho) if r), None)
-        self.step = 1 if self.pivot is None else self.rho[self.pivot]
+        self.form = None if v is None else tuple(v[:rank])
+        self.step = 1 if v is None else v[rank]
         self._weight_memo = {}
-        self._cosets = {}
-        self._opposites = {}
         self._groups = ({}, {})  # leg_groups's, by leg
         self.monoid = Support(self, frozenset((1, u, v) for u, v in letters))
 
@@ -157,9 +152,10 @@ class WeightGrading:
 
         The weights depend on q only: a presentation's first grading solves
         them, as the integral nullspace of the homogeneity equations, and the
-        others take them from it.  The lattice is solved over them from the
-        letters alone: the integral (c, rho_t) with c . (w_a + w_b) = rho_t for
-        each letter, in rank + 1 unknowns.  Where it is {0}, `rho` is ().
+        others take them from it.  The pivot form is solved over them from
+        the letters alone: of the integral (c, s) with c . (w_a + w_b) = s
+        for each letter, in rank + 1 unknowns, the first basis vector with
+        s != 0 is kept, as `form` c and `step` |s|.
         """
         memo = pres._gradings
         hit = memo.get(rmatrix)
@@ -197,44 +193,8 @@ class WeightGrading:
         u, v = self.weight(m1), self.weight(m2)
         return tuple(k for k in range(1, kmax + 1) if v in self.monoid.level(k).get(u, ()))
 
-    def grade(self, v):
-        """The weight v read in the lattice: c . v for each of its vectors."""
-        return tuple(sum(map(mul, c, v)) for c in self.grades)
-
     def height(self, v):
-        return sum(map(mul, self.grades[self.pivot], v))
-
-    def multiple(self, s):
-        """Whether the weight s reads k rho in the lattice, for an integer k >= 0."""
-        u = self.grade(s)
-        k = next((x // r for x, r in zip(u, self.rho) if r), 0)
-        return k >= 0 and all(x == k * r for x, r in zip(u, self.rho))
-
-    def coset(self, v):
-        """(c, p): the class c of the weight v modulo Z rho, and v's pivot coordinate p.
-
-        With u = `grade(v)`, t the pivot and `step` = rho_t, c is
-        (step u - p rho, p mod step) for p = u_t.  Its first part is linear in
-        u and 0 exactly on Q rho, so u = k rho exactly when it is 0 and
-        p = k step.  With no pivot (rho = 0, or the lattice {0}), c is (u, 0)
-        and p is 0.  Memoized per weight.
-        """
-        hit = self._cosets.get(v)
-        if hit is None:
-            u = self.grade(v)
-            t = self.pivot
-            p = 0 if t is None else u[t]
-            line = u if t is None else tuple(self.step * x - p * r for x, r in zip(u, self.rho))
-            hit = self._cosets[v] = (line, p % self.step), p
-        return hit
-
-    def opposite(self, c):
-        """(c, d): the class c, one object per class, and the class d of -v for v in c."""
-        hit = self._opposites.get(c)
-        if hit is None:
-            line, r = c
-            hit = self._opposites[c] = (c, (tuple(-x for x in line), -r % self.step))
-        return hit
+        return sum(map(mul, self.form, v))
 
     def leg_groups(self, pres, m, leg):
         """(top, groups): Delta(m)'s terms as {weight of leg `leg`: terms}, and
@@ -283,6 +243,7 @@ class Support:
         self._levels = [{zero: {zero}}]
         self._found = []  # the gens that no sum of lower levels reaches
         self._partners = {}
+        self._sums = [{zero}]
 
     def level(self, k):
         levels = self._levels
@@ -299,6 +260,16 @@ class Support:
                     self._found.append((lg, u, v))
             levels.append(out)
         return levels[k]
+
+    def sums(self, k):
+        """The sums w(x) + w(y) of level k over the monoid that `gens` and
+        `keys` generate, its `closure`'s, built bottom-up like `level`."""
+        sums = self._sums
+        while len(sums) <= k:
+            n = len(sums)
+            gens = {(lg, tuple(map(add, u, v))) for lg, u, v in self.gens | self.keys if lg <= n}
+            sums.append({tuple(map(add, t, g)) for lg, g in gens for t in sums[n - lg]})
+        return sums[k]
 
     def swapped(self):
         """The swap's support: every pair reversed."""
@@ -351,51 +322,49 @@ class WeightIndex:
 
     This is the one walk of the identity check, the R-form check and the
     correction solver.  `mons` lists the monomials in grlex order, which
-    sorts them by degree.  The index reads the grading of the support of
-    the evaluator `j`; where it has none, or one that does not cover the
-    bound, the index takes the rank-0 grading, the lattice {0}, which proves
-    nothing zero: every monomial is then a partner, and `triples()` is the
-    full sweep.
+    sorts them by degree.  The index reads the support of the evaluator `j`
+    within the bound, `j.support_within(degree_bound)`.
 
     `partners(idx, end)` lists, in increasing order, the indices k < end
-    for which the weight of mons[k] times the monomials indexed by `idx`
-    lies in N rho: its class modulo Z rho (`WeightGrading.coset`) is
-    opposite to theirs, and the pivot coordinates sum to k step with k >= 0.
-    Class lines and pivot coordinates add like weights.  The monomials are
-    bucketed by class and pivot, so an answer reads one class, and the full
-    list is memoized per class line and pivot of the sum.
+    for which w(mons[k]) plus the weights s of the monomials indexed by
+    `idx` is a sum w(x) + w(y) over the support's monoid (`Support.sums`).
+    Heights add like weights, so only the levels whose height lies within
+    h(s) plus the least and the greatest height of a monomial are read,
+    each translated by -s and looked up among the monomials' weights,
+    memoized per s.  With no support, every k < end is a partner, and
+    `triples()` is the full sweep.
     """
 
     def __init__(self, j, degree_bound):
-        support = j.support_within(degree_bound)
-        grading = (WeightGrading(((),) * j.pres.ring.ngens, (), True) if support is None
-                   else support.grading)
-        self.grading = grading
+        self.support = j.support_within(degree_bound)
         self.bound = degree_bound
         self.mons = j.pres.ring.monomials_up_to(degree_bound, include_one=False)
         self._degs = [m.degree for m in self.mons]
-        self._lines = []  # (class line, pivot coordinate) per monomial
-        self._classes = {}
-        for k, m in enumerate(self.mons):
-            c, p = grading.coset(grading.weight(m))
-            self._lines.append((c[0], p))
-            self._classes.setdefault(c, {}).setdefault(p, []).append(k)
         self._memo = {}
+        self._by_weight = {}
+        if self.support is not None:
+            self._weights = list(map(self.support.grading.weight, self.mons))
+            for k, w in enumerate(self._weights):
+                self._by_weight.setdefault(w, []).append(k)
+            heights = list(map(self.support.grading.height, self._by_weight))
+            self._heights = min(heights, default=0), max(heights, default=0)
 
     def _upto(self, d):
         # how many of mons have degree <= d
         return bisect.bisect_right(self._degs, d)
 
     def partners(self, idx, end):
-        line = tuple(map(sum, zip(*(self._lines[k][0] for k in idx))))
-        p = sum(self._lines[k][1] for k in idx)
-        hit = self._memo.get((line, p))
+        if self.support is None:
+            return range(end)
+        s = tuple(map(sum, zip(*(self._weights[k] for k in idx))))
+        hit = self._memo.get(s)
         if hit is None:
-            step = self.grading.step
-            _, opposite = self.grading.opposite((line, p % step))
-            hit = self._memo[(line, p)] = sorted(
-                k for q, ks in self._classes.get(opposite, {}).items()
-                if (p + q) * step >= 0 for k in ks)
+            step, h = self.support.grading.step, self.support.grading.height(s)
+            lo, hi = self._heights
+            get = self._by_weight.get
+            hit = self._memo[s] = sorted(
+                k for level in range(max(0, -(-(h + lo) // step)), (h + hi) // step + 1)
+                for t in self.support.sums(level) for k in get(tuple(map(sub, t, s)), ()))
         return hit[:bisect.bisect_left(hit, end)]
 
     def pairs(self):
@@ -409,7 +378,7 @@ class WeightIndex:
                 yield x, y, self._upto(self.bound - dx - self._degs[y])
 
     def triples(self):
-        """The in-class (x, y, z) of the full sweep, in its order."""
+        """The (x, y, z) of the full sweep with z among the partners of (x, y), in its order."""
         for x, y, end in self.pairs():
             for z in self.partners((x, y), end):
                 yield x, y, z
@@ -544,7 +513,7 @@ class ExponentialCocycle(Cocycle):
     there is none.  J and J^{-1} = exp(-r/2) share one `WeightGrading`
     through the presentation's memo, and so do the evaluators built on
     them: the R-form's factors and a `CorrectedCocycle`'s base.  Where its
-    lattice has a pivot, `support` is its letters' monoid, whose S_k
+    grading has a pivot form, `support` is its letters' monoid, whose S_k
     `lengths` reads.
     """
 
@@ -609,10 +578,10 @@ class ExponentialCocycle(Cocycle):
 
     @cached_property
     def support(self):
-        # shared with the inverse through the presentation's memo; a lattice
-        # with no pivot, {0} among them, bounds no walk
+        # shared with the inverse through the presentation's memo; a grading
+        # with no pivot form bounds no walk
         g = WeightGrading.of(self.pres, self.rmatrix)
-        return None if g.pivot is None else g.monoid
+        return None if g.form is None else g.monoid
 
     def inverse(self):
         return ExponentialCocycle(self.pres, self.rmatrix, not self.negate)
@@ -708,19 +677,19 @@ class CorrectedCocycle(Cocycle):
     @cached_property
     def support(self):
         # J_r + table: the base's pairs and the keys' own, each at its level k,
-        # where it reads k rho with k >= 1
+        # where height(w(a) + w(b)) is k step with k >= 1
         base = self.base.support
         if base is None:
             return None
         g = base.grading
-        keys = frozenset(((g.height(u) + g.height(v)) // g.step, u, v) for u, v in
-                         ((g.weight(a), g.weight(b)) for a, b in self.corrections))
-        if not all(g.multiple(tuple(map(add, u, v))) and k >= 1 for k, u, v in keys):
+        keys = [(divmod(g.height(u) + g.height(v), g.step), u, v) for u, v in
+                ((g.weight(a), g.weight(b)) for a, b in self.corrections)]
+        if not all(rest == 0 and k >= 1 for (k, rest), _, _ in keys):
             return None
         bound = self.total_bound
         if base.total_bound is not None:
             bound = min(bound, base.total_bound)
-        return Support(g, base.gens, base.keys | keys, bound)
+        return Support(g, base.gens, base.keys | {(k, u, v) for (k, _), u, v in keys}, bound)
 
 
 def solve_cocycle_corrections(pres, base, total_bound):
@@ -736,10 +705,11 @@ def solve_cocycle_corrections(pres, base, total_bound):
     is deterministic.  Raises if the constraints are inconsistent.
 
     u = (ab, c) and v = (a, bc) have the same weight, so the constraint
-    graph splits by the class of w(a) + w(b) + w(c).  Where `base` has a
-    support, a class outside N rho has only zero defects (the corrections
-    found so far lie in class), its roots assign 0, and it is skipped: the
-    instances are the one walk's triples, `WeightIndex(base, total_bound)`.
+    graph splits by w(a) + w(b) + w(c).  Where `base` has a support, a
+    weight off its sum monoid has only zero defects (by induction over the
+    levels, the keys found so far have their w(a) + w(b) in it), its roots
+    assign 0, and it is skipped: the instances are the one walk's triples,
+    `WeightIndex(base, total_bound)`.
     """
     for g, q in pres.q.items():
         for (m1, m2), _ in q.terms.items():
@@ -929,7 +899,7 @@ class Convolution(Cocycle):
 
     @cached_property
     def support(self):
-        # one lattice object (the presentation memoizes it) and one bound
+        # one grading object (the presentation memoizes it) and one bound
         left, right = self.left.support, self.right.support
         if left is None or right is None or (left.grading, left.total_bound) != (
                 right.grading, right.total_bound):
@@ -967,12 +937,12 @@ def verify_cocycle_identity(j, degree_bound):
     The triples come from the one walk, `WeightIndex(j, degree_bound)`.
     With R(x, y) the one-sided product {x1 y1: sum J(x2, y2)},
     `j.right_product`, the sides are sum_m J(m, c) R(a, b)[m] and
-    sum_m J(a, m) R(b, c)[m].  A key m of R(a, b) has
-    w(m) = w(a) + w(b) - k rho with k >= 0, and J(m, c) needs w(m) + w(c)
-    in N rho; so both sides are 0 unless w(a) + w(b) + w(c) lies in N rho
-    (the module docstring has the grading), and the walk visits just the
-    in-class c of each (a, b).  A pair with none never builds R(a, b).  An
-    evaluator with no support that covers the bound is walked over every
+    sum_m J(a, m) R(b, c)[m].  A key m of R(a, b) has w(m) = w(a) + w(b)
+    less w(a2) + w(b2) with J(a2, b2) != 0, and J(m, c) needs (w(m), w(c))
+    in J's support; so both sides are 0 unless w(a) + w(b) + w(c) lies in
+    the support's sum monoid (`Support.sums`), and the walk visits just the
+    c of each (a, b) that reach it.  A pair with none never builds R(a, b).
+    An evaluator with no support that covers the bound is walked over every
     triple.
 
     `checked` counts triples in the full sweep's order (grlex in each

@@ -285,7 +285,7 @@ def verify_lie_table(data):
             for (a, b), sign in (((i, j), 1), ((j, i), -1)):
                 for k, c in data.lie_table.get((a, b), {}).items():
                     declared[k] += sign * c
-            if declared != lie.bracket_basis(i, j):
+            if tuple(declared) != lie.bracket_basis(i, j):
                 return False, (i + 1, j + 1)
     return True, None
 

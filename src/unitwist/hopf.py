@@ -126,23 +126,24 @@ class LieAlgebraData:
     stored forms once: the full antisymmetric `table`, table[i][j] the row
     of [u_i, u_j], and the unit vectors `units`.  Rows hold `rational`
     coefficients and are shared, `bracket_basis` returns a table row
-    itself, so no caller may change one.
+    itself, so all of them are tuples: no caller can change one.
     """
 
     def __init__(self, basis, brackets):
         self.basis = tuple(basis)
         n = self.n = len(self.basis)
-        zero = [ZERO] * n
-        self.table = [[zero] * n for _ in range(n)]
+        zero = (ZERO,) * n
+        table = [[zero] * n for _ in range(n)]
         self.brackets = {}
         for (i, j), vec in brackets.items():
-            row = [rational(x) for x in vec]
+            row = tuple(rational(x) for x in vec)
             if len(row) != n:
                 raise ValueError("bracket vector has wrong length")
             if any(row):
-                self.brackets[(i, j)] = self.table[i][j] = row
-                self.table[j][i] = [-c for c in row]
-        self.units = [[ONE if k == a else ZERO for k in range(n)] for a in range(n)]
+                self.brackets[(i, j)] = table[i][j] = row
+                table[j][i] = tuple(-c for c in row)
+        self.table = tuple(map(tuple, table))
+        self.units = tuple(tuple(ONE if k == a else ZERO for k in range(n)) for a in range(n))
 
     def bracket_basis(self, i, j):
         return self.table[i][j]

@@ -343,7 +343,7 @@ class CobracketData:
         self.r = rmatrix.matrix
         # r lies in t (x) t, hence in t /\ t, iff every row of its
         # antisymmetric matrix lies in t
-        if linalg.matrix_rank(self.basis + self.r) > linalg.matrix_rank(self.basis):
+        if linalg.matrix_rank(self.basis + list(self.r)) > linalg.matrix_rank(self.basis):
             raise StratumError("r-matrix is not supported on the subalgebra")
         if not lie.is_subalgebra(self.basis):
             raise StratumError("subalgebra basis is not bracket-closed")

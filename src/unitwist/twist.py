@@ -242,17 +242,16 @@ def rform_axiom_check(ctx, degree_bound):
     (3) cotriangularity: R * R21 = eps.eps.
 
     The monomials and the triples of (1) come from the one walk,
-    `WeightIndex(rform, degree_bound)`, which skips what the N rho rule of
-    the R-form's grading proves 0 = 0 (with no support that covers the
-    bound, nothing).  R * R21 (h, g) is 0 unless w(h) + w(g) lies in N rho.
-    R is 0 off N rho, and the keys of l.g have weight w(l) + w(g) - k rho
-    with k >= 0, K and J being graded like R; as w(h1) + w(h2) = w(h), both
-    sides of R(h, l.g) = sum R(h1,g) R(h2,l), and of its mirror, are 0
-    unless w(h) + w(l) + w(g) lies in N rho.  Identity (2) holds terms such
-    as h.g itself, so it is checked on every pair.  Its left side and (3)
-    read R of the first legs and share one walk of R's support
-    (`Support.term_pairs`), built once per pair; its right side reads the
-    walk of the second legs.
+    `WeightIndex(rform, degree_bound)`, over the sum monoid M of R's
+    support, which holds J's and J^{-1}'s (with no support that covers the
+    bound, every triple).  R * R21 (h, g) is 0 unless w(h) + w(g) lies in M.
+    The keys of l.g have weight w(l) + w(g) less a point of M, and
+    w(h1) + w(h2) = w(h), so both sides of R(h, l.g) = sum R(h1,g) R(h2,l),
+    and of its mirror, are 0 unless w(h) + w(l) + w(g) lies in M.
+    Identity (2) holds terms such as h.g itself, so it is checked on every
+    pair.  Its left side and (3) read R of the first legs and share one walk
+    of R's support (`Support.term_pairs`), built once per pair; its right
+    side reads the walk of the second legs.
     """
     pres = ctx.pres
     rform = ctx.rform()

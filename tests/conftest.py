@@ -1,6 +1,6 @@
 import functools
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -49,6 +49,12 @@ def each_example(request):
 def support_of():
     """Builds `leg_support` of an evaluator."""
     return leg_support
+
+
+@pytest.fixture(scope="session")
+def sum_support_of():
+    """Builds `sum_support` of an evaluator."""
+    return sum_support
 
 
 @pytest.fixture(scope="session")
@@ -107,17 +113,16 @@ def leg_support(j):
     """Whether (x, y) lies in the support of the evaluator j: (w(x), w(y)) is a
     sum of its gens or one of its keys (`_support_generators`).
 
-    Built here by level, with no engine walk: a pair's level is the pivot
-    coordinate of w(x) + w(y) in the N rho lattice over rho's, 1 on each
-    letter, and the sums of level l are those of level l - l(g) plus a
-    generator g.  Every generator must have a positive integral level.
+    Built here by level, with no engine walk: a pair's level is the
+    grading's `height` of w(x) + w(y) over its `step`, 1 on each letter, and
+    the sums of level l are those of level l - l(g) plus a generator g.
+    Every generator must have a positive integral level.
     """
     g, gens, keys = _support_generators(j)
-    t = next(t for t, r in enumerate(g.rho) if r)
     zero = (0,) * g.rank
 
     def level(u, v):
-        return Fraction(g.grade(u)[t] + g.grade(v)[t], g.rho[t])
+        return Fraction(g.height(u) + g.height(v), g.step)
 
     by_level = {}
     for u, v in gens:
@@ -140,3 +145,27 @@ def leg_support(j):
         return (u, v) in sums[int(lv)]
 
     return lambda x, y: member(g.weight(x), g.weight(y))
+
+
+def sum_support(j):
+    """Whether the weights of some monomials sum into the sum monoid of the
+    evaluator j's support: the sums of the w(x) + w(y) of its gens and keys
+    (`_support_generators`), 0 included.
+
+    Decided by brute force, with no engine table: a weight s is in the
+    monoid when it is 0, or when s - t is for some generator sum t.  Every t
+    has a positive `height`, so the recursion ends where the height of s is
+    not positive.
+    """
+    g, gens, keys = _support_generators(j)
+    sums = {tuple(map(add, u, v)) for u, v in gens | keys}
+    assert all(g.height(t) > 0 for t in sums), sums
+    zero = (0,) * g.rank
+
+    @functools.cache
+    def member(s):
+        if s == zero:
+            return True
+        return g.height(s) > 0 and any(member(tuple(map(sub, s, t))) for t in sums)
+
+    return lambda *ms: member(tuple(map(sum, zip(*map(g.weight, ms)))))

@@ -274,7 +274,7 @@ def test_quasi_frobenius_examples(examples):
     lie = examples("jordan4-minimal").pres.lie_data()
     r = RMatrix(4, {(0, 2): 1, (3, 1): 1})
     n = 4
-    mat = [row[:] for row in r.matrix]
+    mat = [list(row) for row in r.matrix]
     omega4 = _invert(mat)
     assert quasi_frobenius_check(lie, omega4)
     # odd dimension: always degenerate
@@ -831,12 +831,14 @@ LATTICE_RANKS = {"u3": 2, "heisenberg3": 2, "jordan4-abelian": 2, "jordan4-minim
 
 def test_grading_holds_on_nonzero_values(each_example):
     # every nonzero value of J, J^-1 and the R-form on pairs with each slot
-    # of degree <= 4 lies in its class; total degree <= 6 keeps u4-ex6's
-    # corrected cocycle inside its solved range (and the u4-ex5 pass short)
+    # of degree <= 4 lies in its class, read in the direct solve's N rho
+    # lattice; total degree <= 6 keeps u4-ex6's corrected cocycle inside its
+    # solved range (and the u4-ex5 pass short)
     ex = each_example
     j, ctx = ex.ctx.right, ex.ctx
     grading = j.support.grading
-    assert len(grading.rho) == LATTICE_RANKS[ex.entry.id]
+    assert len(direct_lattice(ex.pres, ex.data.rmatrix)[1]) == LATTICE_RANKS[ex.entry.id]
+    _, in_class = class_rule(ex.pres, ex.data.rmatrix)
     assert grading is ctx.right_inv.support.grading is ctx.rform().support.grading
     if isinstance(j, CorrectedCocycle):
         assert j.support.total_bound == 6 and j.corrections
@@ -847,7 +849,7 @@ def test_grading_holds_on_nonzero_values(each_example):
             for b in mons:
                 if a.degree + b.degree <= 6 and ev.pair(a, b):
                     nonzero += 1
-                    assert grading.multiple(grading.weight(a.mul(b))), (ev.kind, a, b)
+                    assert in_class(a, b), (ev.kind, a, b)
     assert nonzero
 
 
@@ -918,16 +920,18 @@ def test_lie_data_matches_the_triple_loop(examples):
 
 def test_zero_lattice_takes_the_full_sweep():
     # w_Y = 2 w_X and w_Z = 3 w_X; r_XY and r_XZ then force w_Y = w_Z, so
-    # every weight and rho is 0 and there is no grading
+    # every weight and rho is 0: the lattice is {0}, there is no pivot form
+    # and no support
     g = toeplitz()
     assert g.validate().ok
     j = ExponentialCocycle(g, RMatrix(3, {(0, 1): 1, (0, 2): 1}))
-    assert WeightGrading.of(g, j.rmatrix).rho == () and j.support is None
+    assert direct_lattice(g, j.rmatrix) is None and WeightGrading.of(g, j.rmatrix).form is None
+    assert j.support is None
     # the letters still skip lengths: w_X = 1, so (X, X) lies in no S_k
     X = g.ring.var_monomial("X")
     assert WeightGrading.of(g, j.rmatrix).lengths(X, X, 3) == ()
     assert ExponentialCocycle(g, RMatrix(3, {(0, 1): 1})).support is not None
-    assert WeightIndex(j, 4).grading.rho == ()
+    assert WeightIndex(j, 4).support is None
     rep = verify_cocycle_identity(j, 4)
     assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 4)
 
@@ -952,13 +956,33 @@ def direct_lattice(pres, rmatrix):
     return tuple(tuple(v[i] for v in basis) for i in range(n)), tuple(v[n] for v in basis)
 
 
-def lattice_rows(grading, pres):
-    """The basis of a grading's N rho lattice as vectors (w_1..w_n, rho)."""
-    if grading is None:
-        return []
-    ring = pres.ring
-    weights = [grading.grade(grading.weight(ring.var_monomial(x))) for x in ring.generators]
-    return [[w[k] for w in weights] + [grading.rho[k]] for k in range(len(grading.rho))]
+def lattice_rows(lattice):
+    """The basis of the direct solve's N rho lattice as vectors (w_1..w_n, rho)."""
+    weights, rho = lattice
+    return [[w[k] for w in weights] + [rho[k]] for k in range(len(rho))]
+
+
+def class_rule(pres, rmatrix):
+    """The N rho class rule of the direct solve's lattice, as (weight, in_class).
+
+    weight(m) reads a monomial's weight in the lattice, and in_class(*ms)
+    whether the weights of the monomials ms sum to k rho for an integer
+    k >= 0.  The lattice must have a vector with rho != 0.
+    """
+    weights, rho = direct_lattice(pres, rmatrix)
+    t = next(t for t, r in enumerate(rho) if r)
+
+    @functools.cache
+    def weight(m):
+        return tuple(sum(e * w[k] for e, w in zip(m.exps, weights)) for k in range(len(rho)))
+
+    @functools.cache
+    def in_class(*ms):
+        u = [sum(x) for x in zip(*map(weight, ms))]
+        k, rest = divmod(u[t], rho[t])
+        return not rest and k >= 0 and all(x == k * r for x, r in zip(u, rho))
+
+    return weight, in_class
 
 
 def direct_grading(pres, rmatrix):
@@ -981,23 +1005,17 @@ def read_pairs(pres, m1, m2, support, first):
             for s, _ in d1 for t, _ in d2}
 
 
-@functools.cache
-def in_class_rule(grading, u, v):
-    """Whether the weights u and v sum to k rho, k >= 0: the N rho class rule
-    that the walks read before they read the supports."""
-    return grading.multiple(tuple(x + y for x, y in zip(u, v)))
-
-
-def class_rule_pairs(pres, grading, m1, m2, first):
+def class_rule_pairs(pres, rule, m1, m2, first):
     """The (term, term) pairs of Delta(m1) x Delta(m2) whose legs on the
-    side `first` are in the class rule."""
+    side `first` are in the class rule `rule` (`class_rule`)."""
+    weight, in_class = rule
     leg = 0 if first else 1
     groups = ({}, {})
     for m, by in zip((m1, m2), groups):
-        for t in pres.coproduct_monomial(m).terms:
-            by.setdefault(grading.weight(t[leg]), []).append(t)
-    return {(s, t) for u, ss in groups[0].items() for v, ts in groups[1].items()
-            if in_class_rule(grading, u, v) for s in ss for t in ts}
+        for term in pres.coproduct_monomial(m).terms:
+            by.setdefault(weight(term[leg]), []).append(term)
+    return {(s, t) for ss in groups[0].values() for ts in groups[1].values()
+            if in_class(ss[0][leg], ts[0][leg]) for s in ss for t in ts}
 
 
 def lattice_cases(cid):
@@ -1016,43 +1034,45 @@ def lattice_cases(cid):
 
 @pytest.mark.parametrize("cid", catalog.ids() + ["toeplitz"])
 def test_lattice_matches_the_direct_solve(cid):
-    # the engine's N rho lattice spans the rational space of the direct
-    # solve's, and WeightIndex(., 5) gives the same triples on the engine's
-    # grading and on one with the direct weights.  For every (m1, m2, side)
-    # within total degree 5 the letters' walk reads, on the engine's Delta
-    # weights, a part of what it reads on the direct weights (their image in
+    # the engine has a pivot form exactly where the direct solve's N rho
+    # lattice has a vector with rho != 0, and the form read on the engine's
+    # Delta weights, (h(w_1), ..., h(w_n), step), lies in that lattice's
+    # rational span.  Within total degree 5, the letters' walk of every
+    # (m1, m2, side), and WeightIndex(., 5), read on the engine's Delta
+    # weights a part of what they read on the direct weights (their image in
     # the lattice), and that lies in the N rho class rule
     ranks = {}
     for name, pres, r in lattice_cases(cid):
-        engine, direct = WeightGrading.of(pres, r), direct_grading(pres, r)
-        engine = engine if engine.rho else None
-        ours, theirs = lattice_rows(engine, pres), lattice_rows(direct, pres)
-        rank = linalg.matrix_rank(ours) if ours else 0
-        assert rank == len(ours) == len(theirs), name
-        assert (linalg.matrix_rank(ours + theirs) if ours else 0) == rank, name
-        ranks[repr(name)] = rank
-        if engine is None:
-            assert direct is None, name
+        engine, lattice = WeightGrading.of(pres, r), direct_lattice(pres, r)
+        ranks[repr(name)] = 0 if lattice is None else len(lattice[1])
+        assert (engine.form is not None) == (lattice is not None and any(lattice[1])), name
+        if engine.form is None:
             continue
+        ring = pres.ring
+        form = [engine.height(engine.weight(ring.var_monomial(x))) for x in ring.generators]
+        rows = lattice_rows(lattice)
+        assert engine.step > 0 and linalg.matrix_rank(rows + [form + [engine.step]]) == len(rows)
+        direct = direct_grading(pres, r)
+        _, in_class = class_rule(pres, r)
         mons = pres.ring.monomials_up_to(4)
-        supports = [g.monoid if g.pivot is not None else None for g in (engine, direct)]
-        assert (supports[0] is None) == (supports[1] is None), name
-        w = engine.weight
+        supports = [engine.monoid, direct.monoid]
         for m1 in mons:
             for m2 in mons:
-                if m1.degree + m2.degree <= 5 and supports[0] is not None:
+                if m1.degree + m2.degree <= 5:
                     for first in (True, False):
                         leg = 0 if first else 1
                         ours, theirs = (read_pairs(pres, m1, m2, s, first) for s in supports)
                         assert ours <= theirs, (name, m1, m2, first)
-                        assert all(in_class_rule(engine, w(s[leg]), w(t[leg]))
-                                   for s, t in theirs), (name, m1, m2, first)
+                        assert all(in_class(s[leg], t[leg]) for s, t in theirs), \
+                            (name, m1, m2, first)
         triples = []
         for grading in (engine, direct):
             j = ExponentialCocycle(pres, r)
             j.support = grading.monoid
-            triples.append(list(WeightIndex(j, 5).triples()))
-        assert triples[0] == triples[1], name
+            triples.append(set(WeightIndex(j, 5).triples()))
+        assert triples[0] <= triples[1], name
+        mons = pres.ring.monomials_up_to(5, include_one=False)
+        assert all(in_class(mons[x], mons[y], mons[z]) for x, y, z in triples[1]), name
     # the catalog's rank, or a toeplitz r with lattice {0}
     if cid == "toeplitz":
         assert ranks[repr({(0, 1): 1, (0, 2): 1})] == 0
@@ -1095,10 +1115,15 @@ def test_grading_only_where_the_proof_holds(examples):
                 PullbackCocycle(plane_g, plane_j, images),
                 Convolution(j, TableCocycle(pres, table, 2))]
     assert all(k.support is None for k in ungraded), [k.kind for k in ungraded]
-    # a corrected cocycle has a support, within its bound, only if every key is in class
-    inside = next((a, b) for a in mons for b in mons if grading.multiple(grading.weight(a.mul(b))))
+    # a corrected cocycle has a support, within its bound, only if every key
+    # has a positive integral level: the height of w(a) + w(b) over the step
+    def level(a, b):
+        return Fraction(grading.height(grading.weight(a.mul(b))), grading.step)
+
+    inside = next((a, b) for a in mons for b in mons
+                  if level(a, b) >= 1 and level(a, b).denominator == 1)
     outside = next((a, b) for a in mons for b in mons
-                   if not grading.multiple(grading.weight(a.mul(b))))
+                   if level(a, b) <= 0 or level(a, b).denominator != 1)
     kept = CorrectedCocycle(j, {inside: Fraction(1)}, 5)
     assert kept.support.grading is grading
     assert kept.support.total_bound == 5 and kept.support_within(5) is kept.support
@@ -1130,31 +1155,38 @@ def test_identity_check_graded_route_matches_full_route(cid, bounds, raw):
         assert got[0] == got[1], (cid, bound)
 
 
-def test_index_triples_are_the_sweep_filtered_by_class(each_example):
-    # the rank-0 index walks every triple of the full sweep in its order;
-    # the graded one walks the same triples, less those off class
+def test_index_triples_are_the_sweep_filtered_by_class(each_example, sum_support_of):
+    # the index of an evaluator with no support walks every triple of the
+    # full sweep in its order; the graded one walks the same triples, less
+    # those whose weights do not sum into the sum monoid of J's support,
+    # decided by brute force in `conftest.sum_support`
     ex = each_example
     bound = 4
     graded = WeightIndex(ex.ctx.right, bound)
     full = WeightIndex(fresh_cocycle(ex.entry.id, graded=False), bound)
-    assert len(graded.grading.rho) == LATTICE_RANKS[ex.entry.id] and full.grading.rho == ()
+    assert graded.support is ex.ctx.right.support is not None and full.support is None
     mons = graded.mons
     assert [repr(m) for m in full.mons] == [repr(m) for m in mons]
     sweep = [(x, y, z) for x, a in enumerate(mons) for y, b in enumerate(mons)
              for z, c in enumerate(mons) if a.degree + b.degree + c.degree <= bound]
     assert list(full.triples()) == sweep
-    weight = graded.grading.weight
-    in_class = [(x, y, z) for x, y, z in sweep
-                if graded.grading.multiple(weight(mons[x].mul(mons[y]).mul(mons[z])))]
-    assert list(graded.triples()) == in_class
+    in_sums = sum_support_of(ex.ctx.right)
+    assert list(graded.triples()) == [(x, y, z) for x, y, z in sweep
+                                      if in_sums(mons[x], mons[y], mons[z])]
+    # the R-form check reads the partners of one monomial among all of mons
+    for x, a in enumerate(mons):
+        assert list(graded.partners((x,), len(mons))) == [
+            z for z, c in enumerate(mons) if in_sums(a, c)], a
+        assert list(full.partners((x,), len(mons))) == list(range(len(mons)))
     assert sum(end for *_, end in full.pairs()) == len(sweep)
 
 
 def test_index_skips_negative_classes():
-    # no catalog triple within bound 4 lies in a negative class k rho, k < 0,
-    # so a made-up grading w_X = 1, w_V = -2, rho = 1 shows the k >= 0 test
+    # no catalog triple within bound 4 has a weight sum of negative height,
+    # so a made-up grading w_X = 1, w_V = -2, step 1, shows the level
+    # window; its letters (1, 0) and (0, 1) have the sum monoid N
     g, j = plane_cocycle()
-    j.support = WeightGrading(((1,), (-2,)), ((1, 1),), True).monoid
+    j.support = WeightGrading(((1,), (-2,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))]).monoid
     index = WeightIndex(j, 3)
     sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
@@ -1167,11 +1199,11 @@ def test_exponential_pair_answers_off_class_misses_without_word_tables(each_exam
     # on pairs of total degree <= 4 is that of a fresh evaluator with no support
     cid = each_example.entry.id
     graded, full = fresh_cocycle(cid, True, raw=True), fresh_cocycle(cid, False, raw=True)
-    grading = graded.support.grading
+    _, in_class = class_rule(graded.pres, graded.rmatrix)
     mons = graded.pres.ring.monomials_up_to(4, include_one=False)
     pairs = [(x, y) for x, a in enumerate(mons) for y, b in enumerate(mons)
              if a.degree + b.degree <= 4]
-    off = [(x, y) for x, y in pairs if not grading.multiple(grading.weight(mons[x].mul(mons[y])))]
+    off = [(x, y) for x, y in pairs if not in_class(mons[x], mons[y])]
     assert off
     words = dict(graded.pres._words)
     assert all(graded.pair(mons[x], mons[y]) == 0 for x, y in off)
@@ -1428,14 +1460,14 @@ def test_walk_reads_fewer_term_pairs_than_the_class_rule(examples):
     # strictly fewer of them in all
     ex = examples("u4-ex6")
     pres = ex.pres
+    lattice_class = class_rule(pres, ex.data.rmatrix)
     for ev in (ex.ctx.right, ex.ctx.rform()):
         support = ev.support_within(5)
-        grading = support.grading
         walk = rule = 0
         for a, b in pairs_within(pres, 5):
             for first in (True, False):
                 read = read_pairs(pres, a, b, support, first)
-                ruled = class_rule_pairs(pres, grading, a, b, first)
+                ruled = class_rule_pairs(pres, lattice_class, a, b, first)
                 assert read <= ruled, (ev.kind, a, b, first)
                 walk, rule = walk + len(read), rule + len(ruled)
         assert walk < rule, ev.kind
@@ -1463,9 +1495,10 @@ def test_no_pivot_takes_the_rank0_walk():
     r = RMatrix(4, {(0, 1): 1, (2, 3): 1})
     j = ExponentialCocycle(g, r)
     grading = WeightGrading.of(g, r)
-    assert grading.rho and grading.pivot is None
+    lattice = direct_lattice(g, r)
+    assert lattice and not any(lattice[1]) and grading.form is None
     assert j.support is None and Convolution(j.inverse().swap(), j).support is None
-    assert WeightIndex(j, 4).grading.rho == ()
+    assert WeightIndex(j, 4).support is None
     x = g.ring.var_monomial("X")
     assert grading.lengths(x, x, 3) == ()
     assert_pair_is_the_word_loop(j, 5)

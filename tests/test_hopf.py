@@ -467,9 +467,9 @@ def test_lie_data_derivation():
     g = heisenberg()
     lie = g.lie_data()
     # [u_X, u_Y] = u_V and all other brackets vanish
-    assert lie.bracket_basis(0, 1) == [0, 0, 1]
-    assert lie.bracket_basis(1, 0) == [0, 0, -1]
-    assert lie.bracket_basis(0, 2) == [0, 0, 0]
+    assert lie.bracket_basis(0, 1) == (0, 0, 1)
+    assert lie.bracket_basis(1, 0) == (0, 0, -1)
+    assert lie.bracket_basis(0, 2) == (0, 0, 0)
     ok, _ = lie.check_jacobi()
     assert ok and lie.check_nilpotent()
 

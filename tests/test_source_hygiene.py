@@ -128,20 +128,20 @@ def test_ideal_work_goes_through_ideal(path):
     assert found == []
 
 
-# the class arithmetic of `WeightIndex` and the support walk's tables, behind
-# `WeightGrading` and `Support`
-GRADING_INTERNALS = {"coset", "opposite", "class_memos", "_delta_classes", "_graded_terms",
-                     "pivot", "step", "height", "leg_groups", "_groups", "level", "_levels",
-                     "_found", "_partners", "monoid", "closure"}
+# the pivot form, the support walk's tables and the sum monoid that
+# `WeightIndex` reads, behind `WeightGrading` and `Support`
+GRADING_INTERNALS = {"class_memos", "_delta_classes", "_graded_terms", "form", "step", "height",
+                     "leg_groups", "_groups", "level", "_levels", "_found", "_partners",
+                     "monoid", "closure", "sums", "_sums"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "cocycle.py"), ids=lambda p: p.name)
 def test_grading_internals_stay_in_cocycle(path):
-    # other modules read a grading and a support through their methods
-    # (`weight`, `multiple`, `lengths`, `term_pairs`), never their class keys,
-    # pivots, steps, levels, tables or memos, and define no walk of their own
-    # under those names
+    # other modules read a grading, a support and an index through their
+    # public methods (`weight`, `lengths`, `term_pairs`, `partners`,
+    # `triples`), never their pivot forms, steps, levels, sums, tables or
+    # memos, and define no walk of their own under those names
     found = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Attribute):
