@@ -349,8 +349,8 @@ class WeightIndex:
             heights = list(map(self.support.grading.height, self._by_weight))
             self._heights = min(heights, default=0), max(heights, default=0)
 
-    def _upto(self, d):
-        # how many of mons have degree <= d
+    def upto(self, d):
+        """How many of `mons` have degree <= d: they are the first that many."""
         return bisect.bisect_right(self._degs, d)
 
     def partners(self, idx, end):
@@ -374,8 +374,8 @@ class WeightIndex:
         exactly when z < end; pairs with no such z are left out.
         """
         for x, dx in enumerate(self._degs):
-            for y in range(self._upto(self.bound - 1 - dx)):
-                yield x, y, self._upto(self.bound - dx - self._degs[y])
+            for y in range(self.upto(self.bound - 1 - dx)):
+                yield x, y, self.upto(self.bound - dx - self._degs[y])
 
     def triples(self):
         """The (x, y, z) of the full sweep with z among the partners of (x, y), in its order."""

@@ -25,7 +25,8 @@ from operator import mul
 from types import MappingProxyType
 
 from . import linalg
-from .poly import ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly, rational, render_poly
+from .poly import (ONE, ZERO, Monomial, Poly, PolyRing, TensorPoly, accumulate, rational,
+                   render_poly, settle)
 
 
 class PresentationError(ValueError):
@@ -304,7 +305,7 @@ class GroupPresentation:
             out = out + self.coproduct_monomial(m).scale(c)
         return out
 
-    def contract(self, m1, m2, f, g, support=None):
+    def contract(self, m1, m2, f, g, support=None, start=None):
         """The rank-2 convolution sum over Delta(m1) x Delta(m2), by monomial.
 
         Returns {monomial: sum c c' f(a1,b1) g(a2,b2)} over the coproduct
@@ -313,17 +314,17 @@ class GroupPresentation:
         g may instead return a {monomial: coefficient} dict, such as another
         contraction's result, whose keys then key its terms.  Only f may be
         None: it then stands for the monomial product of its two arguments,
-        and that product keys the result.  Each factor is tested for zero before
-        coefficients are multiplied.  Delta's integral coefficients are ints,
-        as every stored coefficient is (`rational`); a value is multiplied by
-        c c' only when that is not 1, a key's first value is stored as it is,
-        not added to 0, and each result value goes through `rational`.
+        and that product keys the result.  The sum starts from `start`, a
+        {monomial: coefficient} dict, when one is given.  Each factor is
+        tested for zero before coefficients are multiplied.  Each key's sum
+        is kept as an int numerator over an int denominator (`accumulate`),
+        and only the result values are built as rationals (`settle`).
 
         `support` is the `Support` of the first scalar slot (f, or g when f
         is None): the slot is 0 on (x, y) unless (w(x), w(y)) lies in it, so
         only the term pairs where it can be nonzero are read (`term_groups`).
         """
-        return self.contract_groups(self.term_groups(m1, m2, support, f is not None), f, g)
+        return self.contract_groups(self.term_groups(m1, m2, support, f is not None), f, g, start)
 
     def term_groups(self, m1, m2, support, first):
         """The pairs of Delta term groups of m1 and m2 where a slot with
@@ -334,10 +335,12 @@ class GroupPresentation:
             return ((self._delta_terms(m1), self._delta_terms(m2)),)
         return support.term_pairs(self, m1, m2, first)
 
-    def contract_groups(self, groups, f, g):
+    def contract_groups(self, groups, f, g, start=None):
         """`contract` over the given pairs of Delta term groups."""
-        out = {}
-        get = out.get
+        num, den = {}, {}
+        if start:
+            for k, v in start.items():
+                num[k], den[k] = v.numerator, v.denominator
         one = self.ring.one_monomial
         for d1, d2 in groups:
             if f is None:
@@ -346,11 +349,8 @@ class GroupPresentation:
                         v = g(a2, b2)
                         if v:
                             c = c1 * c2
-                            if c != 1:
-                                v = v * c
-                            k = a1.mul(b1)
-                            o = get(k)
-                            out[k] = v if o is None else o + v
+                            accumulate(num, den, a1.mul(b1), v.numerator * c.numerator,
+                                       v.denominator * c.denominator)
             else:
                 for (a1, a2), c1 in d1:
                     for (b1, b2), c2 in d2:
@@ -361,18 +361,13 @@ class GroupPresentation:
                         if not w:
                             continue
                         c = c1 * c2
-                        if c != 1:
-                            v = v * c
+                        n, d = v.numerator * c.numerator, v.denominator * c.denominator
                         if w.__class__ is dict:
                             for k, cw in w.items():
-                                cw = cw * v
-                                o = get(k)
-                                out[k] = cw if o is None else o + cw
+                                accumulate(num, den, k, n * cw.numerator, d * cw.denominator)
                         else:
-                            v = v * w
-                            o = get(one)
-                            out[one] = v if o is None else o + v
-        return {k: rational(c) for k, c in out.items() if c}
+                            accumulate(num, den, one, n * w.numerator, d * w.denominator)
+        return settle(num, den)
 
     def _delta_terms(self, m):
         # Delta(m)'s terms as a tuple

@@ -6,9 +6,9 @@ central variables, but they are excluded from the notion of *degree* used
 for all truncation decisions and they sort below every generator in the
 term order.  A stored coefficient is an `int` when it is integral and a
 `fractions.Fraction` otherwise.  `rational` is the one switch; `Poly`,
-`TensorPoly`, `GroupPresentation.contract`, `Cocycle.pair`, `RMatrix` and
-`LieAlgebraData` call it where they store a value.  The two types compare,
-hash and print alike.  No floating point arithmetic occurs anywhere, yet
+`TensorPoly`, `settle`, `Cocycle.pair`, `RMatrix` and `LieAlgebraData`
+call it where they store a value.  The two types compare, hash and print
+alike.  No floating point arithmetic occurs anywhere, yet
 `int / int` is a float, so each of the four value divisions has a
 `Fraction` operand: the content in `Poly.normalize_sign` and
 `Poly.scale_down`, the pivot in `linalg`'s elimination and the power of
@@ -27,6 +27,12 @@ Every sum of many polynomials, sum c p over a list of (p, c), is added up
 by `PolyRing.combination` in one coefficient dict, with one `Poly` built at
 the end; a left fold of `+` would copy the running sum once per term.
 
+The exact sums of the product path (`GroupPresentation.contract`,
+`TwistedContext.mul` and the R-form check's commutation identity) keep
+each key's sum as an int numerator over a positive int denominator
+(`accumulate`), and `settle` builds one value per key at the end, so a
+key's sum is reduced by a gcd once rather than once per term.
+
 The canonical text rendering (used for golden comparisons) lists terms in
 decreasing graded-lex order, e.g. ``W*X + 1/2*Y``; `parse_poly` reads the
 same format back.
@@ -37,7 +43,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from operator import le
 
 ZERO = 0
@@ -47,6 +53,24 @@ ONE = 1
 def rational(x):
     """x as an int when it is integral, else as it is (a Fraction)."""
     return x.numerator if x.denominator == 1 else x
+
+
+def accumulate(num, den, k, n, d):
+    """Add n/d (ints, d > 0) to the sum num[k]/den[k], over the lcm of the denominators."""
+    o = den.get(k)
+    if o is None:
+        num[k], den[k] = n, d
+    elif o == d:
+        num[k] += n
+    else:
+        common = lcm(o, d)
+        num[k], den[k] = num[k] * (common // o) + n * (common // d), common
+
+
+def settle(num, den):
+    """The nonzero sums of `accumulate` as {key: value}, each value through `rational`."""
+    return {k: rational(n if (d := den[k]) == 1 else Fraction(n, d))
+            for k, n in num.items() if n}
 
 
 class RingContextError(ValueError):

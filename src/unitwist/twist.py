@@ -34,7 +34,7 @@ commutators agree too) before a presentation is returned.
 from __future__ import annotations
 
 from .cocycle import Convolution, WeightIndex
-from .poly import ZERO, Poly, render_poly
+from .poly import ZERO, Poly, accumulate, render_poly, settle
 
 
 class TwistConsistencyError(AssertionError):
@@ -60,43 +60,39 @@ class TwistedContext:
         return cls(pres, j, j)
 
     # -- products ----------------------------------------------------------
-    def _left_reduced(self, a, b):
-        # K(a,b) without its (1,1) term; `pair` is already 0 when exactly
+    def _minus_left_reduced(self, a, b):
+        # -K(a,b) without its (1,1) term; `pair` is already 0 when exactly
         # one argument is 1
-        return ZERO if a.is_one else self.left.pair(a, b)
+        return ZERO if a.is_one else -self.left.pair(a, b)
 
     def mul_monomials(self, m1, m2):
         """Product of two parameter-free monomials, as a Poly, from K alone.
 
         sum K(a1,b1) (a2 . b2) = a ._J b, and the only nonzero term with a 1
         in either slot is K(1,1) = 1, so a . b = a ._J b - sum_{a1 != 1}
-        K(a1,b1) (a2 . b2).  Each such a2 has strictly lower coradical
+        K(a1,b1) (a2 . b2): one contraction of -K against the products,
+        started from a ._J b.  Each such a2 has strictly lower coradical
         degree than a, so the recursion ends.  Both products are memoized,
         the one-sided one on J as `right_product`.
         """
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            terms = dict(self.right.right_product(m1, m2))
-            support = self.left.support_within(m1.degree + m2.degree)
-            for k, c in self.pres.contract(m1, m2, self._left_reduced,
-                                           lambda a, b: self.mul_monomials(a, b).terms,
-                                           support).items():
-                terms[k] = terms.get(k, ZERO) - c
-            hit = self._mul_cache[key] = Poly(self.pres.ring, terms)
+            hit = self._mul_cache[key] = Poly(self.pres.ring, self.pres.contract(
+                m1, m2, self._minus_left_reduced, lambda a, b: self.mul_monomials(a, b).terms,
+                self.left.support_within(m1.degree + m2.degree), self.right.right_product(m1, m2)))
         return hit
 
     def mul(self, f, g):
-        terms = {}
+        num, den = {}, {}
         for m1, c1 in f.terms.items():
             for m2, c2 in g.terms.items():
                 c, p = c1 * c2, m1.param_part.mul(m2.param_part)
+                n, d = c.numerator, c.denominator
                 for k, v in self.mul_monomials(m1.gen_part, m2.gen_part).terms.items():
-                    k = k.mul(p)
-                    v = v * c
-                    o = terms.get(k)
-                    terms[k] = v if o is None else o + v
-        return Poly(self.pres.ring, terms)
+                    accumulate(num, den, k if p.is_one else k.mul(p), n * v.numerator,
+                               d * v.denominator)
+        return Poly(self.pres.ring, settle(num, den))
 
     def commutator(self, f, g):
         return self.mul(f, g) - self.mul(g, f)
@@ -249,9 +245,11 @@ def rform_axiom_check(ctx, degree_bound):
     w(h1) + w(h2) = w(h), so both sides of R(h, l.g) = sum R(h1,g) R(h2,l),
     and of its mirror, are 0 unless w(h) + w(l) + w(g) lies in M.
     Identity (2) holds terms such as h.g itself, so it is checked on every
-    pair.  Its left side and (3) read R of the first legs and share one walk
-    of R's support (`Support.term_pairs`), built once per pair; its right
-    side reads the walk of the second legs.
+    pair within the bound; `mons` is sorted by degree, so the g paired with
+    h are a prefix of it (`WeightIndex.upto`).  Its left side and (3) read
+    R of the first legs and share one walk of R's support
+    (`Support.term_pairs`), built once per pair; its right side reads the
+    walk of the second legs.
     """
     pres = ctx.pres
     rform = ctx.rform()
@@ -270,10 +268,9 @@ def rform_axiom_check(ctx, degree_bound):
         return ctx.mul_monomials(x, y).terms
 
     for x, h in enumerate(mons):
-        near = set(index.partners((x,), len(mons)))
-        for y, g in enumerate(mons):
-            if h.degree + g.degree > degree_bound:
-                continue
+        end = index.upto(degree_bound - h.degree)
+        near = set(index.partners((x,), end))
+        for y, g in enumerate(mons[:end]):
             support = rform.support_within(h.degree + g.degree)
             # (3) cotriangularity and (2)'s left side read R of the first legs
             first = pres.term_groups(h, g, support, True)
@@ -281,15 +278,17 @@ def rform_axiom_check(ctx, degree_bound):
                 failures.append(("cotriangular", h, g))
             # (2) commutation identity; the scalar of the right side sits in
             # the second legs, so that side is summed here over their groups
-            rhs = {}
+            num, den = {}, {}
             for d1, d2 in pres.term_groups(h, g, support, False):
                 for (h1, h2), c1 in d1:
                     for (g1, g2), c2 in d2:
                         v = R(h2, g2)
                         if v:
+                            c = c1 * c2
+                            n, d = v.numerator * c.numerator, v.denominator * c.denominator
                             for k, w in products(g1, h1).items():
-                                rhs[k] = rhs.get(k, ZERO) + c1 * c2 * v * w
-            if pres.contract_groups(first, R, products) != {k: v for k, v in rhs.items() if v}:
+                                accumulate(num, den, k, n * w.numerator, d * w.denominator)
+            if pres.contract_groups(first, R, products) != settle(num, den):
                 failures.append(("commutation", h, g))
 
     # (1) R(h, l.g) = sum R(h1,g) R(h2,l) and R(g.h, l) = sum R(g,l1) R(h,l2)

@@ -730,10 +730,10 @@ def test_one_sided_products_computed_once(monkeypatch):
     computed = collections.Counter()
     contract = pres.contract
 
-    def spy(m1, m2, f, g, grading=None):
+    def spy(m1, m2, f, g, *rest):
         if f is None and g == j.pair:
             computed[(m1, m2)] += 1
-        return contract(m1, m2, f, g, grading)
+        return contract(m1, m2, f, g, *rest)
 
     monkeypatch.setattr(pres, "contract", spy)
     for bound in (3, 4, 5):

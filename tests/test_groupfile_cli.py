@@ -605,6 +605,19 @@ CLI_PINS = {
     # 18 split failures: jordan4-minimal's J_r is not a cocycle
     "rform-check --example jordan4-minimal --max-degree 4":
         (1, "3e1cb02c524e7a236919c7c7ba2b85d7360fab48be550dd3f26d28975b3e8e69", EMPTY),
+    # bound 5 reads deformed products of total degree up to 5
+    "rform-check --example heisenberg3 --max-degree 5":
+        (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
+    "rform-check --example jordan4-abelian --max-degree 5":
+        (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
+    "rform-check --example u3 --max-degree 5":
+        (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
+    "rform-check --example u4-ex5 --max-degree 5":
+        (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
+    "rform-check --example u4-ex6 --max-degree 5":
+        (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
+    "rform-check --example jordan4-minimal --max-degree 5":
+        (1, "dd2b71991d61dd9f1a7949e0c3f0cb7472690fa2abbc0ab3108ac92a6a5b11ef", EMPTY),
     # a point normalizing T, so the stratum is checked against the left coset
     # functions of degree <= 3
     "strata --example heisenberg3 --point Y=1":

@@ -13,7 +13,7 @@ from unitwist import linalg
 from unitwist.cocycle import ExponentialCocycle, RMatrix, WeightGrading
 from unitwist.groupfile import default_degree_bound
 from unitwist.hopf import GroupPresentation, PresentationError, SubgroupParam
-from unitwist.poly import PolyRing, TensorPoly, parse_poly, render_poly
+from unitwist.poly import Poly, PolyRing, TensorPoly, parse_poly, rational, render_poly
 from unitwist.strata import subgroup_ideal
 
 
@@ -616,6 +616,41 @@ def test_contract_matches_naive_double_sum(each_example, support_of):
                 # an int exactly when integral, never a float or an integral Fraction
                 assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
                            for v in got.values())
+
+    check()
+
+
+def test_contract_start_is_added_afterwards(each_example):
+    # contract(..., start=s) equals the contraction plus s, key by key, on the
+    # three slot shapes with J's and J^-1's values and the deformed products;
+    # s holds Fractions, and cancels some keys of the contraction to 0
+    ctx = each_example.ctx
+    pres, j, jinv = ctx.pres, ctx.right, ctx.right_inv
+    ring = pres.ring
+    mons = ring.monomials_up_to(3)
+    keys = ring.monomials_up_to(6)
+
+    def products(a, b):
+        return ctx.mul_monomials(a, b).terms
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.sampled_from(mons), st.sampled_from(mons),
+           st.dictionaries(st.sampled_from(keys),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=6)
+                           .filter(bool).map(rational), max_size=4),
+           st.integers(0, 3))
+    def check(m1, m2, extra, cancel):
+        # each shape with the support of its first scalar slot
+        for slots, graded in (((None, j.pair), j), ((j.pair, jinv.pair), j),
+                              ((jinv.pair, products), jinv)):
+            support = graded.support_within(6)
+            plain = pres.contract(m1, m2, *slots, support)
+            start = dict(extra)
+            start.update((k, -v) for k, v in list(plain.items())[:cancel])
+            got = pres.contract(m1, m2, *slots, support, start=start)
+            assert got == (Poly(ring, plain) + Poly(ring, start)).terms, (m1, m2, slots)
+            assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
+                       for v in got.values())
 
     check()
 

@@ -6,11 +6,14 @@ all-`Fraction` route; the tests below compare that route with the normal one
 and walk the structures a report leaves behind.
 """
 
+import math
 import random
 import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitwist import catalog, cli, cocycle, hopf, poly
 from unitwist.cli import build_context, report_lines
@@ -182,3 +185,39 @@ def test_cobracket_basis_is_canonical(cid):
     cob, _ = subgroup_F(pres.lie_data(), pres.named_subgroups["T"].tangent_vectors(),
                         data.rmatrix)
     assert [c for v in cob.basis for c in v if not canonical(c)] == []
+
+
+_RATIONALS = st.one_of(st.integers(-40, 40),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+def test_accumulate_matches_a_fraction_sum():
+    # mixed ints and Fractions, with some keys' sums driven to 0 and some to
+    # an integer by a last term; `settle` keeps the nonzero sums, canonical
+    seen = {"zero": 0, "integral": 0, "fractional": 0}
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), _RATIONALS), max_size=24),
+           st.sets(st.integers(0, 4)), st.sets(st.integers(0, 4)))
+    def check(terms, to_zero, to_int):
+        want = {}
+        for k, v in terms:
+            want[k] = want.get(k, 0) + Fraction(v)
+        terms = terms + [(k, -want[k]) for k in sorted(to_zero) if k in want]
+        terms += [(k, math.floor(want[k]) + 1 - want[k]) for k in sorted(to_int - to_zero)
+                  if k in want]
+        want = {}
+        num, den = {}, {}
+        for k, v in terms:
+            want[k] = want.get(k, 0) + Fraction(v)
+            poly.accumulate(num, den, k, v.numerator, v.denominator)
+        assert all(type(n) is int for n in num.values())
+        assert all(type(d) is int and d > 0 for d in den.values())
+        got = poly.settle(num, den)
+        assert got == {k: v for k, v in want.items() if v}
+        assert [v for v in got.values() if not canonical(v)] == []
+        for v in want.values():
+            seen["zero" if v == 0 else "integral" if v.denominator == 1 else "fractional"] += 1
+
+    check()
+    assert min(seen.values()) > 20, seen

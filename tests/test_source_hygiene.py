@@ -139,7 +139,7 @@ GRADING_INTERNALS = {"class_memos", "_delta_classes", "_graded_terms", "form", "
                                         if p.name != "cocycle.py"), ids=lambda p: p.name)
 def test_grading_internals_stay_in_cocycle(path):
     # other modules read a grading, a support and an index through their
-    # public methods (`weight`, `lengths`, `term_pairs`, `partners`,
+    # public methods (`weight`, `lengths`, `term_pairs`, `upto`, `partners`,
     # `triples`), never their pivot forms, steps, levels, sums, tables or
     # memos, and define no walk of their own under those names
     found = []
