@@ -46,10 +46,12 @@ def load_group(args):
         return catalog_entry(args.example).load()
     if getattr(args, "file", None):
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise InputError(str(e))
+        except UnicodeDecodeError as e:
+            raise InputError("cannot read %s: not UTF-8 text (%s)" % (args.file, e.reason))
         try:
             return parse_group_file(text)
         except (GroupFileError, PresentationError, ValueError) as e:

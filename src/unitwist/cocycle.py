@@ -35,15 +35,17 @@ sums of k letters (w_u, w_v) with r_uv != 0: the support of J on the
 subgroup T whose Lie algebra the letters of r span, read on weights.  The
 exponential evaluator reads only the lengths k whose S_k holds the pair.
 
-Each evaluator kind has its `Support`, the weight pairs where it can be
-nonzero.  J_r, its inverse exp(-r/2) and its swap have M_r, the monoid of
-the letters, S_0 = {(0, 0)} included (J(1, 1) = 1); r is antisymmetric, so
-the letters come in both orientations.  A corrected J = J_r + table adds its
-keys' pairs: a union, not a monoid.  The swap reverses every pair.
-(F * G)(a, b) sums F(a1, b1) G(a2, b2), so a convolution, and the Neumann
-inverse, a sum of convolution powers, lie in the monoid of their factors'
-pairs.  The pivot form, a linear map c with c(w_a + w_b) = step > 0 on
-every letter, gives each pair its level c(w(x) + w(y)) / step.
+Each evaluator kind has its `Support`: the monoid of its generators, a set
+of weight pairs holding every pair where the evaluator can be nonzero.  J_r,
+its inverse exp(-r/2) and its swap have M_r, the monoid of the letters, S_0
+= {(0, 0)} included (J(1, 1) = 1); r is antisymmetric, so the letters come
+in both orientations.  A corrected J = J_r + table adds each key's pair to
+the generators, as T is closed under products.  The swap reverses every
+pair.  (F * G)(a, b) sums F(a1, b1) G(a2, b2), so a convolution lies in the
+monoid of both factors' generators, and the Neumann inverse, a sum of
+convolution powers of J, in J's.  The pivot form, a linear map c with
+c(w_a + w_b) = step > 0 on every letter, gives each pair its level
+c(w(x) + w(y)) / step.
 
 An evaluator's `support` is set only where this proof holds, a pivot form
 exists and every correction key has an integral level k >= 1:
@@ -212,7 +214,7 @@ class WeightGrading:
                           for u, terms in self.leg_groups(pres, m, 0)[1].items()}
             else:
                 groups = {}
-                for t in pres._delta_terms(m):
+                for t in pres.coproduct_monomial(m).terms.items():
                     groups.setdefault(self.weight(t[0][0]), []).append(t)
                 groups = {u: tuple(terms) for u, terms in groups.items()}
             hit = memo[m] = (max(map(self.height, groups)), groups)
@@ -220,24 +222,24 @@ class WeightGrading:
 
 
 class Support:
-    """The weight pairs (w(x), w(y)) where one evaluator can be nonzero.
+    """The monoid of weight pairs (w(x), w(y)) that `gens` generate, holding
+    every pair where one evaluator can be nonzero.
 
-    They are the sums of `gens`, the empty sum (0, 0) included, and the
-    `keys`, each a set of (level, w(x), w(y)).  A pair's level is the
-    `height` of w(x) + w(y) over `step` in `grading`: 1 on a letter (the
-    letters' monoid counts letters even with no pivot).  Every generator has
-    a level >= 1, so `level(k)`, the pairs of level k as {w(x): {w(y)}}, are
-    those of level k - l plus a generator of level l.  The levels are built
-    bottom-up on first use, dropping each generator that lower levels'
-    sums already reach.  `term_pairs` memoizes the partners of a left
-    weight up to a level cap.  A bounded evaluator's support also carries
-    its `total_bound`, beyond which it raises instead of answering.
+    Its pairs are the sums of `gens`, a set of (level, w(x), w(y)), the empty
+    sum (0, 0) included.  A pair's level is the `height` of w(x) + w(y) over
+    `step` in `grading`: 1 on a letter (the letters' monoid counts letters
+    even with no pivot).  Every generator has a level >= 1, so `level(k)`,
+    the pairs of level k as {w(x): {w(y)}}, are those of level k - l plus a
+    generator of level l.  The levels are built bottom-up on first use,
+    dropping each generator that lower levels' sums already reach.
+    `term_pairs` memoizes the partners of a left weight up to a level cap.
+    A bounded evaluator's support also carries its `total_bound`, beyond
+    which it raises instead of answering.
     """
 
-    def __init__(self, grading, gens, keys=frozenset(), total_bound=None):
+    def __init__(self, grading, gens, total_bound=None):
         self.grading = grading
         self.gens = gens
-        self.keys = keys
         self.total_bound = total_bound
         zero = (0,) * grading.rank
         self._levels = [{zero: {zero}}]
@@ -262,29 +264,18 @@ class Support:
         return levels[k]
 
     def sums(self, k):
-        """The sums w(x) + w(y) of level k over the monoid that `gens` and
-        `keys` generate, its `closure`'s, built bottom-up like `level`."""
+        """The sums w(x) + w(y) of the pairs of level k, built bottom-up like `level`."""
         sums = self._sums
         while len(sums) <= k:
             n = len(sums)
-            gens = {(lg, tuple(map(add, u, v))) for lg, u, v in self.gens | self.keys if lg <= n}
+            gens = {(lg, tuple(map(add, u, v))) for lg, u, v in self.gens if lg <= n}
             sums.append({tuple(map(add, t, g)) for lg, g in gens for t in sums[n - lg]})
         return sums[k]
 
     def swapped(self):
         """The swap's support: every pair reversed."""
-        gens, keys = (frozenset((k, v, u) for k, u, v in s) for s in (self.gens, self.keys))
-        if (gens, keys) == (self.gens, self.keys):
-            return self
-        return Support(self.grading, gens, keys, self.total_bound)
-
-    def closure(self, *others):
-        """The monoid of this support's pairs and `others`': a convolution's or
-        an inverse's.  `others` have this support's grading and bound."""
-        gens = self.gens.union(self.keys, *(s.gens | s.keys for s in others))
-        if gens == self.gens and not self.keys:
-            return self
-        return Support(self.grading, gens, total_bound=self.total_bound)
+        gens = frozenset((k, v, u) for k, u, v in self.gens)
+        return self if gens == self.gens else Support(self.grading, gens, self.total_bound)
 
     def term_pairs(self, pres, m1, m2, first):
         """The (term group, term group) pairs of Delta(m1) and Delta(m2) where a
@@ -307,9 +298,8 @@ class Support:
         for u, ta in groups1.items():
             partners = memo.get(u)
             if partners is None:
-                found = {v for k in range(cap + 1) for v in self.level(k).get(u, ())}
-                found.update(v for k, x, v in self.keys if x == u and k <= cap)
-                partners = memo[u] = tuple(found)
+                partners = memo[u] = tuple(
+                    {v for k in range(cap + 1) for v in self.level(k).get(u, ())})
             for v in partners:
                 tb = get(v)
                 if tb is not None:
@@ -676,8 +666,8 @@ class CorrectedCocycle(Cocycle):
 
     @cached_property
     def support(self):
-        # J_r + table: the base's pairs and the keys' own, each at its level k,
-        # where height(w(a) + w(b)) is k step with k >= 1
+        # J_r + table: the base's generators and each key's pair, at its level
+        # k, where height(w(a) + w(b)) is k step with k >= 1
         base = self.base.support
         if base is None:
             return None
@@ -689,7 +679,7 @@ class CorrectedCocycle(Cocycle):
         bound = self.total_bound
         if base.total_bound is not None:
             bound = min(bound, base.total_bound)
-        return Support(g, base.gens, base.keys | {(k, u, v) for (k, _), u, v in keys}, bound)
+        return Support(g, base.gens | {(k, u, v) for (k, _), u, v in keys}, bound)
 
 
 def solve_cocycle_corrections(pres, base, total_bound):
@@ -814,10 +804,10 @@ class NeumannInverse(Cocycle):
         return -self._sum(m1, m2, self._n, self.pair,
                           self.inner.support_within(m1.degree + m2.degree))
 
-    @cached_property
+    @property
     def support(self):
-        s = self.inner.support
-        return None if s is None else s.closure()
+        # J's monoid holds every sum of its pairs, so J^{-1} shares it and its memos
+        return self.inner.support
 
     def inverse(self):
         return self.inner
@@ -904,7 +894,8 @@ class Convolution(Cocycle):
         if left is None or right is None or (left.grading, left.total_bound) != (
                 right.grading, right.total_bound):
             return None
-        return left.closure(right)
+        gens = left.gens | right.gens
+        return left if gens == left.gens else Support(left.grading, gens, left.total_bound)
 
 
 class CocycleIdentityReport:

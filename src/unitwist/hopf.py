@@ -216,7 +216,6 @@ class GroupPresentation:
         self._subgroup_ideals = {}  # strata.subgroup_ideal's memo, keyed by SubgroupParam
         self._product_maps = {}  # strata's generic product maps, keyed by (SubgroupParam, shape)
         self._gradings = {}  # cocycle.WeightGrading.of's memo, keyed by RMatrix
-        self._terms = {}  # _delta_terms's memo, keyed by monomial
         self._lie = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -318,7 +317,8 @@ class GroupPresentation:
         {monomial: coefficient} dict, when one is given.  Each factor is
         tested for zero before coefficients are multiplied.  Each key's sum
         is kept as an int numerator over an int denominator (`accumulate`),
-        and only the result values are built as rationals (`settle`).
+        and only the result values are built as rationals (`settle`): one
+        per key that a term touches, while start's other keys keep theirs.
 
         `support` is the `Support` of the first scalar slot (f, or g when f
         is None): the slot is 0 on (x, y) unless (w(x), w(y)) lies in it, so
@@ -332,15 +332,13 @@ class GroupPresentation:
         `Support.term_pairs`, or one pair of every term where `support` is None.
         """
         if support is None:
-            return ((self._delta_terms(m1), self._delta_terms(m2)),)
+            return ((self.coproduct_monomial(m1).terms.items(),
+                     self.coproduct_monomial(m2).terms.items()),)
         return support.term_pairs(self, m1, m2, first)
 
     def contract_groups(self, groups, f, g, start=None):
         """`contract` over the given pairs of Delta term groups."""
         num, den = {}, {}
-        if start:
-            for k, v in start.items():
-                num[k], den[k] = v.numerator, v.denominator
         one = self.ring.one_monomial
         for d1, d2 in groups:
             if f is None:
@@ -367,14 +365,7 @@ class GroupPresentation:
                                 accumulate(num, den, k, n * cw.numerator, d * cw.denominator)
                         else:
                             accumulate(num, den, one, n * w.numerator, d * w.denominator)
-        return settle(num, den)
-
-    def _delta_terms(self, m):
-        # Delta(m)'s terms as a tuple
-        hit = self._terms.get(m)
-        if hit is None:
-            hit = self._terms[m] = tuple(self.coproduct_monomial(m).terms.items())
-        return hit
+        return settle(num, den, start)
 
     def iterated_coproduct_monomial(self, m, k):
         """Delta^k applied to a monomial, a rank k+1 tensor (k >= 1)."""

@@ -67,10 +67,23 @@ def accumulate(num, den, k, n, d):
         num[k], den[k] = num[k] * (common // o) + n * (common // d), common
 
 
-def settle(num, den):
-    """The nonzero sums of `accumulate` as {key: value}, each value through `rational`."""
-    return {k: rational(n if (d := den[k]) == 1 else Fraction(n, d))
-            for k, n in num.items() if n}
+def settle(num, den, start=None):
+    """start + the sums of `accumulate`, {key: value} with zero values dropped.
+
+    Keys come in `start`'s order, then the sums'.  A key that a nonzero sum
+    touches gets one new value, through `rational`; start's others keep theirs.
+    """
+    out = dict(start or ())
+    for k, n in num.items():
+        if n:
+            d, v = den[k], out.get(k)
+            if v is not None:
+                n, d = n * v.denominator + v.numerator * d, d * v.denominator
+            if n:
+                out[k] = rational(n if d == 1 else Fraction(n, d))
+            else:
+                del out[k]
+    return out
 
 
 class RingContextError(ValueError):

@@ -85,40 +85,39 @@ def one_sided_right():
 
 
 def _support_generators(j):
-    """(grading, gens, keys) of the evaluator j: its leg-weight support is the
-    sums of gens, (0, 0) included, together with keys.
+    """(grading, gens) of the evaluator j: its leg-weight support is the
+    monoid of the sums of gens, (0, 0) included.
 
     The exponential kind has r's letters (w_a, w_b), r_ab != 0, as gens.  A
-    corrected J = J_r + table adds its keys' pairs as keys, not gens: the
-    table is not convolved.  The swap reverses every pair.  The Neumann
-    inverse and a convolution sum their factors' values over Delta, so their
-    gens are all of their factors' gens and keys.
+    corrected J = J_r + table adds each key's pair.  The swap reverses every
+    pair.  The Neumann inverse and a convolution sum their factors' values
+    over Delta, so their gens are all of their factors' gens.
     """
     if j.kind == "exponential":
         g = WeightGrading.of(j.pres, j.rmatrix)
         w = [g.weight(j.pres.ring.var_monomial(x)) for x in j.pres.ring.generators]
-        return g, {(w[a], w[b]) for a, b, _ in j.rmatrix.support}, set()
+        return g, {(w[a], w[b]) for a, b, _ in j.rmatrix.support}
     if j.kind == "corrected":
-        g, gens, keys = _support_generators(j.base)
-        return g, gens, keys | {(g.weight(a), g.weight(b)) for a, b in j.corrections}
+        g, gens = _support_generators(j.base)
+        return g, gens | {(g.weight(a), g.weight(b)) for a, b in j.corrections}
     if j.kind == "swap":
-        g, gens, keys = _support_generators(j.inner)
-        return g, {(v, u) for u, v in gens}, {(v, u) for u, v in keys}
+        g, gens = _support_generators(j.inner)
+        return g, {(v, u) for u, v in gens}
     found = [_support_generators(p) for p in ([j.inner] if j.kind == "inverse"
                                                else [j.left, j.right])]
-    return found[0][0], set().union(*(gens | keys for _, gens, keys in found)), set()
+    return found[0][0], set().union(*(gens for _, gens in found))
 
 
 def leg_support(j):
     """Whether (x, y) lies in the support of the evaluator j: (w(x), w(y)) is a
-    sum of its gens or one of its keys (`_support_generators`).
+    sum of its gens (`_support_generators`).
 
     Built here by level, with no engine walk: a pair's level is the
     grading's `height` of w(x) + w(y) over its `step`, 1 on each letter, and
     the sums of level l are those of level l - l(g) plus a generator g.
     Every generator must have a positive integral level.
     """
-    g, gens, keys = _support_generators(j)
+    g, gens = _support_generators(j)
     zero = (0,) * g.rank
 
     def level(u, v):
@@ -132,8 +131,6 @@ def leg_support(j):
 
     @functools.cache
     def member(u, v):
-        if (u, v) in keys:
-            return True
         lv = level(u, v)
         if lv < 0 or lv.denominator != 1:
             return False
@@ -149,7 +146,7 @@ def leg_support(j):
 
 def sum_support(j):
     """Whether the weights of some monomials sum into the sum monoid of the
-    evaluator j's support: the sums of the w(x) + w(y) of its gens and keys
+    evaluator j's support: the sums of the w(x) + w(y) of its gens
     (`_support_generators`), 0 included.
 
     Decided by brute force, with no engine table: a weight s is in the
@@ -157,8 +154,8 @@ def sum_support(j):
     has a positive `height`, so the recursion ends where the height of s is
     not positive.
     """
-    g, gens, keys = _support_generators(j)
-    sums = {tuple(map(add, u, v)) for u, v in gens | keys}
+    g, gens = _support_generators(j)
+    sums = {tuple(map(add, u, v)) for u, v in gens}
     assert all(g.height(t) > 0 for t in sums), sums
     zero = (0,) * g.rank
 

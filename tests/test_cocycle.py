@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -1447,17 +1448,54 @@ def test_nonzero_values_lie_in_their_kinds_support(cid, r_entries, support_of):
         outside = [(a, b) for a, b in pairs if not inside(a, b)]
         assert outside and not any(ev.pair(a, b) for a, b in outside), ev.kind
     if isinstance(j, CorrectedCocycle):
-        # J_c = J_r + table lies in the letters' sums and the keys themselves,
-        # which leave out pairs of the monoid they generate
-        monoid = support_of(NeumannInverse(j))
-        assert any(monoid(a, b) and not support_of(j)(a, b) for a, b in pairs)
+        # J_c = J_r + table: the keys join the letters as generators, and
+        # the monoid they generate holds pairs that the letters' sums miss
+        assert any(support_of(j)(a, b) and not support_of(j.base)(a, b) for a, b in pairs)
+
+
+def test_every_support_is_a_monoid(each_example):
+    # J, J^-1, J21 and R each hold every sum of their pairs: a pair of level
+    # i plus one of level j lies at level i + j, for i + j <= 6.  J's pairs
+    # include each correction key's pair at its level, reversed in J21 and
+    # in both orientations in R, so a support that keeps its keys beside the
+    # letters' monoid, not among its generators, fails
+    ctx = each_example.ctx
+    j = ctx.right
+    grading = j.support.grading
+    keys = set()
+    for a, b in getattr(j, "corrections", {}):
+        u, v = grading.weight(a), grading.weight(b)
+        level, rest = divmod(grading.height(u) + grading.height(v), grading.step)
+        assert rest == 0 and level >= 1
+        keys.add((level, u, v))
+    swapped = {(k, v, u) for k, u, v in keys}
+    for ev, extra in ((j, keys), (ctx.right_inv, keys), (j.swap(), swapped),
+                      (ctx.rform(), keys | swapped)):
+        support = ev.support
+
+        def pairs(k):
+            return {(u, v) for u, vs in support.level(k).items() for v in vs} | {
+                (u, v) for level, u, v in extra if level == k}
+
+        for i in range(1, 4):
+            for k in range(i, 7 - i):
+                within = support.level(i + k)
+                for u1, v1 in pairs(i):
+                    for u2, v2 in pairs(k):
+                        assert tuple(map(add, v1, v2)) in within.get(tuple(map(add, u1, u2)),
+                                                                     ()), (ev.kind, i, k)
+    # a monoid holds the sums of its pairs, so J and J^-1 share one support,
+    # and each key's pair lies at its level
+    assert ctx.right_inv.support is j.support is j.inverse().support
+    for level, u, v in keys:
+        assert v in j.support.level(level).get(u, ()), (level, u, v)
 
 
 def test_walk_reads_fewer_term_pairs_than_the_class_rule(examples):
-    # on u4-ex6 within total degree 5, the walks of J's support (J_r and its
-    # keys) and of R's (the monoid of the letters and both orientations of
-    # the keys) read a part of the N rho class rule's term pairs, and
-    # strictly fewer of them in all
+    # on u4-ex6 within total degree 5, the walks of J's support (the monoid
+    # of the letters and the keys) and of R's (the monoid of the letters and
+    # both orientations of the keys) read a part of the N rho class rule's
+    # term pairs, and strictly fewer of them in all
     ex = examples("u4-ex6")
     pres = ex.pres
     lattice_class = class_rule(pres, ex.data.rmatrix)

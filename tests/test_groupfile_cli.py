@@ -479,6 +479,16 @@ def test_malformed_input_exit_codes(tmp_path, capsys, text, argv, code, message)
     assert message in err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # a UTF-16 byte order mark is no UTF-8 text: one error line and exit 2,
+    # not a traceback
+    path = tmp_path / "input.group"
+    path.write_bytes(b"\xff\xfe" + catalog.HEISENBERG3_TEXT.encode("utf-16-le"))
+    rc, out, err = run_cli(["validate", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot read %s: not UTF-8 text (invalid start byte)\n" % path
+
+
 @pytest.mark.parametrize("name", ["c_s1", "s_s2", "t_s1", "g_X"])
 @pytest.mark.parametrize("argv", [["strata", "FILE", "--point", "X=1"], ["c0", "FILE"],
                                   ["validate", "--strict", "FILE"]], ids=lambda a: a[0])

@@ -151,7 +151,7 @@ def test_no_memo_entry_changes_once_stored(cid):
     # the context, the grading, and the supports of J and of the letters
     pres, grading = entry.data.presentation, ctx.right.support.grading
     supports = (ctx.right.support, grading.monoid)
-    for memo in (pres._words, pres._terms, pres.ring._monomials, ctx.right._cache,
+    for memo in (pres._words, pres._coprod, pres.ring._monomials, ctx.right._cache,
                  ctx._mul_cache, grading._weight_memo, *grading._groups,
                  *(m for s in supports for m in (s._levels, s._found, s._partners, s._sums))):
         assert memo and id(memo) in memos

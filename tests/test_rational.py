@@ -221,3 +221,40 @@ def test_accumulate_matches_a_fraction_sum():
 
     check()
     assert min(seen.values()) > 20, seen
+
+
+def test_settle_adds_start_and_keeps_its_untouched_values():
+    # settle(num, den, start) is start plus the sums, keyed in start's order
+    # and then the sums'.  A key of start that no nonzero sum touches keeps
+    # its value object, and a sum that cancels start's value drops its key
+    seen = {"kept": 0, "touched": 0, "cancelled": 0}
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 6), _RATIONALS.filter(bool), max_size=6),
+           st.lists(st.tuples(st.integers(0, 6), _RATIONALS), max_size=12),
+           st.sets(st.integers(0, 6)))
+    def check(start, terms, to_zero):
+        start = {k: poly.rational(Fraction(v)) for k, v in start.items()}
+        want = {k: Fraction(v) for k, v in start.items()}
+        for k, v in terms:
+            want[k] = want.get(k, 0) + Fraction(v)
+        terms = terms + [(k, -want[k]) for k in sorted(to_zero) if k in start]
+        num, den = {}, {}
+        for k, v in terms:
+            v = Fraction(v)
+            poly.accumulate(num, den, k, v.numerator, v.denominator)
+        want = {k: start.get(k, 0) + sum((Fraction(v) for j, v in terms if j == k), Fraction(0))
+                for k in dict.fromkeys([*start, *num])}
+        got = poly.settle(num, den, start)
+        assert got == {k: v for k, v in want.items() if v}
+        assert list(got) == [k for k, v in want.items() if v]
+        assert [v for v in got.values() if not canonical(v)] == []
+        for k, v in start.items():
+            if not num.get(k):
+                assert got[k] is v
+                seen["kept"] += 1
+            else:
+                seen["touched" if k in got else "cancelled"] += 1
+
+    check()
+    assert min(seen.values()) > 20, seen

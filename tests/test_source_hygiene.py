@@ -132,7 +132,7 @@ def test_ideal_work_goes_through_ideal(path):
 # `WeightIndex` reads, behind `WeightGrading` and `Support`
 GRADING_INTERNALS = {"class_memos", "_delta_classes", "_graded_terms", "form", "step", "height",
                      "leg_groups", "_groups", "level", "_levels", "_found", "_partners",
-                     "monoid", "closure", "sums", "_sums"}
+                     "monoid", "sums", "_sums"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
