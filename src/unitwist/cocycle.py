@@ -87,10 +87,9 @@ class RMatrix:
     """Antisymmetric rational matrix over the Lie basis dual to the generators.
 
     Represents r = sum_{k<l} r[k][l] (u_k (x) u_l - u_l (x) u_k).  The
-    constructor builds the stored forms once: `matrix`, every entry through
-    `rational`; its sparse `rows`, row a listing the (b, r[a][b]) with
-    r[a][b] != 0; and `support`, the (a, b, r[a][b]) of `rows` in row order.
-    They are tuples, shared by every consumer, so none can change them.
+    constructor builds the stored forms once, as tuples that no consumer can
+    change: `matrix`, every entry through `rational`, and `support`, the
+    (a, b, r[a][b]) with r[a][b] != 0 in row order.
     """
 
     def __init__(self, n, entries):
@@ -100,8 +99,8 @@ class RMatrix:
             mat[i][j] += val
             mat[j][i] -= val
         self.matrix = tuple(tuple(rational(v) for v in row) for row in mat)
-        self.rows = tuple(tuple((b, v) for b, v in enumerate(row) if v) for row in self.matrix)
-        self.support = tuple((a, b, v) for a, row in enumerate(self.rows) for b, v in row)
+        self.support = tuple((a, b, v) for a, row in enumerate(self.matrix)
+                             for b, v in enumerate(row) if v)
 
 
 def _homogeneity_rows(pres):
@@ -152,25 +151,20 @@ class WeightGrading:
     def of(cls, pres, rmatrix):
         """The grading of `rmatrix` on `pres`, memoized on the presentation.
 
-        The weights depend on q only: a presentation's first grading solves
-        them, as the integral nullspace of the homogeneity equations, and the
-        others take them from it.  The pivot form is solved over them from
-        the letters alone: of the integral (c, s) with c . (w_a + w_b) = s
-        for each letter, in rank + 1 unknowns, the first basis vector with
-        s != 0 is kept, as `form` c and `step` |s|.
+        Each grading solves the weights, which depend on q only, as the
+        integral nullspace of the homogeneity equations.  The pivot form is
+        solved over them from the letters alone: of the integral (c, s) with
+        c . (w_a + w_b) = s for each letter, in rank + 1 unknowns, the first
+        basis vector with s != 0 is kept, as `form` c and `step` |s|.
         """
         memo = pres._gradings
         hit = memo.get(rmatrix)
         if hit is None:
-            known = next(iter(memo.values()), None)
-            if known is None:
-                n = pres.ring.ngens
-                basis = _integral_nullspace(_homogeneity_rows(pres), n)
-                weights = tuple(tuple(v[i] for v in basis) for i in range(n))
-                unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms
-                                for m in key)
-            else:
-                weights, unit_legs = known.weights, known.unit_legs
+            n = pres.ring.ngens
+            basis = _integral_nullspace(_homogeneity_rows(pres), n)
+            weights = tuple(tuple(v[i] for v in basis) for i in range(n))
+            unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms
+                            for m in key)
             rank = len(weights[0])
             letters = sorted({(weights[a], weights[b]) for a, b, _ in rmatrix.support})
             rows = [dict(enumerate(map(add, u, v))) | {rank: -1} for u, v in letters]
@@ -230,8 +224,7 @@ class Support:
     `step` in `grading`: 1 on a letter (the letters' monoid counts letters
     even with no pivot).  Every generator has a level >= 1, so `level(k)`,
     the pairs of level k as {w(x): {w(y)}}, are those of level k - l plus a
-    generator of level l.  The levels are built bottom-up on first use,
-    dropping each generator that lower levels' sums already reach.
+    generator of level l.  The levels are built bottom-up on first use.
     `term_pairs` memoizes the partners of a left weight up to a level cap.
     A bounded evaluator's support also carries its `total_bound`, beyond
     which it raises instead of answering.
@@ -243,7 +236,6 @@ class Support:
         self.total_bound = total_bound
         zero = (0,) * grading.rank
         self._levels = [{zero: {zero}}]
-        self._found = []  # the gens that no sum of lower levels reaches
         self._partners = {}
         self._sums = [{zero}]
 
@@ -252,14 +244,10 @@ class Support:
         while len(levels) <= k:
             n = len(levels)
             out = {}
-            for lg, gu, gv in self._found:
-                for u, vs in levels[n - lg].items():
+            for lg, gu, gv in self.gens:
+                for u, vs in levels[n - lg].items() if lg <= n else ():
                     out.setdefault(tuple(map(add, u, gu)), set()).update(
                         tuple(map(add, v, gv)) for v in vs)
-            for lg, u, v in self.gens:
-                if lg == n and v not in out.get(u, ()):
-                    out.setdefault(u, set()).add(v)
-                    self._found.append((lg, u, v))
             levels.append(out)
         return levels[k]
 
@@ -536,34 +524,18 @@ class ExponentialCocycle(Cocycle):
         return total
 
     def _contract(self, left, right):
-        """sum of c(w) c'(w') prod_i r[w_i][w'_i] over left x right words.
-
-        Each left word is pushed through the sparse rows of r one letter at
-        a time, keeping only images that are prefixes of some right word.
-        """
-        rows = self.rmatrix.rows
-        prefixes = {w[:i] for w in right for i in range(1, len(w))}
+        """sum of c(w) c'(w') prod_i r[w_i][w'_i] over left x right words,
+        each product taken letter by letter up to its first zero."""
+        mat = self.rmatrix.matrix
         total = ZERO
         for w, cw in left.items():
-            last = len(w) - 1
-            partial = [((), cw)]
-            for i, a in enumerate(w):
-                row = rows[a]
-                if not row:
-                    break
-                nxt = []
-                for pre, c in partial:
-                    for b, v in row:
-                        img = pre + (b,)
-                        if i == last:
-                            c2 = right.get(img)
-                            if c2:
-                                total += c * v * c2
-                        elif img in prefixes:
-                            nxt.append((img, c * v))
-                partial = nxt
-                if not partial:
-                    break
+            for u, cu in right.items():
+                v = cw * cu
+                for a, b in zip(w, u):
+                    v *= mat[a][b]
+                    if not v:
+                        break
+                total += v
         return total
 
     @cached_property

@@ -1,6 +1,7 @@
 """Parser for the group-definition text format.
 
-Sections, in any order, '#' comments allowed anywhere:
+Sections, in any order and each at most once (a subgroup or a point once per
+NAME), '#' comments allowed anywhere:
 
     [group]            name, generators (chain order), optional parameters
     [coproduct]        one line per non-primitive generator:
@@ -34,7 +35,6 @@ class GroupFileError(ValueError):
         if line_no is not None:
             message = "line %d: %s" % (line_no, message)
         super().__init__(message)
-        self.line_no = line_no
 
 
 class GroupData:
@@ -59,6 +59,8 @@ def _strip(line):
 
 
 def _sections(text):
+    """The sections as (kind, name, header line, lines).  A subgroup's or a
+    point's name follows its kind; no kind and name may appear twice."""
     current = None
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -66,12 +68,16 @@ def _sections(text):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), no, [])
+            head = line[1:-1].strip()
+            kind = next((k for k in ("subgroup", "point") if head.startswith(k)), head)
+            current = (kind, head[len(kind):].strip(), no, [])
+            if any(s[:2] == current[:2] for s in out):
+                raise GroupFileError("repeated section [%s]" % head, no)
             out.append(current)
             continue
         if current is None:
             raise GroupFileError("content before any section header", no)
-        current[2].append((no, line))
+        current[3].append((no, line))
     return out
 
 
@@ -119,24 +125,17 @@ def parse_tensor(text, ring, line_no=None):
 
 def parse_group_file(text):
     sections = _sections(text)
-    heads = [s[0] for s in sections]
-    if "group" not in heads:
+    group = next((s for s in sections if s[0] == "group"), None)
+    if group is None:
         raise GroupFileError("missing [group] section")
-
-    name = None
-    parameters = ()
-    for head, hno, lines in sections:
-        if head != "group":
-            continue
-        kv, _ = _keyvals(lines)
-        if "name" in kv:
-            name = kv["name"][1]
-        if "generators" not in kv:
-            raise GroupFileError("[group] must declare generators", hno)
-        gno, text = kv["generators"]
-        generators = tuple(text.replace(",", " ").split())
-        pno, text = kv.get("parameters", (gno, ""))
-        parameters = tuple(text.replace(",", " ").split())
+    kv, _ = _keyvals(group[3])
+    if "generators" not in kv:
+        raise GroupFileError("[group] must declare generators", group[2])
+    name = kv.get("name", (None, None))[1]
+    gno, text = kv["generators"]
+    generators = tuple(text.replace(",", " ").split())
+    pno, text = kv.get("parameters", (gno, ""))
+    parameters = tuple(text.replace(",", " ").split())
     # a repeated name is on the generators line, or else on the parameters line
     pres = _at(gno if len(set(generators)) < len(generators) else pno,
                GroupPresentation, name or "group", generators, parameters)
@@ -144,8 +143,8 @@ def parse_group_file(text):
     rmatrix = None
     lie_table = None
     cocycle = None
-    for head, hno, lines in sections:
-        if head == "coproduct":
+    for kind, label, hno, lines in sections:
+        if kind == "coproduct":
             for no, line in lines:
                 if "=" not in line:
                     raise GroupFileError("expected GEN = tensor", no)
@@ -161,7 +160,7 @@ def parse_group_file(text):
                         raise GroupFileError(detail + "; corrections may only use "
                                              "earlier generators", no)
                 pres.set_q(gen, q)
-        elif head == "lie":
+        elif kind == "lie":
             lie_table = {}
             for no, line in lines:
                 parts = line.split()
@@ -172,7 +171,7 @@ def parse_group_file(text):
                 if not all(0 <= t < n for t in (i, j, k)) or i == j:
                     raise GroupFileError("[lie] indices must lie in 1..%d with i != j" % n, no)
                 lie_table.setdefault((i, j), {})[k] = _at(no, parse_rational, parts[3])
-        elif head == "rmatrix":
+        elif kind == "rmatrix":
             entries = {}
             for no, line in lines:
                 parts = line.split()
@@ -188,13 +187,12 @@ def parse_group_file(text):
                         "and must be given once" % (i + 1, j + 1), no)
                 entries[(i, j)] = _at(no, parse_rational, parts[2])
             rmatrix = RMatrix(len(pres.ring.generators), entries)
-        elif head.startswith("subgroup"):
-            sub_name = head[len("subgroup"):].strip()
-            if not sub_name:
+        elif kind == "subgroup":
+            if not label:
                 raise GroupFileError("subgroup section needs a name", hno)
             kv, order = _keyvals(lines)
             if "params" not in kv:
-                raise GroupFileError("[subgroup %s] must declare params" % sub_name, hno)
+                raise GroupFileError("[subgroup %s] must declare params" % label, hno)
             params = tuple(kv["params"][1].replace(",", " ").split())
             tring = _at(kv["params"][0], PolyRing, params)
             coords = {}
@@ -205,10 +203,9 @@ def parse_group_file(text):
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
                 coords[key] = _at(no, parse_poly, val, tring)
-            _at(hno, pres.add_subgroup, sub_name, params, coords)
-        elif head.startswith("point"):
-            pt_name = head[len("point"):].strip()
-            if not pt_name:
+            _at(hno, pres.add_subgroup, label, params, coords)
+        elif kind == "point":
+            if not label:
                 raise GroupFileError("point section needs a name", hno)
             kv, order = _keyvals(lines)
             coords = {}
@@ -217,8 +214,8 @@ def parse_group_file(text):
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
                 coords[key] = _at(no, parse_poly, val, pres.ring)
-            _at(hno, pres.add_point, pt_name, coords)
-        elif head == "cocycle-table":
+            _at(hno, pres.add_point, label, coords)
+        elif kind == "cocycle-table":
             bound = None
             table = {}
             for no, line in lines:
@@ -238,10 +235,8 @@ def parse_group_file(text):
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
             cocycle = TableCocycle(pres, table, bound)
-        elif head == "group":
-            pass
-        else:
-            raise GroupFileError("unknown section [%s]" % head, hno)
+        elif kind != "group":
+            raise GroupFileError("unknown section [%s]" % kind, hno)
 
     if cocycle is None and rmatrix is not None:
         cocycle = ExponentialCocycle(pres, rmatrix)

@@ -489,7 +489,11 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
 
 
 def parse_poly(text, ring):
-    """Parse the canonical rendering (sums and differences of '*'-joined factors)."""
+    """Parse the canonical rendering (sums and differences of '*'-joined factors).
+
+    An exponent is an integer literal: X^1/2 and Y^2/2 are errors, as is a
+    '*' with no factor after it.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
@@ -499,8 +503,10 @@ def parse_poly(text, ring):
                 break
             raise ValueError("cannot tokenize %r at %d" % (text, pos))
         pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", parse_rational(m.group("num"))))
+        num = m.group("num")
+        if num is not None:
+            # an integer literal stays an int: only it may be an exponent
+            tokens.append(("num", int(num) if num.isdigit() else parse_rational(num)))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -533,7 +539,9 @@ def parse_poly(text, ring):
                     exp = 1
                     i += 1
                     if i + 1 < n and tokens[i] == ("op", "^") and tokens[i + 1][0] == "num":
-                        exp = int(tokens[i + 1][1])
+                        exp = tokens[i + 1][1]
+                        if not isinstance(exp, int):
+                            raise ValueError("non-integer exponent in %r" % text)
                         i += 2
                     term = term * ring.var(val) ** exp
                 else:
@@ -548,6 +556,8 @@ def parse_poly(text, ring):
                     expect_factor = True
                 else:
                     break
+        if expect_factor:
+            raise ValueError("dangling '*' in %r" % text)
         terms.append((term, ONE))
     return ring.combination(terms)
 

@@ -1429,6 +1429,47 @@ def test_exponential_pair_is_the_unskipped_word_loop_on_single_pairs(cid):
         assert_pair_is_the_word_loop(ExponentialCocycle(pres, RMatrix(n, {(a, b): 1})), 4)
 
 
+# -- the exponential sum by Euler's identity, with no word table ---------------------
+
+def euler_identity_failures(j, bound):
+    """The nonconstant pairs within total degree `bound` where Euler's identity
+    level(a, b) J(a, b) = sum (r/2)(a1, b1) J(a2, b2) fails.
+
+    J = exp(r/2) = sum_k (r/2)^k / k! in convolution, each power homogeneous
+    of level k, so level . J = (r/2) * J.  (r/2)(x, y) is r[x][y] / 2 on
+    degree-1 generators and 0 elsewhere (-r/2 for J^-1); `contract` sums the
+    right side, so only `pair` reads word tables.
+    """
+    pres, grading = j.pres, WeightGrading.of(j.pres, j.rmatrix)
+    half = Fraction(-1 if j.negate else 1, 2)
+    gens = {pres.ring.var_monomial(g): i for i, g in enumerate(pres.ring.generators)}
+
+    def r_half(x, y):
+        a, b = gens.get(x), gens.get(y)
+        return 0 if a is None or b is None else half * j.rmatrix.matrix[a][b]
+
+    def level(a, b):
+        return Fraction(grading.height(grading.weight(a.mul(b))), grading.step)
+
+    one = pres.ring.one_monomial
+    return [(a, b) for a, b in pairs_within(pres, bound)
+            if level(a, b) * j.pair(a, b) != pres.contract(a, b, r_half, j.pair).get(one, 0)]
+
+
+@pytest.mark.parametrize("cid,r_entries", [(cid, None) for cid in catalog.ids()] + OFF_CYBE)
+def test_exponential_pair_satisfies_eulers_identity(cid, r_entries):
+    # J and J^-1 on every nonconstant pair within total degree 5, on a fresh
+    # load: the catalog r (u4-ex6's uncorrected), or an r-matrix that fails
+    # CYBE; the identity reads levels, and each of these gradings has a
+    # pivot form
+    data = catalog.get(cid).load()
+    pres = data.presentation
+    r = data.rmatrix if r_entries is None else RMatrix(data.rmatrix.n, r_entries)
+    assert WeightGrading.of(pres, r).form is not None
+    for negate in (False, True):
+        assert euler_identity_failures(ExponentialCocycle(pres, r, negate), 5) == []
+
+
 # -- every nonzero value lies in its kind's leg-weight support ----------------------
 
 @pytest.mark.parametrize("cid,r_entries", [(cid, None) for cid in catalog.ids()] + OFF_CYBE)

@@ -445,6 +445,27 @@ MALFORMED += [
     ("point-coordinate-with-generator", _HEIS3.replace("X = x0", "X = Y"), ["present", "FILE"], 2,
      "line 21: point coordinate 'X' must be generator-free"),
 ]
+# an exponent is an integer literal, and a '*' needs a factor after it
+MALFORMED += [
+    ("gb-non-integer-exponent", None, ["gb", "--vars", "x y", "x^1/2 - y"], 2,
+     "non-integer exponent in 'x^1/2 - y'"),
+    ("gb-rational-exponent", None, ["gb", "--vars", "Y", "Y^2/2"], 2,
+     "non-integer exponent in 'Y^2/2'"),
+    ("gb-dangling-times", None, ["gb", "--vars", "X", "X*"], 2, "dangling '*' in 'X*'"),
+    ("subgroup-non-integer-exponent", _HEIS3.replace("X = s1", "X = s1^1/2"),
+     ["present", "FILE"], 2, "line 18: non-integer exponent in 's1^1/2'"),
+    ("point-line-dangling-times", _HEIS3.replace("Y = y0", "Y = y0*"), ["present", "FILE"], 2,
+     "line 24: dangling '*' in 'y0*'"),
+]
+# a section header may appear once: a second one would replace the first
+MALFORMED += [("repeated-%s-%s" % (case, cmd), _HEIS3 + extra, [cmd, "FILE"], 2,
+               "line 26: repeated section [%s]" % header)
+              for case, header, extra in [
+                  ("rmatrix", "rmatrix", "\n[rmatrix]\n1 2 5\n"),
+                  ("subgroup", "subgroup T", "\n[subgroup T]\nparams = s\nX = s\n"),
+                  ("point", "point generic", "\n[point generic]\nX = 1\n"),
+                  ("group", "group", "\n[group]\ngenerators = X Y V\n")]
+              for cmd in ("validate", "present")]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),

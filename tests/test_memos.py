@@ -153,7 +153,7 @@ def test_no_memo_entry_changes_once_stored(cid):
     supports = (ctx.right.support, grading.monoid)
     for memo in (pres._words, pres._coprod, pres.ring._monomials, ctx.right._cache,
                  ctx._mul_cache, grading._weight_memo, *grading._groups,
-                 *(m for s in supports for m in (s._levels, s._found, s._partners, s._sums))):
+                 *(m for s in supports for m in (s._levels, s._partners, s._sums))):
         assert memo and id(memo) in memos
     assert work(entry) == first
     assert other_commands(entry) == other_commands(OneLoad(catalog.get(cid)))

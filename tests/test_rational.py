@@ -159,19 +159,17 @@ def test_report_coefficients_are_canonical(monkeypatch, cid):
 
 @pytest.mark.parametrize("cid", catalog.ids())
 def test_rmatrix_and_lie_table_are_canonical(cid):
-    # the stored forms every Lie check reads: r's matrix, sparse rows and
-    # support, and the bracket rows as given and as the full table; they are
-    # shared, so they are tuples all the way down, which no consumer can change
+    # the stored forms every Lie check reads: r's matrix and support, and
+    # the bracket rows as given and as the full table; they are shared, so
+    # they are tuples all the way down, which no consumer can change
     data = catalog.get(cid).load()
     r, lie = data.rmatrix, data.presentation.lie_data()
     assert r.support and len(lie.table) == lie.n
-    assert r.rows == tuple(tuple((b, v) for b, v in enumerate(row) if v) for row in r.matrix)
-    for stored in (r.matrix, r.rows, r.support, lie.table, lie.units):
+    for stored in (r.matrix, r.support, lie.table, lie.units):
         assert type(stored) is tuple and all(type(row) is tuple for row in stored)
     assert all(type(row) is tuple for rows in lie.table for row in rows)
     assert all(type(row) is tuple for row in lie.brackets.values())
     coeffs = [c for row in r.matrix for c in row] + [v for _, _, v in r.support]
-    coeffs += [v for row in r.rows for _, v in row]
     coeffs += [c for row in lie.brackets.values() for c in row]
     coeffs += [c for rows in lie.table for row in rows for c in row]
     assert [c for c in coeffs if not canonical(c)] == []

@@ -1,6 +1,6 @@
-"""Static checks on the source: no unused import, no unnamed definition, no int
-division, no Groebner kernel called outside `groebner.py`, no weight class
-internals named outside `cocycle.py`.
+"""Static checks on the source: no unused import, no unnamed definition, no
+unread stored attribute, no int division, no Groebner kernel called outside
+`groebner.py`, no weight class internals named outside `cocycle.py`.
 
 All read the abstract syntax tree, so comments and docstrings never count
 as a use.
@@ -49,11 +49,12 @@ def test_no_unused_import(path):
     assert sorted(n for n in bound if n not in used) == []
 
 
-def _references():
+def _references(variables=True):
     """Every identifier the readers name, with the definition nodes it sits in.
 
     A name counts where it is a variable, an attribute, an imported name or a
     word of a string that is not a docstring (a traced boundary, a getattr).
+    With `variables` False, variables and imported names do not count.
     """
     refs = {}
     for top in READERS:
@@ -65,11 +66,11 @@ def _references():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     inside = inside | {(path, node.lineno)}
                 words = ()
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and variables:
                     words = (node.id,)
                 elif isinstance(node, ast.Attribute):
                     words = (node.attr,)
-                elif isinstance(node, ast.alias):
+                elif isinstance(node, ast.alias) and variables:
                     words = (node.name.split(".")[-1],)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                         and id(node) not in docs:
@@ -97,6 +98,21 @@ def test_every_definition_is_named_elsewhere():
             if not any((path, node.lineno) not in inside for inside in refs.get(name, ())):
                 unnamed.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, name))
     assert unnamed == []
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute assigned on self in src/ is named again somewhere, as an
+    # attribute or a word of a string (a getattr): no state is kept that
+    # nothing reads.  A variable of the same name does not read it.
+    refs = _references(variables=False)
+    stores = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self":
+                stores.setdefault(node.attr, []).append("%s:%d" % (path.name, node.lineno))
+    assert [w for name, where in sorted(stores.items())
+            if len(refs.get(name, ())) <= len(where) for w in where] == []
 
 
 @pytest.mark.parametrize("top", ["src", "tests"])
@@ -131,7 +147,7 @@ def test_ideal_work_goes_through_ideal(path):
 # the pivot form, the support walk's tables and the sum monoid that
 # `WeightIndex` reads, behind `WeightGrading` and `Support`
 GRADING_INTERNALS = {"class_memos", "_delta_classes", "_graded_terms", "form", "step", "height",
-                     "leg_groups", "_groups", "level", "_levels", "_found", "_partners",
+                     "leg_groups", "_groups", "level", "_levels", "_partners",
                      "monoid", "sums", "_sums"}
 
 
