@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
@@ -354,6 +355,13 @@ class WeightIndex:
         for x, dx in enumerate(self._degs):
             for y in range(self.upto(self.bound - 1 - dx)):
                 yield x, y, self.upto(self.bound - dx - self._degs[y])
+
+    def sweep_size(self):
+        """The number of triples in the full sweep, the sum of `pairs()`' ends,
+        counted from the degree histogram of `mons`."""
+        hist = Counter(self._degs)
+        return sum(hist[a] * hist[b] * self.upto(self.bound - a - b)
+                   for a in hist for b in hist if a + b < self.bound)
 
     def triples(self):
         """The (x, y, z) of the full sweep with z among the partners of (x, y), in its order."""
@@ -929,4 +937,4 @@ def verify_cocycle_identity(j, degree_bound):
             visited = sum(end for p, q, end in index.pairs() if (p, q) < (x, y))
             return CocycleIdentityReport(False, degree_bound, visited + z + 1,
                                          (mons[x], mons[y], mons[z]))
-    return CocycleIdentityReport(True, degree_bound, sum(end for *_, end in index.pairs()))
+    return CocycleIdentityReport(True, degree_bound, index.sweep_size())

@@ -60,7 +60,8 @@ def _strip(line):
 
 def _sections(text):
     """The sections as (kind, name, header line, lines).  A subgroup's or a
-    point's name follows its kind; no kind and name may appear twice."""
+    point's name is the header's words after its first, the kind; any other
+    header is its kind whole.  No kind and name may appear twice."""
     current = None
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +70,8 @@ def _sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             head = line[1:-1].strip()
-            kind = next((k for k in ("subgroup", "point") if head.startswith(k)), head)
+            first = head.split(None, 1)[:1]
+            kind = first[0] if first in (["subgroup"], ["point"]) else head
             current = (kind, head[len(kind):].strip(), no, [])
             if any(s[:2] == current[:2] for s in out):
                 raise GroupFileError("repeated section [%s]" % head, no)

@@ -491,8 +491,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
 def parse_poly(text, ring):
     """Parse the canonical rendering (sums and differences of '*'-joined factors).
 
-    An exponent is an integer literal: X^1/2 and Y^2/2 are errors, as is a
-    '*' with no factor after it.
+    An exponent is an integer literal: X^1/2 and Y^2/2 are errors, as are a
+    '*' with no factor after it and a number right after a number (1 2).
     """
     tokens = []
     pos = 0
@@ -551,6 +551,8 @@ def parse_poly(text, ring):
                 if kind == "op" and val == "*":
                     expect_factor = True
                     i += 1
+                elif kind == "num" and tokens[i - 1][0] == "num":
+                    raise ValueError("number after a number in %r" % text)
                 elif kind in ("num", "name"):
                     # juxtaposition means multiplication (file-format leniency)
                     expect_factor = True

@@ -612,6 +612,15 @@ def test_identity_checked_counts(examples):
     assert repr(rep) == "cocycle identity FAIL at bound 3 on (X, W, W)"
 
 
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_sweep_size_is_the_sum_of_the_pairs_ends(examples, cid):
+    # a passing identity check counts its triples from the degree histogram
+    # of the monomials; the full sweep's pairs count them one pair at a time
+    for bound in (3, 4, 5, 6):
+        index = WeightIndex(examples(cid).ctx.right, bound)
+        assert index.sweep_size() == sum(end for *_, end in index.pairs()), bound
+
+
 @pytest.mark.parametrize("cid,bound", [("u3", 5), ("heisenberg3", 5), ("jordan4-abelian", 4),
                                        ("u4-ex5", 4), ("u4-ex6", 4)])
 def test_tampered_cocycle_fails_where_full_sweep_does(examples, cid, bound):

@@ -466,6 +466,20 @@ MALFORMED += [("repeated-%s-%s" % (case, cmd), _HEIS3 + extra, [cmd, "FILE"], 2,
                   ("point", "point generic", "\n[point generic]\nX = 1\n"),
                   ("group", "group", "\n[group]\ngenerators = X Y V\n")]
               for cmd in ("validate", "present")]
+# a subgroup's or a point's kind is the header's first whole word
+MALFORMED += [("run-together-%s-%s" % (case, cmd), _HEIS3.replace(header, joined), [cmd, "FILE"],
+               2, "line %d: unknown section %s" % (no, joined))
+              for case, header, joined, no in [
+                  ("point", "[point generic]", "[pointgeneric]", 21),
+                  ("subgroup", "[subgroup T]", "[subgroupT]", 16)]
+              for cmd in ("validate", "present")]
+# a number may not follow a number: "1 2" is no product of 1 and 2
+MALFORMED += [
+    ("gb-number-after-number", None, ["gb", "--vars", "x y", "x - 1 2"], 2,
+     "number after a number in 'x - 1 2'"),
+    ("point-line-number-after-number", _HEIS3.replace("Y = y0", "Y = 1 2"), ["present", "FILE"],
+     2, "line 24: number after a number in '1 2'"),
+]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),
@@ -649,6 +663,25 @@ CLI_PINS = {
         (0, "0802a9eda407c42ba05a33c93105ba4ae5fdf8ec1b4cc0f6def2f64f3898b378", EMPTY),
     "rform-check --example jordan4-minimal --max-degree 5":
         (1, "dd2b71991d61dd9f1a7949e0c3f0cb7472690fa2abbc0ab3108ac92a6a5b11ef", EMPTY),
+    # bound 6 on every entry, and 7 on the two u4 entries: the bounds where
+    # the unit-leg entries certify identity (2) from generator pairs
+    "rform-check --example heisenberg3 --max-degree 6":
+        (0, "181011a5e974bdd466f282c57bd99f192593adc69f8f295809a50746517eee11", EMPTY),
+    "rform-check --example jordan4-abelian --max-degree 6":
+        (0, "181011a5e974bdd466f282c57bd99f192593adc69f8f295809a50746517eee11", EMPTY),
+    "rform-check --example jordan4-minimal --max-degree 6":
+        (1, "e3eea46fd04058ed40cc0f2b67cb50a72696ff7eb4b6f1cef05a8f7263ac10ea", EMPTY),
+    "rform-check --example u3 --max-degree 6":
+        (0, "181011a5e974bdd466f282c57bd99f192593adc69f8f295809a50746517eee11", EMPTY),
+    "rform-check --example u4-ex5 --max-degree 6":
+        (0, "181011a5e974bdd466f282c57bd99f192593adc69f8f295809a50746517eee11", EMPTY),
+    "rform-check --example u4-ex6 --max-degree 6":
+        (0, "181011a5e974bdd466f282c57bd99f192593adc69f8f295809a50746517eee11", EMPTY),
+    "rform-check --example u4-ex5 --max-degree 7":
+        (0, "f7fd6dfb70550ee6871b8411e1168dbadd13182f1787fc7ad987150358c65cf6", EMPTY),
+    # past the frozen table's total degree 6: the bound error, exit 1
+    "rform-check --example u4-ex6 --max-degree 7":
+        (1, EMPTY, "341aaebf98ba27207c6c22a568a5cb41d62a0489c2ba5796e2bbe8ad041f1678"),
     # a point normalizing T, so the stratum is checked against the left coset
     # functions of degree <= 3
     "strata --example heisenberg3 --point Y=1":

@@ -150,7 +150,12 @@ def test_report_coefficients_are_canonical(monkeypatch, cid):
     assert mismatches == []
     coeffs, floats = _walk(rec.roots)
     assert floats == []
-    assert len(coeffs) > 100
+    # every store the report leaves coefficients in is reached: as a root of
+    # its own it holds some, and it adds none to the walk
+    ctx = rec.roots[0].context
+    for store in (ctx.pres, ctx.right._cache, ctx.right_inv._cache, ctx.rform()._cache,
+                  ctx._mul_cache, ctx.commutators()):
+        assert _walk([store])[0] and len(_walk(rec.roots + [store])[0]) == len(coeffs), store
     assert [c for c in coeffs if not canonical(c)] == []
     if cid == "u4-ex6":
         corrections = rec.roots[0].cocycle.corrections

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from unitwist import catalog
 from unitwist.cli import build_context
 from unitwist.cocycle import (Cocycle, CocycleBoundError, CounitPair, ExponentialCocycle,
-                              RMatrix, TableCocycle)
+                              RMatrix, TableCocycle, WeightIndex, verify_cocycle_identity)
 from unitwist.poly import Monomial, Poly, render_poly
 from unitwist.strata import stratum_presentation, weyl_detect
 from unitwist.twist import (TwistConsistencyError, TwistedContext, ihoe_presentation,
@@ -776,3 +776,121 @@ def test_rform_is_the_exponential_of_each_single_pair_r(cid):
     for a in range(n):
         for b in range(a + 1, n):
             assert rform_against_exp_r(pres, RMatrix(n, {(a, b): 1}), 4)
+
+
+# -- identity (2) from generator pairs against the per-pair sweep ---------------
+
+OFF_CYBE = [("heisenberg3", {(0, 1): 1}), ("u4-ex5", {(0, 1): 1})]
+
+
+def rform_commutation_sweep(ctx, bound):
+    """Identities (3) and (2) of `rform_axiom_check` on every pair (h, g) of
+    nonconstant monomials with total degree <= `bound`: the check's per-pair
+    loop, the second route of its generator-pair certificate.
+
+    The failures, in the loop's order: h, then g, grlex in each slot, and
+    ("cotriangular", h, g) before ("commutation", h, g) on one pair.  (3) is
+    read on the partners of h, as every other pair has both sides 0.
+    """
+    pres = ctx.pres
+    rform = ctx.rform()
+    R = rform.pair
+    index = WeightIndex(rform, bound)
+    mons = index.mons
+    failures = []
+    for x, h in enumerate(mons):
+        end = index.upto(bound - h.degree)
+        near = set(index.partners((x,), end))
+        for y, g in enumerate(mons[:end]):
+            support = rform.support_within(h.degree + g.degree)
+            first = pres.term_groups(h, g, support, True)
+            if y in near and pres.contract_groups(first, R, lambda a, b: R(b, a)):
+                failures.append(("cotriangular", h, g))
+            lhs = pres.contract_groups(first, R, lambda a, b: ctx.mul_monomials(a, b).terms)
+            if lhs != commutation_right_side(ctx, R, pres.term_groups(h, g, support, False)):
+                failures.append(("commutation", h, g))
+    return failures
+
+
+def exponential_context(cid, r_entries=None):
+    """The two-sided context of J = exp(r/2) on the entry's presentation, with
+    no corrections: r from `r_entries`, or the entry's own r."""
+    data = catalog.get(cid).load()
+    pres = data.presentation
+    r = data.rmatrix if r_entries is None else RMatrix(data.rmatrix.n, r_entries)
+    return TwistedContext.hopf(pres, ExponentialCocycle(pres, r))
+
+
+def assert_routes_agree(ctx, bounds):
+    # the check's (2) and (3) failures, in order, are the sweep's; its split
+    # failures follow them
+    for bound in bounds:
+        failures = rform_axiom_check(ctx, bound).failures
+        kept = [f for f in failures if not f[0].startswith("split")]
+        assert kept == rform_commutation_sweep(ctx, bound), bound
+        assert failures[:len(kept)] == kept
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_rform_check_matches_the_pair_sweep(cid):
+    assert_routes_agree(build_context(catalog.get(cid).load()), (3, 4, 5, 6))
+
+
+@pytest.mark.parametrize("cid,r_entries", OFF_CYBE)
+def test_rform_check_matches_the_pair_sweep_off_cybe(cid, r_entries):
+    assert_routes_agree(exponential_context(cid, r_entries), (3, 4, 5, 6))
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_rform_check_matches_the_pair_sweep_for_each_single_pair_r(cid):
+    n = catalog.get(cid).load().rmatrix.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            assert_routes_agree(exponential_context(cid, {(a, b): 1}), (4,))
+
+
+# the entries whose q has legs of degree <= 1 and whose J is a cocycle
+GENERATOR_ROUTE = {"heisenberg3", "u3", "u4-ex5", "u4-ex6"}
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_rform_check_route_by_entry(examples, cid):
+    # the unit-leg entries certify (2) from generator pairs at every bound
+    # 3-6; the jordan4 entries, whose q has a leg of degree 2, take the loop
+    ctx = examples(cid).ctx
+    assert [rform_axiom_check(ctx, b).from_generators for b in (3, 4, 5, 6)] == \
+        [cid in GENERATOR_ROUTE] * 4
+
+
+@pytest.mark.parametrize("cid", catalog.ids())
+def test_rform_check_route_for_each_single_pair_r(cid):
+    # generator pairs exactly where the legs are unit and J = exp(r/2) is a
+    # cocycle at the bound; both happen on every entry
+    n = catalog.get(cid).load().rmatrix.n
+    routes = set()
+    for a in range(n):
+        for b in range(a + 1, n):
+            ctx = exponential_context(cid, {(a, b): 1})
+            fast = ctx.right.support.grading.unit_legs and verify_cocycle_identity(ctx.right, 4).ok
+            assert rform_axiom_check(ctx, 4).from_generators == fast, (a, b)
+            routes.add(fast)
+    assert routes == ({True} if cid == "u3" else {False} if cid.startswith("jordan4")
+                      else {True, False})
+
+
+@pytest.mark.parametrize("cid,r_entries,bound",
+                         [(cid, e, b) for cid, e in OFF_CYBE + [("u4-ex5", {(0, 3): 1, (1, 5): 1})]
+                          for b in (3, 4)] + [("u4-ex6", None, 3)],
+                         ids=lambda v: "r" + "+".join("%d%d" % k for k in v)
+                         if isinstance(v, dict) else None)
+def test_rform_check_takes_the_loop_when_j_is_no_cocycle(cid, r_entries, bound):
+    # unit legs and a J that fails the cocycle identity.  Off CYBE the split
+    # triples fail too; with r = u_1^u_4 + u_2^u_6 on u4-ex5, and with
+    # u4-ex6's J before its corrections, every triple passes and so does
+    # every pair, and only the identity condition keeps the loop
+    ctx = exponential_context(cid, r_entries)
+    assert ctx.right.support.grading.unit_legs
+    assert not verify_cocycle_identity(ctx.right, bound).ok
+    rep = rform_axiom_check(ctx, bound)
+    assert not rep.from_generators
+    assert rep.ok == ((cid, r_entries) not in OFF_CYBE)
