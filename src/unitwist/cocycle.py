@@ -73,7 +73,7 @@ from functools import cached_property
 from operator import add, mul, sub
 
 from . import linalg
-from .poly import ONE, ZERO, Poly, TensorPoly, grlex_key, rational
+from .poly import ONE, ZERO, TensorPoly, grlex_key, rational
 
 
 class CocycleBoundError(ValueError):
@@ -130,18 +130,17 @@ class WeightGrading:
     `monoid` is the `Support` of r's `letters` (w_a, w_b), one per entry of
     r's support, and `lengths` reads its S_k.  The pivot `form` c, or None,
     has c . (w_a + w_b) = `step` > 0 on every letter; a support's levels
-    read `height(v)` = c . v.  A grading belongs to one presentation.  It
+    read `height(v)` = c . v.  A grading belongs to one presentation and
+    keeps no other fact of q: the legs' degree is `pres.leg_degree`.  It
     memoizes `weight` and `leg_groups` per monomial of its ring.
     """
 
-    def __init__(self, weights, lattice, unit_legs, letters=()):
+    def __init__(self, weights, lattice, letters=()):
         rank = len(weights[0])
         # the first basis vector (c, s) with s != 0, signed so that s > 0
         v = next((v if v[rank] > 0 else [-x for x in v] for v in lattice if v[rank]), None)
         self.weights = weights
         self.rank = rank
-        # no q slot entry has degree above 1, so no leg of Delta(m) outgrows m
-        self.unit_legs = unit_legs
         self.form = None if v is None else tuple(v[:rank])
         self.step = 1 if v is None else v[rank]
         self._weight_memo = {}
@@ -164,13 +163,10 @@ class WeightGrading:
             n = pres.ring.ngens
             basis = _integral_nullspace(_homogeneity_rows(pres), n)
             weights = tuple(tuple(v[i] for v in basis) for i in range(n))
-            unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms
-                            for m in key)
             rank = len(weights[0])
             letters = sorted({(weights[a], weights[b]) for a, b, _ in rmatrix.support})
             rows = [dict(enumerate(map(add, u, v))) | {rank: -1} for u, v in letters]
-            hit = memo[rmatrix] = cls(weights, _integral_nullspace(rows, rank + 1), unit_legs,
-                                      letters)
+            hit = memo[rmatrix] = cls(weights, _integral_nullspace(rows, rank + 1), letters)
         return hit
 
     def weight(self, m):
@@ -411,22 +407,24 @@ class Cocycle:
         """`support` where a check within `degree_bound` stays inside the
         evaluator's bound, else None: what `contract` and `WeightIndex` read.
 
-        With unit legs, every pair the checks ask for, directly or through
-        coproduct legs, has total degree at most `degree_bound`.  Decided
-        from the bound alone, so a check that could meet the bound error
-        takes its full path and reports the error the full path reports.
+        With `pres.leg_degree` at most 1, no leg of Delta(m) outgrows m, so
+        every pair the checks ask for, directly or through coproduct legs,
+        has total degree at most `degree_bound`.  Decided from the bound
+        alone, so a check that could meet the bound error takes its full
+        path and reports the error the full path reports.
         """
         s = self.support
         if s is None or s.total_bound is None:
             return s
-        return s if s.grading.unit_legs and degree_bound <= s.total_bound else None
+        return s if self.pres.leg_degree <= 1 and degree_bound <= s.total_bound else None
 
     # -- core -------------------------------------------------------------
     def _pair(self, m1, m2):
         raise NotImplementedError
 
     def pair(self, m1, m2):
-        """Value on a pair of parameter-free monomials (cached)."""
+        """Value on a pair of parameter-free monomials, cached.  Every evaluator
+        is unital by this rule: where one argument is 1, the other's counit."""
         if m1.is_one:
             return ONE if m2.is_one else ZERO
         if m2.is_one:
@@ -451,14 +449,8 @@ class Cocycle:
 
     def eval(self, f, g):
         """Bilinear extension; returns a Poly (scalar when parameter-free)."""
-        terms = {}
-        for m1, c1 in f.terms.items():
-            for m2, c2 in g.terms.items():
-                v = self.pair(m1.gen_part, m2.gen_part)
-                if v:
-                    k = m1.param_part.mul(m2.param_part)
-                    terms[k] = terms.get(k, ZERO) + c1 * c2 * v
-        return Poly(self.pres.ring, terms)
+        one = self.pres.ring.one_monomial
+        return self.pres.ring.bilinear(f, g, lambda a, b: {one: self.pair(a, b)})
 
     def _sum(self, m1, m2, f, g, support=None):
         """The scalar sum f(a1,b1) g(a2,b2) over Delta(m1) x Delta(m2); f has `support`."""
@@ -665,14 +657,14 @@ class CorrectedCocycle(Cocycle):
 def solve_cocycle_corrections(pres, base, total_bound):
     """Corrections making `base` satisfy the cocycle identity within bound.
 
-    Requires every q-tensor slot entry to have polynomial degree 1 (true
-    for coordinate rings presented in matrix coordinates): then identity
-    instances with total degree within the bound only reference pairs
-    within the bound.  Instances are processed by increasing coradical
-    level; at a given level an instance is linear in exactly the two top
-    corrections x(ab, c) and x(a, bc), a difference-constraint graph solved
-    by breadth-first propagation.  Roots keep the base value, so the result
-    is deterministic.  Raises if the constraints are inconsistent.
+    Requires `pres.leg_degree` <= 1 (true for coordinate rings presented
+    in matrix coordinates): then identity instances with total degree
+    within the bound only reference pairs within the bound.  Instances are
+    processed by increasing coradical level; at a given level an instance
+    is linear in exactly the two top corrections x(ab, c) and x(a, bc), a
+    difference-constraint graph solved by breadth-first propagation.  Roots
+    keep the base value, so the result is deterministic.  Raises if the
+    constraints are inconsistent.
 
     u = (ab, c) and v = (a, bc) have the same weight, so the constraint
     graph splits by w(a) + w(b) + w(c).  Where `base` has a support, a
@@ -681,11 +673,9 @@ def solve_cocycle_corrections(pres, base, total_bound):
     assign 0, and it is skipped: the instances are the one walk's triples,
     `WeightIndex(base, total_bound)`.
     """
-    for g, q in pres.q.items():
-        for (m1, m2), _ in q.terms.items():
-            if m1.degree != 1 or m2.degree != 1:
-                raise CocycleInputError(
-                    "correction solving needs degree-1 coproduct corrections")
+    if pres.leg_degree > 1:
+        raise CocycleInputError("correction solving needs coproduct corrections of degree "
+                                "at most 1")
     index = WeightIndex(base, total_bound)
     mons = index.mons
     by_level = {}
@@ -899,11 +889,12 @@ def _identity_defect(j, a, b, c):
 
 
 def verify_cocycle_identity(j, degree_bound):
-    """Check the 2-cocycle identity and unitality on monomials within bound.
+    """Check the 2-cocycle identity on monomials within bound.
 
     The identity sum J(a1 b1, c) J(a2, b2) = sum J(a, b1 c1) J(b2, c2) is
     checked on nonconstant monomial triples with total degree at most
-    `degree_bound`; unitality is checked on every monomial within bound.
+    `degree_bound`.  Unitality, J(m, 1) = eps(m) = J(1, m), is no check here
+    but `Cocycle.pair`'s rule: it answers eps itself where an argument is 1.
 
     The triples come from the one walk, `WeightIndex(j, degree_bound)`.
     With R(x, y) the one-sided product {x1 y1: sum J(x2, y2)},
@@ -922,13 +913,6 @@ def verify_cocycle_identity(j, degree_bound):
     front, so a bounded evaluator that leaves its range reports what the
     full sweep meets first: a failing triple, or the bound error it raises.
     """
-    ring = j.pres.ring
-    one = ring.one_monomial
-    for m in ring.monomials_up_to(degree_bound):
-        unit = ONE if m.is_one else ZERO
-        if j.pair(m, one) != unit or j.pair(one, m) != unit:
-            return CocycleIdentityReport(False, degree_bound, 0, ("unitality", m))
-
     index = WeightIndex(j, degree_bound)
     mons = index.mons
     for x, y, z in index.triples():

@@ -15,7 +15,9 @@ NAME), '#' comments allowed anywhere:
     [point NAME]       GEN = rational or parameter polynomial
     [cocycle-table]    bound = d  then  MONOMIAL , MONOMIAL = p/q
 
-Everything is whitespace-insensitive; '(x)' separates tensor slots.
+Within a section a key, a coproduct, a table pair or a bracket row (in
+either order of i and j) is given at most once.  Everything is
+whitespace-insensitive; '(x)' separates tensor slots.
 
 A file defines one cocycle, carried by `GroupData.cocycle`: its
 [cocycle-table] if it has one, else the exponential cocycle J_r of its
@@ -83,17 +85,18 @@ def _sections(text):
     return out
 
 
-def _keyvals(lines):
+def _keyvals(lines, form="KEY = VALUE"):
+    """{key: (line number, value)} in line order; each key is given once."""
     out = {}
-    order = []
     for no, line in lines:
-        if "=" not in line:
-            raise GroupFileError("expected KEY = VALUE", no)
-        key, val = line.split("=", 1)
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise GroupFileError("expected " + form, no)
         key = key.strip()
+        if key in out:
+            raise GroupFileError("%r is given twice" % key, no)
         out[key] = (no, val.strip())
-        order.append(key)
-    return out, order
+    return out
 
 
 def parse_tensor(text, ring, line_no=None):
@@ -130,7 +133,7 @@ def parse_group_file(text):
     group = next((s for s in sections if s[0] == "group"), None)
     if group is None:
         raise GroupFileError("missing [group] section")
-    kv, _ = _keyvals(group[3])
+    kv = _keyvals(group[3])
     if "generators" not in kv:
         raise GroupFileError("[group] must declare generators", group[2])
     name = kv.get("name", (None, None))[1]
@@ -147,11 +150,7 @@ def parse_group_file(text):
     cocycle = None
     for kind, label, hno, lines in sections:
         if kind == "coproduct":
-            for no, line in lines:
-                if "=" not in line:
-                    raise GroupFileError("expected GEN = tensor", no)
-                gen, rhs = line.split("=", 1)
-                gen = gen.strip()
+            for gen, (no, rhs) in _keyvals(lines, "GEN = tensor").items():
                 if gen not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % gen, no)
                 q = parse_tensor(rhs, pres.ring, no)
@@ -172,6 +171,8 @@ def parse_group_file(text):
                 n = len(pres.ring.generators)
                 if not all(0 <= t < n for t in (i, j, k)) or i == j:
                     raise GroupFileError("[lie] indices must lie in 1..%d with i != j" % n, no)
+                if any(k in lie_table.get(p, ()) for p in ((i, j), (j, i))):
+                    raise GroupFileError("bracket row %s is given twice" % " ".join(parts[:3]), no)
                 lie_table.setdefault((i, j), {})[k] = _at(no, parse_rational, parts[3])
         elif kind == "rmatrix":
             entries = {}
@@ -192,16 +193,14 @@ def parse_group_file(text):
         elif kind == "subgroup":
             if not label:
                 raise GroupFileError("subgroup section needs a name", hno)
-            kv, order = _keyvals(lines)
+            kv = _keyvals(lines)
             if "params" not in kv:
                 raise GroupFileError("[subgroup %s] must declare params" % label, hno)
-            params = tuple(kv["params"][1].replace(",", " ").split())
-            tring = _at(kv["params"][0], PolyRing, params)
+            pno, text = kv.pop("params")
+            params = tuple(text.replace(",", " ").split())
+            tring = _at(pno, PolyRing, params)
             coords = {}
-            for key in order:
-                if key == "params":
-                    continue
-                no, val = kv[key]
+            for key, (no, val) in kv.items():
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
                 coords[key] = _at(no, parse_poly, val, tring)
@@ -209,10 +208,8 @@ def parse_group_file(text):
         elif kind == "point":
             if not label:
                 raise GroupFileError("point section needs a name", hno)
-            kv, order = _keyvals(lines)
             coords = {}
-            for key in order:
-                no, val = kv[key]
+            for key, (no, val) in _keyvals(lines).items():
                 if key not in pres.ring.index:
                     raise GroupFileError("unknown generator %r" % key, no)
                 coords[key] = _at(no, parse_poly, val, pres.ring)
@@ -221,18 +218,21 @@ def parse_group_file(text):
             bound = None
             table = {}
             for no, line in lines:
-                if line.startswith("bound"):
-                    if "=" not in line:
+                lhs, eq, val = line.partition("=")
+                if (lhs.split() if eq else line.split()[:1]) == ["bound"]:
+                    if not eq:
                         raise GroupFileError("expected 'bound = d'", no)
-                    _, val = line.split("=", 1)
+                    if bound is not None:
+                        raise GroupFileError("'bound' is given twice", no)
                     bound = _integer(val, no)
                     continue
-                if "=" not in line or "," not in line.split("=", 1)[0]:
+                if not eq or "," not in lhs:
                     raise GroupFileError("expected 'MONOMIAL , MONOMIAL = p/q'", no)
-                lhs, val = line.split("=", 1)
                 m1txt, m2txt = lhs.split(",", 1)
                 m1 = _as_monomial(_at(no, parse_poly, m1txt, pres.ring), no)
                 m2 = _as_monomial(_at(no, parse_poly, m2txt, pres.ring), no)
+                if (m1, m2) in table:
+                    raise GroupFileError("pair (%r, %r) is given twice" % (m1, m2), no)
                 table[(m1, m2)] = _at(no, parse_rational, val)
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
@@ -288,9 +288,5 @@ def verify_lie_table(data):
 
 
 def default_degree_bound(pres):
-    """2 * (max polynomial degree of a q-tensor slot entry) + 2."""
-    best = 0
-    for g, q in pres.q.items():
-        for (m1, m2), _ in q.terms.items():
-            best = max(best, m1.degree, m2.degree)
-    return 2 * best + 2
+    """2 * `pres.leg_degree` (the largest degree of a q slot entry) + 2."""
+    return 2 * pres.leg_degree + 2

@@ -19,7 +19,7 @@ caching.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import mul
 from types import MappingProxyType
@@ -229,6 +229,14 @@ class GroupPresentation:
         """
         self._q_read = True
         return MappingProxyType(self._q)
+
+    @cached_property
+    def leg_degree(self):
+        """The largest generator degree of a q slot entry, 0 when there is no q.
+
+        At most 1, no leg of Delta(m) outgrows m.  Computed once; reading it fixes q.
+        """
+        return max((m.degree for q in self.q.values() for key in q.terms for m in key), default=0)
 
     def set_q(self, gen, tensor):
         """Attach a coproduct correction; only before anything has read `q`."""

@@ -28,7 +28,8 @@ by `PolyRing.combination` in one coefficient dict, with one `Poly` built at
 the end; a left fold of `+` would copy the running sum once per term.
 
 The exact sums of the product path (`GroupPresentation.contract`,
-`TwistedContext.mul` and the R-form check's commutation identity) keep
+`PolyRing.bilinear`, which extends `TwistedContext.mul` and `Cocycle.eval`
+over the parameters, and the R-form check's commutation identity) keep
 each key's sum as an int numerator over a positive int denominator
 (`accumulate`), and `settle` builds one value per key at the end, so a
 key's sum is reduced by a gcd once rather than once per term.
@@ -183,6 +184,23 @@ class PolyRing:
             for m, v in p.terms.items():
                 terms[m] = terms.get(m, ZERO) + v * c
         return Poly(self, terms)
+
+    def bilinear(self, f, g, values):
+        """The Poly sum c1 c2 values(g1, g2) p1 p2 over the terms c1 g1 p1 of f and
+        c2 g2 p2 of g, g_i a term's generator part and p_i its parameter part:
+        `values`, a map to {monomial: coefficient} dicts, extended bilinearly
+        over Q[parameters].  Zero values are skipped; sums are kept as in `contract`.
+        """
+        num, den = {}, {}
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                c, p = c1 * c2, m1.param_part.mul(m2.param_part)
+                n, d = c.numerator, c.denominator
+                for k, v in values(m1.gen_part, m2.gen_part).items():
+                    if v:
+                        accumulate(num, den, k if p.is_one else k.mul(p), n * v.numerator,
+                                   d * v.denominator)
+        return Poly(self, settle(num, den))
 
     def hom(self, images, target):
         """The algebra map into `target` sending each variable per `images`.

@@ -84,15 +84,7 @@ class TwistedContext:
         return hit
 
     def mul(self, f, g):
-        num, den = {}, {}
-        for m1, c1 in f.terms.items():
-            for m2, c2 in g.terms.items():
-                c, p = c1 * c2, m1.param_part.mul(m2.param_part)
-                n, d = c.numerator, c.denominator
-                for k, v in self.mul_monomials(m1.gen_part, m2.gen_part).terms.items():
-                    accumulate(num, den, k if p.is_one else k.mul(p), n * v.numerator,
-                               d * v.denominator)
-        return Poly(self.pres.ring, settle(num, den))
+        return self.pres.ring.bilinear(f, g, lambda a, b: self.mul_monomials(a, b).terms)
 
     def commutator(self, f, g):
         return self.mul(f, g) - self.mul(g, f)
@@ -253,9 +245,9 @@ def rform_axiom_check(ctx, degree_bound):
     its right side, bilinear and 0 when h or g is 1.  Theorem: C = 0 on
     every pair with deg h + deg g <= d, the bound, once C = 0 on the n^2
     generator pairs and
-      (a) R's support covers the bound (`support_within`) and the grading
-          has `unit_legs`, so no leg of Delta(m) outgrows m and every leg,
-          pair and triple read below lies within the bound;
+      (a) R's support covers the bound (`support_within`) and
+          `pres.leg_degree` is at most 1, so no leg of Delta(m) outgrows m
+          and every leg, pair and triple read below lies within the bound;
       (b) no nonconstant monomial within the bound has weight 0;
       (c) R(m, 1) = R(1, m) = eps(m), which `Cocycle.pair` answers itself;
       (d) J passes `verify_cocycle_identity` at the bound, so the deformed
@@ -334,7 +326,7 @@ def rform_axiom_check(ctx, degree_bound):
 
     split = None
     support = index.support
-    if support is not None and support.grading.unit_legs \
+    if support is not None and pres.leg_degree <= 1 \
             and all(any(support.grading.weight(m)) for m in mons) \
             and verify_cocycle_identity(ctx.right, degree_bound).ok:
         split = split_failures()

@@ -673,6 +673,14 @@ def test_identity_check_beyond_evaluator_bound(examples):
         assert outcomes[0] == outcomes[1], extra
 
 
+def test_correction_solver_needs_unit_legs(examples):
+    # jordan4's slot entries of degree 2 let an instance within the bound
+    # read pairs beyond it
+    ex = examples("jordan4-minimal")
+    with pytest.raises(CocycleInputError, match="correction solving needs"):
+        solve_cocycle_corrections(ex.pres, ExponentialCocycle(ex.pres, ex.data.rmatrix), 3)
+
+
 def test_corrected_cocycle_rederivation(examples):
     # the frozen correction table is exactly what the solver produces
     from unitwist.poly import render_monomial
@@ -1000,12 +1008,11 @@ def direct_grading(pres, rmatrix):
     lattice = direct_lattice(pres, rmatrix)
     if lattice is None:
         return None
-    unit_legs = all(m.degree <= 1 for q in pres.q.values() for key in q.terms for m in key)
     weights, rho = lattice
     letters = sorted({(weights[a], weights[b]) for a, b, _ in rmatrix.support})
     # the direct weights as the grading's own, read in the lattice as they are
     return WeightGrading(weights, [[int(s == t) for s in range(len(rho))] + [r]
-                                   for t, r in enumerate(rho)], unit_legs, letters)
+                                   for t, r in enumerate(rho)], letters)
 
 
 def read_pairs(pres, m1, m2, support, first):
@@ -1196,7 +1203,7 @@ def test_index_skips_negative_classes():
     # so a made-up grading w_X = 1, w_V = -2, step 1, shows the level
     # window; its letters (1, 0) and (0, 1) have the sum monoid N
     g, j = plane_cocycle()
-    j.support = WeightGrading(((1,), (-2,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))]).monoid
+    j.support = WeightGrading(((1,), (-2,)), ((1, 1),), [((0,), (1,)), ((1,), (0,))]).monoid
     index = WeightIndex(j, 3)
     sweep = list(WeightIndex(TableCocycle(g, {}, 3), 3).triples())
     weight = [m.exps[0] - 2 * m.exps[1] for m in index.mons]
@@ -1280,7 +1287,7 @@ def test_graded_contract_skips_negative_classes():
     # monoid N^2: the walk also leaves out pairs of level >= 0, such as
     # (X^2, V), with a leg of weight < 0
     g, _ = plane_cocycle()
-    grading = WeightGrading(((1,), (-2,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))])
+    grading = WeightGrading(((1,), (-2,)), ((1, 1),), [((0,), (1,)), ((1,), (0,))])
 
     def in_class(x, y):
         return grading.weight(x)[0] >= 0 and grading.weight(y)[0] >= 0
@@ -1603,7 +1610,7 @@ def test_level0_key_takes_the_rank0_walk():
     # corrected cocycle, its inverse and its R-form have no support, and
     # their walks read every term, as those of one whose base has none do
     g, j = plane_cocycle()
-    j.support = WeightGrading(((1,), (0,)), ((1, 1),), True, [((0,), (1,)), ((1,), (0,))]).monoid
+    j.support = WeightGrading(((1,), (0,)), ((1, 1),), [((0,), (1,)), ((1,), (0,))]).monoid
     V = g.ring.var_monomial("V")
     kept = CorrectedCocycle(j, {(V, V): Fraction(1)}, 6)
     assert kept.support is None and NeumannInverse(kept).support is None

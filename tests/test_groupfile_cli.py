@@ -10,6 +10,7 @@ from unitwist.cli import main, report_lines
 from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle,
                               ExponentialCocycle, TableCocycle)
 from unitwist.groupfile import GroupFileError, default_degree_bound, parse_group_file
+from unitwist.poly import parse_rational
 from unitwist.strata import StratumError
 from unitwist.twist import TwistConsistencyError, TwistedContext
 
@@ -480,6 +481,32 @@ MALFORMED += [
     ("point-line-number-after-number", _HEIS3.replace("Y = y0", "Y = 1 2"), ["present", "FILE"],
      2, "line 24: number after a number in '1 2'"),
 ]
+# a key, a coproduct, a table pair or a bracket row may appear once in its
+# section: a second one would replace the first
+_HEIS3_LIE = _HEIS3.replace("1 2 3 1", "1 2 3 1\n%s")
+MALFORMED += [("repeated-%s-%s" % (case, cmd), text, [cmd, "FILE"], 2, message)
+              for case, text, message in [
+                  ("group-key", _HEIS3.replace("x0 v0 y0", "x0 v0 y0\ngenerators = X Y"),
+                   "line 6: 'generators' is given twice"),
+                  ("subgroup-key", _HEIS3.replace("V = s2", "V = s2\nX = s2"),
+                   "line 20: 'X' is given twice"),
+                  ("point-key", _HEIS3 + "X = 1\n", "line 25: 'X' is given twice"),
+                  ("coproduct", _HEIS.replace("V = X (x) Y", "V = X (x) Y\nV = 2 X (x) Y"),
+                   "line 8: 'V' is given twice"),
+                  ("cocycle-table-pair",
+                   _HEIS + "[cocycle-table]\nbound = 2\nX , Y = 1\nX,Y = 2\n",
+                   "line 11: pair (X, Y) is given twice"),
+                  ("cocycle-table-bound",
+                   _HEIS + "[cocycle-table]\nbound = 2\nX , Y = 1\nbound = 3\n",
+                   "line 11: 'bound' is given twice"),
+                  ("lie-row", _HEIS3_LIE % "1 2 3 2", "line 12: bracket row 1 2 3 is given twice"),
+                  ("lie-row-swapped", _HEIS3_LIE % "2 1 3 -1",
+                   "line 12: bracket row 2 1 3 is given twice")]
+              for cmd in ("validate", "present")]
+MALFORMED += [
+    ("repeated-point-coordinate-strata", _STRATA + "X = 2\n", ["strata", "FILE", "--point", "g"],
+     2, "line 17: 'X' is given twice"),
+]
 MALFORMED += [
     ("max-degree-zero", None, ["validate", "--example", "u3", "--max-degree", "0"], 2,
      "--max-degree must be at least 1"),
@@ -549,6 +576,18 @@ def test_rform_check_reports_each_failure(tmp_path, capsys):
     assert out.splitlines() == ["r-form axioms FAIL at bound 3: ('%s', %s)" % case for case in [
         ("split-right", "X, V, Y"), ("split-right", "Y, X, V"), ("split-left", "Y, X, V"),
         ("split-left", "Y, V, X"), ("split-right", "V, X, Y"), ("split-left", "V, Y, X")]]
+
+
+@pytest.mark.parametrize("value", ["1", "1/2"])
+def test_cocycle_table_bound_line_is_found_by_key(value):
+    # a generator whose name starts with "bound" is a table entry's
+    # monomial, not the bound line
+    data = parse_group_file("[group]\ngenerators = boundX V\n[cocycle-table]\nbound = 2\n"
+                            "boundX , V = %s\nV , boundX = -1\n" % value)
+    ring = data.presentation.ring
+    X, V = ring.var_monomial("boundX"), ring.var_monomial("V")
+    assert data.cocycle.bound == 2
+    assert data.cocycle.table == {(X, V): parse_rational(value), (V, X): -1}
 
 
 def test_sections_before_coproduct_do_not_read_q(tmp_path, capsys):

@@ -247,6 +247,7 @@ SEALING_READS = {
     "Cocycle.conjugate": lambda g, V: ExponentialCocycle(g, RMatrix(3, {(0, 2): 1}))
     .conjugate(g.point({"X": 1})),
     "default_degree_bound": lambda g, V: default_degree_bound(g),
+    "leg_degree": lambda g, V: g.leg_degree,
 }
 
 
@@ -258,6 +259,17 @@ def test_reading_q_seals_it(read):
     SEALING_READS[read](g, g.ring.var_monomial("V"))
     with pytest.raises(PresentationError, match="fixed once read"):
         g.set_q("V", q_v)
+
+
+def test_leg_degree_is_the_largest_slot_degree(each_example):
+    # against a scan of every slot entry of every q; the jordan4 entries have
+    # slots of degree 2, and u3 has no q
+    pres = each_example.pres
+    scan = [m.degree for q in pres.q.values() for key in q.terms for m in key]
+    assert pres.leg_degree == max(scan, default=0)
+    assert pres.leg_degree == {"u3": 0, "jordan4-abelian": 2,
+                               "jordan4-minimal": 2}.get(each_example.entry.id, 1)
+    assert default_degree_bound(pres) == 2 * pres.leg_degree + 2
 
 
 def test_q_is_a_read_only_view():
