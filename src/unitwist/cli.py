@@ -96,9 +96,7 @@ def run_validate(data, max_degree, strict):
 
 
 def run_present(data):
-    ctx = build_context(data)
-    pres = ihoe_presentation(ctx)
-    return pres, pres.lines()
+    return ihoe_presentation(build_context(data)).lines()
 
 
 def run_gamma(data):
@@ -121,7 +119,7 @@ def run_c0(data, bound):
     exact = None
     if isinstance(j, ExponentialCocycle):
         exact = fixed_locus_ideal(data.presentation, j.rmatrix)
-    return c0_solver(data.presentation, j, bound, gamma_ideal=gamma_ideal, exact=exact)
+    return c0_solver(data.presentation, j, bound, gamma_ideal, exact=exact)
 
 
 def run_stratum(data, subgroup_name, point_name):
@@ -333,7 +331,7 @@ def main(argv=None):
 
         data = load_group(args)
         if args.command == "present":
-            _, lines = run_present(data)
+            lines = run_present(data)
             out.write("\n".join(lines) + ("\n" if lines else "(commutative)\n"))
             return 0
         if args.command == "gamma":

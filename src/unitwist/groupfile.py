@@ -13,7 +13,8 @@ NAME), '#' comments allowed anywhere:
     [rmatrix]          lines "i j p/q": antisymmetric entries in the Lie basis
     [subgroup NAME]    params = t1 t2 ...  then   GEN = poly in the params
     [point NAME]       GEN = rational or parameter polynomial
-    [cocycle-table]    bound = d  then  MONOMIAL , MONOMIAL = p/q
+    [cocycle-table]    bound = d  then  MONOMIAL , MONOMIAL = p/q, each
+                       monomial nonconstant, parameter-free, of degree <= d
 
 Within a section a key, a coproduct, a table pair or a bracket row (in
 either order of i and j) is given at most once.  Everything is
@@ -102,12 +103,13 @@ def _keyvals(lines, form="KEY = VALUE"):
 def parse_tensor(text, ring, line_no=None):
     """Parse a sum of 'POLY (x) POLY' terms into a rank-2 tensor."""
     total = TensorPoly.zero(ring, 2)
-    # split on top-level +/- while keeping signs with their term
+    # split on top-level +/- while keeping signs with their term; a sign
+    # right after '(x)' opens the second slot instead
     terms = []
     buf = ""
     sign = 1
     for ch in text:
-        if ch in "+-" and buf.strip():
+        if ch in "+-" and buf.strip() and not buf.rstrip().endswith("(x)"):
             terms.append((sign, buf))
             buf = ""
             sign = 1 if ch == "+" else -1
@@ -233,10 +235,20 @@ def parse_group_file(text):
                 m2 = _as_monomial(_at(no, parse_poly, m2txt, pres.ring), no)
                 if (m1, m2) in table:
                     raise GroupFileError("pair (%r, %r) is given twice" % (m1, m2), no)
-                table[(m1, m2)] = _at(no, parse_rational, val)
+                # entries no evaluation reads: J is asked about parameter-free
+                # pairs, answers a 1 slot by unitality and stops past the bound
+                if m1.param_degree() or m2.param_degree():
+                    raise GroupFileError("table pairs may not involve parameters", no)
+                if m1.is_one or m2.is_one:
+                    raise GroupFileError("pair (%r, %r) is fixed by unitality" % (m1, m2), no)
+                table[(m1, m2)] = (no, _at(no, parse_rational, val))
             if bound is None:
                 raise GroupFileError("[cocycle-table] must declare bound = d", hno)
-            cocycle = TableCocycle(pres, table, bound)
+            for (m1, m2), (no, _) in table.items():
+                if max(m1.degree, m2.degree) > bound:
+                    raise GroupFileError("pair (%r, %r) exceeds the declared bound %d"
+                                         % (m1, m2, bound), no)
+            cocycle = TableCocycle(pres, {k: v for k, (_, v) in table.items()}, bound)
         elif kind != "group":
             raise GroupFileError("unknown section [%s]" % kind, hno)
 

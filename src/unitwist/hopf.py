@@ -648,10 +648,11 @@ class GroupPresentation:
             return d.map_slot(1, self.coproduct_monomial) != d.map_slot(2, self.coproduct_monomial)
 
         def counit_fails(g):
-            d = self.coproduct_gen(g)
-            x = self.ring.var(g)
-            return any(d.apply_linear_slot(slot, lambda p: p.counit()).to_poly() != x
-                       for slot in (1, 2))
+            # (eps (x) id) Delta(X) and (id (x) eps) Delta(X): the terms with a 1 in the other slot
+            terms = self.coproduct_gen(g).terms.items()
+            return any(self.ring.combination((key[1 - s].as_poly(), c) for key, c in terms
+                                             if key[s].is_one) != self.ring.var(g)
+                       for s in (0, 1))
 
         def antipode_fails(g):
             maps = (self.antipode_monomial, Monomial.as_poly)

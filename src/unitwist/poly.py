@@ -654,24 +654,6 @@ class TensorPoly:
                 terms[key] = c if o is None else o + c
         return TensorPoly(self.ring, self.rank, terms)
 
-    def apply_linear_slot(self, slot, phi):
-        """Contract one slot (1-based) of a rank-k tensor, k >= 2, with a
-        linear functional on Poly; the result is a TensorPoly of rank k-1.
-        """
-        if self.rank < 2:
-            raise ValueError("rank must be >= 2 to contract a slot")
-        if not 1 <= slot <= self.rank:
-            raise IndexError("slot out of range")
-        s = slot - 1
-        terms = {}
-        for key, c in self.terms.items():
-            val = phi(key[s].as_poly())
-            if val == 0:
-                continue
-            k2 = key[:s] + key[s + 1:]
-            terms[k2] = terms.get(k2, ZERO) + c * val
-        return TensorPoly(self.ring, self.rank - 1, terms)
-
     def map_slot(self, slot, f):
         """Replace one slot (1-based) through a rank-increasing map.
 
@@ -691,11 +673,6 @@ class TensorPoly:
         if out_rank is None:
             raise ValueError("cannot map a slot of the zero tensor")
         return TensorPoly(self.ring, out_rank, out_terms)
-
-    def to_poly(self):
-        if self.rank != 1:
-            raise ValueError("rank-1 tensor expected")
-        return Poly(self.ring, {k[0]: c for k, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(),

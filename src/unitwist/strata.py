@@ -154,7 +154,7 @@ class WeylReport:
         return out
 
 
-def weyl_detect(pres_relations, ring, variables=None):
+def weyl_detect(pres_relations, ring, variables):
     """Recognize scalar commutator matrices as Weyl-algebra patterns.
 
     Works over Q[parameters]: a division-free symplectic elimination pairs
@@ -162,7 +162,7 @@ def weyl_detect(pres_relations, ring, variables=None):
     combinations (parameter pivots become side conditions).  Any
     non-scalar relation yields the verdict 'unrecognized'.
     """
-    names = list(variables if variables is not None else ring.generators)
+    names = list(variables)
     n = len(names)
     bracket = {}
     for i in range(n):
@@ -276,7 +276,7 @@ def stratum_presentation(group, ctx, subgroup, point, name="stratum"):
             % ("pass" if mgt == ideal else "FAIL")
 
     free_vars = _free_variables(ideal)
-    report = weyl_detect(quotient.relation, group.ring, variables=free_vars)
+    report = weyl_detect(quotient.relation, group.ring, free_vars)
     flags["weyl"] = report.lines()
     return Stratum(name, point, ideal, quotient, (dim_t, dim_tg, dim_q), flags)
 
@@ -425,7 +425,7 @@ def fixed_locus_ideal(group, rmatrix):
     return Ideal(ring, gens)
 
 
-def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
+def c0_solver(group, j, degree_bound, gamma_ideal, exact=None):
     """Conditions J^g = J for a symbolic point g, collected as an ideal.
 
     Because (g (x) g) is convolution invertible with inverse
@@ -436,8 +436,8 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
         sum m1_1(g) m2_1(g) J(m1_2, m2_2) - J(m1_1, m2_1) m1_2(g) m2_2(g),
 
     a polynomial in the symbolic coordinates of g.  The resulting ideal
-    cuts out the fixed locus up to the bound; when a reference ideal is
-    supplied the two are compared as reduced bases.
+    cuts out the fixed locus up to the bound; it is compared with
+    `gamma_ideal`, Gamma's commutator ideal, as reduced bases.
 
     `exact`, when given, must be `fixed_locus_ideal(group, r)` for
     J = J_r.  Each condition above is (J^g - J) * (g (x) g) on the pair, a
@@ -453,6 +453,7 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
     by_degree = {}
     for m in mons:
         by_degree.setdefault(m.degree, []).append(m)
+    # (deg m1, deg m2) blocks, low first: the `exact` exit fires far sooner than m1 by m1
     pairs = ((m1, m2)
              for d1 in sorted(by_degree) for d2 in sorted(by_degree) if d1 + d2 <= degree_bound
              for m1 in by_degree[d1] for m2 in by_degree[d2])
@@ -471,13 +472,11 @@ def c0_solver(group, j, degree_bound, gamma_ideal=None, exact=None):
         if ideal.contains(condition):
             continue
         ideal = Ideal(ring, ideal.gens + [condition])
-    verdict = "inconclusive at bound %d" % degree_bound
-    matches = None
-    if gamma_ideal is not None:
-        matches = ideal == gamma_ideal
-        if matches:
-            verdict = "matches the 1-dimensional module group"
-        else:
-            sub = all(gamma_ideal.contains(p) for p in ideal.groebner())
-            verdict = ("inconclusive at bound %d" % degree_bound) if sub else "MISMATCH"
+    matches = ideal == gamma_ideal
+    if matches:
+        verdict = "matches the 1-dimensional module group"
+    elif all(gamma_ideal.contains(p) for p in ideal.groebner()):
+        verdict = "inconclusive at bound %d" % degree_bound
+    else:
+        verdict = "MISMATCH"
     return C0Report(ideal, degree_bound, matches, verdict)

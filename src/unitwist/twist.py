@@ -7,8 +7,9 @@ cocycle K and a right cocycle J; its product is
 
 returned through the commutative representative of the shared underlying
 vector space.  The two-sided case K = J is the Hopf-algebra deformation;
-one-sided and mixed contexts (K = eps.eps, or K = J^g) are first class
-because coset-stratum isomorphism checks need them.
+one-sided and mixed contexts (K = eps.eps, or K = J^g) are first class;
+the tests build them for the one-sided Weyl patterns, the winding
+homomorphism and mixed-product associativity.
 
 The product is computed from K itself, never from K^{-1}.  Since
 K * K^{-1} = eps.eps, coassociativity gives

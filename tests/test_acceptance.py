@@ -86,7 +86,7 @@ def test_criterion_04_one_sided_weyl(examples, one_sided_right):
     one = one_sided_right(ex.pres, ex.ctx.right)
     X, V = ex.pres.ring.var("X"), ex.pres.ring.var("V")
     assert one.mul(X, V) - one.mul(V, X) == ex.pres.ring.one
-    report = weyl_detect(one.commutators().relation, ex.pres.ring)
+    report = weyl_detect(one.commutators().relation, ex.pres.ring, ex.pres.ring.generators)
     assert report.verdict == ex.entry.expected["one_sided_weyl"] == "A_1"
     ok("criterion 4: one-sided twist of the planar support gives X.V - V.X "
        "= 1 and the A_1 detection fires")

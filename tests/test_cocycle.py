@@ -613,12 +613,30 @@ def test_identity_checked_counts(examples):
 
 
 @pytest.mark.parametrize("cid", catalog.ids())
-def test_sweep_size_is_the_sum_of_the_pairs_ends(examples, cid):
-    # a passing identity check counts its triples from the degree histogram
-    # of the monomials; the full sweep's pairs count them one pair at a time
+def test_checked_counts_the_sweep_it_walks(examples, cid):
+    # a pass counts every triple of the full sweep, the sum of its pairs' ends
+    j = examples(cid).ctx.right
+    if cid == "jordan4-minimal":
+        j = CounitPair(j.pres)  # its J fails the identity; the trivial cocycle passes
     for bound in (3, 4, 5, 6):
-        index = WeightIndex(examples(cid).ctx.right, bound)
-        assert index.sweep_size() == sum(end for *_, end in index.pairs()), bound
+        rep = verify_cocycle_identity(j, bound)
+        assert rep.ok, bound
+        assert rep.checked == sum(end for *_, end in WeightIndex(j, bound).pairs()), bound
+
+
+# r-matrices that fail CYBE: J_r is no cocycle
+OFF_CYBE = [("heisenberg3", {(0, 1): 1}), ("u4-ex5", {(0, 1): 1})]
+
+
+@pytest.mark.parametrize("cid,r_entries", [("jordan4-minimal", None)] + OFF_CYBE)
+def test_checked_counts_up_to_the_first_failure(examples, cid, r_entries):
+    # a failure counts the full sweep's triples up to the failing one
+    ex = examples(cid)
+    j = ex.ctx.right if r_entries is None else ExponentialCocycle(
+        ex.pres, RMatrix(ex.pres.ring.ngens, r_entries))
+    rep = verify_cocycle_identity(j, 6)
+    assert not rep.ok
+    assert (rep.ok, rep.checked, rep.failure) == sweep_every_triple(j, 6)
 
 
 @pytest.mark.parametrize("cid,bound", [("u3", 5), ("heisenberg3", 5), ("jordan4-abelian", 4),
@@ -741,7 +759,7 @@ def test_rmatrix_support_flags(examples):
 def test_one_sided_products_computed_once(monkeypatch):
     # x ._J y = {x1 y1: sum J(x2, y2)} has one memo, on J: the identity check
     # at three bounds, the deformed product and c0 share it
-    from unitwist.strata import c0_solver
+    from unitwist.strata import c0_solver, commutator_ideal_and_gamma
     from unitwist.twist import TwistedContext
     data = catalog.get("u4-ex5").load()
     pres, j = data.presentation, data.cocycle
@@ -763,7 +781,7 @@ def test_one_sided_products_computed_once(monkeypatch):
         for b in mons:
             ctx.mul_monomials(a, b)
     assert len(computed) > checked  # pairs of total degree 6 are new
-    c0_solver(pres, j, 3)
+    c0_solver(pres, j, 3, commutator_ideal_and_gamma(ctx).commutator_ideal)
     assert computed and max(computed.values()) == 1
 
 
@@ -1380,9 +1398,6 @@ def test_graded_terms_hold_every_nonzero_leg_pair(each_example):
 
 
 # -- the exponential sum against its unskipped word loop ---------------------------
-
-OFF_CYBE = [("heisenberg3", {(0, 1): 1}), ("u4-ex5", {(0, 1): 1})]
-
 
 def exponential_reference(j, m1, m2):
     """J_r(m1, m2) from the word tables at every length up to the coradical

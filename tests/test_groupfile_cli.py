@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import shlex
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,9 @@ from unitwist import catalog, cli, strata
 from unitwist.cli import main, report_lines
 from unitwist.cocycle import (CocycleBoundError, CocycleInputError, CorrectedCocycle,
                               ExponentialCocycle, TableCocycle)
-from unitwist.groupfile import GroupFileError, default_degree_bound, parse_group_file
-from unitwist.poly import parse_rational
+from unitwist.groupfile import (GroupFileError, default_degree_bound, parse_group_file,
+                                parse_tensor)
+from unitwist.poly import TensorPoly, parse_rational
 from unitwist.strata import StratumError
 from unitwist.twist import TwistConsistencyError, TwistedContext
 
@@ -503,6 +505,25 @@ MALFORMED += [("repeated-%s-%s" % (case, cmd), text, [cmd, "FILE"], 2, message)
                   ("lie-row-swapped", _HEIS3_LIE % "2 1 3 -1",
                    "line 12: bracket row 2 1 3 is given twice")]
               for cmd in ("validate", "present")]
+# a table entry no evaluation reads: J is asked about parameter-free pairs,
+# answers a 1 slot by unitality, and stops at a slot past the bound
+_HEIS_TABLE = (_HEIS.replace("generators = X Y V", "generators = X Y V\nparameters = a")
+               + "[cocycle-table]\nbound = 2\nX , Y = 1/2\nY , X = -1/2\n")
+MALFORMED += [("unread-table-%s-%s" % (case, cmd), _HEIS_TABLE + row + "\n", argv, 2, message)
+              for case, row, message in [
+                  ("parameter", "a*X , Y = 5", "line 13: table pairs may not involve parameters"),
+                  ("unit-slot", "1 , X = 7", "line 13: pair (1, X) is fixed by unitality"),
+                  ("past-bound", "X^3 , Y = 9",
+                   "line 13: pair (X^3, Y) exceeds the declared bound 2")]
+              for cmd, argv in [("present", ["present", "FILE"]),
+                                ("validate", ["validate", "--max-degree", "3", "FILE"])]]
+# a tensor term has exactly one '(x)'
+MALFORMED += [
+    ("coproduct-without-separator", _HEIS.replace("V = X (x) Y", "V = X Y"), ["present", "FILE"],
+     2, "line 7: tensor term 'X Y' lacks the (x) separator"),
+    ("coproduct-rank-3", _HEIS.replace("V = X (x) Y", "V = X (x) Y (x) X"), ["present", "FILE"],
+     2, "line 7: only rank-2 tensors are accepted here"),
+]
 MALFORMED += [
     ("repeated-point-coordinate-strata", _STRATA + "X = 2\n", ["strata", "FILE", "--point", "g"],
      2, "line 17: 'X' is given twice"),
@@ -576,6 +597,33 @@ def test_rform_check_reports_each_failure(tmp_path, capsys):
     assert out.splitlines() == ["r-form axioms FAIL at bound 3: ('%s', %s)" % case for case in [
         ("split-right", "X, V, Y"), ("split-right", "Y, X, V"), ("split-left", "Y, X, V"),
         ("split-left", "Y, V, X"), ("split-right", "V, X, Y"), ("split-left", "V, Y, X")]]
+
+
+def test_sign_after_the_tensor_separator_belongs_to_the_slot(tmp_path, capsys):
+    # "X (x) -Y" is the tensor X (x) (-Y), the same as "-X (x) Y"; a sign
+    # after a complete term still starts the next term
+    runs = []
+    for rhs in ("X (x) -Y", "-X (x) Y", "- X (x) Y", "X (x) Y", "X (x) +Y"):
+        text = _HEIS_TABLE.replace("V = X (x) Y", "V = " + rhs)
+        path = tmp_path / "heis.group"
+        path.write_text(text)
+        runs.append((repr(parse_group_file(text).presentation.q["V"]),
+                     run_cli(["present", str(path)], capsys)))
+    assert runs[0] == runs[1] == runs[2] != runs[3] == runs[4]
+    assert runs[0][1][0] == 0
+    ring = parse_group_file(_HEIS).presentation.ring
+    q = parse_tensor("X (x) -Y + 1/2 X (x) Y^2 - Y (x) -X", ring)
+    X, Y = ring.var("X"), ring.var("Y")
+    assert q == (TensorPoly.from_polys([X, Y], -1) + TensorPoly.from_polys([Y, X])
+                 + TensorPoly.from_polys([X, Y ** 2], Fraction(1, 2)))
+
+
+def test_c0_on_a_cocycle_table_stops_at_its_bound(tmp_path, capsys):
+    # c0 at 4 asks the table for (X, X^3), past its bound 2: exit 1
+    path = tmp_path / "heis.group"
+    path.write_text(_HEIS_TABLE)
+    assert run_cli(["c0", "--max-degree", "4", str(path)], capsys) == \
+        (1, "", "error: pair (X, X^3) exceeds the declared bound 2\n")
 
 
 @pytest.mark.parametrize("value", ["1", "1/2"])
@@ -721,6 +769,56 @@ CLI_PINS = {
     # past the frozen table's total degree 6: the bound error, exit 1
     "rform-check --example u4-ex6 --max-degree 7":
         (1, EMPTY, "341aaebf98ba27207c6c22a568a5cb41d62a0489c2ba5796e2bbe8ad041f1678"),
+    # the fixed-cocycle locus, whose sweep visits the pairs in (deg m1, deg m2)
+    # blocks and may stop early at the adjoint fixed locus
+    "c0 --example heisenberg3 --max-degree 3":
+        (0, "c8a5b474ff29ec8e337b7f2f89ec6faad851d5df19b1a54f361f36207a5992e4", EMPTY),
+    "c0 --example heisenberg3 --max-degree 4":
+        (0, "d03c793c4e0c88b13a58ad131e2f7d1e5b5c02c4a8060c57a47e391e883527e7", EMPTY),
+    "c0 --example heisenberg3 --max-degree 5":
+        (0, "c170a5f41bfc24990320c90f722c37064b6032d20d7da9a17de08b7628207437", EMPTY),
+    "c0 --example heisenberg3 --max-degree 6":
+        (0, "642b8b70a80dce3512030bf2660a78e60be4c2ac0c136cf273f2038b4a67546f", EMPTY),
+    "c0 --example jordan4-abelian --max-degree 3":
+        (0, "533b74e10e45945d226f95591cf874591ececf3eb390f70ebf0267b514db7eda", EMPTY),
+    "c0 --example jordan4-abelian --max-degree 4":
+        (0, "307d10af990a3786a7c31d904a4bc9036e0fc3c172c245506e40af0619f009b7", EMPTY),
+    "c0 --example jordan4-abelian --max-degree 5":
+        (0, "ec6829cf5e592bd53edc9c04a8c8545bf4ed0a4e271ff34cd71a18ead0987391", EMPTY),
+    "c0 --example jordan4-abelian --max-degree 6":
+        (0, "3cf7891f7455279cc9e882721ab5deb3097ef0251d9cc53bb0ed8d2091211d33", EMPTY),
+    "c0 --example jordan4-minimal --max-degree 3":
+        (0, "1a64d73c895c32648f1ea4f235ea124747727f0c3f15a0c198ea9a2f34693821", EMPTY),
+    "c0 --example jordan4-minimal --max-degree 4":
+        (0, "6f03327729c556a5948c32225e2dcff626ff579578e953e0a7db92109457990b", EMPTY),
+    "c0 --example jordan4-minimal --max-degree 5":
+        (0, "31f098dfc25bb0f75cd8df936a64b1bce459c3dd9ffa8b692fdc78a70c60f59a", EMPTY),
+    "c0 --example jordan4-minimal --max-degree 6":
+        (0, "e535e56be6af310cfa210a177cec1a9715e5b0b078a16ea9352f1a2bd5f30a86", EMPTY),
+    "c0 --example u3 --max-degree 3":
+        (0, "c8a5b474ff29ec8e337b7f2f89ec6faad851d5df19b1a54f361f36207a5992e4", EMPTY),
+    "c0 --example u3 --max-degree 4":
+        (0, "d03c793c4e0c88b13a58ad131e2f7d1e5b5c02c4a8060c57a47e391e883527e7", EMPTY),
+    "c0 --example u3 --max-degree 5":
+        (0, "c170a5f41bfc24990320c90f722c37064b6032d20d7da9a17de08b7628207437", EMPTY),
+    "c0 --example u3 --max-degree 6":
+        (0, "642b8b70a80dce3512030bf2660a78e60be4c2ac0c136cf273f2038b4a67546f", EMPTY),
+    "c0 --example u4-ex5 --max-degree 3":
+        (0, "874c9bf0cae324969eb00d43e5322e3ef356bbe65d3ded70037d803472d61892", EMPTY),
+    "c0 --example u4-ex5 --max-degree 4":
+        (0, "ed9a97fe6d3cb42e6b07d9b36b6b801d88170fdf8e0fdaeddf750081fff9df22", EMPTY),
+    "c0 --example u4-ex5 --max-degree 5":
+        (0, "621f8ad0b8b95efad379ce7aac62edec37e3d193122d6aad7407e2ac860738d1", EMPTY),
+    "c0 --example u4-ex5 --max-degree 6":
+        (0, "ba812faaf5e9bdbb31a09cc6cc8587c0937e1c4440665dbe2b2ff087f30768b9", EMPTY),
+    "c0 --example u4-ex6 --max-degree 3":
+        (0, "ec02b812b7ed7e6fcf2e51801aac1a7929ceaf6329e857214e8fb1a4d90058b1", EMPTY),
+    "c0 --example u4-ex6 --max-degree 4":
+        (0, "e4bde898fab16511da0faf448d5824505756676ab7314bfd428db01a32d6fe7b", EMPTY),
+    "c0 --example u4-ex6 --max-degree 5":
+        (0, "b1b60453d4fe0d3465e74ff4a1b19d8f5785c067f45892a14baaf75afe9e4b4c", EMPTY),
+    "c0 --example u4-ex6 --max-degree 6":
+        (0, "b2abf627c897e0fee1b7ed0ca8c7ee956b5b3bce4ed9372aa4d4321f44d9b2ad", EMPTY),
     # a point normalizing T, so the stratum is checked against the left coset
     # functions of degree <= 3
     "strata --example heisenberg3 --point Y=1":

@@ -439,6 +439,24 @@ def test_validate_counit_violation():
     assert any("counit" in c.name for c in rep.checks if not c.ok)
 
 
+@pytest.mark.parametrize("dropped", [("1", "X"), ("X", "1")], ids=["1 (x) X", "X (x) 1"])
+def test_validate_counit_axiom_reads_both_slots(monkeypatch, dropped):
+    # no parsed group fails the counit axiom, as q is counit-free; Delta(X)
+    # without one of its primitive terms must fail it, whichever slot holds the 1
+    g = heisenberg()
+    coproduct_gen = g.coproduct_gen
+
+    def tampered(name):
+        d = coproduct_gen(name)
+        if name != "X":
+            return d
+        return TensorPoly(g.ring, 2, {key: c for key, c in d.terms.items()
+                                      if tuple(map(repr, key)) != dropped})
+
+    monkeypatch.setattr(g, "coproduct_gen", tampered)
+    assert "FAIL counit-axiom: fails on X" in g.validate().lines()
+
+
 def test_validate_coassociativity_violation():
     # q(W) = V (x) Y without the compensating X (x) Y^2/2 term fails, and
     # so does q(Z) = V (x) X; each check reports the first failing generator

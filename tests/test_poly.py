@@ -109,46 +109,6 @@ def test_tensor_normalization_idempotent():
             assert isinstance(m, Monomial)
 
 
-def test_slot_contraction_examples():
-    R = PolyRing(["X", "V", "Y"])
-    X, V, Y = R.var("X"), R.var("V"), R.var("Y")
-    eps = lambda p: p.counit()
-    t = TensorPoly.from_polys([X, V])
-    assert t.apply_linear_slot(1, eps).to_poly() == R.zero  # eps kills X
-    one = TensorPoly.from_polys([R.one, V])
-    assert one.apply_linear_slot(1, eps).to_poly() == V
-
-    coeff_x = lambda p: p.coefficient_of_var("X")
-    t2 = TensorPoly.from_polys([V, 2 * X + 1])
-    assert t2.apply_linear_slot(2, coeff_x).to_poly() == 2 * V
-
-    # direct expansion oracle: eps kills the augmentation-ideal slot entries,
-    # so contracting the slot holding X and 1 keeps only the 1 (x) V term
-    t3 = TensorPoly.from_polys([X, Y]) + TensorPoly.from_polys([R.one, V])
-    assert t3.apply_linear_slot(1, eps).to_poly() == V
-    assert t3.apply_linear_slot(2, eps).to_poly() == R.zero
-
-
-def test_slot_contraction_linear():
-    R = PolyRing(["X", "V"])
-    X, V = R.var("X"), R.var("V")
-    phi = lambda p: p.coefficient_of_var("V") + 2 * p.counit()
-    a = TensorPoly.from_polys([X, V + 1])
-    b = TensorPoly.from_polys([X * V, 3 * V])
-    lhs = (a + b.scale(5)).apply_linear_slot(2, phi)
-    rhs = a.apply_linear_slot(2, phi) + b.apply_linear_slot(2, phi).scale(5)
-    assert lhs == rhs
-
-
-def test_slot_out_of_range():
-    R = PolyRing(["X", "V"])
-    t = TensorPoly.from_polys([R.var("X"), R.var("V")])
-    with pytest.raises(IndexError):
-        t.apply_linear_slot(3, lambda p: p.counit())
-    with pytest.raises(ValueError):
-        TensorPoly.from_polys([R.var("X")]).apply_linear_slot(1, lambda p: p.counit())
-
-
 def test_parameters_sort_below_generators():
     R = PolyRing(["X"], parameters=("a",))
     f = R.var("X") + R.var("a") ** 3
@@ -166,7 +126,7 @@ def assert_canonical(m):
 def test_monomials_are_canonical_on_every_path():
     from unitwist import catalog
     from unitwist.cli import build_context
-    from unitwist.strata import c0_solver
+    from unitwist.strata import c0_solver, commutator_ideal_and_gamma
 
     R = PolyRing(["X", "Y", "V"], parameters=("a", "b"))
     mons = R.monomials_up_to(3, names=R.names)
@@ -196,7 +156,8 @@ def test_monomials_are_canonical_on_every_path():
                 assert_canonical(slot)
         for a in pres.antipode_monomial(m).terms:
             assert_canonical(a)
-    ideal = c0_solver(pres, build_context(data).right, 2).ideal
+    ctx = build_context(data)
+    ideal = c0_solver(pres, ctx.right, 2, commutator_ideal_and_gamma(ctx).commutator_ideal).ideal
     assert ideal.gens
     for p in ideal.gens:
         for m in p.terms:

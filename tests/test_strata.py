@@ -270,7 +270,8 @@ def test_c0_exit_at_zero_ideal_evaluates_nothing(examples):
     j = Unread(pres, examples("u3").data.rmatrix)
     exact = fixed_locus_ideal(pres, j.rmatrix)
     assert exact.is_zero()
-    assert c0_solver(pres, j, 5, exact=exact).ideal.render() == "<0>"
+    gamma = commutator_ideal_and_gamma(examples("u3").ctx).commutator_ideal
+    assert c0_solver(pres, j, 5, gamma, exact=exact).ideal.render() == "<0>"
 
 
 _HEIS = """
@@ -410,11 +411,12 @@ def test_weyl_detect_shapes(examples, one_sided_right):
     ex = examples("u3")
     one_sided = one_sided_right(ex.pres, ex.ctx.right)
     pres = one_sided.commutators()
-    report = weyl_detect(pres.relation, ex.pres.ring)
+    ring = ex.pres.ring
+    report = weyl_detect(pres.relation, ring, ring.generators)
     assert report.verdict == "A_1"
     assert not report.central
     # the two-sided twist of an abelian group is just commutative
-    rep2 = weyl_detect(examples("u3").ihoe.relation, ex.pres.ring)
+    rep2 = weyl_detect(examples("u3").ihoe.relation, ring, ring.generators)
     assert rep2.verdict == "commutative"
 
 
@@ -546,7 +548,8 @@ def test_strata_sweep_pool_on_shared_presentations():
 def test_c0_graded_route_matches_rank0_route(cid):
     # c0's (g (x) g) * J reads only the in-class Delta terms of J; a new load
     # whose cocycle has support None reads them all and keeps the same
-    # conditions, in the same order, to bound 5
+    # conditions, in the same order, to bound 5; Gamma is built after the
+    # support is set, so every product memo of J holds its route's values
     kept = []
     for graded in (True, False):
         data = catalog.get(cid).load()
@@ -554,6 +557,7 @@ def test_c0_graded_route_matches_rank0_route(cid):
         if not graded:
             j.support = None
         assert (j.support_within(5) is not None) == graded
-        rep = c0_solver(data.presentation, j, 5)
+        gamma = commutator_ideal_and_gamma(cli.build_context(data)).commutator_ideal
+        rep = c0_solver(data.presentation, j, 5, gamma)
         kept.append(([render_poly(p) for p in rep.ideal.gens], rep.describe()))
     assert kept[0] == kept[1]

@@ -289,7 +289,7 @@ def test_one_sided_weyl(examples, one_sided_right):
     for cid in named:
         ex = examples(cid)
         one = one_sided_right(ex.pres, ex.ctx.right)
-        report = weyl_detect(one.commutators().relation, ex.pres.ring)
+        report = weyl_detect(one.commutators().relation, ex.pres.ring, ex.pres.ring.generators)
         assert report.verdict == ex.entry.expected["one_sided_weyl"], cid
     ex = examples("u3")
     one = one_sided_right(ex.pres, ex.ctx.right)
